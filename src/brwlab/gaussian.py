@@ -1,10 +1,11 @@
 """Standard Gaussian measure of interval sets and the exact n-step walk law.
 
 The continuous side evaluates the Gaussian CDF through the complementary error
-function, pairing endpoints so deep-tail masses keep absolute accuracy.  The
-lattice side computes binomial weights as exact integers with correctly
-rounded float division, so probability rows sum to 1 up to a few ulps even at
-n = 10^4.  All functions here are pure and reentrant.
+function, pairing endpoints so deep-tail masses keep absolute accuracy.  Grid
+searches hold a set as ``(lo, hi)`` endpoint arrays and evaluate whole arrays
+of shifts at once.  The lattice side is exact: the walk-law mass of a set is a
+sum of binomial coefficients, read off cached integer prefix sums, divided once
+by 2^n with correct rounding.  All functions here are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .intervals import INF, IntervalSet
+from .intervals import IntervalSet
 
 __all__ = [
     "phi",
@@ -56,9 +57,12 @@ def _mass(lo: float, hi: float) -> float:
 
 def nu(s: IntervalSet) -> float:
     """Gaussian measure of an interval set (open/closed flags are immaterial)."""
-    if s.is_empty:
-        return 0.0
-    value = math.fsum(_mass(c.lower, c.upper) for c in s)
+    return shifted_nu(s, 0.0)
+
+
+def shifted_nu(s: IntervalSet, x: float) -> float:
+    """nu(S - x) without building the shifted set; equal to nu(s.shift(-x))."""
+    value = math.fsum(_mass(c.lower - x, c.upper - x) for c in s)
     return min(1.0, max(0.0, value))
 
 
@@ -81,9 +85,20 @@ def varphi(s: IntervalSet, r: float, x: float) -> float:
 
 def nu_shifted_grid(s: IntervalSet, xs: np.ndarray) -> np.ndarray:
     """Vectorized x -> nu(S - x) over an array of shifts (used by grid searches)."""
+    return shifted_mass(*endpoints(s), xs)
+
+
+def endpoints(s: IntervalSet) -> tuple[np.ndarray, np.ndarray]:
+    """Component endpoints as ``(lo, hi)`` float arrays: the hot-loop form of a set."""
+    return (np.array([c.lower for c in s], dtype=float),
+            np.array([c.upper for c in s], dtype=float))
+
+
+def shifted_mass(lo: np.ndarray, hi: np.ndarray, xs) -> np.ndarray:
+    """x -> nu(S - x) over an array of shifts, for S given by its endpoint arrays."""
     total = np.zeros(np.shape(xs), dtype=float)
-    for c in s:
-        total += ndtr(c.upper - xs) - ndtr(c.lower - xs)
+    for a, b in zip(lo, hi):
+        total += ndtr(b - xs) - ndtr(a - xs)
     return total
 
 
@@ -111,64 +126,57 @@ def srw_pmf_exact(n: int, k: int) -> Fraction:
     return Fraction(math.comb(n, (n + k) // 2), 1 << n)
 
 
+def _closed_flags(s: IntervalSet) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([c.lower_closed for c in s], dtype=bool),
+            np.array([c.upper_closed for c in s], dtype=bool))
+
+
 @lru_cache(maxsize=32)
-def _pmf_row(n: int) -> tuple[float, ...]:
-    # row[j] = P(walk at 2j - n); binomials built by the exact ratio recurrence.
-    denom = 1 << n
+def _prefix_row(n: int) -> np.ndarray:
+    # prefix[j] = sum_{i<j} C(n, i), exact integers: the number of n-step paths
+    # ending below site 2j - n.  Object dtype keeps them arbitrary-precision.
+    prefix = np.empty(n + 2, dtype=object)
+    prefix[0] = total = 0
     c = 1
-    row = []
     for j in range(n + 1):
-        row.append(c / denom)
+        total += c
+        prefix[j + 1] = total
         c = c * (n - j) // (j + 1)
-    return tuple(row)
+    prefix.flags.writeable = False   # shared by every caller through the cache
+    return prefix
 
 
-def _lattice_bounds(lower: float, lower_closed: bool,
-                    upper: float, upper_closed: bool) -> tuple[int, int]:
-    # Integer k range inside one component, honoring open/closed endpoints.
-    if lower == -INF:
-        lo = None
-    else:
-        f = math.ceil(lower)
-        if not lower_closed and f == lower:
-            f += 1
-        lo = f
-    if upper == INF:
-        hi = None
-    else:
-        f = math.floor(upper)
-        if not upper_closed and f == upper:
-            f -= 1
-        hi = f
-    return lo, hi  # type: ignore[return-value]
+def _path_counts(n: int, lo, lo_closed, hi, hi_closed) -> np.ndarray:
+    """Number of n-step paths ending in each component, as exact integers.
+
+    Arguments are broadcastable arrays, one entry per component; a site on an
+    open endpoint is excluded, on a closed one included.  Sites are 2j - n.
+    """
+    first = np.ceil(lo)
+    first += (first == lo) & ~lo_closed
+    last = np.floor(hi)
+    last -= (last == hi) & ~hi_closed
+    # Clipping to just outside [-n, n] keeps infinities and huge endpoints exact.
+    first = np.clip(first, -n - 1, n + 1)
+    last = np.clip(last, -n - 1, n + 1)
+    j_first = np.ceil((first + n) / 2).astype(np.int64)
+    j_end = np.floor((last + n) / 2).astype(np.int64) + 1
+    prefix = _prefix_row(n)
+    return prefix[np.maximum(j_end, j_first)] - prefix[j_first]
 
 
 def nu_n_of_set(n: int, s: IntervalSet) -> float:
     """Walk-law measure of a set: exact lattice sum over occupied sites.
 
     A lattice point sitting on an open endpoint is excluded, on a closed one
-    included; this is where the endpoint flags become observable.
+    included; this is where the endpoint flags become observable.  The path
+    count is an exact integer, so the result is correctly rounded.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if s.is_empty:
-        return 0.0
-    row = _pmf_row(n)
-    terms = []
-    for c in s:
-        lo, hi = _lattice_bounds(c.lower, c.lower_closed, c.upper, c.upper_closed)
-        lo = -n if lo is None else max(lo, -n)
-        hi = n if hi is None else min(hi, n)
-        if (lo + n) % 2 != 0:
-            lo += 1
-        if (hi + n) % 2 != 0:
-            hi -= 1
-        if lo > hi:
-            continue
-        terms.extend(row[(lo + n) // 2:(hi + n) // 2 + 1])
-    if not terms:
-        return 0.0
-    return min(1.0, math.fsum(terms))
+    lo, hi = endpoints(s)
+    lo_closed, hi_closed = _closed_flags(s)
+    return sum(_path_counts(n, lo, lo_closed, hi, hi_closed)) / (1 << n)
 
 
 # -- uniform CLT discrepancy scan --------------------------------------------
@@ -208,13 +216,21 @@ def clt_uniformity_scan(s: IntervalSet, big_r: float, n: int,
     step = 1.0 / sqrt_n
     radius = big_r * s.finite_endpoint_bound() + 10.0
     half = math.ceil(radius * sqrt_n)
+    xis = np.arange(-half, half + 1) * step
+    lo, hi = endpoints(s)
+    lo_closed, hi_closed = _closed_flags(s)
+    denom = 1 << n
     best = (-1.0, 0.0, 0.0)
     for rho in np.linspace(1.0 / big_r, big_r, rho_points):
-        scaled = s.scale(float(rho))
-        for j in range(-half, half + 1):
-            xi = j * step
-            img = scaled.shift(xi)
-            err = abs(nu_n_of_set(n, img.scale(sqrt_n)) - nu(img))
-            if err > best[0]:
-                best = (err, float(rho), xi)
+        # One row of images rho*S + xi: (xi, component) endpoint arrays.
+        img_lo = lo * rho + xis[:, None]
+        img_hi = hi * rho + xis[:, None]
+        counts = _path_counts(n, img_lo * sqrt_n, lo_closed,
+                              img_hi * sqrt_n, hi_closed).sum(axis=1)
+        walk = (counts / denom).astype(float)
+        gauss = shifted_mass(lo * rho, hi * rho, -xis)
+        err = np.abs(walk - gauss)
+        j = int(np.argmax(err))
+        if err[j] > best[0]:
+            best = (float(err[j]), float(rho), float(xis[j]))
     return CltScanResult(best[0], best[1], best[2], radius, step, n, rho_points)

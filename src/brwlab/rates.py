@@ -4,8 +4,14 @@ Two costs are computed for reaching a target fraction p on a set A: the least
 shift magnitude ``i_tilde`` with nu(A - x) >= p, and the least time fraction
 ``j_tilde`` with sup_x nu((A - x)/sqrt(1-r)) >= p.  Multiplying by log b (the
 minimal offspring number) gives the coefficients of the sqrt(n) and n decay
-scales.  Searches are grid scans plus golden-section / bisection refinement;
-monotonicity in r is never assumed, the first crossing wins.
+scales.
+
+The hot loops hold a set as ``(lo, hi)`` endpoint arrays.  The sup over shifts
+is a root of the slope sum pdf(lo_i - x) - pdf(hi_i - x), bracketed on a coarse
+grid whose error bound says which cells can hold the maximum.  The r scan
+screens whole batches of r on that grid and refines only where the bound
+leaves p within reach; monotonicity in r is never assumed, the first crossing
+on the r grid wins, and bisection locates it.
 
 Everything here is pure; instances may be evaluated in parallel.
 """
@@ -17,10 +23,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .errors import InfeasibleError, NumericError
-from .gaussian import nu, nu_shifted_grid, phi, varphi
+from .gaussian import (endpoints, normal_pdf, nu, phi, shifted_mass, shifted_nu,
+                       varphi)
 from .intervals import INF, IntervalSet
 
 __all__ = [
@@ -38,51 +45,85 @@ __all__ = [
 
 GRID_STEP = 1e-3
 ROOT_TOL = 1e-9
-REFINE_TOL = 1e-8
 SUP_MARGIN = 1e-12     # sup below p by more than this => infeasible shift
 NEAR_CRITICAL = 1e-9
-_SCAN_POINTS_CAP = 4001  # x-grid cap inside the r scan; golden refinement recovers
+SUP_STEP = 0.05        # x-grid step of the sup search, before refinement
+TIE = 1e-15            # sup values this close are rounding noise of one another
+_X_TOL = 1e-12         # last Newton step on the slope that counts as converged
+_MAX_ROOT_STEPS = 100  # bisection alone needs ~40 from a SUP_STEP bracket
+_BATCH_ROWS = 32       # r values screened together in the dilation scan
+_BATCH_CELLS = 1 << 17  # cap on one (r x x) screening batch: 1 MB of floats
+
+Shift = tuple[float, Optional[float]]
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = REFINE_TOL) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+def _grid_slack(k: int) -> float:
+    """Bound on sup - (grid maximum) for a k-component set on a SUP_STEP grid.
+
+    At the maximizer the slope vanishes and |second derivative| <= 2k pdf(1),
+    and some grid point lies within SUP_STEP / 2 of it.
+    """
+    return SUP_STEP * SUP_STEP / 8.0 * 2 * k * normal_pdf(1.0)
+
+
+def _slope(lo: np.ndarray, hi: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """d/dx nu(S - x) and its derivative at each x, up to the factor 1/sqrt(2 pi)."""
+    za = lo[:, None] - x
+    zb = hi[:, None] - x
+    pa = np.exp(-0.5 * za * za)
+    pb = np.exp(-0.5 * zb * zb)
+    return (pa - pb).sum(axis=0), (za * pa - zb * pb).sum(axis=0)
+
+
+def _slope_root(lo: np.ndarray, hi: np.ndarray, a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """In each bracket, where the slope turns from positive (at a) to not (at b).
+
+    Newton steps on the slope, with bisection whenever a step leaves the
+    bracket; the bracket shrinks around the sign change at every step.
+    """
     x = 0.5 * (a + b)
-    return x, f(x)
+    for _ in range(_MAX_ROOT_STEPS):
+        g, h = _slope(lo, hi, x)
+        up = g > 0
+        a = np.where(up, x, a)
+        b = np.where(up, b, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - g / h
+        nxt = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
+        done = np.all(np.abs(nxt - x) <= _X_TOL)
+        x = nxt
+        if done:
+            break
+    return x
 
 
-def _sup_shift_bounded(s: IntervalSet, n_points: Optional[int] = None) -> tuple[float, float]:
-    """(max value, argmax) of x -> nu(S - x) for bounded nonempty S.
+def _sup_shift(lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+    """(max value, argmax) of x -> nu(S - x) for a bounded nonempty S.
 
     The argmax lies in the convex hull of S: beyond the last endpoint the
     measure is strictly decreasing in the shift, so the grid stops there.
+    Every grid cell where the slope turns from positive to negative and whose
+    ends come within the grid slack of the grid maximum is refined, so a
+    second bump nearly as high as the first is not missed.  Maxima equal up to
+    rounding (TIE) go to the leftmost maximizer.
     """
-    lo, hi = s.hull()
-    if n_points is None:
-        n_points = max(3, int(math.ceil((hi - lo) / GRID_STEP)) + 1)
-    xs = np.linspace(lo, hi, min(n_points, _SCAN_POINTS_CAP))
-    vals = nu_shifted_grid(s, xs)
+    span = hi[-1] - lo[0]
+    xs = np.linspace(lo[0], hi[-1], max(2, math.ceil(span / SUP_STEP)) + 1)
+    vals = shifted_mass(lo, hi, xs)
+    slope, _ = _slope(lo, hi, xs)
     i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, len(xs) - 1)]
-    if a == b:
-        return float(vals[i]), float(a)
-    x, v = _golden_max(lambda t: nu(s.shift(-t)), float(a), float(b))
-    if v < vals[i]:
-        return float(vals[i]), float(xs[i])
-    return v, x
+    best = (float(vals[i]), float(xs[i]))
+    cells = np.flatnonzero(
+        (slope[:-1] > 0) & (slope[1:] <= 0)
+        & (np.maximum(vals[:-1], vals[1:]) >= vals[i] - _grid_slack(lo.size)))
+    if cells.size:
+        x = _slope_root(lo, hi, xs[cells], xs[cells + 1])
+        v = shifted_mass(lo, hi, x)
+        top = np.flatnonzero(v >= max(v.max(), best[0]) - TIE)
+        if top.size:
+            best = (float(v[top[0]]), float(x[top[0]]))
+    return best
 
 
 def sup_shift_measure(s: IntervalSet) -> tuple[float, float]:
@@ -96,7 +137,7 @@ def sup_shift_measure(s: IntervalSet) -> tuple[float, float]:
     if s.has_half_line():
         arg = -INF if s.components[0].lower == -INF else INF
         return 1.0, arg
-    return _sup_shift_bounded(s)
+    return _sup_shift(*endpoints(s))
 
 
 def _bisect_crossing(s: IntervalSet, p: float, lo: float, hi: float) -> float:
@@ -105,12 +146,12 @@ def _bisect_crossing(s: IntervalSet, p: float, lo: float, hi: float) -> float:
     Returns the feasible end of the final bracket, so the witness always
     satisfies the weak inequality up to the bisection tolerance.
     """
-    flo = nu(s.shift(-lo)) - p
+    flo = shifted_nu(s, lo) - p
     if flo >= 0:
         return lo
     while abs(hi - lo) > ROOT_TOL:
         mid = 0.5 * (lo + hi)
-        if nu(s.shift(-mid)) >= p:
+        if shifted_nu(s, mid) >= p:
             hi = mid
         else:
             lo = mid
@@ -120,7 +161,7 @@ def _bisect_crossing(s: IntervalSet, p: float, lo: float, hi: float) -> float:
 def _side_candidate(s: IntervalSet, p: float, sign: float, bound: float,
                     argmax_hint: Optional[float]) -> Optional[float]:
     xs = sign * np.arange(GRID_STEP, bound + GRID_STEP, GRID_STEP)
-    vals = nu_shifted_grid(s, xs)
+    vals = shifted_mass(*endpoints(s), xs)
     feasible = np.flatnonzero(vals >= p)
     if feasible.size:
         k = int(feasible[0])
@@ -128,16 +169,18 @@ def _side_candidate(s: IntervalSet, p: float, sign: float, bound: float,
         return _bisect_crossing(s, p, lo, float(xs[k]))
     # near-critical: super-level set may be a sliver around the optimum
     if argmax_hint is not None and math.isfinite(argmax_hint) \
-            and argmax_hint * sign > 0 and nu(s.shift(-argmax_hint)) >= p:
+            and argmax_hint * sign > 0 and shifted_nu(s, argmax_hint) >= p:
         return _bisect_crossing(s, p, 0.0, argmax_hint)
     return None
 
 
-def i_tilde(s: IntervalSet, p: float) -> tuple[float, Optional[float]]:
+def i_tilde(s: IntervalSet, p: float, *,
+            sup: Optional[tuple[float, float]] = None) -> Shift:
     """Least |x| with nu(S - x) >= p, and a witness x (None when infeasible).
 
     Weak inequality throughout; p == nu(S) yields 0.  When both signs achieve
-    the optimum the negative witness is returned.
+    the optimum the negative witness is returned.  ``sup`` passes in
+    ``sup_shift_measure(s)`` when the caller has it already.
     """
     _check_p(p)
     if s.is_empty:
@@ -146,10 +189,9 @@ def i_tilde(s: IntervalSet, p: float) -> tuple[float, Optional[float]]:
         return 0.0, 0.0
     hint = None
     if not s.has_half_line():
-        sup, arg = _sup_shift_bounded(s)
-        if sup < p - SUP_MARGIN:
+        value, hint = sup if sup is not None else sup_shift_measure(s)
+        if value < p - SUP_MARGIN:
             return INF, None
-        hint = arg
     bound = s.finite_endpoint_bound() + 10.0
     neg = _side_candidate(s, p, -1.0, bound, hint)
     pos = _side_candidate(s, p, +1.0, bound, hint)
@@ -160,51 +202,67 @@ def i_tilde(s: IntervalSet, p: float) -> tuple[float, Optional[float]]:
     return abs(pos), pos
 
 
-def _scaled_sup(s: IntervalSet, r: float) -> tuple[float, float]:
-    # h(r) = sup_x varphi(S, r, x), computed on a fresh scaled set each call.
+def _dilated_sup(lo: np.ndarray, hi: np.ndarray, r: float) -> tuple[float, float]:
+    # h(r) = sup_x varphi(S, r, x), with its maximizer in unscaled coordinates.
     gamma = 1.0 / math.sqrt(1.0 - r)
-    grown = s.scale(gamma)
-    value, xprime = _sup_shift_bounded(grown)
+    value, xprime = _sup_shift(gamma * lo, gamma * hi)
     return value, xprime / gamma
 
 
-def j_tilde(s: IntervalSet, p: float) -> tuple[float, float, float]:
+def _first_crossing(lo: np.ndarray, hi: np.ndarray, p: float) -> tuple[float, float, float]:
+    """First r on the GRID_STEP grid with h(r) >= p: (previous grid r, r, witness x).
+
+    Batches of r are screened on a coarse grid of shifts, SUP_STEP apart after
+    dilation; where the grid maximum plus its slack stays below p the sup does
+    too, so only the remaining r are refined.
+    """
+    rs = GRID_STEP * np.arange(1, round(1.0 / GRID_STEP))
+    slack = _grid_slack(lo.size)
+    span = hi[-1] - lo[0]
+    start = 0
+    while start < rs.size:
+        gamma_top = 1.0 / math.sqrt(1.0 - rs[min(start + _BATCH_ROWS, rs.size) - 1])
+        width = max(2, math.ceil(span * gamma_top / SUP_STEP)) + 1
+        stop = min(start + max(1, min(_BATCH_ROWS, _BATCH_CELLS // width)), rs.size)
+        gamma = (1.0 / np.sqrt(1.0 - rs[start:stop]))[:, None]
+        u = gamma * np.linspace(lo[0], hi[-1], width)
+        vals = sum(ndtr(gamma * b - u) - ndtr(gamma * a - u) for a, b in zip(lo, hi))
+        for k in start + np.flatnonzero(vals.max(axis=1) >= p - slack):
+            value, x = _dilated_sup(lo, hi, float(rs[k]))
+            if value >= p:
+                return (float(rs[k - 1]) if k else 0.0), float(rs[k]), x
+        start = stop
+    raise NumericError(
+        f"no dilation crossing for p={p} up to r={rs[-1]}; "
+        "this should be impossible for a nonempty bounded set")
+
+
+def j_tilde(s: IntervalSet, p: float, *,
+            shift: Optional[Shift] = None) -> tuple[float, float, float]:
     """Least time fraction r with sup_x varphi(S, r, x) >= p, plus witnesses (r, x).
 
-    Sets with a half-line (finite shift cost) return 0 immediately.  Otherwise
-    r is scanned from 0 for the first crossing and the bracketing interval is
-    bisected; monotonicity of the scanned function is not assumed.
+    Sets with a finite shift cost return 0 immediately.  Otherwise the first
+    crossing on the r grid is found and its bracket bisected; monotonicity of
+    the scanned function is not assumed.  ``shift`` passes in ``i_tilde(s, p)``
+    when the caller has it already.
     """
     _check_p(p)
     if s.is_empty:
         raise ValueError("empty set")
     if s.is_reals:
         return 0.0, 0.0, 0.0
-    it, x = i_tilde(s, p)
+    it, x = shift if shift is not None else i_tilde(s, p)
     if it != INF:
         return 0.0, 0.0, float(x)
-    lo_r = 0.0
-    hi_r = None
-    r = GRID_STEP
-    while r < 1.0 - ROOT_TOL:
-        value, _ = _scaled_sup(s, r)
-        if value >= p:
-            hi_r = r
-            break
-        lo_r = r
-        r += GRID_STEP
-    if hi_r is None:
-        raise NumericError(
-            f"no dilation crossing for p={p} up to r={1.0 - ROOT_TOL}; "
-            "this should be impossible for a nonempty bounded set")
+    lo, hi = endpoints(s)
+    lo_r, hi_r, x_witness = _first_crossing(lo, hi, p)
     while hi_r - lo_r > ROOT_TOL:
         mid = 0.5 * (lo_r + hi_r)
-        value, _ = _scaled_sup(s, mid)
+        value, x = _dilated_sup(lo, hi, mid)
         if value >= p:
-            hi_r = mid
+            hi_r, x_witness = mid, x
         else:
             lo_r = mid
-    _, x_witness = _scaled_sup(s, hi_r)
     return hi_r, hi_r, x_witness
 
 
@@ -265,23 +323,25 @@ def classify(s: IntervalSet, p: float, b: int,
         raise ValueError("empty set")
     logb = math.log(b)
     near = False
-    if not s.has_half_line() and not s.is_reals:
-        sup, _ = _sup_shift_bounded(s)
-        near = abs(sup - p) <= NEAR_CRITICAL
+    sup = None
+    if not s.has_half_line():
+        sup = sup_shift_measure(s)
+        near = abs(sup[0] - p) <= NEAR_CRITICAL
     if nu(s) >= p:
         return RateReport(p, b, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                           "shift", "sqrt_n", degenerate=True, near_critical=near)
-    it, x = i_tilde(s, p)
+    it, x = i_tilde(s, p, sup=sup)
     if it != INF:
         return RateReport(p, b, it, x, 0.0, 0.0, x, logb * it, 0.0,
                           "shift", "sqrt_n", near_critical=near)
-    jt, r, xd = j_tilde(s, p)
+    jt, r, xd = j_tilde(s, p, shift=(it, x))
     decross = None
     if detect_decrossing:
         decross = False
+        lo, hi = endpoints(s)
         rr = jt + 0.01
         while rr < 0.999:
-            value, _ = _scaled_sup(s, rr)
+            value, _ = _dilated_sup(lo, hi, rr)
             if value < p - NEAR_CRITICAL:
                 decross = True
                 break

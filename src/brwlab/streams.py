@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive", "spawn_many"]
+__all__ = ["derive"]
 
 
 def derive(master_seed: int, *indices: int) -> np.random.Generator:
     """Independent generator keyed by the master seed and an index path."""
     seq = np.random.SeedSequence((int(master_seed),) + tuple(int(i) for i in indices))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def spawn_many(master_seed: int, count: int, *prefix: int) -> list[np.random.Generator]:
-    """One derived generator per replica index 0..count-1."""
-    return [derive(master_seed, *prefix, i) for i in range(count)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brwlab import gaussian as g
-from brwlab.intervals import EMPTY, REALS, IntervalSet
+from brwlab.intervals import EMPTY, REALS, Component, IntervalSet
 from conftest import mirror, random_interval_set
 
 mpmath.mp.dps = 40
@@ -222,6 +222,28 @@ def test_nu_n_of_set_open_closed_lattice():
     assert g.nu_n_of_set(2, IntervalSet.interval(0, 2, False, False)) == 0.0
 
 
+def test_nu_n_of_set_correctly_rounded(rng):
+    # Endpoints sit on lattice points half of the time, with random flags.
+    for _ in range(150):
+        n = int(rng.integers(0, 65))
+        cuts = np.sort(rng.uniform(-n - 3, n + 3, size=2 * int(rng.integers(1, 4))))
+        on_lattice = rng.random(cuts.size) < 0.5
+        cuts = np.unique(np.where(on_lattice, np.round(cuts), cuts))
+        parts = [Component(float(lo), float(hi), bool(rng.integers(2)), bool(rng.integers(2)))
+                 for lo, hi in zip(cuts[::2], cuts[1::2])]
+        if rng.random() < 0.2:
+            parts.append(Component(-math.inf, float(cuts[0]) - 1.0, False,
+                                   bool(rng.integers(2))))
+        s = IntervalSet(tuple(parts))
+        exact = sum((g.srw_pmf_exact(n, k) for k in range(-n, n + 1)
+                     if s.contains(float(k))), Fraction(0))
+        assert g.nu_n_of_set(n, s) == float(exact)
+
+
+def test_nu_n_of_set_concentration_reference():
+    assert g.nu_n_of_set(16, IntervalSet.below(0)) == 39203 / 65536
+
+
 def test_nu_n_reflection(rng):
     for _ in range(60):
         s = random_interval_set(rng)
@@ -262,6 +284,19 @@ def test_scan_decreasing_in_n():
               IntervalSet.closed(0, 1).union(IntervalSet.closed(2, 3))):
         errs = [g.clt_uniformity_scan(a, 2.0, n).sup_error for n in (25, 100, 400)]
         assert errs[0] >= errs[1] >= errs[2]
+
+
+def test_scan_matches_pointwise_loop():
+    # The row-at-a-time scan against one nu_n_of_set / nu pair per grid point.
+    a = IntervalSet.closed(-1, 1).union(IntervalSet.interval(1.5, 2.5, False, True))
+    n, big_r = 16, 2.0
+    res = g.clt_uniformity_scan(a, big_r, n, rho_points=9)
+    half = math.ceil(res.xi_radius * math.sqrt(n))
+    worst = max(abs(g.nu_n_of_set(n, a.scale(float(rho)).shift(j * res.xi_step).scale(4.0))
+                    - g.nu(a.scale(float(rho)).shift(j * res.xi_step)))
+                for rho in np.linspace(1.0 / big_r, big_r, 9)
+                for j in range(-half, half + 1))
+    assert abs(res.sup_error - worst) < 1e-15
 
 
 def test_scan_metadata_records_truncation():

@@ -44,6 +44,51 @@ def test_sup_unit_offset_interval_vs_brute_grid():
     assert value >= brute[k] - 1e-12
 
 
+def _brute_sup(s, step=1e-5, chunk=1 << 20):
+    """Max and argmax of x -> nu(S - x) on a step grid over the hull of S."""
+    lo, hi = s.hull()
+    count = int(math.ceil((hi - lo) / step)) + 1
+    best, best_x = -1.0, None
+    for start in range(0, count, chunk):
+        xs = lo + step * np.arange(start, min(start + chunk, count))
+        vals = nu_shifted_grid(s, xs)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_x = float(vals[k]), float(xs[k])
+    return best, best_x
+
+
+def test_sup_kernel_vs_brute_grid(rng):
+    # Dilations up to gamma = 30 (r close to 1); component widths and gaps stay
+    # within a few units after dilation, so each maximizer is well determined.
+    for _ in range(8):
+        gamma = float(rng.uniform(1.0, 30.0))
+        k = int(rng.integers(1, 4))
+        steps = rng.uniform(0.2, 5.0, size=2 * k) / gamma
+        cuts = float(rng.normal(0.0, 1.0)) + np.cumsum(steps)
+        s = IntervalSet.empty()
+        for i in range(k):
+            s = s.union(IntervalSet.closed(float(cuts[2 * i]), float(cuts[2 * i + 1])))
+        dilated = s.scale(gamma)
+        value, arg = rates.sup_shift_measure(dilated)
+        brute, brute_arg = _brute_sup(dilated)
+        assert value >= brute - 1e-12
+        assert abs(arg - brute_arg) < 1e-4
+
+
+def test_sup_two_bumps_takes_the_higher():
+    # Two local maxima 2.4e-8 apart; on the search grid the lower (left) bump
+    # has the larger value, so refining only around the grid argmax fails.
+    s = parse_set("[-9.03,-9.02] U [-4,-2] U [2.02,4.0200001]")
+    value, arg = rates.sup_shift_measure(s)
+    brute, brute_arg = _brute_sup(s)
+    left = nu_shifted_grid(s, np.arange(-4.0, -2.0, 1e-5)).max()
+    assert 0.0 < brute - left < 1e-6
+    assert value >= brute - 1e-12
+    assert abs(arg - brute_arg) < 1e-4
+    assert arg > 0
+
+
 def test_sup_rejects_empty():
     with pytest.raises(ValueError):
         rates.sup_shift_measure(IntervalSet.empty())
