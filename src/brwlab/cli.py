@@ -290,7 +290,7 @@ def _cmd_ldp(resolved: dict) -> None:
         spec = StrategySpec.make(kind, x, r, n)
         est = ldp_lower_bound(spec, target, p, law, resolved["replicas"],
                               mode=resolved["mode"], cap=resolved["cap"],
-                              seed=resolved["seed"] + 7919 * idx,
+                              seed=(resolved["seed"], idx),
                               workers=resolved["threads"], report=report)
         estimates.append(est)
         rows.append([n, kind, spec.x, spec.r, spec.w, spec.q, spec.s,
@@ -338,7 +338,7 @@ def _cmd_probe_concentration(resolved: dict) -> None:
     for idx, pop in enumerate(resolved["pop_grid"]):
         res = concentration_probe(pop, target, resolved["delta"], resolved["n"],
                                   law, resolved["replicas"],
-                                  seed=resolved["seed"] + 7919 * idx,
+                                  seed=(resolved["seed"], idx),
                                   workers=resolved["threads"])
         rows.append([pop, res.delta, res.n, res.replicas, res.frequency,
                      res.reference])
@@ -354,7 +354,7 @@ def _cmd_probe_typical(resolved: dict) -> None:
     for idx, n in enumerate(resolved["n_grid"]):
         res = typical_deviation_probe(target, resolved["t"], n, law,
                                       resolved["replicas"],
-                                      seed=resolved["seed"] + 7919 * idx,
+                                      seed=(resolved["seed"], idx),
                                       mode=resolved["mode"], cap=resolved["cap"],
                                       workers=resolved["threads"])
         rows.append([n, resolved["t"], res.threshold, res.replicas,

@@ -1,13 +1,14 @@
 """Branching random walk simulator with exact, aggregated, and hybrid modes.
 
 Particles reproduce with at-least-binary offspring counts and children step
-+-1 independently.  Exact mode draws per-particle; aggregated mode works per
-occupied site with exact convolution totals up to 64 parents, exact binomial
-splits up to 10^6 children, and rounded normal approximations above (the
-split phase always conserves its drawn total exactly).  `evolve` additionally
-owns a dense vectorized state so populations far beyond float range can be
-advanced quickly; counts there carry a shared power-of-two exponent, and the
-public measure keeps arbitrary-precision integers.
++-1 independently.  Exact mode draws per particle.  Aggregated mode advances
+a dense per-site state with one vector kernel: every site with at most 2^53
+particles (and at most 2^63 children) gets an exact multinomial offspring
+total and an exact binomial left/right split; only larger sites use a
+float-scaled normal approximation, clamped to [b c, kmax c].  Counts in the
+dense state carry a shared power-of-two exponent, so populations far beyond
+float range stay representable; the public measure keeps arbitrary-precision
+integers.
 
 A single run is sequential and owns its state; replicas are meant to run on
 independent derived streams (see `streams`).
@@ -31,16 +32,13 @@ __all__ = [
     "PopulationStats",
     "EvolveResult",
     "step_exact",
-    "step_aggregated",
     "evolve",
     "lattice_fraction",
     "empirical_fraction",
     "enumerate_exact",
 ]
 
-EXACT_CONVOLUTION_MAX = 64     # per-site parent count with exact offspring totals
-EXACT_BINOMIAL_MAX = 10 ** 6   # exact left/right splits up to this many children
-_FLOAT_SAFE = float(2 ** 53)
+_EXACT_MAX = 2 ** 53           # largest per-site count drawn exactly
 _RESCALE_ABOVE = 1e250         # vector state renormalizes beyond this
 _RESCALE_TARGET = 2.0 ** 332   # ~1e100 after renormalization
 
@@ -213,56 +211,6 @@ def step_exact(zeta: ParticleMeasure, law: BranchingLaw,
     return ParticleMeasure(new, zeta.generation + 1)
 
 
-def _offspring_total(c: int, law: BranchingLaw, rng: np.random.Generator,
-                     z: float) -> int:
-    if c <= EXACT_CONVOLUTION_MAX:
-        return law.sample_total(c, rng)
-    beta, var = law.beta, law.variance
-    if c <= _FLOAT_SAFE:
-        t = int(round(c * beta + z * math.sqrt(c * var)))
-        return max(t, 2 * c)
-    bn, bd = beta.as_integer_ratio()
-    base = (c * bn) // bd
-    if var > 0.0:
-        vn, vd = var.as_integer_ratio()
-        sigma = math.isqrt((c * vn) // vd)
-        base += (int(z * 67108864.0) * sigma) >> 26
-    return max(base, 2 * c)
-
-
-def _split_right(t: int, rng: np.random.Generator, z: float) -> int:
-    if t <= EXACT_BINOMIAL_MAX:
-        return int(rng.binomial(t, 0.5))
-    if t <= _FLOAT_SAFE:
-        r = int(round(0.5 * t + z * 0.5 * math.sqrt(t)))
-    else:
-        r = (t >> 1) + ((int(z * 67108864.0) * math.isqrt(t)) >> 27)
-    return min(max(r, 0), t)
-
-
-def step_aggregated(zeta: ParticleMeasure, law: BranchingLaw,
-                    rng: np.random.Generator) -> ParticleMeasure:
-    """One generation drawn per occupied site.
-
-    Offspring totals: exact convolution up to 64 parents, rounded normal
-    approximation above (clamped to the minimal growth 2c).  Splits: exact
-    binomial up to 10^6 children, normal approximation above; the drawn total
-    is conserved exactly in either branch.
-    """
-    items = sorted(zeta.counts.items())
-    zs = rng.standard_normal(2 * len(items))
-    new: dict[int, int] = {}
-    for i, (x, c) in enumerate(items):
-        t = _offspring_total(c, law, rng, float(zs[2 * i]))
-        right = _split_right(t, rng, float(zs[2 * i + 1]))
-        left = t - right
-        if left:
-            new[x - 1] = new.get(x - 1, 0) + left
-        if right:
-            new[x + 1] = new.get(x + 1, 0) + right
-    return ParticleMeasure(new, zeta.generation + 1)
-
-
 # -- fast dense state for evolve -------------------------------------------------
 
 class _VectorState:
@@ -286,41 +234,39 @@ class _VectorState:
         v = self.v
         n_sites = v.size
         unit = math.ldexp(1.0, -self.exp2)   # one particle, in scaled units
-        z = rng.standard_normal(2 * n_sites)
-        occupied = v > 0.0
+        # exact while the true count c <= 2^53 and c * kmax fits int64
+        limit = math.ldexp(float(min(_EXACT_MAX, (2 ** 63 - 1) // law.kmax)),
+                           -self.exp2)
+        t = np.zeros(n_sites)
+        right = np.zeros(n_sites)
 
-        t = v * law.beta
-        if law.variance > 0.0:
-            t = t + z[:n_sites] * np.sqrt(v * (law.variance * unit))
-        np.maximum(t, 2.0 * v, out=t)
-        if self.exp2 == 0:
-            np.rint(t, out=t)
-        t[~occupied] = 0.0
+        small = np.flatnonzero((v > 0.0) & (v <= limit))
+        if small.size:
+            parents = np.rint(np.ldexp(v[small], self.exp2)).astype(np.int64)
+            if law.non_deterministic:
+                kids = rng.multinomial(parents, law.probs) @ np.array(law.support)
+            else:
+                kids = parents * law.b
+            t[small] = np.ldexp(kids.astype(np.float64), -self.exp2)
+            drawn = rng.binomial(kids, 0.5).astype(np.float64)
+            right[small] = np.ldexp(drawn, -self.exp2)
 
-        # exact offspring convolution for sites with few true parents
-        small = np.flatnonzero(occupied & (v <= 64.0 * unit))
-        for i in small:
-            parents = int(round(math.ldexp(float(v[i]), self.exp2)))
-            if parents <= 0:
-                t[i] = 0.0
-            elif parents <= EXACT_CONVOLUTION_MAX:
-                t[i] = math.ldexp(float(law.sample_total(parents, rng)), -self.exp2)
+        big = np.flatnonzero(v > limit)
+        if big.size:
+            vb = v[big]
+            z = rng.standard_normal(2 * big.size)
+            tb = vb * law.beta + z[:big.size] * np.sqrt(vb * (law.variance * unit))
+            np.clip(tb, law.b * vb, law.kmax * vb, out=tb)
+            rb = 0.5 * tb + z[big.size:] * (0.5 * np.sqrt(tb * unit))
+            np.clip(rb, 0.0, tb, out=rb)
+            t[big] = tb
+            right[big] = rb
 
-        right = 0.5 * t + z[n_sites:] * (0.5 * np.sqrt(t * unit))
-        np.clip(right, 0.0, t, out=right)
-        if self.exp2 == 0:
-            np.rint(right, out=right)
-            np.clip(right, 0.0, t, out=right)
-
-        # exact binomial splits for sites with few true children
-        binny = np.flatnonzero((t > 0.0) & (t <= 1e6 * unit))
-        if binny.size:
-            true_t = np.rint(np.ldexp(t[binny], self.exp2)).astype(np.int64)
-            drawn = rng.binomial(true_t, 0.5).astype(np.float64)
-            right[binny] = np.ldexp(drawn, -self.exp2)
+        left = t - right
+        right = t - left   # exact (Fast2Sum), so left + right == t in floats
 
         grown = np.zeros(n_sites + 2)
-        grown[:n_sites] += t - right
+        grown[:n_sites] += left
         grown[2:] += right
         self.v = grown
         self.left -= 1
@@ -387,8 +333,11 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, mode: str = "hybri
     """Run ``n`` generations and collect per-generation statistics.
 
     mode 'exact' draws per particle and errors beyond the cap; 'aggregated'
-    uses the dense per-site state throughout; 'hybrid' runs exact until the
-    population exceeds ``cap`` and then switches.  ``record`` is 'none',
+    uses the dense per-site vector kernel throughout; 'hybrid' runs exact
+    until the population exceeds ``cap`` and then switches to that kernel.
+    The kernel draws offspring totals and splits exactly at every site with
+    at most 2^53 particles; above that it uses a normal approximation clamped
+    to [b c, kmax c] and carried at float precision.  ``record`` is 'none',
     'totals' (log total plus normalized total) or 'full' (adds mean position
     and, when ``trajectory_set`` is given, the fraction inside
     sqrt(generation) times that set).  ``final_set`` requests the final

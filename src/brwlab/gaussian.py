@@ -107,14 +107,17 @@ def shifted_mass(lo: np.ndarray, hi: np.ndarray, xs) -> np.ndarray:
 def srw_pmf(n: int, k: int) -> float:
     """P(walk at k after n steps): C(n,(n+k)/2) 2^-n on the parity sublattice.
 
-    The binomial is an exact integer and the division is correctly rounded, so
-    the result is within half an ulp for any n the integers can express.
+    The binomial is an exact integer, read off the cached prefix row, and the
+    division is correctly rounded, so the result is within half an ulp for any
+    n the integers can express.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if abs(k) > n or (n + k) % 2 != 0:
         return 0.0
-    return math.comb(n, (n + k) // 2) / (1 << n)
+    prefix = _prefix_row(n)
+    j = (n + k) // 2
+    return (prefix[j + 1] - prefix[j]) / (1 << n)
 
 
 def srw_pmf_exact(n: int, k: int) -> Fraction:

@@ -11,8 +11,10 @@ Only the factorized lower-bound route is priced; summing over all prefix
 measures for the matching upper bound is out of reach at simulation scale and
 is probed indirectly through the concentration experiment.
 
-Replicas always use streams derived from (seed, replica index), so estimates
-are reproducible for any worker count.
+Replicas always use streams derived from (seed, grid index, replica index),
+so estimates are reproducible for any worker count and no two grid points or
+seeds share a stream.  Every ``seed`` argument below takes either an int or
+such an index path as a tuple; replica i then draws from ``derive(*seed, i)``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +51,8 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054
+
+Seed = Union[int, tuple[int, ...]]   # master seed, or an index path below it
 
 
 def _sgn(x: float) -> int:
@@ -156,7 +160,7 @@ def _count_events(args) -> int:
     count = 0
     for i in range(lo, hi):
         res = evolve(ParticleMeasure.delta(0, count=start), law, steps, mode=mode,
-                     rng=derive(seed, i), cap=cap, record="none",
+                     rng=derive(*seed, i), cap=cap, record="none",
                      final_set=target, keep_final=False)
         frac = res.final_fraction
         if (frac > threshold) if strict else (frac >= threshold):
@@ -166,6 +170,7 @@ def _count_events(args) -> int:
 
 def _parallel_event_count(law, steps, mode, cap, start, target, threshold,
                           strict, seed, replicas, workers) -> int:
+    seed = seed if isinstance(seed, tuple) else (seed,)
     if workers <= 1 or replicas < 4 * workers:
         return _count_events((law, steps, mode, cap, start, target, threshold,
                               strict, seed, 0, replicas))
@@ -179,7 +184,7 @@ def _parallel_event_count(law, steps, mode, cap, start, target, threshold,
 def conditional_success_estimate(spec: StrategySpec, a: IntervalSet, p: float,
                                  law: BranchingLaw, replicas: int,
                                  mode: str = "hybrid", cap: int = 1000,
-                                 seed: int = 0, workers: int = 1) -> SuccessEstimate:
+                                 seed: Seed = 0, workers: int = 1) -> SuccessEstimate:
     """Estimate of the single-root success q = P(fraction in sqrt(n)A - w >= p).
 
     Simulates the remaining m generations from one particle in the shifted
@@ -249,7 +254,7 @@ class LdpEstimate:
 
 def ldp_lower_bound(spec: StrategySpec, a: IntervalSet, p: float,
                     law: BranchingLaw, replicas: int, mode: str = "hybrid",
-                    cap: int = 1000, seed: int = 0, workers: int = 1,
+                    cap: int = 1000, seed: Seed = 0, workers: int = 1,
                     report: Optional[RateReport] = None) -> LdpEstimate:
     """Price the full strategy and compare against the classified rate.
 
@@ -324,7 +329,7 @@ class ConcentrationResult:
 
 
 def concentration_probe(population: int, a: IntervalSet, delta: float, n: int,
-                        law: BranchingLaw, replicas: int, seed: int = 0,
+                        law: BranchingLaw, replicas: int, seed: Seed = 0,
                         workers: int = 1) -> ConcentrationResult:
     """Estimate P(fraction in A > nu_n(A) + delta) from N particles at 0.
 
@@ -353,7 +358,7 @@ class ProbeResult:
 
 
 def typical_deviation_probe(a: IntervalSet, t: float, n: int, law: BranchingLaw,
-                            replicas: int, seed: int = 0, mode: str = "hybrid",
+                            replicas: int, seed: Seed = 0, mode: str = "hybrid",
                             cap: int = 1000, workers: int = 1) -> ProbeResult:
     """Estimate P(fraction in sqrt(n)A > nu(A) + t/sqrt(n)) from one root."""
     if t <= 0.0:

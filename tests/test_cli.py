@@ -133,6 +133,34 @@ def test_probe_commands_run(tmp_path):
     assert 0.0 <= float(rows[0]["frequency"]) <= 1.0
 
 
+@pytest.mark.parametrize("args", [
+    ["ldp", "--set", "(-inf,0]", "--p", "0.8", "--n-grid", "16,36",
+     "--replicas", "100"],
+    ["probe-concentration", "--pop-grid", "2,3", "--n", "2", "--replicas", "5"],
+    ["probe-typical", "--set", "(-inf,0]", "--t", "1", "--n-grid", "4,8",
+     "--replicas", "5"],
+])
+def test_grid_streams_disjoint_across_seeds(args, tmp_path, monkeypatch):
+    # seed 7919 at grid point 0 must not replay seed 0 at grid point 1
+    from brwlab import ldp
+    keys = []
+    original = ldp.derive
+
+    def recording_derive(*key):
+        keys.append(key)
+        return original(*key)
+
+    monkeypatch.setattr(ldp, "derive", recording_derive)
+    seen = []
+    for seed in ("0", "7919"):
+        keys.clear()
+        code, _ = run_cli(args + ["--seed", seed, "--threads", "1"], tmp_path)
+        assert code == 0
+        seen.append(set(keys))
+    assert seen[0] and seen[1]
+    assert not seen[0] & seen[1]
+
+
 def test_env_var_default_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("BRWLAB_SEED", "9")
     code, text = run_cli(["rate", "--set", "R", "--p", "0.3"], tmp_path)

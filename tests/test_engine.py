@@ -110,53 +110,90 @@ def test_parity_invariant(rng):
         assert all(abs(x) <= 9 for x in res.final.counts)
 
 
-def test_step_aggregated_doubles_exactly_deterministic(rng):
+def _aggregated_step(start: ParticleMeasure, law: BranchingLaw,
+                     rng: np.random.Generator) -> ParticleMeasure:
+    # one generation of the production vector kernel
+    return engine.evolve(start, law, 1, mode="aggregated", rng=rng,
+                         record="none").final
+
+
+def test_aggregated_step_doubles_exactly_deterministic(rng):
     law = BranchingLaw.binary()
-    # exercises the exact-convolution, float, and big-integer branches
-    for c in (3, 64, 1000, 2 ** 40, 2 ** 80, 2 ** 200):
-        child = engine.step_aggregated(ParticleMeasure.delta(0, count=c), law, rng)
+    # exact draws up to 2^53 parents, the float-scaled path above
+    for c in (3, 64, 1000, 2 ** 40, 2 ** 53, 2 ** 53 + 2, 2 ** 80, 2 ** 200):
+        child = _aggregated_step(ParticleMeasure.delta(0, count=c), law, rng)
         assert child.total == 2 * c
 
 
-def test_step_aggregated_split_conserves(rng):
+def test_aggregated_step_split_conserves(rng):
     law = BranchingLaw.binary_ternary()
-    for c in (10, 100, 10 ** 5, 2 ** 54 + 12345, 2 ** 90 + 7):
-        child = engine.step_aggregated(ParticleMeasure.delta(3, count=c), law, rng)
+    for c in (10, 100, 10 ** 5, 2 ** 53, 2 ** 53 + 2, 2 ** 54 + 12345, 2 ** 90 + 7):
+        child = _aggregated_step(ParticleMeasure.delta(3, count=c), law, rng)
         assert set(child.counts) <= {2, 4}
         assert child.total >= 2 * c
 
 
+def test_aggregated_step_total_within_law_support(rng):
+    # above 2^53 parents the approximate total is clamped to [b c, kmax c]
+    law = BranchingLaw.parse("3:0.5,5:0.5")
+    c = 2 ** 60
+    for _ in range(20):
+        child = _aggregated_step(ParticleMeasure.delta(0, count=c), law, rng)
+        assert 3 * c <= child.total <= 5 * c
+
+
 def test_aggregated_small_count_path_matches_exact_distribution():
-    # totals from 64 parents: the per-site path must reproduce the exact law
+    # totals from 64 and 200 parents: the vector kernel reproduces the exact law
     law = BranchingLaw.binary_ternary()
-    start = ParticleMeasure.delta(0, count=64)
     n = 10_000
-    t_exact = np.array([engine.step_exact(start, law, derive(21, i)).total
-                        for i in range(n)])
-    t_agg = np.array([engine.step_aggregated(start, law, derive(22, i)).total
-                      for i in range(n)])
-    lo, hi = 128, 192
-    bins = np.arange(lo, hi + 2)
-    h1, _ = np.histogram(t_exact, bins=bins)
-    h2, _ = np.histogram(t_agg, bins=bins)
-    keep = (h1 + h2) >= 10
-    table = np.vstack([h1[keep], h2[keep]])
-    _, pvalue, _, _ = sps.chi2_contingency(table)
-    assert pvalue > 0.01
+    for c in (64, 200):
+        start = ParticleMeasure.delta(0, count=c)
+        t_exact = np.array([engine.step_exact(start, law, derive(21, c, i)).total
+                            for i in range(n)])
+        t_agg = np.array([_aggregated_step(start, law, derive(22, c, i)).total
+                          for i in range(n)])
+        bins = np.arange(2 * c, 3 * c + 2)
+        h1, _ = np.histogram(t_exact, bins=bins)
+        h2, _ = np.histogram(t_agg, bins=bins)
+        keep = (h1 + h2) >= 10
+        table = np.vstack([h1[keep], h2[keep]])
+        _, pvalue, _, _ = sps.chi2_contingency(table)
+        assert pvalue > 0.01
 
 
 def test_aggregated_normal_path_close_to_exact_distribution():
-    # 200 parents: rounded normal totals vs exact convolution, coarse bins
+    # 2^60 parents, beyond the exact draws: the standardized total and split
+    # follow the exact laws' normal limits (binomial(c, 1/2) shifted by 2c,
+    # binomial(t, 1/2) for the split)
     law = BranchingLaw.binary_ternary()
-    start = ParticleMeasure.delta(0, count=200)
+    c = 2 ** 60
+    start = ParticleMeasure.delta(0, count=c)
+    n = 2000
+    z_total = np.empty(n)
+    z_split = np.empty(n)
+    for i in range(n):
+        child = _aggregated_step(start, law, derive(32, i))
+        t = child.total
+        z_total[i] = (t - c * law.beta) / math.sqrt(c * law.variance)
+        z_split[i] = (child.counts[1] - t / 2) / (0.5 * math.sqrt(t))
+    for z in (z_total, z_split):
+        assert abs(z.mean()) < 4 / math.sqrt(n)
+        _, pvalue = sps.kstest(z, "norm")
+        assert pvalue > 0.001
+
+
+def test_aggregated_heavy_tail_law_is_exact():
+    # 100 parents under 2:0.995,200:0.005: P(total = 200) = 0.995^100, mean 299
+    law = BranchingLaw.parse("2:0.995,200:0.005")
+    start = ParticleMeasure.delta(0, count=100)
     n = 4000
-    t_exact = np.array([engine.step_exact(start, law, derive(31, i)).total
-                        for i in range(n)])
-    t_agg = np.array([engine.step_aggregated(start, law, derive(32, i)).total
-                      for i in range(n)])
-    assert abs(t_exact.mean() - t_agg.mean()) < 4 * math.sqrt(2 * 200 * 0.25 / n)
-    _, pvalue = sps.ks_2samp(t_exact, t_agg)
-    assert pvalue > 0.001
+    totals = np.array([_aggregated_step(start, law, derive(41, i)).total
+                       for i in range(n)])
+    p_min = 0.995 ** 100
+    freq = float(np.mean(totals == 200))
+    assert abs(freq - p_min) < 4 * math.sqrt(p_min * (1 - p_min) / n)
+    se = math.sqrt(100 * law.variance / n)
+    assert abs(totals.mean() - 100 * law.beta) < 4 * se
 
 
 # -- evolve ----------------------------------------------------------------------
