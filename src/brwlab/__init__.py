@@ -6,7 +6,7 @@ particle system at three fidelity levels, and verifies the decay laws at desk
 scale.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .engine import BranchingLaw, ParticleMeasure
 from .intervals import IntervalSet, parse_set

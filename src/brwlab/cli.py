@@ -193,6 +193,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     if "replicas" in resolved and resolved["replicas"] is not None:
         if resolved["replicas"] < 1:
             raise ValueError("replicas must be positive")
+    if resolved["threads"] < 1:
+        raise ValueError("threads must be positive")
     for opt in opts:
         key = opt.name.replace("-", "_")
         if opt.default is None and resolved[key] is None and opt.name not in (

@@ -2,16 +2,20 @@
 
 Particles reproduce with at-least-binary offspring counts and children step
 +-1 independently.  Exact mode draws per particle.  Aggregated mode advances
-a dense per-site state with one vector kernel: every site with at most 2^53
+dense per-site counts with one vector kernel: every site with at most 2^53
 particles (and at most 2^63 children) gets an exact multinomial offspring
 total and an exact binomial left/right split; only larger sites use a
-float-scaled normal approximation, clamped to [b c, kmax c].  Counts in the
-dense state carry a shared power-of-two exponent, so populations far beyond
-float range stay representable; the public measure keeps arbitrary-precision
-integers.
+float-scaled normal approximation, clamped to [b c, kmax c].  Each row's
+counts carry a power-of-two exponent, so populations far beyond float range
+stay representable; the public measure keeps arbitrary-precision integers.
 
-A single run is sequential and owns its state; replicas are meant to run on
-independent derived streams (see `streams`).
+The kernel steps a block of replicas as one 2-D array, one row per replica;
+`evolve` is the one-row case and `final_fractions` runs many rows.  When the
+start's occupied sites share one parity, a row stores only the sites of the
+parity occupied at the current generation.  Each row draws from its own
+generator in the order a one-row block would, so a replica's trajectory is
+the same in any block, on any worker; replicas run on independent derived
+streams (see `streams`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +37,8 @@ __all__ = [
     "EvolveResult",
     "step_exact",
     "evolve",
+    "final_fractions",
+    "block_rows",
     "lattice_fraction",
     "empirical_fraction",
     "enumerate_exact",
@@ -41,6 +47,8 @@ __all__ = [
 _EXACT_MAX = 2 ** 53           # largest per-site count drawn exactly
 _RESCALE_ABOVE = 1e250         # vector state renormalizes beyond this
 _RESCALE_TARGET = 2.0 ** 332   # ~1e100 after renormalization
+_BLOCK_ROWS = 64               # replicas stepped as one block, at most
+_BLOCK_SITES = 2 ** 13         # rows x final width of one block, at most
 
 
 @dataclass(frozen=True)
@@ -211,98 +219,201 @@ def step_exact(zeta: ParticleMeasure, law: BranchingLaw,
     return ParticleMeasure(new, zeta.generation + 1)
 
 
-# -- fast dense state for evolve -------------------------------------------------
+# -- dense replica blocks ---------------------------------------------------------
+
+def _layout(zeta: ParticleMeasure, n: int) -> tuple[int, int, int, int]:
+    """(lowest position, stride, width, width after n generations) of the
+    dense rows that hold ``zeta``.
+
+    Children step +-1, so a start whose occupied sites share one parity keeps
+    a single occupied parity per generation: stride 2 stores only that parity
+    and a generation adds one column, stride 1 adds two.
+    """
+    lo, hi = zeta.span()
+    stride = 2 if all((x - lo) % 2 == 0 for x in zeta.counts) else 1
+    width = (hi - lo) // stride + 1
+    return lo, stride, width, width + n * (2 // stride)
+
+
+def block_rows(zeta0: ParticleMeasure, n: int) -> int:
+    """Replicas per `final_fractions` call that keep one block's arrays small.
+
+    A block of R rows run for n generations ends R x width floats wide; the
+    bound keeps that within _BLOCK_SITES (and R within _BLOCK_ROWS), so the
+    arrays and the per-row Philox generators stay a few hundred KB.
+    """
+    final_width = _layout(zeta0, n)[3]
+    return max(1, min(_BLOCK_ROWS, _BLOCK_SITES // final_width))
+
 
 class _VectorState:
-    """Dense per-site counts as integer-valued floats times 2**exp2."""
+    """A block of replicas as dense per-site counts, one row per replica.
 
-    __slots__ = ("v", "left", "exp2", "generation")
+    Row r holds integer-valued floats times 2**exp2[r] at positions
+    lo + stride*j and draws only from its own generator rngs[r], in the same
+    order and sizes whatever rows step beside it, so a replica's trajectory
+    does not depend on its block.  Rows left at zero (hybrid replicas still in
+    their exact phase) draw nothing.
+    """
 
-    def __init__(self, zeta: ParticleMeasure):
-        lo, hi = zeta.span()
-        self.v = np.zeros(hi - lo + 1)
+    __slots__ = ("v", "lo", "stride", "exp2", "unit", "generation", "rngs",
+                 "idle", "_spare", "_work")
+
+    def __init__(self, zeta0: ParticleMeasure, n: int,
+                 rngs: Sequence[np.random.Generator]):
+        self.lo, self.stride, width, final_width = _layout(zeta0, n)
+        rows = len(rngs)
+        # two buffers sized for the final width; steps alternate between them
+        capacity = rows * final_width
+        self.v = np.zeros(capacity)[:rows * width].reshape(rows, width)
+        self._spare = np.empty(capacity)
+        self._work = np.empty((3, capacity))   # step's scratch arrays
+        self.exp2 = np.zeros(rows, dtype=np.int64)
+        self.unit = np.ones((rows, 1))   # one particle in row r: 2**-exp2[r]
+        self.generation = zeta0.generation
+        self.rngs = rngs
+        self.idle = True   # no row loaded yet
+
+    def load(self, row: int, zeta: ParticleMeasure) -> None:
+        """Put a measure of the block's generation into an empty row."""
         for x, c in zeta.counts.items():
-            self.v[x - lo] = float(c)
-        self.left = lo
-        self.exp2 = 0
-        self.generation = zeta.generation
+            self.v[row, (x - self.lo) // self.stride] = float(c)
+        self.idle = False
 
     def positions(self) -> np.ndarray:
-        return self.left + np.arange(self.v.size)
+        return self.lo + self.stride * np.arange(self.v.shape[1])
 
-    def step(self, law: BranchingLaw, rng: np.random.Generator) -> None:
+    def _next_generation(self) -> np.ndarray:
+        """Move the layout on one generation; returns the new (unfilled) rows."""
+        rows, width = self.v.shape
+        shift = 2 // self.stride
+        grown = self._spare[:rows * (width + shift)].reshape(rows, width + shift)
+        self._spare = self.v.base
+        self.v = grown
+        self.lo -= 1
+        self.generation += 1
+        return grown
+
+    def _row_slices(self, at: np.ndarray, row_ends: np.ndarray) -> list:
+        """(generator, slice of ``at``) for each row that has entries in the
+        sorted flat indices ``at``."""
+        ends = np.searchsorted(at, row_ends).tolist()
+        return [(rng, slice(a, b))
+                for rng, a, b in zip(self.rngs, [0] + ends, ends) if b > a]
+
+    def step(self, law: BranchingLaw) -> None:
+        if self.idle:
+            self._next_generation().fill(0.0)
+            return
         v = self.v
-        n_sites = v.size
-        unit = math.ldexp(1.0, -self.exp2)   # one particle, in scaled units
+        rows, width = v.shape
+        unit = self.unit
         # exact while the true count c <= 2^53 and c * kmax fits int64
-        limit = math.ldexp(float(min(_EXACT_MAX, (2 ** 63 - 1) // law.kmax)),
-                           -self.exp2)
-        t = np.zeros(n_sites)
-        right = np.zeros(n_sites)
+        limit = np.ldexp(float(min(_EXACT_MAX, (2 ** 63 - 1) // law.kmax)), -self.exp2)
+        big = v > limit[:, None]
+        small = v > 0.0
+        small ^= big
+        small_at = np.flatnonzero(small)
+        big_at = np.flatnonzero(big)
+        row_ends = np.arange(width, v.size + 1, width)
 
-        small = np.flatnonzero((v > 0.0) & (v <= limit))
-        if small.size:
-            parents = np.rint(np.ldexp(v[small], self.exp2)).astype(np.int64)
+        # each row draws its small sites' totals, then their splits, then its
+        # big sites' normals: the order and sizes of a one-row block
+        if small_at.size:
+            small_exp2 = self.exp2[small_at // width]
+            parents = np.rint(np.ldexp(v.reshape(-1)[small_at], small_exp2))
+            parents = parents.astype(np.int64)
+            small_rows = self._row_slices(small_at, row_ends)
             if law.non_deterministic:
-                kids = rng.multinomial(parents, law.probs) @ np.array(law.support)
+                kids = np.empty_like(parents)
+                support = np.array(law.support)
+                for rng, seg in small_rows:
+                    kids[seg] = rng.multinomial(parents[seg], law.probs) @ support
             else:
                 kids = parents * law.b
-            t[small] = np.ldexp(kids.astype(np.float64), -self.exp2)
-            drawn = rng.binomial(kids, 0.5).astype(np.float64)
-            right[small] = np.ldexp(drawn, -self.exp2)
+            drawn = np.empty_like(parents)
+            for rng, seg in small_rows:
+                drawn[seg] = rng.binomial(kids[seg], 0.5)
+        t, right, spare = self._work[:, :v.size].reshape(3, rows, width)
+        if big_at.size:
+            # t and right start as each big site's two normals, 0 elsewhere
+            normals = np.empty((2, big_at.size))
+            for rng, seg in self._row_slices(big_at, row_ends):
+                rng.standard_normal(out=normals[0, seg])
+                rng.standard_normal(out=normals[1, seg])
+            if big_at.size == v.size:   # every site is big: the draws are in place
+                t, right = normals.reshape(2, rows, width)
+            else:
+                t.fill(0.0)
+                right.fill(0.0)
+                t.reshape(-1)[big_at] = normals[0]
+                right.reshape(-1)[big_at] = normals[1]
+            # t = v beta + z_t sqrt(v var unit), clamped to [b v, kmax v], and
+            # right = t/2 + z_r sqrt(t unit)/2, clamped to [0, t]; 0 at empty sites
+            np.sqrt(np.multiply(v, law.variance * unit, out=spare), out=spare)
+            t *= spare
+            t += np.multiply(v, law.beta, out=spare)
+            np.maximum(t, np.multiply(v, law.b, out=spare), out=t)
+            np.minimum(t, np.multiply(v, law.kmax, out=spare), out=t)
+            np.sqrt(np.multiply(t, unit, out=spare), out=spare)
+            spare *= 0.5
+            right *= spare
+            right += np.multiply(t, 0.5, out=spare)
+            np.maximum(right, 0.0, out=right)
+            np.minimum(right, t, out=right)
+        else:
+            t.fill(0.0)
+            right.fill(0.0)
+        if small_at.size:
+            t.reshape(-1)[small_at] = np.ldexp(kids.astype(np.float64), -small_exp2)
+            right.reshape(-1)[small_at] = np.ldexp(drawn.astype(np.float64), -small_exp2)
+        left = np.subtract(t, right, out=spare)
+        np.subtract(t, left, out=right)   # exact (Fast2Sum): left + right == t in floats
 
-        big = np.flatnonzero(v > limit)
-        if big.size:
-            vb = v[big]
-            z = rng.standard_normal(2 * big.size)
-            tb = vb * law.beta + z[:big.size] * np.sqrt(vb * (law.variance * unit))
-            np.clip(tb, law.b * vb, law.kmax * vb, out=tb)
-            rb = 0.5 * tb + z[big.size:] * (0.5 * np.sqrt(tb * unit))
-            np.clip(rb, 0.0, tb, out=rb)
-            t[big] = tb
-            right[big] = rb
+        # the left child of column j stays in column j, the right one moves on
+        # by the growth in width
+        grown = self._next_generation()
+        grown[:, :width] = left
+        grown[:, width:] = 0.0
+        grown[:, grown.shape[1] - width:] += right
+        if grown.max() > _RESCALE_ABOVE:
+            peak = grown.max(axis=1)
+            hot = np.flatnonzero(peak > _RESCALE_ABOVE)
+            shifts = np.ceil(np.log2(peak[hot] / _RESCALE_TARGET)).astype(np.int64)
+            grown[hot] = np.ldexp(grown[hot], -shifts[:, None])
+            self.exp2[hot] += shifts
+            self.unit[hot, 0] = np.ldexp(1.0, -self.exp2[hot])
 
-        left = t - right
-        right = t - left   # exact (Fast2Sum), so left + right == t in floats
+    def total_log(self, row: int) -> float:
+        s = float(self.v[row].sum())
+        return math.log(s) + int(self.exp2[row]) * math.log(2.0)
 
-        grown = np.zeros(n_sites + 2)
-        grown[:n_sites] += left
-        grown[2:] += right
-        self.v = grown
-        self.left -= 1
-        self.generation += 1
+    def mean_position(self, row: int) -> float:
+        s = float(self.v[row].sum())
+        return float(np.dot(self.positions(), self.v[row])) / s
 
-        peak = grown.max()
-        if peak > _RESCALE_ABOVE:
-            shift = int(math.ceil(math.log2(peak / _RESCALE_TARGET)))
-            self.v = np.ldexp(grown, -shift)
-            self.exp2 += shift
-
-    def total_log(self) -> float:
-        s = float(self.v.sum())
-        return math.log(s) + self.exp2 * math.log(2.0)
-
-    def mean_position(self) -> float:
-        s = float(self.v.sum())
-        return float(np.dot(self.positions(), self.v)) / s
-
-    def fraction_in(self, s: IntervalSet) -> float:
+    def fraction_in(self, s: IntervalSet, rows: Sequence[int]) -> np.ndarray:
+        """Fraction of each listed row's particles at positions inside ``s``."""
         mask = _membership_mask(self.positions(), s)
-        tot = float(self.v.sum())
-        return float(self.v[mask].sum()) / tot
+        # row by row: a 2-D reduction may group a row's terms differently
+        # depending on the number of rows
+        return np.array([float(row[mask].sum()) / float(row.sum())
+                         for row in self.v[rows]])
 
-    def to_measure(self) -> ParticleMeasure:
+    def to_measure(self, row: int) -> ParticleMeasure:
         counts: dict[int, int] = {}
-        for i, val in enumerate(self.v):
+        exp2 = int(self.exp2[row])
+        for i, val in enumerate(self.v[row]):
             if val <= 0.0:
                 continue
-            if self.exp2 == 0:
-                counts[self.left + i] = int(round(val))
+            x = self.lo + self.stride * i
+            if exp2 == 0:
+                counts[x] = int(round(val))
             else:
                 mant, e2 = math.frexp(float(val))
                 whole = int(mant * 9007199254740992.0)  # 2**53
-                shift = self.exp2 + e2 - 53
-                counts[self.left + i] = whole << shift if shift >= 0 else whole >> -shift
+                shift = exp2 + e2 - 53
+                counts[x] = whole << shift if shift >= 0 else whole >> -shift
         return ParticleMeasure(counts, self.generation)
 
 
@@ -313,6 +424,55 @@ def _membership_mask(positions: np.ndarray, s: IntervalSet) -> np.ndarray:
         hi_ok = positions <= c.upper if c.upper_closed else positions < c.upper
         mask |= lo_ok & hi_ok
     return mask
+
+
+# -- the generation loop -----------------------------------------------------------
+
+def _check_run(n: int, mode: str) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if mode not in ("exact", "aggregated", "hybrid"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _advance(zeta0: ParticleMeasure, law: BranchingLaw, n: int, mode: str,
+             cap: int, rngs: Sequence[np.random.Generator],
+             snap: Optional[Callable[[int, list, Optional[_VectorState]], None]] = None):
+    """Run one replica of ``zeta0`` per generator for ``n`` generations.
+
+    Replicas in their exact phase are measures stepped by `step_exact`; the
+    others are rows of one `_VectorState` block, which every replica joins at
+    the start in 'aggregated' mode and, in 'hybrid' mode, once its population
+    exceeds ``cap``.  ``snap(k, measures, block)`` sees every generation k.
+    Returns the measures (None for block rows), the block and each replica's
+    switch generation.
+    """
+    rows = len(rngs)
+    block = None if mode == "exact" else _VectorState(zeta0, n, rngs)
+    measures: list[Optional[ParticleMeasure]] = [zeta0] * rows
+    if mode == "aggregated":
+        for r in range(rows):
+            block.load(r, zeta0)
+        measures = [None] * rows
+    switched_at: list[Optional[int]] = [None] * rows
+    exact_cap = 10 ** 7 if mode == "exact" else max(cap, 10 ** 7)
+    if snap is not None:
+        snap(0, measures, block)
+    for k in range(1, n + 1):
+        for r, measure in enumerate(measures):
+            if measure is None:
+                continue
+            if mode == "hybrid" and measure.total > cap:
+                block.load(r, measure)
+                measures[r] = None
+                switched_at[r] = k - 1
+            else:
+                measures[r] = step_exact(measure, law, rngs[r], cap=exact_cap)
+        if block is not None:
+            block.step(law)
+        if snap is not None:
+            snap(k, measures, block)
+    return measures, block, switched_at
 
 
 # -- evolve ----------------------------------------------------------------------
@@ -330,14 +490,16 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, mode: str = "hybri
            record: str = "totals", final_set: Optional[IntervalSet] = None,
            trajectory_set: Optional[IntervalSet] = None,
            keep_final: bool = True) -> EvolveResult:
-    """Run ``n`` generations and collect per-generation statistics.
+    """Run ``n`` generations of one replica and collect per-generation statistics.
 
     mode 'exact' draws per particle and errors beyond the cap; 'aggregated'
     uses the dense per-site vector kernel throughout; 'hybrid' runs exact
     until the population exceeds ``cap`` and then switches to that kernel.
     The kernel draws offspring totals and splits exactly at every site with
     at most 2^53 particles; above that it uses a normal approximation clamped
-    to [b c, kmax c] and carried at float precision.  ``record`` is 'none',
+    to [b c, kmax c] and carried at float precision.  The replica is a
+    one-row block of the kernel `final_fractions` steps many rows of, so both
+    give the same trajectory for the same generator.  ``record`` is 'none',
     'totals' (log total plus normalized total) or 'full' (adds mean position
     and, when ``trajectory_set`` is given, the fraction inside
     sqrt(generation) times that set).  ``final_set`` requests the final
@@ -347,83 +509,72 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, mode: str = "hybri
     stays 1 along the run; they are computed in log space and cannot
     underflow.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if mode not in ("exact", "aggregated", "hybrid"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_run(n, mode)
     if record not in ("none", "totals", "full"):
         raise ValueError(f"unknown record level {record!r}")
     if rng is None:
         rng = np.random.default_rng()
     log_beta = math.log(law.beta)
     log_start = math.log(zeta0.total)
-
     stats: list[PopulationStats] = []
-    switched_at: Optional[int] = None
 
-    def snap_exact(measure: ParticleMeasure, k: int) -> None:
-        if record == "none":
-            return
-        tot = measure.total
-        tlog = math.log(tot)
-        norm = math.exp(tlog - k * log_beta - log_start)
+    def snap(k: int, measures: list, block: Optional[_VectorState]) -> None:
+        measure = measures[0]
         mean = frac = None
-        if record == "full":
-            mean = float(sum(x * c for x, c in measure.counts.items())) / tot
-            if trajectory_set is not None:
-                frac = _trajectory_fraction(measure, k, trajectory_set)
-        stats.append(PopulationStats(measure.generation, tlog, norm, tot, mean, frac))
-
-    def snap_vector(state: _VectorState, k: int) -> None:
-        if record == "none":
-            return
-        tlog = state.total_log()
-        norm = math.exp(tlog - k * log_beta - log_start)
-        mean = frac = None
-        if record == "full":
-            mean = state.mean_position()
-            if trajectory_set is not None:
-                scaled = trajectory_set.scale(math.sqrt(k)) if k >= 1 else trajectory_set
-                frac = state.fraction_in(scaled)
-        stats.append(PopulationStats(state.generation, tlog, norm, None, mean, frac))
-
-    measure: Optional[ParticleMeasure] = zeta0
-    state: Optional[_VectorState] = None
-    if mode == "aggregated":
-        state = _VectorState(zeta0)
-        measure = None
-
-    if measure is not None:
-        snap_exact(measure, 0)
-    else:
-        snap_vector(state, 0)
-
-    for k in range(1, n + 1):
         if measure is not None:
-            if mode != "exact" and measure.total > cap:
-                state = _VectorState(measure)
-                measure = None
-                switched_at = k - 1
-        if measure is not None:
-            measure = step_exact(measure, law, rng,
-                                 cap=10 ** 7 if mode == "exact" else max(cap, 10 ** 7))
-            snap_exact(measure, k)
+            generation, tot = measure.generation, measure.total
+            tlog = math.log(tot)
+            if record == "full":
+                mean = float(sum(x * c for x, c in measure.counts.items())) / tot
+                if trajectory_set is not None:
+                    frac = _trajectory_fraction(measure, k, trajectory_set)
         else:
-            state.step(law, rng)
-            snap_vector(state, k)
+            generation, tot = block.generation, None
+            tlog = block.total_log(0)
+            if record == "full":
+                mean = block.mean_position(0)
+                if trajectory_set is not None:
+                    scaled = (trajectory_set.scale(math.sqrt(k)) if k >= 1
+                              else trajectory_set)
+                    frac = float(block.fraction_in(scaled, [0])[0])
+        norm = math.exp(tlog - k * log_beta - log_start)
+        stats.append(PopulationStats(generation, tlog, norm, tot, mean, frac))
 
+    measures, block, switched_at = _advance(
+        zeta0, law, n, mode, cap, [rng], None if record == "none" else snap)
+    final = measures[0]
     final_fraction = None
-    final = None
-    if measure is not None:
-        final = measure
+    if final is not None:
         if final_set is not None:
-            final_fraction = lattice_fraction(measure, final_set)
+            final_fraction = lattice_fraction(final, final_set)
     else:
         if final_set is not None:
-            final_fraction = state.fraction_in(final_set)
+            final_fraction = float(block.fraction_in(final_set, [0])[0])
         if keep_final:
-            final = state.to_measure()
-    return EvolveResult(stats, final, final_fraction, switched_at)
+            final = block.to_measure(0)
+    return EvolveResult(stats, final, final_fraction, switched_at[0])
+
+
+def final_fractions(zeta0: ParticleMeasure, law: BranchingLaw, n: int, mode: str,
+                    cap: int, final_set: IntervalSet,
+                    rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Final fraction inside the absolute set ``final_set``, one replica per generator.
+
+    Steps all replicas as one block.  Replica i draws only from ``rngs[i]``
+    and its fraction equals, bit for bit, the ``final_fraction`` of
+    ``evolve(zeta0, law, n, mode, rngs[i], cap, final_set=final_set)``, in
+    any block.  `block_rows` bounds a block's size.
+    """
+    _check_run(n, mode)
+    measures, block, _ = _advance(zeta0, law, n, mode, cap, rngs)
+    out = np.empty(len(measures))
+    joined = [r for r, measure in enumerate(measures) if measure is None]
+    if joined:
+        out[joined] = block.fraction_in(final_set, joined)
+    for r, measure in enumerate(measures):
+        if measure is not None:
+            out[r] = lattice_fraction(measure, final_set)
+    return out
 
 
 def _trajectory_fraction(measure: ParticleMeasure, k: int, a: IntervalSet) -> float:

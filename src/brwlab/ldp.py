@@ -15,18 +15,21 @@ Replicas always use streams derived from (seed, grid index, replica index),
 so estimates are reproducible for any worker count and no two grid points or
 seeds share a stream.  Every ``seed`` argument below takes either an int or
 such an index path as a tuple; replica i then draws from ``derive(*seed, i)``.
+Each worker steps its replicas in blocks through `engine.final_fractions`,
+whose result for a replica does not depend on the block it ran in.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import BranchingLaw, ParticleMeasure, evolve
+from .engine import BranchingLaw, ParticleMeasure, block_rows, final_fractions
 from .errors import InfeasibleError
 from .gaussian import nu, nu_n_of_set, varphi
 from .intervals import IntervalSet
@@ -157,20 +160,21 @@ class SuccessEstimate:
 
 def _count_events(args) -> int:
     (law, steps, mode, cap, start, target, threshold, strict, seed, lo, hi) = args
+    zeta0 = ParticleMeasure.delta(0, count=start)
+    rows = block_rows(zeta0, steps)
     count = 0
-    for i in range(lo, hi):
-        res = evolve(ParticleMeasure.delta(0, count=start), law, steps, mode=mode,
-                     rng=derive(*seed, i), cap=cap, record="none",
-                     final_set=target, keep_final=False)
-        frac = res.final_fraction
-        if (frac > threshold) if strict else (frac >= threshold):
-            count += 1
+    for first in range(lo, hi, rows):
+        rngs = [derive(*seed, i) for i in range(first, min(first + rows, hi))]
+        fracs = final_fractions(zeta0, law, steps, mode, cap, target, rngs)
+        hits = fracs > threshold if strict else fracs >= threshold
+        count += int(np.count_nonzero(hits))
     return count
 
 
 def _parallel_event_count(law, steps, mode, cap, start, target, threshold,
                           strict, seed, replicas, workers) -> int:
     seed = seed if isinstance(seed, tuple) else (seed,)
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or replicas < 4 * workers:
         return _count_events((law, steps, mode, cap, start, target, threshold,
                               strict, seed, 0, replicas))

@@ -3,7 +3,9 @@
 Streams are counter-based (Philox) and derived from ``(master seed, *indices)``
 so every replica gets an independent generator that does not depend on
 scheduling or worker layout.  Re-deriving with the same indices always yields
-the same stream.
+the same stream.  The indices form the seed sequence's spawn key, which is
+not zero-padded like its entropy, so ``derive(s)``, ``derive(s, 0)`` and
+``derive(s, 0, 0)`` are three different streams.
 """
 
 from __future__ import annotations
@@ -15,5 +17,6 @@ __all__ = ["derive"]
 
 def derive(master_seed: int, *indices: int) -> np.random.Generator:
     """Independent generator keyed by the master seed and an index path."""
-    seq = np.random.SeedSequence((int(master_seed),) + tuple(int(i) for i in indices))
+    seq = np.random.SeedSequence(int(master_seed),
+                                 spawn_key=tuple(int(i) for i in indices))
     return np.random.Generator(np.random.Philox(seq))

@@ -55,6 +55,12 @@ def test_simulate_requires_positive_replicas():
     assert main(["simulate", "--replicas", "0", "--n", "4"]) == 2
 
 
+def test_threads_must_be_positive():
+    assert main(["simulate", "--threads", "0", "--n", "4"]) == 2
+    assert main(["probe-concentration", "--threads", "-1", "--n", "2",
+                 "--replicas", "5"]) == 2
+
+
 def test_simulate_reproducible_and_sane(tmp_path):
     args = ["simulate", "--law", "2:0.5,3:0.5", "--n", "65", "--replicas", "20",
             "--seed", "42", "--mode", "hybrid"]

@@ -161,6 +161,27 @@ def test_aggregated_small_count_path_matches_exact_distribution():
         assert pvalue > 0.01
 
 
+@pytest.mark.parametrize("law_text", ["2:1", "2:0.5,3:0.5", "2:0.3,3:0.5,4:0.2"])
+def test_aggregated_small_sites_draw_multinomial_then_binomial(law_text):
+    # below 2^53 parents a vector step draws every site's offspring total as
+    # multinomial(c, probs) @ support, then every split as binomial(t, 1/2),
+    # from the replica's stream in that order
+    law = BranchingLaw.parse(law_text)
+    start = ParticleMeasure({0: 37, 2: 5, 4: 10 ** 6})
+    child = _aggregated_step(start, law, derive(14, 0))
+    rng = derive(14, 0)
+    parents = np.array([37, 5, 10 ** 6])
+    if law.non_deterministic:
+        kids = rng.multinomial(parents, law.probs) @ np.array(law.support)
+    else:
+        kids = parents * law.b
+    right = rng.binomial(kids, 0.5)
+    left = kids - right
+    expect = {-1: left[0], 1: right[0] + left[1], 3: right[1] + left[2],
+              5: right[2]}
+    assert child.counts == {x: int(c) for x, c in expect.items()}
+
+
 def test_aggregated_normal_path_close_to_exact_distribution():
     # 2^60 parents, beyond the exact draws: the standardized total and split
     # follow the exact laws' normal limits (binomial(c, 1/2) shifted by 2c,
@@ -277,6 +298,53 @@ def test_evolve_general_start(rng):
     start = ParticleMeasure({-1: 2, 2: 1}, generation=0)
     res = engine.evolve(start, law, 5, mode="exact", rng=rng)
     assert min(res.final.counts) >= -6 and max(res.final.counts) <= 7
+
+
+@pytest.mark.parametrize("mode", ["aggregated", "hybrid"])
+def test_evolve_mixed_parity_start_vector_modes(mode):
+    # {-1: 2, 2: 1} has both parities, so the vector rows keep every site
+    law = BranchingLaw.binary()
+    start = ParticleMeasure({-1: 2, 2: 1}, generation=0)
+    res = engine.evolve(start, law, 5, mode=mode, rng=derive(12, 0), cap=1)
+    assert res.switched_at == (None if mode == "aggregated" else 0)
+    counts = res.final.counts
+    assert min(counts) >= -6 and max(counts) <= 7
+    assert sum(c for x, c in counts.items() if x % 2 == 0) == 64
+    assert sum(c for x, c in counts.items() if x % 2 != 0) == 32
+
+
+@pytest.mark.parametrize("mode, n, cap", [("hybrid", 60, 40),
+                                          ("aggregated", 480, 1000)])
+def test_final_fractions_block_invariance(mode, n, cap):
+    # one block of rows, one-row evolve runs and any split of the block give
+    # the same fractions bit for bit; hybrid rows join the block at different
+    # generations, and the 480-generation run passes the 1e250 rescale
+    law = BranchingLaw.parse("2:0.5,5:0.5")
+    start = ParticleMeasure.delta(0)
+    target = IntervalSet.below(0).scale(math.sqrt(n))
+    rows = 7
+
+    def rngs(first, last):
+        return [derive(13, n, i) for i in range(first, last)]
+
+    block = engine.final_fractions(start, law, n, mode, cap, target, rngs(0, rows))
+    single = [engine.evolve(start, law, n, mode=mode, rng=rng, cap=cap,
+                            record="none", final_set=target,
+                            keep_final=False).final_fraction
+              for rng in rngs(0, rows)]
+    split = np.concatenate([
+        engine.final_fractions(start, law, n, mode, cap, target, rngs(0, 3)),
+        engine.final_fractions(start, law, n, mode, cap, target, rngs(3, rows))])
+    assert len(set(block.tolist())) == rows
+    assert block.tolist() == single == split.tolist()
+
+
+def test_block_rows_bounds_block_size():
+    delta = ParticleMeasure.delta(0)
+    assert engine.block_rows(delta, 16) == 64
+    assert engine.block_rows(delta, 875) == 2 ** 13 // 876
+    assert engine.block_rows(ParticleMeasure({0: 1, 1: 1}), 875) == 2 ** 13 // 1752
+    assert engine.block_rows(delta, 10 ** 6) == 1
 
 
 def test_evolve_validates():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brwlab import ldp
-from brwlab.engine import BranchingLaw
+from brwlab import engine, ldp
+from brwlab.engine import BranchingLaw, ParticleMeasure
 from brwlab.errors import InfeasibleError
 from brwlab.intervals import REALS, IntervalSet
 from brwlab.rates import classify
@@ -166,6 +166,51 @@ def test_conditional_worker_determinism():
     par = ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 200,
                                            workers=2, **kwargs)
     assert seq.successes == par.successes
+
+
+def test_estimators_worker_invariant_across_blocks():
+    # each of the two workers steps more than one block of replicas
+    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 100)
+    assert engine.block_rows(ParticleMeasure.delta(0), spec.m) < 300 // 2
+    runs = [ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 300,
+                                             seed=(78, 1), workers=workers)
+            for workers in (1, 2)]
+    assert runs[0].successes == runs[1].successes
+    assert 0 < runs[0].successes < 300
+    assert engine.block_rows(ParticleMeasure.delta(0, count=30), 8) < 100
+    probes = [ldp.concentration_probe(30, HALF_LINE, 0.02, 8, LAW, 200,
+                                      seed=(79, 1), workers=workers)
+              for workers in (1, 2)]
+    assert probes[0].frequency == probes[1].frequency
+    assert 0.0 < probes[0].frequency < 1.0
+
+
+def test_worker_count_clamped_to_cores(monkeypatch):
+    # the pool gets at most one worker per core; the fake starts no process
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(ldp, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(ldp.os, "cpu_count", lambda: 3)
+    args = (20, HALF_LINE, 0.02, 4, LAW, 60)
+    wide = ldp.concentration_probe(*args, seed=5, workers=10 ** 6)
+    assert pools == [3]
+    assert wide == ldp.concentration_probe(*args, seed=5, workers=1)
+    monkeypatch.setattr(ldp.os, "cpu_count", lambda: None)
+    ldp.concentration_probe(*args, seed=5, workers=10 ** 6)
+    assert pools == [3]   # an unknown core count runs in-process
 
 
 # -- composed estimates ----------------------------------------------------------------
