@@ -2,11 +2,11 @@
 
 Computes shift/dilation deviation rate functions over interval sets, prices
 the strategies that realize rare empirical-fraction events, simulates the
-particle system at three fidelity levels, and verifies the decay laws at desk
+particle system with one vector kernel, and verifies the decay laws at desk
 scale.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .engine import BranchingLaw, ParticleMeasure
 from .intervals import IntervalSet, parse_set

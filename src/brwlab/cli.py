@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 usage or parse problems, 3 infeasible domain
 requests, 4 internal numeric failures.
 
 A config file of KEY=VALUE lines (# comments allowed) may supply any long
-option for the chosen subcommand; explicit flags win.  The default seed comes
-from BRWLAB_SEED when set.
+option for the chosen subcommand; explicit flags win, and a key that names no
+such option is a usage error.  The default seed comes from BRWLAB_SEED when
+set.
 """
 
 from __future__ import annotations
@@ -85,8 +86,6 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("law", str, "2:0.5,3:0.5", "offspring law, k:prob[,k:prob...]"),
         Opt("n", int, 100, "generations"),
         Opt("replicas", int, 1, "independent runs"),
-        Opt("mode", str, "hybrid", "exact | aggregated | hybrid"),
-        Opt("cap", int, 1000, "hybrid switch population"),
         Opt("set", str, "(-inf,0]", "fraction target set (sqrt(k)-scaled per generation)"),
     ],
     "ldp": [
@@ -98,8 +97,6 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("r", float, None, "strategy time fraction (default: classified witness)"),
         Opt("n-grid", _int_list, (100, 400, 900), "comma-separated n grid"),
         Opt("replicas", int, 1000, "replicas per conditional estimate"),
-        Opt("mode", str, "hybrid", "simulation mode"),
-        Opt("cap", int, 1000, "hybrid switch population"),
     ],
     "interp": [
         Opt("alpha", float, 0.75, "target exponent in (1/2,1)"),
@@ -129,8 +126,6 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("n-grid", _int_list, (64, 256, 1024), "n grid"),
         Opt("law", str, "2:0.5,3:0.5", "offspring law"),
         Opt("replicas", int, 1000, "replicas per n"),
-        Opt("mode", str, "hybrid", "simulation mode"),
-        Opt("cap", int, 1000, "hybrid switch population"),
     ],
     "clt-scan": [
         Opt("set", str, None, "target set"),
@@ -155,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str, known: set[str]) -> dict[str, str]:
+    """KEY=VALUE lines of ``path``; a key outside ``known`` is an error."""
     values: dict[str, str] = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -165,7 +161,12 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip()
+            name = key.replace("-", "_")
+            if name not in known:
+                raise ValueError(f"{path}:{lineno}: unknown option {key!r} "
+                                 "for this subcommand")
+            values[name] = value.strip()
     return values
 
 
@@ -174,7 +175,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     opts = _SPECS[command] + _COMMON
     config: dict[str, str] = {}
     if args.config:
-        config = _read_config(args.config)
+        config = _read_config(args.config,
+                              {opt.name.replace("-", "_") for opt in opts})
     resolved = {}
     for opt in opts:
         key = opt.name.replace("-", "_")
@@ -255,17 +257,15 @@ def _cmd_simulate(resolved: dict) -> None:
     rows = []
     for rep in range(resolved["replicas"]):
         result = evolve(ParticleMeasure.delta(0), law, resolved["n"],
-                        mode=resolved["mode"], rng=derive(resolved["seed"], rep),
-                        cap=resolved["cap"], record="full", trajectory_set=target,
-                        keep_final=False)
+                        rng=derive(resolved["seed"], rep), record="full",
+                        trajectory_set=target, keep_final=False)
         for stat in result.stats:
             rows.append([rep, stat.generation, stat.total_log,
                          stat.normalized_total, stat.mean_position, stat.fraction])
     _emit(resolved, "simulate",
           ["replica", "generation", "total_log", "normalized_total",
            "mean_position", "fraction_A"], rows,
-          [f"law={law} mode={resolved['mode']} cap={resolved['cap']} "
-           f"set={resolved['set']}"])
+          [f"law={law} set={resolved['set']}"])
 
 
 def _cmd_ldp(resolved: dict) -> None:
@@ -291,7 +291,6 @@ def _cmd_ldp(resolved: dict) -> None:
     for idx, n in enumerate(resolved["n_grid"]):
         spec = StrategySpec.make(kind, x, r, n)
         est = ldp_lower_bound(spec, target, p, law, resolved["replicas"],
-                              mode=resolved["mode"], cap=resolved["cap"],
                               seed=(resolved["seed"], idx),
                               workers=resolved["threads"], report=report)
         estimates.append(est)
@@ -357,7 +356,6 @@ def _cmd_probe_typical(resolved: dict) -> None:
         res = typical_deviation_probe(target, resolved["t"], n, law,
                                       resolved["replicas"],
                                       seed=(resolved["seed"], idx),
-                                      mode=resolved["mode"], cap=resolved["cap"],
                                       workers=resolved["threads"])
         rows.append([n, resolved["t"], res.threshold, res.replicas,
                      res.probability])

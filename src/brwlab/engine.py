@@ -1,13 +1,13 @@
-"""Branching random walk simulator with exact, aggregated, and hybrid modes.
+"""Branching random walk simulator: one vector kernel over blocks of replicas.
 
 Particles reproduce with at-least-binary offspring counts and children step
-+-1 independently.  Exact mode draws per particle.  Aggregated mode advances
-dense per-site counts with one vector kernel: every site with at most 2^53
-particles (and at most 2^63 children) gets an exact multinomial offspring
-total and an exact binomial left/right split; only larger sites use a
-float-scaled normal approximation, clamped to [b c, kmax c].  Each row's
-counts carry a power-of-two exponent, so populations far beyond float range
-stay representable; the public measure keeps arbitrary-precision integers.
++-1 independently.  Every replica is a row of dense per-site counts, stepped
+by one vector kernel: every site with at most 2^53 particles (and at most
+2^63 children) gets an exact multinomial offspring total and an exact
+binomial left/right split; only larger sites use a float-scaled normal
+approximation, clamped to [b c, kmax c].  Each row's counts carry a
+power-of-two exponent, so populations far beyond float range stay
+representable; the public measure keeps arbitrary-precision integers.
 
 The kernel steps a block of replicas as one 2-D array, one row per replica;
 `evolve` is the one-row case and `final_fractions` runs many rows.  When the
@@ -16,6 +16,10 @@ parity occupied at the current generation.  Each row draws from its own
 generator in the order a one-row block would, so a replica's trajectory is
 the same in any block, on any worker; replicas run on independent derived
 streams (see `streams`).
+
+`step_exact` is the per-site reference the tests compare the kernel
+against: it draws each site's total with `BranchingLaw.sample_total` and its
+split with one binomial, over a dict measure of exact integers.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "evolve",
     "final_fractions",
     "block_rows",
-    "lattice_fraction",
     "empirical_fraction",
     "enumerate_exact",
 ]
@@ -185,28 +188,29 @@ class ParticleMeasure:
 
 @dataclass(frozen=True)
 class PopulationStats:
-    """Per-generation summary; ``total`` is exact when the mode provides it."""
+    """Per-generation summary of one replica."""
 
     generation: int
     total_log: float
     normalized_total: float
-    total: Optional[int] = None
     mean_position: Optional[float] = None
     fraction: Optional[float] = None
 
 
-# -- single public steps -------------------------------------------------------
+# -- the per-site reference step ----------------------------------------------------
 
 def step_exact(zeta: ParticleMeasure, law: BranchingLaw,
                rng: np.random.Generator, cap: int = 10 ** 7) -> ParticleMeasure:
-    """One generation with per-particle reproduction and per-child steps.
+    """One generation of ``zeta`` in exact integers, site by site.
 
-    Populations above ``cap`` are refused; callers switch to an aggregated
-    mode instead.
+    The reference for the vector kernel: each site's offspring total is one
+    `BranchingLaw.sample_total` draw and its right half one binomial(total,
+    1/2) draw.  Populations above ``cap`` are refused, since the loop and the
+    integers grow with the population.
     """
     if zeta.total > cap:
         raise PopulationCapError(
-            f"population {zeta.total} exceeds exact-mode cap {cap}")
+            f"population {zeta.total} exceeds the step_exact cap {cap}")
     new: dict[int, int] = {}
     for x, c in zeta.counts.items():
         kids = law.sample_total(c, rng)
@@ -252,12 +256,11 @@ class _VectorState:
     Row r holds integer-valued floats times 2**exp2[r] at positions
     lo + stride*j and draws only from its own generator rngs[r], in the same
     order and sizes whatever rows step beside it, so a replica's trajectory
-    does not depend on its block.  Rows left at zero (hybrid replicas still in
-    their exact phase) draw nothing.
+    does not depend on its block.  Every row starts as ``zeta0``.
     """
 
     __slots__ = ("v", "lo", "stride", "exp2", "unit", "generation", "rngs",
-                 "idle", "_spare", "_work")
+                 "_spare", "_work")
 
     def __init__(self, zeta0: ParticleMeasure, n: int,
                  rngs: Sequence[np.random.Generator]):
@@ -266,19 +269,14 @@ class _VectorState:
         # two buffers sized for the final width; steps alternate between them
         capacity = rows * final_width
         self.v = np.zeros(capacity)[:rows * width].reshape(rows, width)
+        columns = [(x - self.lo) // self.stride for x in zeta0.counts]
+        self.v[:, columns] = [float(c) for c in zeta0.counts.values()]
         self._spare = np.empty(capacity)
         self._work = np.empty((3, capacity))   # step's scratch arrays
         self.exp2 = np.zeros(rows, dtype=np.int64)
         self.unit = np.ones((rows, 1))   # one particle in row r: 2**-exp2[r]
         self.generation = zeta0.generation
         self.rngs = rngs
-        self.idle = True   # no row loaded yet
-
-    def load(self, row: int, zeta: ParticleMeasure) -> None:
-        """Put a measure of the block's generation into an empty row."""
-        for x, c in zeta.counts.items():
-            self.v[row, (x - self.lo) // self.stride] = float(c)
-        self.idle = False
 
     def positions(self) -> np.ndarray:
         return self.lo + self.stride * np.arange(self.v.shape[1])
@@ -302,9 +300,6 @@ class _VectorState:
                 for rng, a, b in zip(self.rngs, [0] + ends, ends) if b > a]
 
     def step(self, law: BranchingLaw) -> None:
-        if self.idle:
-            self._next_generation().fill(0.0)
-            return
         v = self.v
         rows, width = v.shape
         unit = self.unit
@@ -392,13 +387,13 @@ class _VectorState:
         s = float(self.v[row].sum())
         return float(np.dot(self.positions(), self.v[row])) / s
 
-    def fraction_in(self, s: IntervalSet, rows: Sequence[int]) -> np.ndarray:
-        """Fraction of each listed row's particles at positions inside ``s``."""
+    def fraction_in(self, s: IntervalSet) -> np.ndarray:
+        """Fraction of each row's particles at positions inside ``s``."""
         mask = _membership_mask(self.positions(), s)
         # row by row: a 2-D reduction may group a row's terms differently
         # depending on the number of rows
         return np.array([float(row[mask].sum()) / float(row.sum())
-                         for row in self.v[rows]])
+                         for row in self.v])
 
     def to_measure(self, row: int) -> ParticleMeasure:
         counts: dict[int, int] = {}
@@ -428,51 +423,24 @@ def _membership_mask(positions: np.ndarray, s: IntervalSet) -> np.ndarray:
 
 # -- the generation loop -----------------------------------------------------------
 
-def _check_run(n: int, mode: str) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if mode not in ("exact", "aggregated", "hybrid"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-
-def _advance(zeta0: ParticleMeasure, law: BranchingLaw, n: int, mode: str,
-             cap: int, rngs: Sequence[np.random.Generator],
-             snap: Optional[Callable[[int, list, Optional[_VectorState]], None]] = None):
+def _advance(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
+             rngs: Sequence[np.random.Generator],
+             snap: Optional[Callable[[int, _VectorState], None]] = None) -> _VectorState:
     """Run one replica of ``zeta0`` per generator for ``n`` generations.
 
-    Replicas in their exact phase are measures stepped by `step_exact`; the
-    others are rows of one `_VectorState` block, which every replica joins at
-    the start in 'aggregated' mode and, in 'hybrid' mode, once its population
-    exceeds ``cap``.  ``snap(k, measures, block)`` sees every generation k.
-    Returns the measures (None for block rows), the block and each replica's
-    switch generation.
+    The replicas are the rows of one `_VectorState` block; ``snap(k, block)``
+    sees every generation k.  Returns the block after the last generation.
     """
-    rows = len(rngs)
-    block = None if mode == "exact" else _VectorState(zeta0, n, rngs)
-    measures: list[Optional[ParticleMeasure]] = [zeta0] * rows
-    if mode == "aggregated":
-        for r in range(rows):
-            block.load(r, zeta0)
-        measures = [None] * rows
-    switched_at: list[Optional[int]] = [None] * rows
-    exact_cap = 10 ** 7 if mode == "exact" else max(cap, 10 ** 7)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    block = _VectorState(zeta0, n, rngs)
     if snap is not None:
-        snap(0, measures, block)
+        snap(0, block)
     for k in range(1, n + 1):
-        for r, measure in enumerate(measures):
-            if measure is None:
-                continue
-            if mode == "hybrid" and measure.total > cap:
-                block.load(r, measure)
-                measures[r] = None
-                switched_at[r] = k - 1
-            else:
-                measures[r] = step_exact(measure, law, rngs[r], cap=exact_cap)
-        if block is not None:
-            block.step(law)
+        block.step(law)
         if snap is not None:
-            snap(k, measures, block)
-    return measures, block, switched_at
+            snap(k, block)
+    return block
 
 
 # -- evolve ----------------------------------------------------------------------
@@ -482,19 +450,15 @@ class EvolveResult:
     stats: list[PopulationStats]
     final: Optional[ParticleMeasure]
     final_fraction: Optional[float] = None
-    switched_at: Optional[int] = None
 
 
-def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, mode: str = "hybrid",
-           rng: Optional[np.random.Generator] = None, cap: int = 1000,
-           record: str = "totals", final_set: Optional[IntervalSet] = None,
+def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
+           rng: Optional[np.random.Generator] = None, record: str = "totals",
+           final_set: Optional[IntervalSet] = None,
            trajectory_set: Optional[IntervalSet] = None,
            keep_final: bool = True) -> EvolveResult:
     """Run ``n`` generations of one replica and collect per-generation statistics.
 
-    mode 'exact' draws per particle and errors beyond the cap; 'aggregated'
-    uses the dense per-site vector kernel throughout; 'hybrid' runs exact
-    until the population exceeds ``cap`` and then switches to that kernel.
     The kernel draws offspring totals and splits exactly at every site with
     at most 2^53 particles; above that it uses a normal approximation clamped
     to [b c, kmax c] and carried at float precision.  The replica is a
@@ -503,13 +467,13 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, mode: str = "hybri
     'totals' (log total plus normalized total) or 'full' (adds mean position
     and, when ``trajectory_set`` is given, the fraction inside
     sqrt(generation) times that set).  ``final_set`` requests the final
-    fraction inside an absolute, pre-scaled set.
+    fraction inside an absolute, pre-scaled set; ``keep_final`` the final
+    measure.
 
     Normalized totals divide by beta^k and the starting mass, so their mean
     stays 1 along the run; they are computed in log space and cannot
     underflow.
     """
-    _check_run(n, mode)
     if record not in ("none", "totals", "full"):
         raise ValueError(f"unknown record level {record!r}")
     if rng is None:
@@ -518,74 +482,37 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, mode: str = "hybri
     log_start = math.log(zeta0.total)
     stats: list[PopulationStats] = []
 
-    def snap(k: int, measures: list, block: Optional[_VectorState]) -> None:
-        measure = measures[0]
+    def snap(k: int, block: _VectorState) -> None:
+        tlog = block.total_log(0)
         mean = frac = None
-        if measure is not None:
-            generation, tot = measure.generation, measure.total
-            tlog = math.log(tot)
-            if record == "full":
-                mean = float(sum(x * c for x, c in measure.counts.items())) / tot
-                if trajectory_set is not None:
-                    frac = _trajectory_fraction(measure, k, trajectory_set)
-        else:
-            generation, tot = block.generation, None
-            tlog = block.total_log(0)
-            if record == "full":
-                mean = block.mean_position(0)
-                if trajectory_set is not None:
-                    scaled = (trajectory_set.scale(math.sqrt(k)) if k >= 1
-                              else trajectory_set)
-                    frac = float(block.fraction_in(scaled, [0])[0])
+        if record == "full":
+            mean = block.mean_position(0)
+            if trajectory_set is not None:
+                scaled = (trajectory_set.scale(math.sqrt(k)) if k >= 1
+                          else trajectory_set)
+                frac = float(block.fraction_in(scaled)[0])
         norm = math.exp(tlog - k * log_beta - log_start)
-        stats.append(PopulationStats(generation, tlog, norm, tot, mean, frac))
+        stats.append(PopulationStats(block.generation, tlog, norm, mean, frac))
 
-    measures, block, switched_at = _advance(
-        zeta0, law, n, mode, cap, [rng], None if record == "none" else snap)
-    final = measures[0]
+    block = _advance(zeta0, law, n, [rng], None if record == "none" else snap)
     final_fraction = None
-    if final is not None:
-        if final_set is not None:
-            final_fraction = lattice_fraction(final, final_set)
-    else:
-        if final_set is not None:
-            final_fraction = float(block.fraction_in(final_set, [0])[0])
-        if keep_final:
-            final = block.to_measure(0)
-    return EvolveResult(stats, final, final_fraction, switched_at[0])
+    if final_set is not None:
+        final_fraction = float(block.fraction_in(final_set)[0])
+    final = block.to_measure(0) if keep_final else None
+    return EvolveResult(stats, final, final_fraction)
 
 
-def final_fractions(zeta0: ParticleMeasure, law: BranchingLaw, n: int, mode: str,
-                    cap: int, final_set: IntervalSet,
+def final_fractions(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
+                    final_set: IntervalSet,
                     rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Final fraction inside the absolute set ``final_set``, one replica per generator.
 
     Steps all replicas as one block.  Replica i draws only from ``rngs[i]``
     and its fraction equals, bit for bit, the ``final_fraction`` of
-    ``evolve(zeta0, law, n, mode, rngs[i], cap, final_set=final_set)``, in
-    any block.  `block_rows` bounds a block's size.
+    ``evolve(zeta0, law, n, rngs[i], final_set=final_set)``, in any block.
+    `block_rows` bounds a block's size.
     """
-    _check_run(n, mode)
-    measures, block, _ = _advance(zeta0, law, n, mode, cap, rngs)
-    out = np.empty(len(measures))
-    joined = [r for r, measure in enumerate(measures) if measure is None]
-    if joined:
-        out[joined] = block.fraction_in(final_set, joined)
-    for r, measure in enumerate(measures):
-        if measure is not None:
-            out[r] = lattice_fraction(measure, final_set)
-    return out
-
-
-def _trajectory_fraction(measure: ParticleMeasure, k: int, a: IntervalSet) -> float:
-    scaled = a.scale(math.sqrt(k)) if k >= 1 else a
-    return lattice_fraction(measure, scaled)
-
-
-def lattice_fraction(zeta: ParticleMeasure, s: IntervalSet) -> float:
-    """Fraction of particles at positions inside an absolute (unscaled) set."""
-    inside = sum(c for x, c in zeta.counts.items() if s.contains(float(x)))
-    return inside / zeta.total
+    return _advance(zeta0, law, n, rngs).fraction_in(final_set)
 
 
 def empirical_fraction(zeta: ParticleMeasure, n: int, a: IntervalSet) -> float:
@@ -596,7 +523,8 @@ def empirical_fraction(zeta: ParticleMeasure, n: int, a: IntervalSet) -> float:
     if n < 0:
         raise ValueError("n must be nonnegative")
     scaled = a.scale(math.sqrt(n)) if n >= 1 else a
-    return lattice_fraction(zeta, scaled)
+    inside = sum(c for x, c in zeta.counts.items() if scaled.contains(float(x)))
+    return inside / zeta.total
 
 
 # -- exact enumeration oracle ------------------------------------------------------

@@ -10,4 +10,4 @@ class NumericError(RuntimeError):
 
 
 class PopulationCapError(RuntimeError):
-    """Exact-mode population exceeded its cap; caller must switch simulation mode."""
+    """A population exceeded the cap of the per-site reference step `step_exact`."""

@@ -24,7 +24,6 @@ __all__ = [
     "phi",
     "normal_pdf",
     "nu",
-    "nu_affine",
     "varphi",
     "nu_shifted_grid",
     "srw_pmf",
@@ -66,21 +65,19 @@ def shifted_nu(s: IntervalSet, x: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def nu_affine(s: IntervalSet, rho: float, xi: float) -> float:
-    """Measure of the affine image rho*S + xi; rho must be positive."""
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    return nu(s.scale(rho).shift(xi))
-
-
 def varphi(s: IntervalSet, r: float, x: float) -> float:
-    """Measure of (S - x)/sqrt(1-r) for a time fraction r in [0, 1)."""
+    """Measure of (S - x)/sqrt(1-r) for a time fraction r in [0, 1).
+
+    Sums the components' masses without building the moved set; equal to
+    nu(s.shift(-x).scale(1/sqrt(1-r))).
+    """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    moved = s.shift(-x)
-    if r == 0.0:
-        return nu(moved)
-    return nu(moved.scale(1.0 / math.sqrt(1.0 - r)))
+    if not math.isfinite(x):
+        raise ValueError("shift amount must be finite")
+    gamma = 1.0 / math.sqrt(1.0 - r)
+    value = math.fsum(_mass((c.lower - x) * gamma, (c.upper - x) * gamma) for c in s)
+    return min(1.0, max(0.0, value))
 
 
 def nu_shifted_grid(s: IntervalSet, xs: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ so estimates are reproducible for any worker count and no two grid points or
 seeds share a stream.  Every ``seed`` argument below takes either an int or
 such an index path as a tuple; replica i then draws from ``derive(*seed, i)``.
 Each worker steps its replicas in blocks through `engine.final_fractions`,
-whose result for a replica does not depend on the block it ran in.
+the one simulation kernel, whose result for a replica does not depend on the
+block it ran in.
 """
 
 from __future__ import annotations
@@ -100,14 +101,6 @@ class StrategySpec:
                 f"forced prefix s={s} must be shorter than n={n}")
         return StrategySpec(kind, float(x), float(r), int(n), w, q, s, m)
 
-    def target_measure(self, b: int) -> ParticleMeasure:
-        """The forced end-of-prefix state: b^s particles sitting at w.
-
-        Materializes an exact big-integer count; fine for analysis, but for
-        long prefixes prefer working with (b, s, w) directly.
-        """
-        return ParticleMeasure({self.w: b ** self.s}, generation=self.s)
-
 
 def wilson_interval(successes: int, trials: int,
                     z: float = _Z95) -> tuple[float, float]:
@@ -159,35 +152,34 @@ class SuccessEstimate:
 
 
 def _count_events(args) -> int:
-    (law, steps, mode, cap, start, target, threshold, strict, seed, lo, hi) = args
+    (law, steps, start, target, threshold, strict, seed, lo, hi) = args
     zeta0 = ParticleMeasure.delta(0, count=start)
     rows = block_rows(zeta0, steps)
     count = 0
     for first in range(lo, hi, rows):
         rngs = [derive(*seed, i) for i in range(first, min(first + rows, hi))]
-        fracs = final_fractions(zeta0, law, steps, mode, cap, target, rngs)
+        fracs = final_fractions(zeta0, law, steps, target, rngs)
         hits = fracs > threshold if strict else fracs >= threshold
         count += int(np.count_nonzero(hits))
     return count
 
 
-def _parallel_event_count(law, steps, mode, cap, start, target, threshold,
-                          strict, seed, replicas, workers) -> int:
+def _parallel_event_count(law, steps, start, target, threshold, strict, seed,
+                          replicas, workers) -> int:
     seed = seed if isinstance(seed, tuple) else (seed,)
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or replicas < 4 * workers:
-        return _count_events((law, steps, mode, cap, start, target, threshold,
-                              strict, seed, 0, replicas))
+        return _count_events((law, steps, start, target, threshold, strict,
+                              seed, 0, replicas))
     bounds = np.linspace(0, replicas, workers + 1).astype(int)
-    jobs = [(law, steps, mode, cap, start, target, threshold, strict, seed,
-             int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
+    jobs = [(law, steps, start, target, threshold, strict, seed, int(a), int(b))
+            for a, b in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_count_events, jobs))
 
 
 def conditional_success_estimate(spec: StrategySpec, a: IntervalSet, p: float,
                                  law: BranchingLaw, replicas: int,
-                                 mode: str = "hybrid", cap: int = 1000,
                                  seed: Seed = 0, workers: int = 1) -> SuccessEstimate:
     """Estimate of the single-root success q = P(fraction in sqrt(n)A - w >= p).
 
@@ -201,8 +193,8 @@ def conditional_success_estimate(spec: StrategySpec, a: IntervalSet, p: float,
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
     target = a.scale(math.sqrt(spec.n)).shift(float(-spec.w))
-    successes = _parallel_event_count(law, spec.m, mode, cap, 1, target, p,
-                                      False, seed, replicas, workers)
+    successes = _parallel_event_count(law, spec.m, 1, target, p, False, seed,
+                                      replicas, workers)
     lo, hi = wilson_interval(successes, replicas)
     return SuccessEstimate(successes, replicas, successes / replicas, lo, hi,
                            successes == 0)
@@ -257,8 +249,8 @@ class LdpEstimate:
 
 
 def ldp_lower_bound(spec: StrategySpec, a: IntervalSet, p: float,
-                    law: BranchingLaw, replicas: int, mode: str = "hybrid",
-                    cap: int = 1000, seed: Seed = 0, workers: int = 1,
+                    law: BranchingLaw, replicas: int, seed: Seed = 0,
+                    workers: int = 1,
                     report: Optional[RateReport] = None) -> LdpEstimate:
     """Price the full strategy and compare against the classified rate.
 
@@ -270,8 +262,8 @@ def ldp_lower_bound(spec: StrategySpec, a: IntervalSet, p: float,
         raise InfeasibleError(
             f"strategy (x={spec.x}, r={spec.r}) infeasible for p={p}: "
             f"varphi={value:.9f} falls short by {p - value:.3g}")
-    est = conditional_success_estimate(spec, a, p, law, replicas, mode=mode,
-                                       cap=cap, seed=seed, workers=workers)
+    est = conditional_success_estimate(spec, a, p, law, replicas, seed=seed,
+                                       workers=workers)
     q_effective = est.q_hat if est.successes > 0 else est.ci_hi
     log_neg_log = composed_log_neg_log(spec, law, q_effective)
     theory = report if report is not None else classify(a, p, law.b)
@@ -347,8 +339,8 @@ def concentration_probe(population: int, a: IntervalSet, delta: float, n: int,
     if n < 1:
         raise ValueError("n must be positive")
     reference = nu_n_of_set(n, a)
-    hits = _parallel_event_count(law, n, "aggregated", 1000, population, a,
-                                 reference + delta, True, seed, replicas, workers)
+    hits = _parallel_event_count(law, n, population, a, reference + delta, True,
+                                 seed, replicas, workers)
     return ConcentrationResult(population, delta, n, replicas,
                                hits / replicas, reference)
 
@@ -362,8 +354,8 @@ class ProbeResult:
 
 
 def typical_deviation_probe(a: IntervalSet, t: float, n: int, law: BranchingLaw,
-                            replicas: int, seed: Seed = 0, mode: str = "hybrid",
-                            cap: int = 1000, workers: int = 1) -> ProbeResult:
+                            replicas: int, seed: Seed = 0,
+                            workers: int = 1) -> ProbeResult:
     """Estimate P(fraction in sqrt(n)A > nu(A) + t/sqrt(n)) from one root."""
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -371,6 +363,6 @@ def typical_deviation_probe(a: IntervalSet, t: float, n: int, law: BranchingLaw,
         raise ValueError("n must be positive")
     threshold = nu(a) + t / math.sqrt(n)
     target = a.scale(math.sqrt(n))
-    hits = _parallel_event_count(law, n, mode, cap, 1, target, threshold, True,
-                                 seed, replicas, workers)
+    hits = _parallel_event_count(law, n, 1, target, threshold, True, seed,
+                                 replicas, workers)
     return ProbeResult(n, threshold, replicas, hits / replicas)

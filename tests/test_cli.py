@@ -63,7 +63,7 @@ def test_threads_must_be_positive():
 
 def test_simulate_reproducible_and_sane(tmp_path):
     args = ["simulate", "--law", "2:0.5,3:0.5", "--n", "65", "--replicas", "20",
-            "--seed", "42", "--mode", "hybrid"]
+            "--seed", "42"]
     code1, text1 = run_cli(args, tmp_path, "a.csv")
     code2, text2 = run_cli(args, tmp_path, "b.csv")
     assert code1 == code2 == 0
@@ -185,6 +185,26 @@ def test_config_file_merges_and_flags_win(tmp_path):
                          tmp_path, "c2.csv")
     assert code == 0
     assert rows_of(text)[0]["regime"] == "degenerate"
+
+
+def test_config_unknown_key_exits_2(tmp_path, capsys):
+    # a key that names no option of the subcommand is an error, not ignored
+    cfg = tmp_path / "cfg"
+    cfg.write_text("n=4\n# comment\nreplica=5\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:3" in err and "'replica'" in err
+    cfg.write_text("set=(-inf,0]\np=0.8\nmode=hybrid\n")
+    assert main(["ldp", "--config", str(cfg)]) == 2
+    assert f"{cfg}:3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "ldp", "probe-typical"])
+def test_mode_and_cap_options_are_gone(command):
+    for flag in ("--mode", "--cap"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "1"])
+        assert exc.value.code == 2
 
 
 def test_missing_required_option_exits_2():

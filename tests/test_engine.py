@@ -102,10 +102,8 @@ def test_step_exact_mean_growth(rng):
 
 def test_parity_invariant(rng):
     law = BranchingLaw.binary_ternary()
-    for mode in ("exact", "aggregated", "hybrid"):
-        res = engine.evolve(ParticleMeasure.delta(0), law, 9, mode=mode,
-                            rng=derive(11, hash(mode) % 100), cap=50)
-        assert res.final is not None
+    for i in range(3):
+        res = engine.evolve(ParticleMeasure.delta(0), law, 9, rng=derive(11, i))
         assert all((x - 9) % 2 == 0 for x in res.final.counts)
         assert all(abs(x) <= 9 for x in res.final.counts)
 
@@ -113,8 +111,7 @@ def test_parity_invariant(rng):
 def _aggregated_step(start: ParticleMeasure, law: BranchingLaw,
                      rng: np.random.Generator) -> ParticleMeasure:
     # one generation of the production vector kernel
-    return engine.evolve(start, law, 1, mode="aggregated", rng=rng,
-                         record="none").final
+    return engine.evolve(start, law, 1, rng=rng, record="none").final
 
 
 def test_aggregated_step_doubles_exactly_deterministic(rng):
@@ -221,24 +218,27 @@ def test_aggregated_heavy_tail_law_is_exact():
 
 def test_evolve_deterministic_binary_total():
     res = engine.evolve(ParticleMeasure.delta(0), BranchingLaw.binary(), 10,
-                        mode="exact", rng=derive(1, 0))
+                        rng=derive(1, 0))
     assert res.final.total == 1024
-    assert res.stats[-1].total == 1024
     assert res.stats[-1].normalized_total == pytest.approx(1.0)
 
 
 def test_evolve_modes_agree_on_totals_deterministic():
+    # the vector kernel and the step_exact reference both double exactly
     law = BranchingLaw.binary()
-    for mode in ("aggregated", "hybrid"):
-        res = engine.evolve(ParticleMeasure.delta(0), law, 30, mode=mode,
-                            rng=derive(2, 0), cap=100)
-        assert res.stats[-1].total_log == pytest.approx(30 * math.log(2), rel=1e-12)
+    res = engine.evolve(ParticleMeasure.delta(0), law, 30, rng=derive(2, 0))
+    assert res.stats[-1].total_log == pytest.approx(30 * math.log(2), rel=1e-12)
+    reference = ParticleMeasure.delta(0)
+    rng = derive(2, 1)
+    for _ in range(30):
+        reference = engine.step_exact(reference, law, rng, cap=2 ** 30)
+    assert res.final.total == reference.total == 2 ** 30
 
 
 def test_evolve_records_normalized_sequence():
     law = BranchingLaw.binary_ternary()
-    res = engine.evolve(ParticleMeasure.delta(0), law, 12, mode="exact",
-                        rng=derive(3, 0), record="totals")
+    res = engine.evolve(ParticleMeasure.delta(0), law, 12, rng=derive(3, 0),
+                        record="totals")
     assert len(res.stats) == 13
     assert res.stats[0].normalized_total == pytest.approx(1.0)
     assert all(s.normalized_total > 0 for s in res.stats)
@@ -249,8 +249,8 @@ def test_evolve_martingale_mean_and_variance():
     replicas = 10_000
     norm_at = {1: [], 3: [], 10: []}
     for i in range(replicas):
-        res = engine.evolve(ParticleMeasure.delta(0), law, 10, mode="exact",
-                            rng=derive(101, i), record="totals")
+        res = engine.evolve(ParticleMeasure.delta(0), law, 10, rng=derive(101, i),
+                            record="totals")
         for k in norm_at:
             norm_at[k].append(res.stats[k].normalized_total)
     final = np.array(norm_at[10])
@@ -263,62 +263,60 @@ def test_evolve_martingale_mean_and_variance():
 
 
 def test_evolve_mode_agreement_ks():
-    # n=8 fractions under exact vs hybrid(cap=500) agree at the 1% level
+    # n=8 fractions of the vector kernel and of 8 iterated step_exact
+    # reference steps agree at the 1% level
     law = BranchingLaw.binary_ternary()
     a = IntervalSet.below(0)
     replicas = 5000
     fr_exact = np.empty(replicas)
-    fr_hybrid = np.empty(replicas)
+    fr_vector = np.empty(replicas)
     for i in range(replicas):
-        res = engine.evolve(ParticleMeasure.delta(0), law, 8, mode="exact",
-                            rng=derive(201, i), record="none")
-        fr_exact[i] = engine.empirical_fraction(res.final, 8, a)
-        res = engine.evolve(ParticleMeasure.delta(0), law, 8, mode="hybrid",
-                            rng=derive(202, i), cap=500, record="none",
-                            final_set=a.scale(math.sqrt(8)), keep_final=False)
-        fr_hybrid[i] = res.final_fraction
-    _, pvalue = sps.ks_2samp(fr_exact, fr_hybrid)
+        rng = derive(201, i)
+        measure = ParticleMeasure.delta(0)
+        for _ in range(8):
+            measure = engine.step_exact(measure, law, rng)
+        fr_exact[i] = engine.empirical_fraction(measure, 8, a)
+        res = engine.evolve(ParticleMeasure.delta(0), law, 8, rng=derive(202, i),
+                            record="none", final_set=a.scale(math.sqrt(8)),
+                            keep_final=False)
+        fr_vector[i] = res.final_fraction
+    _, pvalue = sps.ks_2samp(fr_exact, fr_vector)
     assert pvalue > 0.01
 
 
 def test_evolve_vector_final_measure_matches_fraction():
     law = BranchingLaw.binary_ternary()
     a = IntervalSet.closed(-1, 1)
-    res = engine.evolve(ParticleMeasure.delta(0), law, 40, mode="hybrid",
-                        rng=derive(44, 0), cap=200, record="none",
-                        final_set=a.scale(math.sqrt(40)))
+    res = engine.evolve(ParticleMeasure.delta(0), law, 40, rng=derive(44, 0),
+                        record="none", final_set=a.scale(math.sqrt(40)))
     direct = engine.empirical_fraction(res.final, 40, a)
     assert res.final_fraction == pytest.approx(direct, abs=1e-12)
-    assert res.switched_at is not None
     assert all((x - 40) % 2 == 0 for x in res.final.counts)
 
 
 def test_evolve_general_start(rng):
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure({-1: 2, 2: 1}, generation=0)
-    res = engine.evolve(start, law, 5, mode="exact", rng=rng)
+    res = engine.evolve(start, law, 5, rng=rng)
     assert min(res.final.counts) >= -6 and max(res.final.counts) <= 7
 
 
-@pytest.mark.parametrize("mode", ["aggregated", "hybrid"])
-def test_evolve_mixed_parity_start_vector_modes(mode):
+def test_evolve_mixed_parity_start():
     # {-1: 2, 2: 1} has both parities, so the vector rows keep every site
     law = BranchingLaw.binary()
     start = ParticleMeasure({-1: 2, 2: 1}, generation=0)
-    res = engine.evolve(start, law, 5, mode=mode, rng=derive(12, 0), cap=1)
-    assert res.switched_at == (None if mode == "aggregated" else 0)
+    res = engine.evolve(start, law, 5, rng=derive(12, 0))
     counts = res.final.counts
     assert min(counts) >= -6 and max(counts) <= 7
     assert sum(c for x, c in counts.items() if x % 2 == 0) == 64
     assert sum(c for x, c in counts.items() if x % 2 != 0) == 32
 
 
-@pytest.mark.parametrize("mode, n, cap", [("hybrid", 60, 40),
-                                          ("aggregated", 480, 1000)])
-def test_final_fractions_block_invariance(mode, n, cap):
+@pytest.mark.parametrize("n", [60, 480])
+def test_final_fractions_block_invariance(n):
     # one block of rows, one-row evolve runs and any split of the block give
-    # the same fractions bit for bit; hybrid rows join the block at different
-    # generations, and the 480-generation run passes the 1e250 rescale
+    # the same fractions bit for bit; the 480-generation run passes the 1e250
+    # rescale
     law = BranchingLaw.parse("2:0.5,5:0.5")
     start = ParticleMeasure.delta(0)
     target = IntervalSet.below(0).scale(math.sqrt(n))
@@ -327,14 +325,13 @@ def test_final_fractions_block_invariance(mode, n, cap):
     def rngs(first, last):
         return [derive(13, n, i) for i in range(first, last)]
 
-    block = engine.final_fractions(start, law, n, mode, cap, target, rngs(0, rows))
-    single = [engine.evolve(start, law, n, mode=mode, rng=rng, cap=cap,
-                            record="none", final_set=target,
-                            keep_final=False).final_fraction
+    block = engine.final_fractions(start, law, n, target, rngs(0, rows))
+    single = [engine.evolve(start, law, n, rng=rng, record="none",
+                            final_set=target, keep_final=False).final_fraction
               for rng in rngs(0, rows)]
     split = np.concatenate([
-        engine.final_fractions(start, law, n, mode, cap, target, rngs(0, 3)),
-        engine.final_fractions(start, law, n, mode, cap, target, rngs(3, rows))])
+        engine.final_fractions(start, law, n, target, rngs(0, 3)),
+        engine.final_fractions(start, law, n, target, rngs(3, rows))])
     assert len(set(block.tolist())) == rows
     assert block.tolist() == single == split.tolist()
 
@@ -351,7 +348,7 @@ def test_evolve_validates():
     with pytest.raises(ValueError):
         engine.evolve(ParticleMeasure.delta(0), BranchingLaw.binary(), -1)
     with pytest.raises(ValueError):
-        engine.evolve(ParticleMeasure.delta(0), BranchingLaw.binary(), 1, mode="warp")
+        engine.evolve(ParticleMeasure.delta(0), BranchingLaw.binary(), 1, record="warp")
 
 
 # -- fractions ----------------------------------------------------------------------
@@ -376,9 +373,8 @@ def test_lattice_fraction_lln():
     # odd n avoids the walk's lattice atom at the boundary point 0
     law = BranchingLaw.binary_ternary()
     a = IntervalSet.below(0)
-    vals = [engine.evolve(ParticleMeasure.delta(0), law, 401, mode="hybrid",
-                          rng=derive(77, i), cap=1000, record="none",
-                          final_set=a.scale(math.sqrt(401.0)),
+    vals = [engine.evolve(ParticleMeasure.delta(0), law, 401, rng=derive(77, i),
+                          record="none", final_set=a.scale(math.sqrt(401.0)),
                           keep_final=False).final_fraction
             for i in range(40)]
     assert abs(float(np.mean(vals)) - 0.5) < 0.015

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from brwlab import gaussian as g
+from brwlab import rates
 from brwlab.intervals import EMPTY, REALS, Component, IntervalSet
 from conftest import mirror, random_interval_set
 
@@ -95,28 +96,21 @@ def test_nu_deep_tail_component():
     assert g.nu(s) / nu_oracle(s) == pytest.approx(1.0, rel=1e-9)
 
 
-# -- affine family -------------------------------------------------------------
+# -- affine family: nu(rho*S + xi) as nu(s.scale(rho).shift(xi)) -------------------
 
 def test_nu_affine_identity():
-    assert g.nu_affine(IntervalSet.below(0), 1.0, 0.0) == 0.5
+    assert g.nu(IntervalSet.below(0).scale(1.0).shift(0.0)) == 0.5
 
 
 def test_nu_affine_matches_definition():
     a = IntervalSet.closed(-1, 1)
-    assert g.nu_affine(a, 2.0, 0.0) == g.nu(IntervalSet.closed(-2, 2))
-
-
-def test_nu_affine_rejects_bad_rho():
-    with pytest.raises(ValueError):
-        g.nu_affine(REALS, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        g.nu_affine(REALS, -1.0, 1.0)
+    assert g.nu(a.scale(2.0).shift(0.0)) == g.nu(IntervalSet.closed(-2, 2))
 
 
 def test_nu_affine_xi_derivative_finite_difference():
     a = IntervalSet.closed(0, 1)
     h = 1e-5
-    fd = (g.nu_affine(a, 1.0, h) - g.nu_affine(a, 1.0, -h)) / (2 * h)
+    fd = (g.nu(a.scale(1.0).shift(h)) - g.nu(a.scale(1.0).shift(-h))) / (2 * h)
     analytic = -(g.normal_pdf(0.0) - g.normal_pdf(1.0))
     assert abs(fd - analytic) < 1e-6
 
@@ -124,7 +118,7 @@ def test_nu_affine_xi_derivative_finite_difference():
 def test_nu_affine_smooth_second_differences():
     # central 2nd differences converge as the mesh shrinks
     a = IntervalSet.closed(-0.7, 0.4)
-    f = lambda xi: g.nu_affine(a, 1.3, xi)
+    f = lambda xi: g.nu(a.scale(1.3).shift(xi))
     ref = None
     errs = []
     for h in (1e-2, 1e-3):
@@ -163,13 +157,36 @@ def test_varphi_domain():
 
 
 def test_varphi_scaling_identity(rng):
+    # varphi sums component masses in place; it equals the measure of the
+    # built set exactly
     for _ in range(60):
         s = random_interval_set(rng)
-        r = float(rng.uniform(0, 0.95))
-        x = float(rng.normal(0, 2))
-        lhs = g.varphi(s, r, x)
-        rhs = g.nu_affine(s.shift(-x), 1.0 / math.sqrt(1.0 - r), 0.0)
-        assert abs(lhs - rhs) < 1e-13
+        for r in (0.0, float(rng.uniform(0, 0.95))):
+            x = float(rng.normal(0, 2))
+            assert g.varphi(s, r, x) == g.nu(s.shift(-x).scale(1.0 / math.sqrt(1.0 - r)))
+
+
+def test_varphi_matches_built_set_on_dichotomy_cases():
+    # the 200 (set, p) cases of the dichotomy criterion, at their dilation
+    # witnesses where they have one and at a random (r, x) each
+    rng = np.random.default_rng(1004)
+    pick = np.random.default_rng(4)
+    cases = 0
+    while cases < 200:
+        s = random_interval_set(rng)
+        base = g.nu(s)
+        if base >= 1.0 - 1e-9:
+            continue
+        p = base + (1.0 - base) * float(rng.uniform(0.02, 0.98))
+        if not 0.0 < p < 1.0:
+            continue
+        cases += 1
+        points = [(float(pick.uniform(0, 0.99)), float(pick.normal(0, 2)))]
+        rep = rates.classify(s, p, 2)
+        if rep.regime == "dilation":
+            points.append((rep.r_star, rep.x_star_dilation))
+        for r, x in points:
+            assert g.varphi(s, r, x) == g.nu(s.shift(-x).scale(1.0 / math.sqrt(1.0 - r)))
 
 
 def test_nu_shifted_grid_matches_scalar(rng):

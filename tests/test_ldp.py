@@ -50,9 +50,17 @@ def test_spec_validation():
 
 
 def test_spec_target_measure():
+    # the forced prefix (q stalling generations, then |w| steps towards w,
+    # every particle with exactly b children) ends with b^s particles at w
     spec = ldp.StrategySpec.make("dilation", -0.5, 0.3, 100)
-    zeta = spec.target_measure(2)
-    assert zeta.counts == {spec.w: 2 ** spec.s}
+    b = 2
+    steps = [1, -1] * (spec.q // 2) + [int(math.copysign(1, spec.w))] * abs(spec.w)
+    assert len(steps) == spec.s
+    counts = {0: 1}
+    for step in steps:
+        counts = {x + step: b * c for x, c in counts.items()}
+    zeta = ParticleMeasure(counts, generation=len(steps))
+    assert zeta.counts == {spec.w: b ** spec.s}
     assert zeta.generation == spec.s
     assert abs(spec.w) <= spec.s
 
@@ -160,7 +168,7 @@ def test_conditional_zero_success_flag():
 
 def test_conditional_worker_determinism():
     spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 100)
-    kwargs = dict(mode="hybrid", cap=500, seed=77)
+    kwargs = dict(seed=77)
     seq = ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 200,
                                            workers=1, **kwargs)
     par = ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 200,
