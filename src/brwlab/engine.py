@@ -10,12 +10,29 @@ power-of-two exponent, so populations far beyond float range stay
 representable; the public measure keeps arbitrary-precision integers.
 
 The kernel steps a block of replicas as one 2-D array, one row per replica;
-`evolve` is the one-row case and `final_fractions` runs many rows.  When the
-start's occupied sites share one parity, a row stores only the sites of the
-parity occupied at the current generation.  Each row draws from its own
-generator in the order a one-row block would, so a replica's trajectory is
-the same in any block, on any worker; replicas run on independent derived
-streams (see `streams`).
+`evolve` is the one-row case; `final_fractions` and `event_outcomes` run
+many rows.  When the start's occupied sites share one parity, a row stores
+only the sites of the parity occupied at the current generation.  Each row
+draws from its own generator in the order a one-row block would, so a
+replica's trajectory is the same in any block, on any worker; replicas run
+on independent derived streams (see `streams`).
+
+The estimators only ask whether a replica's final fraction in a set T clears
+a threshold p, and `event_outcomes` answers that with certified early
+decision.  Before generation k, with j = n - k generations left, a row with
+Z_k(R) particles has conditional mean fraction
+mu_k = sum_y Z_k(y) P(y + S_j in T) / Z_k(R), the walk law P taken exactly
+from `gaussian.hit_probs`.  Chebyshev's inequality and the Galton-Watson
+bound E Z_j^2 <= beta^(2j) K, K = 1 + sigma^2 / (beta (beta - 1)), bound the
+chance that the final outcome differs from sign(mu_k - p) by
+c^2 K / (Z_k(R) (mu_k - p)^2), c = max(|p|, |1 - p|).  A row retires with
+that outcome once the bound is at most eps = 1e-12 and |mu_k - p| exceeds
+the rounding error of mu_k; rows never certified run to the end.  A retired
+row only stops drawing, so no other row's draws change.  By the union
+bound, the retired rows all decide as their full runs would, except with
+probability at most the sum of their bounds.  The bound holds for the exact
+process; sites above 2^53 particles follow the normal approximation, as on
+a full run.
 
 `step_exact` is the per-site reference the tests compare the kernel
 against: it draws each site's total with `BranchingLaw.sample_total` and its
@@ -27,11 +44,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleError, PopulationCapError
+from .gaussian import hit_probs
 from .intervals import IntervalSet
 
 __all__ = [
@@ -42,6 +61,8 @@ __all__ = [
     "step_exact",
     "evolve",
     "final_fractions",
+    "EventOutcomes",
+    "event_outcomes",
     "block_rows",
     "empirical_fraction",
     "enumerate_exact",
@@ -240,7 +261,7 @@ def _layout(zeta: ParticleMeasure, n: int) -> tuple[int, int, int, int]:
 
 
 def block_rows(zeta0: ParticleMeasure, n: int) -> int:
-    """Replicas per `final_fractions` call that keep one block's arrays small.
+    """Replicas per block (one `event_outcomes` call) that keep its arrays small.
 
     A block of R rows run for n generations ends R x width floats wide; the
     bound keeps that within _BLOCK_SITES (and R within _BLOCK_ROWS), so the
@@ -379,6 +400,15 @@ class _VectorState:
             self.exp2[hot] += shifts
             self.unit[hot, 0] = np.ldexp(1.0, -self.exp2[hot])
 
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Drop the rows where ``keep`` is False; the others step on unchanged."""
+        kept = self.v[keep]   # fancy indexing copies, so the buffer can take it
+        self.v = self.v.base[:kept.size].reshape(kept.shape)
+        self.v[...] = kept
+        self.exp2 = self.exp2[keep]
+        self.unit = self.unit[keep]
+        self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
+
     def total_log(self, row: int) -> float:
         s = float(self.v[row].sum())
         return math.log(s) + int(self.exp2[row]) * math.log(2.0)
@@ -510,9 +540,144 @@ def final_fractions(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
     Steps all replicas as one block.  Replica i draws only from ``rngs[i]``
     and its fraction equals, bit for bit, the ``final_fraction`` of
     ``evolve(zeta0, law, n, rngs[i], final_set=final_set)``, in any block.
-    `block_rows` bounds a block's size.
+    `block_rows` bounds a block's size.  Every row runs all n generations:
+    the full-run reference for `event_outcomes`, which may stop rows early.
     """
     return _advance(zeta0, law, n, rngs).fraction_in(final_set)
+
+
+# -- certified early decision ------------------------------------------------------
+
+_DECIDE_EPS = 1e-12   # a row retires once its misdecision bound is at most this
+
+
+@dataclass(frozen=True)
+class EventOutcomes:
+    """Per-replica outcome of one `event_outcomes` block."""
+
+    hits: np.ndarray        # bool: the event happened, or was certified to
+    decided_at: np.ndarray  # generation the row retired at; n if it ran to the end
+    bounds: np.ndarray      # each retired row's misdecision bound; 0 for full runs
+
+
+class _Certificate:
+    """Chebyshev test that a row's event ``final fraction in T vs p`` is settled.
+
+    With j generations left, M = Z_n(T) - p Z_n(R) is a sum of Z_k(R)
+    independent subtree terms, each at most c Z_j in absolute value, where
+    c = max(|p|, |1 - p|) and E Z_j^2 <= beta^(2j) K.  Its conditional mean
+    is beta^j Z_k(R) (mu_k - p), with mu_k = sum_y Z_k(y) P(y + S_j in T) /
+    Z_k(R), so M takes the sign of mu_k - p except with probability at most
+    c^2 K / (Z_k(R) (mu_k - p)^2).  Since |mu_k - p| <= c, no row passes while
+    Z_k(R) < K / eps, and the test costs one max over the block until then.
+    """
+
+    def __init__(self, law: BranchingLaw, target: IntervalSet, threshold: float):
+        self.target = target
+        self.threshold = threshold
+        k_factor = _second_moment_factor(law)
+        self.c2k = max(abs(threshold), abs(1.0 - threshold)) ** 2 * k_factor
+        self.gate = k_factor / _DECIDE_EPS
+
+    def settle(self, block: _VectorState, j: int):
+        """(rows, outcomes, bounds) of the block's rows settled with j
+        generations left."""
+        v = block.v
+        width = v.shape[1]
+        rows, outcomes, bounds = [], [], []
+        # the largest site times the width bounds every row's Z_k(R) above
+        if float(v.max()) * width < math.ldexp(self.gate, -int(block.exp2.max())):
+            return rows, outcomes, bounds
+        table = _hit_table(j, self.target, block.lo, block.stride, width)
+        # rounding of mu_k (and, relatively, of Z_k(R)) stays below this
+        slack = (width + 2) * 2.0 ** -52
+        # row by row: a 2-D reduction may round a row differently depending
+        # on the number of rows beside it
+        for r, (row, exp2) in enumerate(zip(v, block.exp2.tolist())):
+            total = float(row.sum())
+            if total < math.ldexp(self.gate, -exp2):
+                continue
+            gap = float(np.multiply(row, table).sum()) / total - self.threshold
+            margin = abs(gap) - slack
+            if margin <= 0.0:
+                continue
+            bound = math.ldexp(self.c2k / (total * (1.0 - slack) * margin * margin),
+                               -exp2)
+            if bound <= _DECIDE_EPS:
+                rows.append(r)
+                outcomes.append(gap > 0.0)
+                bounds.append(bound)
+        return rows, outcomes, bounds
+
+
+@lru_cache(maxsize=256)
+def _hit_table(j: int, target: IntervalSet, lo: int, stride: int,
+               width: int) -> np.ndarray:
+    """P(y + S_j in target) at a block's sites y = lo + stride * i, i < width."""
+    table = hit_probs(j, target, lo + stride * np.arange(width))
+    table.flags.writeable = False   # shared by every block through the cache
+    return table
+
+
+def _second_moment_factor(law: BranchingLaw) -> float:
+    """K = 1 + sigma^2 / (beta (beta - 1)), rounded up.
+
+    E Z_j^2 = beta^(2j) (1 + sigma^2 (1 - beta^-j) / (beta (beta - 1))) for
+    the Galton-Watson size Z_j from one particle (Athreya & Ney, *Branching
+    Processes*, 1972, ch. I), so E Z_j^2 <= beta^(2j) K for every j.  K is
+    computed in exact rationals from the law's probabilities.
+    """
+    probs = [Fraction(p) for p in law.probs]
+    mass = sum(probs)
+    beta = sum(k * p for k, p in zip(law.support, probs)) / mass
+    second = sum(k * k * p for k, p in zip(law.support, probs)) / mass
+    exact = 1 + (second - beta * beta) / (beta * (beta - 1))
+    return math.nextafter(float(exact), math.inf)
+
+
+def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
+                   final_set: IntervalSet, threshold: float, strict: bool,
+                   rngs: Sequence[np.random.Generator]) -> EventOutcomes:
+    """Whether each replica's final fraction inside ``final_set`` exceeds
+    ``threshold`` (``strict``) or reaches it, one replica per generator.
+
+    Steps the replicas as one block, like `final_fractions`, but before each
+    generation k retires every row whose outcome a Chebyshev bound settles:
+    the row takes the sign of mu_k - threshold as its outcome once its
+    misdecision bound is at most _DECIDE_EPS = 1e-12 (see `_Certificate`).
+    Retired rows leave the block, and the block stops when none is left;
+    rows never settled run to the end and compare their final fraction.  A
+    row's decision reads only its own counts and draws only from its own
+    generator, so it does not depend on the block it ran in.  By the union
+    bound, the chance that any retired row decides otherwise than its full
+    run would is at most the sum of their ``bounds``.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    block = _VectorState(zeta0, n, rngs)
+    certificate = _Certificate(law, final_set, threshold)
+    ids = np.arange(len(rngs))
+    hits = np.zeros(len(rngs), dtype=bool)
+    decided_at = np.full(len(rngs), n)
+    bounds = np.zeros(len(rngs))
+    for k in range(n):
+        rows, outcomes, row_bounds = certificate.settle(block, n - k)
+        if rows:
+            done = ids[rows]
+            hits[done] = outcomes
+            decided_at[done] = k
+            bounds[done] = row_bounds
+            keep = np.ones(ids.size, dtype=bool)
+            keep[rows] = False
+            ids = ids[keep]
+            if not ids.size:
+                break
+            block.keep_rows(keep)
+        block.step(law)
+    else:
+        fracs = block.fraction_in(final_set)
+        hits[ids] = fracs > threshold if strict else fracs >= threshold
+    return EventOutcomes(hits, decided_at, bounds)
 
 
 def empirical_fraction(zeta: ParticleMeasure, n: int, a: IntervalSet) -> float:

@@ -29,6 +29,7 @@ __all__ = [
     "srw_pmf",
     "srw_pmf_exact",
     "nu_n_of_set",
+    "hit_probs",
     "clt_uniformity_scan",
     "CltScanResult",
 ]
@@ -146,16 +147,29 @@ def _prefix_row(n: int) -> np.ndarray:
     return prefix
 
 
+def _lattice_ends(lo, lo_closed, hi, hi_closed) -> tuple[np.ndarray, np.ndarray]:
+    """First and last integer site of each component, as floats (or +-inf).
+
+    A site on an open endpoint is excluded, on a closed one included.
+    """
+    first = np.ceil(lo)
+    first += (first == lo) & ~lo_closed
+    last = np.floor(hi)
+    last -= (last == hi) & ~hi_closed
+    return first, last
+
+
 def _path_counts(n: int, lo, lo_closed, hi, hi_closed) -> np.ndarray:
     """Number of n-step paths ending in each component, as exact integers.
 
     Arguments are broadcastable arrays, one entry per component; a site on an
     open endpoint is excluded, on a closed one included.  Sites are 2j - n.
     """
-    first = np.ceil(lo)
-    first += (first == lo) & ~lo_closed
-    last = np.floor(hi)
-    last -= (last == hi) & ~hi_closed
+    return _site_path_counts(n, *_lattice_ends(lo, lo_closed, hi, hi_closed))
+
+
+def _site_path_counts(n: int, first, last) -> np.ndarray:
+    """Number of n-step paths ending in each integer site range [first, last]."""
     # Clipping to just outside [-n, n] keeps infinities and huge endpoints exact.
     first = np.clip(first, -n - 1, n + 1)
     last = np.clip(last, -n - 1, n + 1)
@@ -172,11 +186,24 @@ def nu_n_of_set(n: int, s: IntervalSet) -> float:
     included; this is where the endpoint flags become observable.  The path
     count is an exact integer, so the result is correctly rounded.
     """
+    return float(hit_probs(n, s, np.zeros(1))[0])
+
+
+def hit_probs(n: int, s: IntervalSet, sites: np.ndarray) -> np.ndarray:
+    """P(y + S_n in s) for each integer site y in ``sites``, correctly rounded.
+
+    The walk-law mass of the set seen from each site, `nu_n_of_set` being the
+    one at site 0.  The set's integer site ranges are found once, so every
+    subtraction stays exact.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     lo, hi = endpoints(s)
     lo_closed, hi_closed = _closed_flags(s)
-    return sum(_path_counts(n, lo, lo_closed, hi, hi_closed)) / (1 << n)
+    first, last = _lattice_ends(lo, lo_closed, hi, hi_closed)
+    y = np.asarray(sites, dtype=float)[:, None]
+    counts = _site_path_counts(n, first - y, last - y).sum(axis=1)
+    return (counts / (1 << n)).astype(float)
 
 
 # -- uniform CLT discrepancy scan --------------------------------------------

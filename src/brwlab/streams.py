@@ -6,6 +6,10 @@ scheduling or worker layout.  Re-deriving with the same indices always yields
 the same stream.  The indices form the seed sequence's spawn key, which is
 not zero-padded like its entropy, so ``derive(s)``, ``derive(s, 0)`` and
 ``derive(s, 0, 0)`` are three different streams.
+
+A replica that the engine retires early (see `engine.event_outcomes`) just
+stops drawing from its stream; the streams of the replicas beside it, and
+so their draws, stay as they are.
 """
 
 from __future__ import annotations

@@ -336,6 +336,96 @@ def test_final_fractions_block_invariance(n):
     assert block.tolist() == single == split.tolist()
 
 
+def _outcome_rngs(first, last):
+    return [derive(14, i) for i in range(first, last)]
+
+
+def test_event_outcomes_block_invariance():
+    # one 7-row block and a 3 + 4 split retire the same rows at the same
+    # generations with the same bounds, bit for bit
+    law = BranchingLaw.binary_ternary()
+    start = ParticleMeasure.delta(0)
+    n = 92
+    target = IntervalSet.below(0).scale(math.sqrt(100)).shift(8.0)
+    block = engine.event_outcomes(start, law, n, target, 0.8, False,
+                                  _outcome_rngs(0, 7))
+    parts = [engine.event_outcomes(start, law, n, target, 0.8, False,
+                                   _outcome_rngs(a, b)) for a, b in ((0, 3), (3, 7))]
+    for field in ("hits", "decided_at", "bounds"):
+        joined = np.concatenate([getattr(part, field) for part in parts])
+        assert getattr(block, field).tolist() == joined.tolist()
+    assert len(set(block.decided_at.tolist())) > 1
+    assert (block.decided_at < n).all()
+
+
+@pytest.mark.parametrize("target,threshold,strict", [
+    (IntervalSet.below(0), 1.0, False),
+    (IntervalSet.below(0), 1.0, True),
+    (IntervalSet.below(0), 1.5, True),
+    (REALS, 0.5, False),
+    (REALS, 1.0, False),
+    (REALS, 1.1, True),
+    (EMPTY, 0.0, False),
+    (EMPTY, 0.0, True),
+])
+def test_event_outcomes_extreme_thresholds_match_full_runs(target, threshold, strict):
+    # from 2^44 particles every row retires within a few generations, except
+    # where mu_k equals the threshold (the full line at 1, the empty set at 0)
+    law = BranchingLaw.binary_ternary()
+    start = ParticleMeasure.delta(0, count=2 ** 44)
+    out = engine.event_outcomes(start, law, 6, target, threshold, strict,
+                                _outcome_rngs(0, 4))
+    fracs = engine.final_fractions(start, law, 6, target, _outcome_rngs(0, 4))
+    full = fracs > threshold if strict else fracs >= threshold
+    assert out.hits.tolist() == full.tolist()
+    settled = threshold not in (0.0, 1.0) or target not in (REALS, EMPTY)
+    assert (out.decided_at < 6).all() if settled else (out.decided_at == 6).all()
+
+
+def _exact_law(law):
+    probs = [Fraction(p) for p in law.probs]
+    return [(k, p / sum(probs)) for k, p in zip(law.support, probs)]
+
+
+@pytest.mark.parametrize("text", ["2:1", "2:0.5,3:0.5", "2:0.3,3:0.5,4:0.2",
+                                  "2:0.995,200:0.005"])
+def test_second_moment_factor_bounds_galton_watson_moments(text):
+    # E Z_(j+1)^2 = sigma^2 beta^j + beta^2 E Z_j^2, in exact rationals
+    law = BranchingLaw.parse(text)
+    pairs = _exact_law(law)
+    beta = sum(k * p for k, p in pairs)
+    var = sum(k * k * p for k, p in pairs) - beta * beta
+    factor = Fraction(engine._second_moment_factor(law))
+    assert factor >= 1 + var / (beta * (beta - 1))
+    second = Fraction(1)
+    for j in range(41):
+        assert second <= beta ** (2 * j) * factor
+        second = var * beta ** j + beta * beta * second
+
+
+def test_galton_watson_second_moment_recursion_by_enumeration():
+    # the exact law of Z_j for j <= 3 under 2:0.5,3:0.5 against the recursion
+    pairs = _exact_law(BranchingLaw.binary_ternary())
+    size = {1: Fraction(1)}
+    beta, var, second = Fraction(5, 2), Fraction(1, 4), Fraction(1)
+    for j in range(1, 4):
+        nxt: dict[int, Fraction] = {}
+        for z, q in size.items():
+            # the offspring total of z particles: a z-fold convolution
+            total = {0: Fraction(1)}
+            for _ in range(z):
+                conv: dict[int, Fraction] = {}
+                for t, qt in total.items():
+                    for k, pk in pairs:
+                        conv[t + k] = conv.get(t + k, Fraction(0)) + qt * pk
+                total = conv
+            for t, qt in total.items():
+                nxt[t] = nxt.get(t, Fraction(0)) + q * qt
+        size = nxt
+        second = var * beta ** (j - 1) + beta * beta * second
+        assert sum(z * z * q for z, q in size.items()) == second
+
+
 def test_block_rows_bounds_block_size():
     delta = ParticleMeasure.delta(0)
     assert engine.block_rows(delta, 16) == 64

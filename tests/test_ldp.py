@@ -10,6 +10,7 @@ from brwlab.engine import BranchingLaw, ParticleMeasure
 from brwlab.errors import InfeasibleError
 from brwlab.intervals import REALS, IntervalSet
 from brwlab.rates import classify
+from brwlab.streams import derive
 
 LAW = BranchingLaw.binary_ternary()
 HALF_LINE = IntervalSet.below(0)
@@ -135,9 +136,11 @@ def test_prefix_logprob_huge_prefix_is_neg_inf():
 # -- conditional success -------------------------------------------------------------
 
 def test_conditional_full_line_always_succeeds():
+    # every replica retires early, and as a success
     spec = ldp.StrategySpec.make("shift", 0.5, 0.0, 64)
     est = ldp.conditional_success_estimate(spec, REALS, 0.7, LAW, 200, seed=1)
     assert est.q_hat == 1.0 and est.successes == 200
+    assert est.decided_early == 200
 
 
 def test_conditional_rejects_bad_inputs():
@@ -221,6 +224,42 @@ def test_worker_count_clamped_to_cores(monkeypatch):
     assert pools == [3]   # an unknown core count runs in-process
 
 
+# -- certified early decision ------------------------------------------------------
+
+@pytest.mark.parametrize("idx,n", [(0, 100), (1, 400)])
+def test_early_decisions_match_full_runs(idx, n):
+    # the shift-ldp workload's grid points n = 100 and 400, on the keys the
+    # CLI derives for them at seed 11: every retired row decides as its full
+    # run does
+    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, n)
+    target = HALF_LINE.scale(math.sqrt(n)).shift(float(-spec.w))
+    start = ParticleMeasure.delta(0)
+    rows = engine.block_rows(start, spec.m)
+    early = 0
+    for first in range(0, 200, rows):
+        keys = range(first, min(first + rows, 200))
+        out = engine.event_outcomes(start, LAW, spec.m, target, 0.8, False,
+                                    [derive(11, idx, i) for i in keys])
+        full = engine.final_fractions(start, LAW, spec.m, target,
+                                      [derive(11, idx, i) for i in keys]) >= 0.8
+        assert out.hits.tolist() == full.tolist()
+        retired = out.decided_at < spec.m
+        assert (out.bounds[retired] <= 1e-12).all()
+        assert (out.bounds[~retired] == 0.0).all()
+        early += int(retired.sum())
+    assert early > 0
+
+
+def test_early_decisions_worker_invariant():
+    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 100)
+    runs = [ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 200,
+                                             seed=(17, 0), workers=workers)
+            for workers in (1, 2)]
+    assert runs[0] == runs[1]
+    assert 0 < runs[0].decided_early <= 200
+    assert 0.0 < runs[0].misdecision_bound <= 200 * 1e-12
+
+
 # -- composed estimates ----------------------------------------------------------------
 
 def test_lower_bound_full_line_reduces_to_prefix():
@@ -291,7 +330,10 @@ def test_rate_fit_degenerate_grid():
 
 def test_concentration_delta_above_one_impossible():
     res = ldp.concentration_probe(50, HALF_LINE, 1.0, 8, LAW, 100, seed=6)
-    assert res.frequency == 0.0
+    assert res.frequency == 0.0 and res.decided_early == 0
+    # from 2^41 particles the rows are large enough to retire, as failures
+    res = ldp.concentration_probe(2 ** 41, HALF_LINE, 1.0, 4, LAW, 100, seed=6)
+    assert res.frequency == 0.0 and res.decided_early == 100
 
 
 def test_concentration_reference_is_exact_lattice_mass():
@@ -307,8 +349,10 @@ def test_concentration_smoke_decreasing():
 
 
 def test_typical_probe_full_line_is_zero():
-    res = ldp.typical_deviation_probe(REALS, 0.5, 16, LAW, 100, seed=10)
-    assert res.probability == 0.0
+    # the threshold exceeds 1; at n = 40 every replica retires as a failure
+    for n, early in ((16, 0), (40, 100)):
+        res = ldp.typical_deviation_probe(REALS, 0.5, n, LAW, 100, seed=10)
+        assert res.probability == 0.0 and res.decided_early == early
 
 
 def test_typical_probe_small_t_near_half_odd_n():
