@@ -4,6 +4,8 @@ Subcommands: rate, simulate, ldp, interp, enumerate, probe-concentration,
 probe-typical, clt-scan.  Every output artifact embeds the seed, a hash of the
 science-relevant configuration, and the tool version, and re-running with the
 same seed reproduces the data rows byte for byte regardless of --threads.
+The estimates of one command share one pool of --threads worker processes,
+which is shut down before the command returns.
 
 Exit codes: 0 success, 2 usage or parse problems, 3 infeasible domain
 requests, 4 internal numeric failures.
@@ -35,6 +37,7 @@ from .ldp import (
     concentration_probe,
     ldp_lower_bound,
     rate_fit,
+    WorkerPool,
     typical_deviation_probe,
 )
 from .rates import classify, interpolation_cost_exponent
@@ -288,15 +291,16 @@ def _cmd_ldp(resolved: dict) -> None:
         r = 0.0 if kind == "shift" else report.r_star
     rows = []
     estimates = []
-    for idx, n in enumerate(resolved["n_grid"]):
-        spec = StrategySpec.make(kind, x, r, n)
-        est = ldp_lower_bound(spec, target, p, law, resolved["replicas"],
-                              seed=(resolved["seed"], idx),
-                              workers=resolved["threads"], report=report)
-        estimates.append(est)
-        rows.append([n, kind, spec.x, spec.r, spec.w, spec.q, spec.s,
-                     est.log_prefix_prob, est.q_hat, est.ci_lo, est.ci_hi,
-                     est.log_neg_log, est.theory_rate, est.relative_gap])
+    with WorkerPool(resolved["threads"]) as pool:
+        for idx, n in enumerate(resolved["n_grid"]):
+            spec = StrategySpec.make(kind, x, r, n)
+            est = ldp_lower_bound(spec, target, p, law, resolved["replicas"],
+                                  seed=(resolved["seed"], idx), workers=pool,
+                                  report=report)
+            estimates.append(est)
+            rows.append([n, kind, spec.x, spec.r, spec.w, spec.q, spec.s,
+                         est.log_prefix_prob, est.q_hat, est.ci_lo, est.ci_hi,
+                         est.log_neg_log, est.theory_rate, est.relative_gap])
     comments = [f"law={law} regime={report.regime} scale={report.scale}"]
     if len(estimates) >= 3:
         fit = rate_fit(estimates, report.scale)
@@ -336,13 +340,13 @@ def _cmd_probe_concentration(resolved: dict) -> None:
     law = BranchingLaw.parse(resolved["law"])
     target = parse_set(resolved["set"])
     rows = []
-    for idx, pop in enumerate(resolved["pop_grid"]):
-        res = concentration_probe(pop, target, resolved["delta"], resolved["n"],
-                                  law, resolved["replicas"],
-                                  seed=(resolved["seed"], idx),
-                                  workers=resolved["threads"])
-        rows.append([pop, res.delta, res.n, res.replicas, res.frequency,
-                     res.reference])
+    with WorkerPool(resolved["threads"]) as pool:
+        for idx, pop in enumerate(resolved["pop_grid"]):
+            res = concentration_probe(pop, target, resolved["delta"], resolved["n"],
+                                      law, resolved["replicas"],
+                                      seed=(resolved["seed"], idx), workers=pool)
+            rows.append([pop, res.delta, res.n, res.replicas, res.frequency,
+                         res.reference])
     _emit(resolved, "probe-concentration",
           ["population", "delta", "n", "replicas", "frequency", "reference"],
           rows, [f"law={law}"])
@@ -352,13 +356,13 @@ def _cmd_probe_typical(resolved: dict) -> None:
     law = BranchingLaw.parse(resolved["law"])
     target = parse_set(resolved["set"])
     rows = []
-    for idx, n in enumerate(resolved["n_grid"]):
-        res = typical_deviation_probe(target, resolved["t"], n, law,
-                                      resolved["replicas"],
-                                      seed=(resolved["seed"], idx),
-                                      workers=resolved["threads"])
-        rows.append([n, resolved["t"], res.threshold, res.replicas,
-                     res.probability])
+    with WorkerPool(resolved["threads"]) as pool:
+        for idx, n in enumerate(resolved["n_grid"]):
+            res = typical_deviation_probe(target, resolved["t"], n, law,
+                                          resolved["replicas"],
+                                          seed=(resolved["seed"], idx), workers=pool)
+            rows.append([n, resolved["t"], res.threshold, res.replicas,
+                         res.probability])
     _emit(resolved, "probe-typical",
           ["n", "t", "threshold", "replicas", "probability"], rows,
           [f"law={law}"])

@@ -12,10 +12,13 @@ representable; the public measure keeps arbitrary-precision integers.
 The kernel steps a block of replicas as one 2-D array, one row per replica;
 `evolve` is the one-row case; `final_fractions` and `event_outcomes` run
 many rows.  When the start's occupied sites share one parity, a row stores
-only the sites of the parity occupied at the current generation.  Each row
-draws from its own generator in the order a one-row block would, so a
-replica's trajectory is the same in any block, on any worker; replicas run
-on independent derived streams (see `streams`).
+only the sites of the parity occupied at the current generation.  A block
+draws from one generator: each generation makes one multinomial and one
+binomial call over its small sites and one normal call over its big sites,
+the sites taken in row-major order.  So a replica's trajectory depends on
+its block (its row, the rows beside it and when they retire), and callers
+fix a block's composition independently of scheduling (see `ldp`); a
+one-row block draws exactly as a per-replica generator would.
 
 The estimators only ask whether a replica's final fraction in a set T clears
 a threshold p, and `event_outcomes` answers that with certified early
@@ -28,7 +31,9 @@ chance that the final outcome differs from sign(mu_k - p) by
 c^2 K / (Z_k(R) (mu_k - p)^2), c = max(|p|, |1 - p|).  A row retires with
 that outcome once the bound is at most eps = 1e-12 and |mu_k - p| exceeds
 the rounding error of mu_k; rows never certified run to the end.  A retired
-row only stops drawing, so no other row's draws change.  By the union
+row stops drawing, which moves the later draws of the rows beside it along
+the block's stream; retirement reads only the block's own draws, so the
+block stays deterministic.  By the union
 bound, the retired rows all decide as their full runs would, except with
 probability at most the sum of their bounds.  The bound holds for the exact
 process; sites above 2^53 particles follow the normal approximation, as on
@@ -45,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -265,7 +270,9 @@ def block_rows(zeta0: ParticleMeasure, n: int) -> int:
 
     A block of R rows run for n generations ends R x width floats wide; the
     bound keeps that within _BLOCK_SITES (and R within _BLOCK_ROWS), so the
-    arrays and the per-row Philox generators stay a few hundred KB.
+    arrays stay a few hundred KB.  It depends only on (zeta0, n), so the
+    blocks of an estimate, and with them its draws, do not depend on how
+    the blocks are spread over workers.
     """
     final_width = _layout(zeta0, n)[3]
     return max(1, min(_BLOCK_ROWS, _BLOCK_SITES // final_width))
@@ -275,18 +282,17 @@ class _VectorState:
     """A block of replicas as dense per-site counts, one row per replica.
 
     Row r holds integer-valued floats times 2**exp2[r] at positions
-    lo + stride*j and draws only from its own generator rngs[r], in the same
-    order and sizes whatever rows step beside it, so a replica's trajectory
-    does not depend on its block.  Every row starts as ``zeta0``.
+    lo + stride*j.  The block draws from the one generator ``rng``, each
+    kind of draw in one call over the flattened sites in row-major order.
+    Every row starts as ``zeta0``.
     """
 
-    __slots__ = ("v", "lo", "stride", "exp2", "unit", "generation", "rngs",
+    __slots__ = ("v", "lo", "stride", "exp2", "unit", "generation", "rng",
                  "_spare", "_work")
 
-    def __init__(self, zeta0: ParticleMeasure, n: int,
-                 rngs: Sequence[np.random.Generator]):
+    def __init__(self, zeta0: ParticleMeasure, n: int, rows: int,
+                 rng: np.random.Generator):
         self.lo, self.stride, width, final_width = _layout(zeta0, n)
-        rows = len(rngs)
         # two buffers sized for the final width; steps alternate between them
         capacity = rows * final_width
         self.v = np.zeros(capacity)[:rows * width].reshape(rows, width)
@@ -297,7 +303,7 @@ class _VectorState:
         self.exp2 = np.zeros(rows, dtype=np.int64)
         self.unit = np.ones((rows, 1))   # one particle in row r: 2**-exp2[r]
         self.generation = zeta0.generation
-        self.rngs = rngs
+        self.rng = rng
 
     def positions(self) -> np.ndarray:
         return self.lo + self.stride * np.arange(self.v.shape[1])
@@ -313,13 +319,6 @@ class _VectorState:
         self.generation += 1
         return grown
 
-    def _row_slices(self, at: np.ndarray, row_ends: np.ndarray) -> list:
-        """(generator, slice of ``at``) for each row that has entries in the
-        sorted flat indices ``at``."""
-        ends = np.searchsorted(at, row_ends).tolist()
-        return [(rng, slice(a, b))
-                for rng, a, b in zip(self.rngs, [0] + ends, ends) if b > a]
-
     def step(self, law: BranchingLaw) -> None:
         v = self.v
         rows, width = v.shape
@@ -331,32 +330,23 @@ class _VectorState:
         small ^= big
         small_at = np.flatnonzero(small)
         big_at = np.flatnonzero(big)
-        row_ends = np.arange(width, v.size + 1, width)
 
-        # each row draws its small sites' totals, then their splits, then its
-        # big sites' normals: the order and sizes of a one-row block
+        # the small sites' totals, then their splits, then the big sites'
+        # normals, each in one call over the sites in row-major order
         if small_at.size:
             small_exp2 = self.exp2[small_at // width]
             parents = np.rint(np.ldexp(v.reshape(-1)[small_at], small_exp2))
             parents = parents.astype(np.int64)
-            small_rows = self._row_slices(small_at, row_ends)
             if law.non_deterministic:
-                kids = np.empty_like(parents)
-                support = np.array(law.support)
-                for rng, seg in small_rows:
-                    kids[seg] = rng.multinomial(parents[seg], law.probs) @ support
+                kids = self.rng.multinomial(parents, law.probs) @ np.array(law.support)
             else:
                 kids = parents * law.b
-            drawn = np.empty_like(parents)
-            for rng, seg in small_rows:
-                drawn[seg] = rng.binomial(kids[seg], 0.5)
+            drawn = self.rng.binomial(kids, 0.5)
         t, right, spare = self._work[:, :v.size].reshape(3, rows, width)
         if big_at.size:
-            # t and right start as each big site's two normals, 0 elsewhere
-            normals = np.empty((2, big_at.size))
-            for rng, seg in self._row_slices(big_at, row_ends):
-                rng.standard_normal(out=normals[0, seg])
-                rng.standard_normal(out=normals[1, seg])
+            # t and right start as each big site's two normals, 0 elsewhere;
+            # one call fills all first normals, then all second ones
+            normals = self.rng.standard_normal((2, big_at.size))
             if big_at.size == v.size:   # every site is big: the draws are in place
                 t, right = normals.reshape(2, rows, width)
             else:
@@ -407,7 +397,6 @@ class _VectorState:
         self.v[...] = kept
         self.exp2 = self.exp2[keep]
         self.unit = self.unit[keep]
-        self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
 
     def total_log(self, row: int) -> float:
         s = float(self.v[row].sum())
@@ -420,10 +409,7 @@ class _VectorState:
     def fraction_in(self, s: IntervalSet) -> np.ndarray:
         """Fraction of each row's particles at positions inside ``s``."""
         mask = _membership_mask(self.positions(), s)
-        # row by row: a 2-D reduction may group a row's terms differently
-        # depending on the number of rows
-        return np.array([float(row[mask].sum()) / float(row.sum())
-                         for row in self.v])
+        return self.v[:, mask].sum(axis=1) / self.v.sum(axis=1)
 
     def to_measure(self, row: int) -> ParticleMeasure:
         counts: dict[int, int] = {}
@@ -453,17 +439,18 @@ def _membership_mask(positions: np.ndarray, s: IntervalSet) -> np.ndarray:
 
 # -- the generation loop -----------------------------------------------------------
 
-def _advance(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
-             rngs: Sequence[np.random.Generator],
+def _advance(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
+             rng: np.random.Generator,
              snap: Optional[Callable[[int, _VectorState], None]] = None) -> _VectorState:
-    """Run one replica of ``zeta0`` per generator for ``n`` generations.
+    """Run ``rows`` replicas of ``zeta0`` for ``n`` generations.
 
-    The replicas are the rows of one `_VectorState` block; ``snap(k, block)``
-    sees every generation k.  Returns the block after the last generation.
+    The replicas are the rows of one `_VectorState` block drawing from
+    ``rng``; ``snap(k, block)`` sees every generation k.  Returns the block
+    after the last generation.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    block = _VectorState(zeta0, n, rngs)
+    block = _VectorState(zeta0, n, rows, rng)
     if snap is not None:
         snap(0, block)
     for k in range(1, n + 1):
@@ -492,8 +479,9 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
     The kernel draws offspring totals and splits exactly at every site with
     at most 2^53 particles; above that it uses a normal approximation clamped
     to [b c, kmax c] and carried at float precision.  The replica is a
-    one-row block of the kernel `final_fractions` steps many rows of, so both
-    give the same trajectory for the same generator.  ``record`` is 'none',
+    one-row block of the kernel `final_fractions` steps many rows of, so a
+    one-row `final_fractions` gives the same trajectory for the same
+    generator.  ``record`` is 'none',
     'totals' (log total plus normalized total) or 'full' (adds mean position
     and, when ``trajectory_set`` is given, the fraction inside
     sqrt(generation) times that set).  ``final_set`` requests the final
@@ -524,7 +512,7 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
         norm = math.exp(tlog - k * log_beta - log_start)
         stats.append(PopulationStats(block.generation, tlog, norm, mean, frac))
 
-    block = _advance(zeta0, law, n, [rng], None if record == "none" else snap)
+    block = _advance(zeta0, law, n, 1, rng, None if record == "none" else snap)
     final_fraction = None
     if final_set is not None:
         final_fraction = float(block.fraction_in(final_set)[0])
@@ -533,22 +521,24 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
 
 
 def final_fractions(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
-                    final_set: IntervalSet,
-                    rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Final fraction inside the absolute set ``final_set``, one replica per generator.
+                    final_set: IntervalSet, rows: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Final fraction inside the absolute set ``final_set`` of ``rows`` replicas.
 
-    Steps all replicas as one block.  Replica i draws only from ``rngs[i]``
-    and its fraction equals, bit for bit, the ``final_fraction`` of
-    ``evolve(zeta0, law, n, rngs[i], final_set=final_set)``, in any block.
-    `block_rows` bounds a block's size.  Every row runs all n generations:
-    the full-run reference for `event_outcomes`, which may stop rows early.
+    Steps the replicas as one block drawing from ``rng``; with one row, the
+    fraction equals, bit for bit, the ``final_fraction`` of
+    ``evolve(zeta0, law, n, rng, final_set=final_set)``.  `block_rows`
+    bounds a block's size.  Every row runs all n generations: the full-run
+    reference for `event_outcomes`, which may stop rows early.
     """
-    return _advance(zeta0, law, n, rngs).fraction_in(final_set)
+    return _advance(zeta0, law, n, rows, rng).fraction_in(final_set)
 
 
 # -- certified early decision ------------------------------------------------------
 
 _DECIDE_EPS = 1e-12   # a row retires once its misdecision bound is at most this
+# what `_Certificate.settle` returns when no row can pass
+_NONE_SETTLED = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool), np.zeros(0))
 
 
 @dataclass(frozen=True)
@@ -581,40 +571,49 @@ class _Certificate:
 
     def settle(self, block: _VectorState, j: int):
         """(rows, outcomes, bounds) of the block's rows settled with j
-        generations left."""
+        generations left, as arrays.
+
+        mu_k and Z_k(R) are row sums of at most w = width nonnegative terms,
+        each product rounded twice (the table entry, then the product).  In
+        any summation order a term passes through at most w - 1 additions, so
+        a computed sum is within a factor 1 + gamma_(w+1) of the exact one,
+        gamma_m = m u / (1 - m u), u = 2^-53 (Higham, *Accuracy and Stability
+        of Numerical Algorithms*, 2002, sec. 4.2).  Adding the division and
+        the subtraction of p (mu_k and |mu_k - p| are at most 1), the gap's
+        error stays below (w + 2) 2^-52, and the relative error of Z_k(R)
+        below the same slack.  So the slack holds for the 2-D reductions
+        here, whose grouping of a row's terms may depend on the rows beside
+        it.
+        """
         v = block.v
         width = v.shape[1]
-        rows, outcomes, bounds = [], [], []
         # the largest site times the width bounds every row's Z_k(R) above
         if float(v.max()) * width < math.ldexp(self.gate, -int(block.exp2.max())):
-            return rows, outcomes, bounds
+            return _NONE_SETTLED
         table = _hit_table(j, self.target, block.lo, block.stride, width)
-        # rounding of mu_k (and, relatively, of Z_k(R)) stays below this
+        totals = v.sum(axis=1)
+        gaps = (v * table).sum(axis=1) / totals - self.threshold
         slack = (width + 2) * 2.0 ** -52
-        # row by row: a 2-D reduction may round a row differently depending
-        # on the number of rows beside it
-        for r, (row, exp2) in enumerate(zip(v, block.exp2.tolist())):
-            total = float(row.sum())
-            if total < math.ldexp(self.gate, -exp2):
-                continue
-            gap = float(np.multiply(row, table).sum()) / total - self.threshold
-            margin = abs(gap) - slack
-            if margin <= 0.0:
-                continue
-            bound = math.ldexp(self.c2k / (total * (1.0 - slack) * margin * margin),
-                               -exp2)
-            if bound <= _DECIDE_EPS:
-                rows.append(r)
-                outcomes.append(gap > 0.0)
-                bounds.append(bound)
-        return rows, outcomes, bounds
+        margins = np.abs(gaps) - slack
+        rows = np.flatnonzero((totals >= np.ldexp(self.gate, -block.exp2))
+                              & (margins > 0.0))
+        margins = margins[rows]
+        bounds = np.ldexp(self.c2k / (totals[rows] * (1.0 - slack) * margins * margins),
+                          -block.exp2[rows])
+        settled = bounds <= _DECIDE_EPS
+        rows = rows[settled]
+        return rows, gaps[rows] > 0.0, bounds[settled]
 
 
 @lru_cache(maxsize=256)
 def _hit_table(j: int, target: IntervalSet, lo: int, stride: int,
                width: int) -> np.ndarray:
-    """P(y + S_j in target) at a block's sites y = lo + stride * i, i < width."""
-    table = hit_probs(j, target, lo + stride * np.arange(width))
+    """P(y + S_j in target) at a block's sites y = lo + stride * i, i < width.
+
+    A block visits each j once, so the exact prefix row behind the table is
+    built for this call and not kept in `gaussian`'s shared cache.
+    """
+    table = hit_probs(j, target, lo + stride * np.arange(width), cache=False)
     table.flags.writeable = False   # shared by every block through the cache
     return table
 
@@ -637,38 +636,40 @@ def _second_moment_factor(law: BranchingLaw) -> float:
 
 def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
                    final_set: IntervalSet, threshold: float, strict: bool,
-                   rngs: Sequence[np.random.Generator]) -> EventOutcomes:
-    """Whether each replica's final fraction inside ``final_set`` exceeds
-    ``threshold`` (``strict``) or reaches it, one replica per generator.
+                   rows: int, rng: np.random.Generator) -> EventOutcomes:
+    """Whether each of ``rows`` replicas' final fraction inside ``final_set``
+    exceeds ``threshold`` (``strict``) or reaches it.
 
-    Steps the replicas as one block, like `final_fractions`, but before each
+    Steps the replicas as one block drawing from ``rng``, like
+    `final_fractions` with the same generator, but before each
     generation k retires every row whose outcome a Chebyshev bound settles:
     the row takes the sign of mu_k - threshold as its outcome once its
     misdecision bound is at most _DECIDE_EPS = 1e-12 (see `_Certificate`).
     Retired rows leave the block, and the block stops when none is left;
-    rows never settled run to the end and compare their final fraction.  A
-    row's decision reads only its own counts and draws only from its own
-    generator, so it does not depend on the block it ran in.  By the union
+    rows never settled run to the end and compare their final fraction.
+    Until a row first retires the block draws as `final_fractions` does;
+    after that the remaining rows take later draws of the stream, so a row
+    that never retires may end differently from its full run.  By the union
     bound, the chance that any retired row decides otherwise than its full
     run would is at most the sum of their ``bounds``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    block = _VectorState(zeta0, n, rngs)
+    block = _VectorState(zeta0, n, rows, rng)
     certificate = _Certificate(law, final_set, threshold)
-    ids = np.arange(len(rngs))
-    hits = np.zeros(len(rngs), dtype=bool)
-    decided_at = np.full(len(rngs), n)
-    bounds = np.zeros(len(rngs))
+    ids = np.arange(rows)
+    hits = np.zeros(rows, dtype=bool)
+    decided_at = np.full(rows, n)
+    bounds = np.zeros(rows)
     for k in range(n):
-        rows, outcomes, row_bounds = certificate.settle(block, n - k)
-        if rows:
-            done = ids[rows]
+        settled, outcomes, row_bounds = certificate.settle(block, n - k)
+        if settled.size:
+            done = ids[settled]
             hits[done] = outcomes
             decided_at[done] = k
             bounds[done] = row_bounds
             keep = np.ones(ids.size, dtype=bool)
-            keep[rows] = False
+            keep[settled] = False
             ids = ids[keep]
             if not ids.size:
                 break

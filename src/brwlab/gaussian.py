@@ -132,8 +132,7 @@ def _closed_flags(s: IntervalSet) -> tuple[np.ndarray, np.ndarray]:
             np.array([c.upper_closed for c in s], dtype=bool))
 
 
-@lru_cache(maxsize=32)
-def _prefix_row(n: int) -> np.ndarray:
+def _prefix_sums(n: int) -> np.ndarray:
     # prefix[j] = sum_{i<j} C(n, i), exact integers: the number of n-step paths
     # ending below site 2j - n.  Object dtype keeps them arbitrary-precision.
     prefix = np.empty(n + 2, dtype=object)
@@ -143,6 +142,13 @@ def _prefix_row(n: int) -> np.ndarray:
         total += c
         prefix[j + 1] = total
         c = c * (n - j) // (j + 1)
+    return prefix
+
+
+@lru_cache(maxsize=32)
+def _prefix_row(n: int) -> np.ndarray:
+    """`_prefix_sums` of n, cached: at n = 850 a row holds about 0.1 MB of integers."""
+    prefix = _prefix_sums(n)
     prefix.flags.writeable = False   # shared by every caller through the cache
     return prefix
 
@@ -168,14 +174,18 @@ def _path_counts(n: int, lo, lo_closed, hi, hi_closed) -> np.ndarray:
     return _site_path_counts(n, *_lattice_ends(lo, lo_closed, hi, hi_closed))
 
 
-def _site_path_counts(n: int, first, last) -> np.ndarray:
-    """Number of n-step paths ending in each integer site range [first, last]."""
+def _site_path_counts(n: int, first, last, prefix=None) -> np.ndarray:
+    """Number of n-step paths ending in each integer site range [first, last].
+
+    ``prefix`` is n's prefix row; by default the cached `_prefix_row`.
+    """
     # Clipping to just outside [-n, n] keeps infinities and huge endpoints exact.
     first = np.clip(first, -n - 1, n + 1)
     last = np.clip(last, -n - 1, n + 1)
     j_first = np.ceil((first + n) / 2).astype(np.int64)
     j_end = np.floor((last + n) / 2).astype(np.int64) + 1
-    prefix = _prefix_row(n)
+    if prefix is None:
+        prefix = _prefix_row(n)
     return prefix[np.maximum(j_end, j_first)] - prefix[j_first]
 
 
@@ -189,12 +199,15 @@ def nu_n_of_set(n: int, s: IntervalSet) -> float:
     return float(hit_probs(n, s, np.zeros(1))[0])
 
 
-def hit_probs(n: int, s: IntervalSet, sites: np.ndarray) -> np.ndarray:
+def hit_probs(n: int, s: IntervalSet, sites: np.ndarray,
+              cache: bool = True) -> np.ndarray:
     """P(y + S_n in s) for each integer site y in ``sites``, correctly rounded.
 
     The walk-law mass of the set seen from each site, `nu_n_of_set` being the
     one at site 0.  The set's integer site ranges are found once, so every
-    subtraction stays exact.
+    subtraction stays exact.  With ``cache=False`` the exact prefix row of n
+    is built for this call only and the shared cache stays as it is, for
+    callers that need each n once.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -202,7 +215,8 @@ def hit_probs(n: int, s: IntervalSet, sites: np.ndarray) -> np.ndarray:
     lo_closed, hi_closed = _closed_flags(s)
     first, last = _lattice_ends(lo, lo_closed, hi, hi_closed)
     y = np.asarray(sites, dtype=float)[:, None]
-    counts = _site_path_counts(n, first - y, last - y).sum(axis=1)
+    prefix = None if cache else _prefix_sums(n)
+    counts = _site_path_counts(n, first - y, last - y, prefix).sum(axis=1)
     return (counts / (1 << n)).astype(float)
 
 

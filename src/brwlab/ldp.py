@@ -11,20 +11,26 @@ Only the factorized lower-bound route is priced; summing over all prefix
 measures for the matching upper bound is out of reach at simulation scale and
 is probed indirectly through the concentration experiment.
 
-Replicas always use streams derived from (seed, grid index, replica index),
-so estimates are reproducible for any worker count and no two grid points or
-seeds share a stream.  Every ``seed`` argument below takes either an int or
-such an index path as a tuple; replica i then draws from ``derive(*seed, i)``.
-Each worker steps its replicas in blocks through `engine.event_outcomes`, the
-one simulation kernel, whose result for a replica does not depend on the
-block it ran in.  It retires a replica as soon as a Chebyshev bound of at
-most 1e-12 certifies whether its final fraction clears the threshold, so in
-the shift regime most replicas stop tens of generations before the end.
-The estimates report how many replicas were retired early
-(``decided_early``) and the sum of their bounds (``misdecision_bound``), a
-union bound on the chance that any of them decided otherwise than a full run
-would; the sum is exactly rounded, so it does not depend on the worker
-count.  Neither field enters the CSV data rows, which stay those of 0.4.0.
+Replicas run in blocks of `engine.block_rows` rows, a number fixed by the
+start and the generation count alone: block b holds replicas [b R, (b + 1) R)
+(the last block may be shorter) and draws from the one stream
+``derive(*seed, b)``.  Every ``seed`` argument below takes either an int or
+an index path as a tuple; the CLI passes (seed, grid index), so no two grid
+points or seeds share a stream.  Workers take whole blocks, so an estimate
+is the same for any worker count.  Each block runs through
+`engine.event_outcomes`, the one simulation kernel, which retires a replica
+as soon as a Chebyshev bound of at most 1e-12 certifies whether its final
+fraction clears the threshold, so in the shift regime most replicas stop
+tens of generations before the end.  The estimates report how many
+replicas were retired early (``decided_early``) and the sum of their bounds
+(``misdecision_bound``), a union bound on the chance that any of them
+decided otherwise than a full run would; the sum is exactly rounded, so it
+does not depend on the worker count.  Neither field enters the CSV data
+rows.
+
+The ``workers`` argument is a count or a `WorkerPool`.  Given a count, an
+estimate starts and shuts down its own processes; given a pool, it reuses
+the pool's processes, so the CLI starts at most one pool per run.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ __all__ = [
     "rate_fit",
     "concentration_probe",
     "typical_deviation_probe",
+    "WorkerPool",
 ]
 
 _Z95 = 1.959963984540054
@@ -160,35 +167,75 @@ class SuccessEstimate:
     misdecision_bound: float    # union bound on any retired replica deciding wrong
 
 
+class WorkerPool:
+    """Worker processes shared by every estimate given this pool.
+
+    Holds at most one worker per core.  The processes start at the first
+    estimate that has at least one replica block per worker, and `close`,
+    or the end of a ``with`` block, shuts them down and reaps them.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = min(workers, os.cpu_count() or 1)
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def map(self, fn, jobs: list) -> list:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return list(self._pool.map(fn, jobs))
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+Workers = Union[int, WorkerPool]
+
+
 def _count_events(args) -> tuple[int, list[float]]:
-    """(events, bounds of the rows retired early) over replicas [lo, hi)."""
+    """(events, bounds of the rows retired early) over replicas [lo, hi).
+
+    Both ends must be block boundaries (multiples of `block_rows`) or, for
+    ``hi``, the estimate's replica count.
+    """
     (law, steps, start, target, threshold, strict, seed, lo, hi) = args
     zeta0 = ParticleMeasure.delta(0, count=start)
     rows = block_rows(zeta0, steps)
     count = 0
     bounds: list[float] = []
     for first in range(lo, hi, rows):
-        rngs = [derive(*seed, i) for i in range(first, min(first + rows, hi))]
-        out = event_outcomes(zeta0, law, steps, target, threshold, strict, rngs)
+        out = event_outcomes(zeta0, law, steps, target, threshold, strict,
+                             min(rows, hi - first), derive(*seed, first // rows))
         count += int(np.count_nonzero(out.hits))
         bounds += out.bounds[out.decided_at < steps].tolist()
     return count, bounds
 
 
 def _parallel_event_count(law, steps, start, target, threshold, strict, seed,
-                          replicas, workers) -> tuple[int, int, float]:
+                          replicas, workers: Workers) -> tuple[int, int, float]:
     """(events, rows retired early, union bound on their misdecisions)."""
+    if not isinstance(workers, WorkerPool):
+        with WorkerPool(workers) as pool:
+            return _parallel_event_count(law, steps, start, target, threshold,
+                                         strict, seed, replicas, pool)
     seed = seed if isinstance(seed, tuple) else (seed,)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or replicas < 4 * workers:
-        parts = [_count_events((law, steps, start, target, threshold, strict,
-                                seed, 0, replicas))]
+    args = (law, steps, start, target, threshold, strict, seed)
+    rows = block_rows(ParticleMeasure.delta(0, count=start), steps)
+    if workers.workers <= 1 or -(-replicas // rows) < workers.workers:
+        # fewer blocks than workers: nothing to share out
+        parts = [_count_events(args + (0, replicas))]
     else:
-        edges = np.linspace(0, replicas, workers + 1).astype(int)
-        jobs = [(law, steps, start, target, threshold, strict, seed, int(a), int(b))
-                for a, b in zip(edges, edges[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_count_events, jobs))
+        # one job per block, so a block runs whole on one worker
+        jobs = [args + (first, min(first + rows, replicas))
+                for first in range(0, replicas, rows)]
+        parts = workers.map(_count_events, jobs)
     retired = [b for _, part in parts for b in part]
     # fsum is exactly rounded, so the sum does not depend on the worker split
     return sum(count for count, _ in parts), len(retired), math.fsum(retired)
@@ -196,7 +243,7 @@ def _parallel_event_count(law, steps, start, target, threshold, strict, seed,
 
 def conditional_success_estimate(spec: StrategySpec, a: IntervalSet, p: float,
                                  law: BranchingLaw, replicas: int,
-                                 seed: Seed = 0, workers: int = 1) -> SuccessEstimate:
+                                 seed: Seed = 0, workers: Workers = 1) -> SuccessEstimate:
     """Estimate of the single-root success q = P(fraction in sqrt(n)A - w >= p).
 
     Simulates the remaining m generations from one particle in the shifted
@@ -266,7 +313,7 @@ class LdpEstimate:
 
 def ldp_lower_bound(spec: StrategySpec, a: IntervalSet, p: float,
                     law: BranchingLaw, replicas: int, seed: Seed = 0,
-                    workers: int = 1,
+                    workers: Workers = 1,
                     report: Optional[RateReport] = None) -> LdpEstimate:
     """Price the full strategy and compare against the classified rate.
 
@@ -344,7 +391,7 @@ class ConcentrationResult:
 
 def concentration_probe(population: int, a: IntervalSet, delta: float, n: int,
                         law: BranchingLaw, replicas: int, seed: Seed = 0,
-                        workers: int = 1) -> ConcentrationResult:
+                        workers: Workers = 1) -> ConcentrationResult:
     """Estimate P(fraction in A > nu_n(A) + delta) from N particles at 0.
 
     The set is used unscaled; the reference is the exact lattice mass, which
@@ -375,7 +422,7 @@ class ProbeResult:
 
 def typical_deviation_probe(a: IntervalSet, t: float, n: int, law: BranchingLaw,
                             replicas: int, seed: Seed = 0,
-                            workers: int = 1) -> ProbeResult:
+                            workers: Workers = 1) -> ProbeResult:
     """Estimate P(fraction in sqrt(n)A > nu(A) + t/sqrt(n)) from one root."""
     if t <= 0.0:
         raise ValueError("t must be positive")

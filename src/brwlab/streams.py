@@ -1,15 +1,19 @@
 """Reproducible random streams.
 
-Streams are counter-based (Philox) and derived from ``(master seed, *indices)``
-so every replica gets an independent generator that does not depend on
-scheduling or worker layout.  Re-deriving with the same indices always yields
-the same stream.  The indices form the seed sequence's spawn key, which is
-not zero-padded like its entropy, so ``derive(s)``, ``derive(s, 0)`` and
-``derive(s, 0, 0)`` are three different streams.
+Streams are counter-based (Philox; Salmon et al., *Parallel random numbers:
+as easy as 1, 2, 3*, SC'11) and derived from ``(master seed, *indices)``, so
+a stream does not depend on scheduling or worker layout.  Re-deriving with
+the same indices always yields the same stream.  The indices form the seed
+sequence's spawn key, which is not zero-padded like its entropy, so
+``derive(s)``, ``derive(s, 0)`` and ``derive(s, 0, 0)`` are three different
+streams.
 
-A replica that the engine retires early (see `engine.event_outcomes`) just
-stops drawing from its stream; the streams of the replicas beside it, and
-so their draws, stay as they are.
+The estimators derive one stream per replica block, ``(seed, grid index,
+block)``, and the engine draws a whole block's sites from it in one call per
+kind of draw; `simulate` derives one per replica, ``(seed, replica)``.  A
+replica that the engine retires early (see `engine.event_outcomes`) stops
+drawing, so the rows left in its block take later draws of the stream; the
+block's draws still depend only on its key.
 """
 
 from __future__ import annotations

@@ -313,49 +313,56 @@ def test_evolve_mixed_parity_start():
 
 
 @pytest.mark.parametrize("n", [60, 480])
-def test_final_fractions_block_invariance(n):
-    # one block of rows, one-row evolve runs and any split of the block give
-    # the same fractions bit for bit; the 480-generation run passes the 1e250
-    # rescale
+def test_final_fractions_one_row_matches_evolve(n):
+    # a one-row block draws as evolve does, bit for bit, and a block of rows
+    # is a deterministic function of its generator; the 480-generation run
+    # passes the 1e250 rescale
     law = BranchingLaw.parse("2:0.5,5:0.5")
     start = ParticleMeasure.delta(0)
     target = IntervalSet.below(0).scale(math.sqrt(n))
-    rows = 7
-
-    def rngs(first, last):
-        return [derive(13, n, i) for i in range(first, last)]
-
-    block = engine.final_fractions(start, law, n, target, rngs(0, rows))
-    single = [engine.evolve(start, law, n, rng=rng, record="none",
-                            final_set=target, keep_final=False).final_fraction
-              for rng in rngs(0, rows)]
-    split = np.concatenate([
-        engine.final_fractions(start, law, n, target, rngs(0, 3)),
-        engine.final_fractions(start, law, n, target, rngs(3, rows))])
-    assert len(set(block.tolist())) == rows
-    assert block.tolist() == single == split.tolist()
+    single = [engine.final_fractions(start, law, n, target, 1, derive(13, n, i))[0]
+              for i in range(3)]
+    runs = [engine.evolve(start, law, n, rng=derive(13, n, i), record="none",
+                          final_set=target, keep_final=False).final_fraction
+            for i in range(3)]
+    assert single == runs
+    block = [engine.final_fractions(start, law, n, target, 7, derive(13, n)).tolist()
+             for _ in range(2)]
+    assert block[0] == block[1]
+    assert len(set(block[0])) == 7
 
 
-def _outcome_rngs(first, last):
-    return [derive(14, i) for i in range(first, last)]
-
-
-def test_event_outcomes_block_invariance():
-    # one 7-row block and a 3 + 4 split retire the same rows at the same
-    # generations with the same bounds, bit for bit
+def test_block_draws_one_call_per_kind_in_row_major_order():
+    # a two-row block draws all six sites' totals in one multinomial call, row
+    # by row, then all six splits in one binomial call
     law = BranchingLaw.binary_ternary()
-    start = ParticleMeasure.delta(0)
-    n = 92
-    target = IntervalSet.below(0).scale(math.sqrt(100)).shift(8.0)
-    block = engine.event_outcomes(start, law, n, target, 0.8, False,
-                                  _outcome_rngs(0, 7))
-    parts = [engine.event_outcomes(start, law, n, target, 0.8, False,
-                                   _outcome_rngs(a, b)) for a, b in ((0, 3), (3, 7))]
-    for field in ("hits", "decided_at", "bounds"):
-        joined = np.concatenate([getattr(part, field) for part in parts])
-        assert getattr(block, field).tolist() == joined.tolist()
-    assert len(set(block.decided_at.tolist())) > 1
-    assert (block.decided_at < n).all()
+    start = ParticleMeasure({0: 37, 2: 5, 4: 10 ** 6})
+    block = engine._advance(start, law, 1, 2, derive(15, 0))
+    rng = derive(15, 0)
+    parents = np.tile([37, 5, 10 ** 6], 2)
+    kids = rng.multinomial(parents, law.probs) @ np.array(law.support)
+    right = rng.binomial(kids, 0.5)
+    left = kids - right
+    for r in range(2):
+        lt, rt = left[3 * r:3 * r + 3], right[3 * r:3 * r + 3]
+        expect = {-1: lt[0], 1: rt[0] + lt[1], 3: rt[1] + lt[2], 5: rt[2]}
+        assert block.to_measure(r).counts == {x: int(c) for x, c in expect.items()}
+
+
+def test_block_normals_fill_first_then_second_draws():
+    # above 2^53 parents the block draws one (2, sites) array of normals:
+    # every big site's total normal, then every split normal
+    law = BranchingLaw.binary_ternary()
+    c = 2 ** 60
+    block = engine._advance(ParticleMeasure.delta(0, count=c), law, 1, 3,
+                            derive(16, 0))
+    z_total, z_split = derive(16, 0).standard_normal((2, 3))
+    for r in range(3):
+        t = c * law.beta + z_total[r] * math.sqrt(c * law.variance)
+        right = t / 2 + z_split[r] * math.sqrt(t) / 2
+        child = block.to_measure(r)
+        assert child.total == pytest.approx(t, rel=1e-12)
+        assert child.counts[1] == pytest.approx(right, rel=1e-12)
 
 
 @pytest.mark.parametrize("target,threshold,strict", [
@@ -373,13 +380,27 @@ def test_event_outcomes_extreme_thresholds_match_full_runs(target, threshold, st
     # where mu_k equals the threshold (the full line at 1, the empty set at 0)
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure.delta(0, count=2 ** 44)
-    out = engine.event_outcomes(start, law, 6, target, threshold, strict,
-                                _outcome_rngs(0, 4))
-    fracs = engine.final_fractions(start, law, 6, target, _outcome_rngs(0, 4))
+    out = engine.event_outcomes(start, law, 6, target, threshold, strict, 4,
+                                derive(14, 0))
+    fracs = engine.final_fractions(start, law, 6, target, 4, derive(14, 0))
     full = fracs > threshold if strict else fracs >= threshold
     assert out.hits.tolist() == full.tolist()
     settled = threshold not in (0.0, 1.0) or target not in (REALS, EMPTY)
     assert (out.decided_at < 6).all() if settled else (out.decided_at == 6).all()
+
+
+def test_event_outcomes_leave_the_prefix_row_cache_empty():
+    # the certificate builds its walk-law tables without filling the shared
+    # cache of exact prefix rows, which pool workers would otherwise carry
+    from brwlab import gaussian
+    gaussian._prefix_row.cache_clear()
+    engine._hit_table.cache_clear()
+    start = ParticleMeasure.delta(0, count=2 ** 44)
+    out = engine.event_outcomes(start, BranchingLaw.binary_ternary(), 6,
+                                IntervalSet.below(0), 1.5, True, 4, derive(14, 0))
+    assert (out.decided_at < 6).all()
+    assert engine._hit_table.cache_info().currsize > 0
+    assert gaussian._prefix_row.cache_info().currsize == 0
 
 
 def _exact_law(law):

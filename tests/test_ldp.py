@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from brwlab import engine, ldp
+from brwlab.cli import main
 from brwlab.engine import BranchingLaw, ParticleMeasure
 from brwlab.errors import InfeasibleError
 from brwlab.intervals import REALS, IntervalSet
@@ -196,58 +197,144 @@ def test_estimators_worker_invariant_across_blocks():
     assert 0.0 < probes[0].frequency < 1.0
 
 
-def test_worker_count_clamped_to_cores(monkeypatch):
+def test_worker_count_clamped_to_cores(monkeypatch, tmp_path):
     # the pool gets at most one worker per core; the fake starts no process
     pools = []
+    shut = []
 
     class FakePool:
         def __init__(self, max_workers):
             pools.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, jobs):
             return map(fn, jobs)
 
+        def shutdown(self):
+            shut.append(self)
+
     monkeypatch.setattr(ldp, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(ldp.os, "cpu_count", lambda: 3)
-    args = (20, HALF_LINE, 0.02, 4, LAW, 60)
+    # 200 replicas of 64-row blocks: four blocks, enough for three workers
+    args = (20, HALF_LINE, 0.02, 4, LAW, 200)
+    assert engine.block_rows(ParticleMeasure.delta(0, count=20), 4) == 64
     wide = ldp.concentration_probe(*args, seed=5, workers=10 ** 6)
     assert pools == [3]
     assert wide == ldp.concentration_probe(*args, seed=5, workers=1)
     monkeypatch.setattr(ldp.os, "cpu_count", lambda: None)
     ldp.concentration_probe(*args, seed=5, workers=10 ** 6)
     assert pools == [3]   # an unknown core count runs in-process
+    # two estimates of one CLI run share one pool, shut down before main returns
+    monkeypatch.setattr(ldp.os, "cpu_count", lambda: 2)
+    shut.clear()
+    code = main(["probe-concentration", "--pop-grid", "20,30", "--n", "4",
+                 "--replicas", "200", "--threads", "2", "--seed", "5",
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 0
+    assert pools == [3, 2] and len(shut) == 1
+
+
+def test_estimators_worker_invariant_on_short_last_block():
+    # 130 replicas of 64-row blocks leave a 2-row last block
+    assert engine.block_rows(ParticleMeasure.delta(0, count=30), 8) == 64
+    probes = [ldp.concentration_probe(30, HALF_LINE, 0.02, 8, LAW, 130,
+                                      seed=(80, 1), workers=workers)
+              for workers in (1, 2)]
+    assert probes[0] == probes[1]
+    assert 0.0 < probes[0].frequency < 1.0
+    # the shift point at n = 100 has 64-row blocks too, under early decision
+    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 100)
+    assert engine.block_rows(ParticleMeasure.delta(0), spec.m) == 64
+    runs = [ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 130,
+                                             seed=(81, 1), workers=workers)
+            for workers in (1, 2)]
+    assert runs[0] == runs[1]
+    assert runs[0].decided_early > 0
+
+
+def test_estimators_serial_with_fewer_blocks_than_workers(monkeypatch):
+    # one 64-row block for two workers: runs in-process, as at one worker
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(ldp, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(ldp.os, "cpu_count", lambda: 2)
+    probes = [ldp.concentration_probe(30, HALF_LINE, 0.02, 8, LAW, 64,
+                                      seed=(82, 1), workers=workers)
+              for workers in (1, 2)]
+    assert probes[0] == probes[1]
+
+
+def test_count_events_partition_invariance():
+    # replicas [0, 50) in 21-row blocks: any split at block boundaries gives
+    # the same events and retired rows' bounds, in the same order
+    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 400)
+    target = HALF_LINE.scale(math.sqrt(400)).shift(float(-spec.w))
+    assert engine.block_rows(ParticleMeasure.delta(0), spec.m) == 21
+    args = (LAW, spec.m, 1, target, 0.8, False, (83, 0))
+    whole = ldp._count_events(args + (0, 50))
+    for edges in ((0, 21, 50), (0, 42, 50), (0, 21, 42, 50)):
+        parts = [ldp._count_events(args + (a, b)) for a, b in zip(edges, edges[1:])]
+        assert sum(count for count, _ in parts) == whole[0]
+        assert [b for _, bounds in parts for b in bounds] == whole[1]
+    assert 0 < whole[0] < 50
+    assert whole[1]
 
 
 # -- certified early decision ------------------------------------------------------
 
-@pytest.mark.parametrize("idx,n", [(0, 100), (1, 400)])
-def test_early_decisions_match_full_runs(idx, n):
-    # the shift-ldp workload's grid points n = 100 and 400, on the keys the
-    # CLI derives for them at seed 11: every retired row decides as its full
-    # run does
-    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, n)
-    target = HALF_LINE.scale(math.sqrt(n)).shift(float(-spec.w))
+def _surviving_fractions(start, law, n, target, rows, rng, decided_at):
+    """Final fractions of the rows of an `event_outcomes` block that never
+    retired, replaying the block's retirements on the same stream."""
+    block = engine._VectorState(start, n, rows, rng)
+    alive = np.arange(rows)
+    for k in range(n):
+        keep = decided_at[alive] != k
+        if not keep.all():
+            alive = alive[keep]
+            if not alive.size:
+                return alive, np.zeros(0)
+            block.keep_rows(keep)
+        block.step(law)
+    return alive, block.fraction_in(target)
+
+
+DILATION_SET = IntervalSet.closed(-0.6744897501960817, 0.6744897501960817)
+
+
+@pytest.mark.parametrize("kind,x,r,a,p,idx,n", [
+    ("shift", -Z80, 0.0, HALF_LINE, 0.8, 0, 100),
+    ("shift", -Z80, 0.0, HALF_LINE, 0.8, 1, 400),
+    ("dilation", 0.0, 0.8318502626419066, DILATION_SET, 0.9, 2, 240),
+], ids=["0-100", "1-400", "dilation-2-240"])
+def test_early_decisions_match_full_runs(kind, x, r, a, p, idx, n):
+    # grid points of the shift-ldp and dilation-ldp workloads, on the block
+    # streams the CLI derives for them at seed 11: every retired row decides
+    # as in its block's full run.  A retirement moves its neighbours' later
+    # draws, so rows that never retire (only at the dilation point) are
+    # checked against their own final fractions.
+    spec = ldp.StrategySpec.make(kind, x, r, n)
+    target = a.scale(math.sqrt(n)).shift(float(-spec.w))
     start = ParticleMeasure.delta(0)
     rows = engine.block_rows(start, spec.m)
-    early = 0
-    for first in range(0, 200, rows):
-        keys = range(first, min(first + rows, 200))
-        out = engine.event_outcomes(start, LAW, spec.m, target, 0.8, False,
-                                    [derive(11, idx, i) for i in keys])
-        full = engine.final_fractions(start, LAW, spec.m, target,
-                                      [derive(11, idx, i) for i in keys]) >= 0.8
-        assert out.hits.tolist() == full.tolist()
+    early = survived = 0
+    for block, first in enumerate(range(0, 200, rows)):
+        size = min(rows, 200 - first)
+        out = engine.event_outcomes(start, LAW, spec.m, target, p, False,
+                                    size, derive(11, idx, block))
+        full = engine.final_fractions(start, LAW, spec.m, target, size,
+                                      derive(11, idx, block)) >= p
         retired = out.decided_at < spec.m
+        assert out.hits[retired].tolist() == full[retired].tolist()
         assert (out.bounds[retired] <= 1e-12).all()
         assert (out.bounds[~retired] == 0.0).all()
+        alive, fracs = _surviving_fractions(start, LAW, spec.m, target, size,
+                                            derive(11, idx, block), out.decided_at)
+        assert alive.tolist() == np.flatnonzero(~retired).tolist()
+        assert out.hits[alive].tolist() == (fracs >= p).tolist()
         early += int(retired.sum())
+        survived += alive.size
     assert early > 0
+    assert (survived > 0) == (kind == "dilation")
 
 
 def test_early_decisions_worker_invariant():

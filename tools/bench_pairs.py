@@ -1,0 +1,130 @@
+"""Paired benchmark runs of two brwlab trees, written as one BENCH JSON file.
+
+Usage, from the root of a brwlab checkout (the change), with the parent
+commit checked out in a separate directory:
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \
+        --workloads shift-ldp,dilation-ldp,concentration,analytic \
+        --pairs 10 --seconds 20 --seed 401 --out BENCH_block_streams.json
+
+Pair i runs ``perfbench/run.py --workload W --seed <seed + i> --seconds T
+--trace 0`` once in each tree, each in a fresh interpreter; the parent runs
+first in even pairs and the change first in odd ones.  The last line a run
+prints is its JSON result.  For every workload and end-to-end metric of
+``BENCHMARK.json`` the file records both sides' median and quartiles, the
+pairs the change wins (better in the metric's direction; ties count for
+neither), the pair count, every raw value, the failed invocations, and the
+machine's core count and versions.  Each tree benchmarks its own sources
+with its own ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result of one untraced benchmark run in ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def commit_of(tree: Path) -> str:
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() or "unknown"
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def summarize(runs: dict, better: dict) -> dict:
+    """Per-metric medians, quartiles and wins of the change over ``runs``."""
+    out = {}
+    for name, direction in better.items():
+        sides = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                 for side in SIDES}
+        sign = -1.0 if direction == "lower" else 1.0
+        wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
+        parent, change = quartiles(sides["parent"]), quartiles(sides["change"])
+        out[name] = {"unit": runs["parent"][0]["metrics"][name]["unit"],
+                     "better": direction, "parent": parent, "change": change,
+                     "ratio": change["median"] / parent["median"],
+                     "wins": int(wins), "pairs": len(sides["parent"]),
+                     "parent_values": sides["parent"],
+                     "change_values": sides["change"]}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workloads", required=True,
+                        help="comma-separated perfbench workload names")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, required=True,
+                        help="seed of the first pair; pair i uses seed + i")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = [w for w in args.workloads.split(",") if w]
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            for side in order:
+                result = run_once(trees[side], workload, args.seed + i, args.seconds)
+                runs[workload][side].append(result)
+                print(f"pair {i} {workload} {side}: "
+                      + " ".join(f"{k}={v['value']:.4g}"
+                                 for k, v in result["metrics"].items()),
+                      flush=True)
+    record = {
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "platform": platform.platform()},
+        "commits": {side: commit_of(tree) for side, tree in trees.items()},
+        "command": "perfbench/run.py --trace 0",
+        "seconds": args.seconds, "pairs": args.pairs,
+        "seeds": [args.seed + i for i in range(args.pairs)],
+        "first_side": "parent in even pairs, change in odd pairs",
+        "workloads": {
+            w: {"metrics": summarize(runs[w], better),
+                "failed": {side: sum(r["failed"] for r in runs[w][side])
+                           for side in SIDES},
+                "attempted": {side: sum(r["attempted"] for r in runs[w][side])
+                              for side in SIDES},
+                "correct": {side: all(r["correct"] for r in runs[w][side])
+                            for side in SIDES}}
+            for w in workloads},
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    for w in workloads:
+        for name, m in record["workloads"][w]["metrics"].items():
+            print(f"{w:14s} {name:15s} {m['parent']['median']:10.4g} -> "
+                  f"{m['change']['median']:10.4g} {m['unit']:4s} "
+                  f"wins {m['wins']}/{m['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
