@@ -27,8 +27,10 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import __version__
-from .engine import BranchingLaw, ParticleMeasure, enumerate_exact, evolve
+from .engine import BranchingLaw, ParticleMeasure, block_rows, enumerate_exact, evolve
 from .errors import InfeasibleError, NumericError
 from .gaussian import clt_uniformity_scan
 from .intervals import INF, ParseError, parse_set
@@ -257,14 +259,18 @@ def _cmd_rate(resolved: dict) -> None:
 def _cmd_simulate(resolved: dict) -> None:
     law = BranchingLaw.parse(resolved["law"])
     target = parse_set(resolved["set"])
+    start = ParticleMeasure.delta(0)
+    n, replicas = resolved["n"], resolved["replicas"]
+    size = block_rows(start, n)
     rows = []
-    for rep in range(resolved["replicas"]):
-        result = evolve(ParticleMeasure.delta(0), law, resolved["n"],
-                        rng=derive(resolved["seed"], rep), record="full",
-                        trajectory_set=target, keep_final=False)
-        for stat in result.stats:
-            rows.append([rep, stat.generation, stat.total_log,
-                         stat.normalized_total, stat.mean_position, stat.fraction])
+    # block b holds replicas [b size, (b + 1) size) and draws from (seed, b)
+    for block, first in enumerate(range(0, replicas, size)):
+        stats, _ = evolve(start, law, n, min(size, replicas - first),
+                          derive(resolved["seed"], block), target)
+        # (replica, generation, statistic), the statistics in column order
+        table = np.stack(list(stats.values()), axis=-1).swapaxes(0, 1).tolist()
+        for r, trajectory in enumerate(table):
+            rows += ([first + r, k, *values] for k, values in enumerate(trajectory))
     _emit(resolved, "simulate",
           ["replica", "generation", "total_log", "normalized_total",
            "mean_position", "fraction_A"], rows,

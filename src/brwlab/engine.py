@@ -9,16 +9,27 @@ approximation, clamped to [b c, kmax c].  Each row's counts carry a
 power-of-two exponent, so populations far beyond float range stay
 representable; the public measure keeps arbitrary-precision integers.
 
-The kernel steps a block of replicas as one 2-D array, one row per replica;
-`evolve` is the one-row case; `final_fractions` and `event_outcomes` run
-many rows.  When the start's occupied sites share one parity, a row stores
-only the sites of the parity occupied at the current generation.  A block
-draws from one generator: each generation makes one multinomial and one
-binomial call over its small sites and one normal call over its big sites,
-the sites taken in row-major order.  So a replica's trajectory depends on
-its block (its row, the rows beside it and when they retire), and callers
-fix a block's composition independently of scheduling (see `ldp`); a
-one-row block draws exactly as a per-replica generator would.
+The normal path's error is stated per draw.  A site's total from c parents
+(c > 2^53, or c kmax beyond int64) is a sum of c independent offspring
+counts with variance sigma^2 and third absolute central moment rho, and its
+split of t children is a sum of t fair coin flips.  By the Berry-Esseen
+theorem with C <= 0.4748 (Shevtsova, 2011), the Kolmogorov distance between
+a standardized draw and its normal approximation is at most
+0.4748 rho / (sigma^3 sqrt(c)) for a total and 0.4748 / sqrt(t) for a
+split: below 5.1e-9 rho / sigma^3 and 3.6e-9 when c > 2^53, t >= 2c.  A
+deterministic law (sigma = 0) has exact totals b c.
+
+The kernel steps a block of replicas as one 2-D array, one row per replica,
+and runs it in two loops: `evolve` steps every row to the end and records
+each generation's statistics (for `simulate` and the tests), and
+`event_outcomes` retires rows as their events settle (for the estimators).
+When the start's occupied sites share one parity, a row stores only the
+sites of the parity occupied at the current generation.  A block draws from
+one generator: each generation makes one multinomial and one binomial call
+over its small sites and one normal call over its big sites, the sites
+taken in row-major order.  So a replica's trajectory depends on its block
+(its row, the rows beside it and when they retire), and callers fix a
+block's composition independently of scheduling (see `ldp` and `cli`).
 
 The estimators only ask whether a replica's final fraction in a set T clears
 a threshold p, and `event_outcomes` answers that with certified early
@@ -50,7 +61,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,11 +71,8 @@ from .intervals import IntervalSet
 __all__ = [
     "BranchingLaw",
     "ParticleMeasure",
-    "PopulationStats",
-    "EvolveResult",
     "step_exact",
     "evolve",
-    "final_fractions",
     "EventOutcomes",
     "event_outcomes",
     "block_rows",
@@ -212,17 +219,6 @@ class ParticleMeasure:
         return ParticleMeasure(counts, generation)
 
 
-@dataclass(frozen=True)
-class PopulationStats:
-    """Per-generation summary of one replica."""
-
-    generation: int
-    total_log: float
-    normalized_total: float
-    mean_position: Optional[float] = None
-    fraction: Optional[float] = None
-
-
 # -- the per-site reference step ----------------------------------------------------
 
 def step_exact(zeta: ParticleMeasure, law: BranchingLaw,
@@ -266,7 +262,8 @@ def _layout(zeta: ParticleMeasure, n: int) -> tuple[int, int, int, int]:
 
 
 def block_rows(zeta0: ParticleMeasure, n: int) -> int:
-    """Replicas per block (one `event_outcomes` call) that keep its arrays small.
+    """Replicas per block (one `evolve` or `event_outcomes` call) that keep its
+    arrays small.
 
     A block of R rows run for n generations ends R x width floats wide; the
     bound keeps that within _BLOCK_SITES (and R within _BLOCK_ROWS), so the
@@ -398,14 +395,6 @@ class _VectorState:
         self.exp2 = self.exp2[keep]
         self.unit = self.unit[keep]
 
-    def total_log(self, row: int) -> float:
-        s = float(self.v[row].sum())
-        return math.log(s) + int(self.exp2[row]) * math.log(2.0)
-
-    def mean_position(self, row: int) -> float:
-        s = float(self.v[row].sum())
-        return float(np.dot(self.positions(), self.v[row])) / s
-
     def fraction_in(self, s: IntervalSet) -> np.ndarray:
         """Fraction of each row's particles at positions inside ``s``."""
         mask = _membership_mask(self.positions(), s)
@@ -437,101 +426,42 @@ def _membership_mask(positions: np.ndarray, s: IntervalSet) -> np.ndarray:
     return mask
 
 
-# -- the generation loop -----------------------------------------------------------
+# -- evolve ----------------------------------------------------------------------
 
-def _advance(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
-             rng: np.random.Generator,
-             snap: Optional[Callable[[int, _VectorState], None]] = None) -> _VectorState:
-    """Run ``rows`` replicas of ``zeta0`` for ``n`` generations.
+def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
+           rng: np.random.Generator,
+           trajectory_set: IntervalSet) -> tuple[dict[str, np.ndarray], _VectorState]:
+    """Run ``rows`` replicas of ``zeta0`` for ``n`` generations as one block.
 
     The replicas are the rows of one `_VectorState` block drawing from
-    ``rng``; ``snap(k, block)`` sees every generation k.  Returns the block
-    after the last generation.
+    ``rng``.  Returns per-generation statistics, each an array of shape
+    (n + 1, rows) with row k at generation k, and the block after the last
+    generation:
+
+    - ``total_log``: log of the population Z_k;
+    - ``normalized_total``: Z_k / (beta^k Z_0), whose mean stays 1; computed
+      in log space, so it cannot underflow;
+    - ``mean_position``: the mean particle position;
+    - ``fraction``: the fraction of particles inside sqrt(k) times
+      ``trajectory_set`` (the set unscaled at k = 0).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     block = _VectorState(zeta0, n, rows, rng)
-    if snap is not None:
-        snap(0, block)
-    for k in range(1, n + 1):
-        block.step(law)
-        if snap is not None:
-            snap(k, block)
-    return block
-
-
-# -- evolve ----------------------------------------------------------------------
-
-@dataclass
-class EvolveResult:
-    stats: list[PopulationStats]
-    final: Optional[ParticleMeasure]
-    final_fraction: Optional[float] = None
-
-
-def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
-           rng: Optional[np.random.Generator] = None, record: str = "totals",
-           final_set: Optional[IntervalSet] = None,
-           trajectory_set: Optional[IntervalSet] = None,
-           keep_final: bool = True) -> EvolveResult:
-    """Run ``n`` generations of one replica and collect per-generation statistics.
-
-    The kernel draws offspring totals and splits exactly at every site with
-    at most 2^53 particles; above that it uses a normal approximation clamped
-    to [b c, kmax c] and carried at float precision.  The replica is a
-    one-row block of the kernel `final_fractions` steps many rows of, so a
-    one-row `final_fractions` gives the same trajectory for the same
-    generator.  ``record`` is 'none',
-    'totals' (log total plus normalized total) or 'full' (adds mean position
-    and, when ``trajectory_set`` is given, the fraction inside
-    sqrt(generation) times that set).  ``final_set`` requests the final
-    fraction inside an absolute, pre-scaled set; ``keep_final`` the final
-    measure.
-
-    Normalized totals divide by beta^k and the starting mass, so their mean
-    stays 1 along the run; they are computed in log space and cannot
-    underflow.
-    """
-    if record not in ("none", "totals", "full"):
-        raise ValueError(f"unknown record level {record!r}")
-    if rng is None:
-        rng = np.random.default_rng()
-    log_beta = math.log(law.beta)
-    log_start = math.log(zeta0.total)
-    stats: list[PopulationStats] = []
-
-    def snap(k: int, block: _VectorState) -> None:
-        tlog = block.total_log(0)
-        mean = frac = None
-        if record == "full":
-            mean = block.mean_position(0)
-            if trajectory_set is not None:
-                scaled = (trajectory_set.scale(math.sqrt(k)) if k >= 1
-                          else trajectory_set)
-                frac = float(block.fraction_in(scaled)[0])
-        norm = math.exp(tlog - k * log_beta - log_start)
-        stats.append(PopulationStats(block.generation, tlog, norm, mean, frac))
-
-    block = _advance(zeta0, law, n, 1, rng, None if record == "none" else snap)
-    final_fraction = None
-    if final_set is not None:
-        final_fraction = float(block.fraction_in(final_set)[0])
-    final = block.to_measure(0) if keep_final else None
-    return EvolveResult(stats, final, final_fraction)
-
-
-def final_fractions(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
-                    final_set: IntervalSet, rows: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Final fraction inside the absolute set ``final_set`` of ``rows`` replicas.
-
-    Steps the replicas as one block drawing from ``rng``; with one row, the
-    fraction equals, bit for bit, the ``final_fraction`` of
-    ``evolve(zeta0, law, n, rng, final_set=final_set)``.  `block_rows`
-    bounds a block's size.  Every row runs all n generations: the full-run
-    reference for `event_outcomes`, which may stop rows early.
-    """
-    return _advance(zeta0, law, n, rows, rng).fraction_in(final_set)
+    total_log, mean_position, fraction = np.empty((3, n + 1, rows))
+    for k in range(n + 1):
+        if k:
+            block.step(law)
+        totals = block.v.sum(axis=1)
+        total_log[k] = np.log(totals) + block.exp2 * math.log(2.0)
+        mean_position[k] = block.v @ block.positions() / totals
+        scaled = trajectory_set.scale(math.sqrt(k)) if k else trajectory_set
+        fraction[k] = block.fraction_in(scaled)
+    growth = np.arange(n + 1) * math.log(law.beta) + math.log(zeta0.total)
+    return {"total_log": total_log,
+            "normalized_total": np.exp(total_log - growth[:, None]),
+            "mean_position": mean_position,
+            "fraction": fraction}, block
 
 
 # -- certified early decision ------------------------------------------------------
@@ -640,14 +570,14 @@ def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
     """Whether each of ``rows`` replicas' final fraction inside ``final_set``
     exceeds ``threshold`` (``strict``) or reaches it.
 
-    Steps the replicas as one block drawing from ``rng``, like
-    `final_fractions` with the same generator, but before each
+    Steps the replicas as one block drawing from ``rng``, like `evolve`
+    with the same generator, but before each
     generation k retires every row whose outcome a Chebyshev bound settles:
     the row takes the sign of mu_k - threshold as its outcome once its
     misdecision bound is at most _DECIDE_EPS = 1e-12 (see `_Certificate`).
     Retired rows leave the block, and the block stops when none is left;
     rows never settled run to the end and compare their final fraction.
-    Until a row first retires the block draws as `final_fractions` does;
+    Until a row first retires the block draws as `evolve` does;
     after that the remaining rows take later draws of the stream, so a row
     that never retires may end differently from its full run.  By the union
     bound, the chance that any retired row decides otherwise than its full

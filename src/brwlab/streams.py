@@ -8,12 +8,12 @@ sequence's spawn key, which is not zero-padded like its entropy, so
 ``derive(s)``, ``derive(s, 0)`` and ``derive(s, 0, 0)`` are three different
 streams.
 
-The estimators derive one stream per replica block, ``(seed, grid index,
-block)``, and the engine draws a whole block's sites from it in one call per
-kind of draw; `simulate` derives one per replica, ``(seed, replica)``.  A
-replica that the engine retires early (see `engine.event_outcomes`) stops
-drawing, so the rows left in its block take later draws of the stream; the
-block's draws still depend only on its key.
+Every stream feeds one block of replicas, and the engine draws the whole
+block's sites from it in one call per kind of draw.  The estimators key a
+block ``(seed, grid index, block)`` and `simulate` keys it ``(seed,
+block)``.  A replica that the engine retires early (see
+`engine.event_outcomes`) stops drawing, so the rows left in its block take
+later draws of the stream; the block's draws still depend only on its key.
 """
 
 from __future__ import annotations

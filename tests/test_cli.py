@@ -76,6 +76,33 @@ def test_simulate_reproducible_and_sane(tmp_path):
     assert all(v > 0 for v in norm)
 
 
+def test_simulate_runs_replicas_in_seeded_blocks(tmp_path):
+    # block b holds replicas [64 b, 64 (b + 1)) at n = 65 and draws from
+    # (seed, b), so more replicas leave the first block's rows unchanged
+    from brwlab import engine
+    from brwlab.engine import BranchingLaw, ParticleMeasure
+    from brwlab.intervals import parse_set
+    from brwlab.streams import derive
+
+    assert engine.block_rows(ParticleMeasure.delta(0), 65) == 64
+    args = ["simulate", "--n", "65", "--seed", "3"]
+    _, text64 = run_cli(args + ["--replicas", "64"], tmp_path, "a.csv")
+    _, text70 = run_cli(args + ["--replicas", "70"], tmp_path, "b.csv")
+    rows64, rows70 = rows_of(text64), rows_of(text70)
+    assert len(rows64) == 64 * 66 and len(rows70) == 70 * 66
+    assert rows70[:len(rows64)] == rows64
+    assert [r["replica"] for r in rows70[::66]] == [str(i) for i in range(70)]
+    # replica 65 is row 1 of block 1; the CLI prints its evolve row as is
+    stats, _ = engine.evolve(ParticleMeasure.delta(0),
+                             BranchingLaw.parse("2:0.5,3:0.5"), 65, 6,
+                             derive(3, 1), parse_set("(-inf,0]"))
+    printed = rows70[65 * 66:66 * 66]
+    assert [int(r["generation"]) for r in printed] == list(range(66))
+    columns = ("total_log", "normalized_total", "mean_position", "fraction_A")
+    for column, values in zip(columns, stats.values(), strict=True):
+        assert [float(r[column]) for r in printed] == values[:, 1].tolist()
+
+
 def test_ldp_infeasible_exits_3(tmp_path, capsys):
     code = main(["ldp", "--set", "(-inf,0]", "--p", "0.9", "--kind", "shift",
                  "--x", "0.2", "--n-grid", "64", "--replicas", "100"])

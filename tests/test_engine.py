@@ -100,18 +100,32 @@ def test_step_exact_mean_growth(rng):
     assert abs(np.mean(totals) - 2500) < 4 * se + 1
 
 
-def test_parity_invariant(rng):
+def _final_block(start, law, n, rows, rng):
+    # the block after n generations of the production vector kernel
+    return engine.evolve(start, law, n, rows, rng, REALS)[1]
+
+
+def test_parity_invariant():
     law = BranchingLaw.binary_ternary()
-    for i in range(3):
-        res = engine.evolve(ParticleMeasure.delta(0), law, 9, rng=derive(11, i))
-        assert all((x - 9) % 2 == 0 for x in res.final.counts)
-        assert all(abs(x) <= 9 for x in res.final.counts)
+    block = _final_block(ParticleMeasure.delta(0), law, 9, 3, derive(11, 0))
+    for r in range(3):
+        counts = block.to_measure(r).counts
+        assert all((x - 9) % 2 == 0 for x in counts)
+        assert all(abs(x) <= 9 for x in counts)
 
 
 def _aggregated_step(start: ParticleMeasure, law: BranchingLaw,
                      rng: np.random.Generator) -> ParticleMeasure:
-    # one generation of the production vector kernel
-    return engine.evolve(start, law, 1, rng=rng, record="none").final
+    # one generation of a one-row block
+    return _final_block(start, law, 1, 1, rng).to_measure(0)
+
+
+def _blocks(start, n, replicas, seed):
+    """(rows, stream) of each block of ``replicas`` runs of ``start``, keyed
+    as `simulate` keys its blocks."""
+    size = engine.block_rows(start, n)
+    return [(min(size, replicas - first), derive(seed, b))
+            for b, first in enumerate(range(0, replicas, size))]
 
 
 def test_aggregated_step_doubles_exactly_deterministic(rng):
@@ -217,46 +231,50 @@ def test_aggregated_heavy_tail_law_is_exact():
 # -- evolve ----------------------------------------------------------------------
 
 def test_evolve_deterministic_binary_total():
-    res = engine.evolve(ParticleMeasure.delta(0), BranchingLaw.binary(), 10,
-                        rng=derive(1, 0))
-    assert res.final.total == 1024
-    assert res.stats[-1].normalized_total == pytest.approx(1.0)
+    stats, block = engine.evolve(ParticleMeasure.delta(0), BranchingLaw.binary(),
+                                 10, 1, derive(1, 0), REALS)
+    assert block.to_measure(0).total == 1024
+    assert stats["normalized_total"][-1, 0] == pytest.approx(1.0)
 
 
 def test_evolve_modes_agree_on_totals_deterministic():
     # the vector kernel and the step_exact reference both double exactly
     law = BranchingLaw.binary()
-    res = engine.evolve(ParticleMeasure.delta(0), law, 30, rng=derive(2, 0))
-    assert res.stats[-1].total_log == pytest.approx(30 * math.log(2), rel=1e-12)
+    stats, block = engine.evolve(ParticleMeasure.delta(0), law, 30, 1,
+                                 derive(2, 0), REALS)
+    assert stats["total_log"][-1, 0] == pytest.approx(30 * math.log(2), rel=1e-12)
     reference = ParticleMeasure.delta(0)
     rng = derive(2, 1)
     for _ in range(30):
         reference = engine.step_exact(reference, law, rng, cap=2 ** 30)
-    assert res.final.total == reference.total == 2 ** 30
+    assert block.to_measure(0).total == reference.total == 2 ** 30
 
 
 def test_evolve_records_normalized_sequence():
+    # every statistic has one row per generation and one column per replica
     law = BranchingLaw.binary_ternary()
-    res = engine.evolve(ParticleMeasure.delta(0), law, 12, rng=derive(3, 0),
-                        record="totals")
-    assert len(res.stats) == 13
-    assert res.stats[0].normalized_total == pytest.approx(1.0)
-    assert all(s.normalized_total > 0 for s in res.stats)
+    stats, _ = engine.evolve(ParticleMeasure.delta(0), law, 12, 3, derive(3, 0),
+                             IntervalSet.below(0))
+    assert list(stats) == ["total_log", "normalized_total", "mean_position",
+                           "fraction"]
+    assert all(values.shape == (13, 3) for values in stats.values())
+    assert (stats["normalized_total"][0] == 1.0).all()
+    assert (stats["normalized_total"] > 0).all()
+    assert (stats["fraction"][0] == 1.0).all()   # the unscaled set at k = 0
 
 
 def test_evolve_martingale_mean_and_variance():
     law = BranchingLaw.binary_ternary()
     replicas = 10_000
-    norm_at = {1: [], 3: [], 10: []}
-    for i in range(replicas):
-        res = engine.evolve(ParticleMeasure.delta(0), law, 10, rng=derive(101, i),
-                            record="totals")
-        for k in norm_at:
-            norm_at[k].append(res.stats[k].normalized_total)
-    final = np.array(norm_at[10])
+    start = ParticleMeasure.delta(0)
+    norm = np.concatenate([
+        engine.evolve(start, law, 10, rows, rng, REALS)[0]["normalized_total"]
+        for rows, rng in _blocks(start, 10, replicas, 101)], axis=1)
+    assert norm.shape == (11, replicas)
+    final = norm[10]
     se = final.std(ddof=1) / math.sqrt(replicas)
     assert abs(final.mean() - 1.0) < 3 * se
-    v1, v3, v10 = (np.var(norm_at[k], ddof=1) for k in (1, 3, 10))
+    v1, v3, v10 = (np.var(norm[k], ddof=1) for k in (1, 3, 10))
     noise = v10 * math.sqrt(2.0 / replicas)
     assert v1 <= v3 + 2 * noise
     assert v3 <= v10 + 2 * noise
@@ -268,68 +286,73 @@ def test_evolve_mode_agreement_ks():
     law = BranchingLaw.binary_ternary()
     a = IntervalSet.below(0)
     replicas = 5000
+    start = ParticleMeasure.delta(0)
     fr_exact = np.empty(replicas)
-    fr_vector = np.empty(replicas)
     for i in range(replicas):
         rng = derive(201, i)
-        measure = ParticleMeasure.delta(0)
+        measure = start
         for _ in range(8):
             measure = engine.step_exact(measure, law, rng)
         fr_exact[i] = engine.empirical_fraction(measure, 8, a)
-        res = engine.evolve(ParticleMeasure.delta(0), law, 8, rng=derive(202, i),
-                            record="none", final_set=a.scale(math.sqrt(8)),
-                            keep_final=False)
-        fr_vector[i] = res.final_fraction
+    fr_vector = np.concatenate([
+        _final_block(start, law, 8, rows, rng).fraction_in(a.scale(math.sqrt(8)))
+        for rows, rng in _blocks(start, 8, replicas, 202)])
+    assert fr_vector.size == replicas
     _, pvalue = sps.ks_2samp(fr_exact, fr_vector)
     assert pvalue > 0.01
 
 
 def test_evolve_vector_final_measure_matches_fraction():
+    # the recorded fraction at the last generation is the final measure's
     law = BranchingLaw.binary_ternary()
     a = IntervalSet.closed(-1, 1)
-    res = engine.evolve(ParticleMeasure.delta(0), law, 40, rng=derive(44, 0),
-                        record="none", final_set=a.scale(math.sqrt(40)))
-    direct = engine.empirical_fraction(res.final, 40, a)
-    assert res.final_fraction == pytest.approx(direct, abs=1e-12)
-    assert all((x - 40) % 2 == 0 for x in res.final.counts)
+    stats, block = engine.evolve(ParticleMeasure.delta(0), law, 40, 2,
+                                 derive(44, 0), a)
+    for r in range(2):
+        final = block.to_measure(r)
+        direct = engine.empirical_fraction(final, 40, a)
+        assert stats["fraction"][-1, r] == pytest.approx(direct, abs=1e-12)
+        assert all((x - 40) % 2 == 0 for x in final.counts)
+        mean = sum(x * c for x, c in final.counts.items()) / final.total
+        assert stats["mean_position"][-1, r] == pytest.approx(mean, abs=1e-12)
 
 
 def test_evolve_general_start(rng):
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure({-1: 2, 2: 1}, generation=0)
-    res = engine.evolve(start, law, 5, rng=rng)
-    assert min(res.final.counts) >= -6 and max(res.final.counts) <= 7
+    final = _final_block(start, law, 5, 1, rng).to_measure(0)
+    assert min(final.counts) >= -6 and max(final.counts) <= 7
 
 
 def test_evolve_mixed_parity_start():
     # {-1: 2, 2: 1} has both parities, so the vector rows keep every site
     law = BranchingLaw.binary()
     start = ParticleMeasure({-1: 2, 2: 1}, generation=0)
-    res = engine.evolve(start, law, 5, rng=derive(12, 0))
-    counts = res.final.counts
+    counts = _final_block(start, law, 5, 1, derive(12, 0)).to_measure(0).counts
     assert min(counts) >= -6 and max(counts) <= 7
     assert sum(c for x, c in counts.items() if x % 2 == 0) == 64
     assert sum(c for x, c in counts.items() if x % 2 != 0) == 32
 
 
 @pytest.mark.parametrize("n", [60, 480])
-def test_final_fractions_one_row_matches_evolve(n):
-    # a one-row block draws as evolve does, bit for bit, and a block of rows
-    # is a deterministic function of its generator; the 480-generation run
-    # passes the 1e250 rescale
+def test_evolve_block_is_deterministic_and_tracks_rescaled_totals(n):
+    # a block of rows is a deterministic function of its generator, and its
+    # log totals follow the final measure through the 1e250 rescale, which
+    # the 480-generation run passes
     law = BranchingLaw.parse("2:0.5,5:0.5")
     start = ParticleMeasure.delta(0)
-    target = IntervalSet.below(0).scale(math.sqrt(n))
-    single = [engine.final_fractions(start, law, n, target, 1, derive(13, n, i))[0]
-              for i in range(3)]
-    runs = [engine.evolve(start, law, n, rng=derive(13, n, i), record="none",
-                          final_set=target, keep_final=False).final_fraction
-            for i in range(3)]
-    assert single == runs
-    block = [engine.final_fractions(start, law, n, target, 7, derive(13, n)).tolist()
-             for _ in range(2)]
-    assert block[0] == block[1]
-    assert len(set(block[0])) == 7
+    runs = [engine.evolve(start, law, n, 7, derive(13, n), IntervalSet.below(0))
+            for _ in range(2)]
+    (stats, final), (again, _) = runs
+    for name, values in stats.items():
+        assert values.tolist() == again[name].tolist()
+    assert len(set(stats["fraction"][-1].tolist())) == 7
+    assert len(set(stats["total_log"][-1].tolist())) == 7
+    rescaled = (final.exp2 > 0).any()
+    assert rescaled == (n == 480)
+    for r in range(7):
+        exact = math.log(final.to_measure(r).total)
+        assert stats["total_log"][-1, r] == pytest.approx(exact, rel=1e-12)
 
 
 def test_block_draws_one_call_per_kind_in_row_major_order():
@@ -337,7 +360,7 @@ def test_block_draws_one_call_per_kind_in_row_major_order():
     # by row, then all six splits in one binomial call
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure({0: 37, 2: 5, 4: 10 ** 6})
-    block = engine._advance(start, law, 1, 2, derive(15, 0))
+    block = _final_block(start, law, 1, 2, derive(15, 0))
     rng = derive(15, 0)
     parents = np.tile([37, 5, 10 ** 6], 2)
     kids = rng.multinomial(parents, law.probs) @ np.array(law.support)
@@ -354,8 +377,8 @@ def test_block_normals_fill_first_then_second_draws():
     # every big site's total normal, then every split normal
     law = BranchingLaw.binary_ternary()
     c = 2 ** 60
-    block = engine._advance(ParticleMeasure.delta(0, count=c), law, 1, 3,
-                            derive(16, 0))
+    block = _final_block(ParticleMeasure.delta(0, count=c), law, 1, 3,
+                         derive(16, 0))
     z_total, z_split = derive(16, 0).standard_normal((2, 3))
     for r in range(3):
         t = c * law.beta + z_total[r] * math.sqrt(c * law.variance)
@@ -382,7 +405,7 @@ def test_event_outcomes_extreme_thresholds_match_full_runs(target, threshold, st
     start = ParticleMeasure.delta(0, count=2 ** 44)
     out = engine.event_outcomes(start, law, 6, target, threshold, strict, 4,
                                 derive(14, 0))
-    fracs = engine.final_fractions(start, law, 6, target, 4, derive(14, 0))
+    fracs = _final_block(start, law, 6, 4, derive(14, 0)).fraction_in(target)
     full = fracs > threshold if strict else fracs >= threshold
     assert out.hits.tolist() == full.tolist()
     settled = threshold not in (0.0, 1.0) or target not in (REALS, EMPTY)
@@ -457,9 +480,8 @@ def test_block_rows_bounds_block_size():
 
 def test_evolve_validates():
     with pytest.raises(ValueError):
-        engine.evolve(ParticleMeasure.delta(0), BranchingLaw.binary(), -1)
-    with pytest.raises(ValueError):
-        engine.evolve(ParticleMeasure.delta(0), BranchingLaw.binary(), 1, record="warp")
+        engine.evolve(ParticleMeasure.delta(0), BranchingLaw.binary(), -1, 1,
+                      derive(0, 0), REALS)
 
 
 # -- fractions ----------------------------------------------------------------------
@@ -484,10 +506,11 @@ def test_lattice_fraction_lln():
     # odd n avoids the walk's lattice atom at the boundary point 0
     law = BranchingLaw.binary_ternary()
     a = IntervalSet.below(0)
-    vals = [engine.evolve(ParticleMeasure.delta(0), law, 401, rng=derive(77, i),
-                          record="none", final_set=a.scale(math.sqrt(401.0)),
-                          keep_final=False).final_fraction
-            for i in range(40)]
+    start = ParticleMeasure.delta(0)
+    vals = np.concatenate([
+        _final_block(start, law, 401, rows, rng).fraction_in(a.scale(math.sqrt(401.0)))
+        for rows, rng in _blocks(start, 401, 40, 77)])
+    assert vals.size == 40
     assert abs(float(np.mean(vals)) - 0.5) < 0.015
 
 

@@ -321,8 +321,9 @@ def test_early_decisions_match_full_runs(kind, x, r, a, p, idx, n):
         size = min(rows, 200 - first)
         out = engine.event_outcomes(start, LAW, spec.m, target, p, False,
                                     size, derive(11, idx, block))
-        full = engine.final_fractions(start, LAW, spec.m, target, size,
-                                      derive(11, idx, block)) >= p
+        final = engine.evolve(start, LAW, spec.m, size, derive(11, idx, block),
+                              REALS)[1]
+        full = final.fraction_in(target) >= p
         retired = out.decided_at < spec.m
         assert out.hits[retired].tolist() == full[retired].tolist()
         assert (out.bounds[retired] <= 1e-12).all()
