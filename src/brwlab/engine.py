@@ -395,10 +395,12 @@ class _VectorState:
         self.exp2 = self.exp2[keep]
         self.unit = self.unit[keep]
 
-    def fraction_in(self, s: IntervalSet) -> np.ndarray:
-        """Fraction of each row's particles at positions inside ``s``."""
-        mask = _membership_mask(self.positions(), s)
-        return self.v[:, mask].sum(axis=1) / self.v.sum(axis=1)
+    def fraction_in(self, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Fraction of each row's particles at sites inside the integer ranges
+        [first, last], one per component (see `IntervalSet.site_ranges`)."""
+        sites = self.positions()
+        inside = ((sites >= first[:, None]) & (sites <= last[:, None])).any(axis=0)
+        return self.v[:, inside].sum(axis=1) / self.v.sum(axis=1)
 
     def to_measure(self, row: int) -> ParticleMeasure:
         counts: dict[int, int] = {}
@@ -415,15 +417,6 @@ class _VectorState:
                 shift = exp2 + e2 - 53
                 counts[x] = whole << shift if shift >= 0 else whole >> -shift
         return ParticleMeasure(counts, self.generation)
-
-
-def _membership_mask(positions: np.ndarray, s: IntervalSet) -> np.ndarray:
-    mask = np.zeros(positions.shape, dtype=bool)
-    for c in s:
-        lo_ok = positions >= c.lower if c.lower_closed else positions > c.lower
-        hi_ok = positions <= c.upper if c.upper_closed else positions < c.upper
-        mask |= lo_ok & hi_ok
-    return mask
 
 
 # -- evolve ----------------------------------------------------------------------
@@ -448,6 +441,9 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
     if n < 0:
         raise ValueError("n must be nonnegative")
     block = _VectorState(zeta0, n, rows, rng)
+    roots = np.sqrt(np.arange(n + 1.0))
+    roots[0] = 1.0   # the set unscaled at k = 0
+    firsts, lasts = trajectory_set.site_ranges(roots[:, None])
     total_log, mean_position, fraction = np.empty((3, n + 1, rows))
     for k in range(n + 1):
         if k:
@@ -455,8 +451,7 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
         totals = block.v.sum(axis=1)
         total_log[k] = np.log(totals) + block.exp2 * math.log(2.0)
         mean_position[k] = block.v @ block.positions() / totals
-        scaled = trajectory_set.scale(math.sqrt(k)) if k else trajectory_set
-        fraction[k] = block.fraction_in(scaled)
+        fraction[k] = block.fraction_in(firsts[k], lasts[k])
     growth = np.arange(n + 1) * math.log(law.beta) + math.log(zeta0.total)
     return {"total_log": total_log,
             "normalized_total": np.exp(total_log - growth[:, None]),
@@ -606,7 +601,7 @@ def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
             block.keep_rows(keep)
         block.step(law)
     else:
-        fracs = block.fraction_in(final_set)
+        fracs = block.fraction_in(*final_set.site_ranges())
         hits[ids] = fracs > threshold if strict else fracs >= threshold
     return EventOutcomes(hits, decided_at, bounds)
 

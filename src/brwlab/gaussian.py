@@ -1,11 +1,13 @@
 """Standard Gaussian measure of interval sets and the exact n-step walk law.
 
 The continuous side evaluates the Gaussian CDF through the complementary error
-function, pairing endpoints so deep-tail masses keep absolute accuracy.  Grid
-searches hold a set as ``(lo, hi)`` endpoint arrays and evaluate whole arrays
-of shifts at once.  The lattice side is exact: the walk-law mass of a set is a
-sum of binomial coefficients, read off cached integer prefix sums, divided once
-by 2^n with correct rounding.  All functions here are pure and reentrant.
+function, pairing endpoints so deep-tail masses keep absolute accuracy; grid
+searches evaluate whole arrays of shifts at once.  The lattice side is exact:
+the walk-law mass of a set is a sum of binomial coefficients over its
+`intervals.lattice_ends` site ranges, read off cached integer prefix sums,
+divided once by 2^n with correct rounding.  Sets are read through their
+endpoint arrays (``IntervalSet.lo``, ``hi`` and the flags), which
+`intervals` builds.  All functions here are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .intervals import IntervalSet
+from .intervals import IntervalSet, lattice_ends
 
 __all__ = [
     "phi",
@@ -62,7 +64,13 @@ def nu(s: IntervalSet) -> float:
 
 def shifted_nu(s: IntervalSet, x: float) -> float:
     """nu(S - x) without building the shifted set; equal to nu(s.shift(-x))."""
-    value = math.fsum(_mass(c.lower - x, c.upper - x) for c in s)
+    return dilated_mass(s.lo, s.hi, x, 1.0)
+
+
+def dilated_mass(lo: np.ndarray, hi: np.ndarray, x: float, gamma: float) -> float:
+    """nu((S - x) * gamma) for S given by its endpoint arrays ``lo``, ``hi``."""
+    value = math.fsum(_mass((a - x) * gamma, (b - x) * gamma)
+                      for a, b in zip(lo.tolist(), hi.tolist()))
     return min(1.0, max(0.0, value))
 
 
@@ -76,20 +84,12 @@ def varphi(s: IntervalSet, r: float, x: float) -> float:
         raise ValueError(f"r must lie in [0, 1), got {r}")
     if not math.isfinite(x):
         raise ValueError("shift amount must be finite")
-    gamma = 1.0 / math.sqrt(1.0 - r)
-    value = math.fsum(_mass((c.lower - x) * gamma, (c.upper - x) * gamma) for c in s)
-    return min(1.0, max(0.0, value))
+    return dilated_mass(s.lo, s.hi, x, 1.0 / math.sqrt(1.0 - r))
 
 
 def nu_shifted_grid(s: IntervalSet, xs: np.ndarray) -> np.ndarray:
     """Vectorized x -> nu(S - x) over an array of shifts (used by grid searches)."""
-    return shifted_mass(*endpoints(s), xs)
-
-
-def endpoints(s: IntervalSet) -> tuple[np.ndarray, np.ndarray]:
-    """Component endpoints as ``(lo, hi)`` float arrays: the hot-loop form of a set."""
-    return (np.array([c.lower for c in s], dtype=float),
-            np.array([c.upper for c in s], dtype=float))
+    return shifted_mass(s.lo, s.hi, xs)
 
 
 def shifted_mass(lo: np.ndarray, hi: np.ndarray, xs) -> np.ndarray:
@@ -127,11 +127,6 @@ def srw_pmf_exact(n: int, k: int) -> Fraction:
     return Fraction(math.comb(n, (n + k) // 2), 1 << n)
 
 
-def _closed_flags(s: IntervalSet) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([c.lower_closed for c in s], dtype=bool),
-            np.array([c.upper_closed for c in s], dtype=bool))
-
-
 def _prefix_sums(n: int) -> np.ndarray:
     # prefix[j] = sum_{i<j} C(n, i), exact integers: the number of n-step paths
     # ending below site 2j - n.  Object dtype keeps them arbitrary-precision.
@@ -153,29 +148,9 @@ def _prefix_row(n: int) -> np.ndarray:
     return prefix
 
 
-def _lattice_ends(lo, lo_closed, hi, hi_closed) -> tuple[np.ndarray, np.ndarray]:
-    """First and last integer site of each component, as floats (or +-inf).
-
-    A site on an open endpoint is excluded, on a closed one included.
-    """
-    first = np.ceil(lo)
-    first += (first == lo) & ~lo_closed
-    last = np.floor(hi)
-    last -= (last == hi) & ~hi_closed
-    return first, last
-
-
-def _path_counts(n: int, lo, lo_closed, hi, hi_closed) -> np.ndarray:
-    """Number of n-step paths ending in each component, as exact integers.
-
-    Arguments are broadcastable arrays, one entry per component; a site on an
-    open endpoint is excluded, on a closed one included.  Sites are 2j - n.
-    """
-    return _site_path_counts(n, *_lattice_ends(lo, lo_closed, hi, hi_closed))
-
-
-def _site_path_counts(n: int, first, last, prefix=None) -> np.ndarray:
-    """Number of n-step paths ending in each integer site range [first, last].
+def _paths_ending_in(n: int, first, last, prefix=None) -> np.ndarray:
+    """Number of n-step paths ending in each integer site range [first, last],
+    as exact integers; a path of n steps ends at a site 2j - n.
 
     ``prefix`` is n's prefix row; by default the cached `_prefix_row`.
     """
@@ -211,12 +186,10 @@ def hit_probs(n: int, s: IntervalSet, sites: np.ndarray,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lo, hi = endpoints(s)
-    lo_closed, hi_closed = _closed_flags(s)
-    first, last = _lattice_ends(lo, lo_closed, hi, hi_closed)
+    first, last = s.site_ranges()
     y = np.asarray(sites, dtype=float)[:, None]
     prefix = None if cache else _prefix_sums(n)
-    counts = _site_path_counts(n, first - y, last - y, prefix).sum(axis=1)
+    counts = _paths_ending_in(n, first - y, last - y, prefix).sum(axis=1)
     return (counts / (1 << n)).astype(float)
 
 
@@ -258,18 +231,16 @@ def clt_uniformity_scan(s: IntervalSet, big_r: float, n: int,
     radius = big_r * s.finite_endpoint_bound() + 10.0
     half = math.ceil(radius * sqrt_n)
     xis = np.arange(-half, half + 1) * step
-    lo, hi = endpoints(s)
-    lo_closed, hi_closed = _closed_flags(s)
     denom = 1 << n
     best = (-1.0, 0.0, 0.0)
     for rho in np.linspace(1.0 / big_r, big_r, rho_points):
         # One row of images rho*S + xi: (xi, component) endpoint arrays.
-        img_lo = lo * rho + xis[:, None]
-        img_hi = hi * rho + xis[:, None]
-        counts = _path_counts(n, img_lo * sqrt_n, lo_closed,
-                              img_hi * sqrt_n, hi_closed).sum(axis=1)
+        img_lo = s.lo * rho + xis[:, None]
+        img_hi = s.hi * rho + xis[:, None]
+        counts = _paths_ending_in(n, *lattice_ends(
+            img_lo * sqrt_n, s.lo_closed, img_hi * sqrt_n, s.hi_closed)).sum(axis=1)
         walk = (counts / denom).astype(float)
-        gauss = shifted_mass(lo * rho, hi * rho, -xis)
+        gauss = shifted_mass(s.lo * rho, s.hi * rho, -xis)
         err = np.abs(walk - gauss)
         j = int(np.argmax(err))
         if err[j] > best[0]:

@@ -5,6 +5,11 @@ each with nonempty interior.  Endpoints are floats with ``±inf`` sentinels and
 exact open/closed flags; flags matter for lattice counting, so endpoints are
 merged only on exact equality (no epsilon snapping).  Values are immutable and
 safe to share between threads.
+
+Here a set becomes numbers: each set holds read-only endpoint and flag arrays,
+which the Gaussian masses, the rate searches and the simulator read, and
+`lattice_ends` is the one rule that turns them into integer site ranges.
+`IntervalSet.contains` shares no code with them, so tests compare the two.
 """
 
 from __future__ import annotations
@@ -13,11 +18,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 __all__ = [
     "Component",
     "IntervalSet",
     "ParseError",
     "parse_set",
+    "lattice_ends",
     "EMPTY",
     "REALS",
 ]
@@ -112,12 +120,29 @@ def _merge(parts: Iterable[Component]) -> tuple[Component, ...]:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Normalized finite union of intervals; the empty union is the empty set."""
+    """Normalized finite union of intervals; the empty union is the empty set.
+
+    ``lo``, ``hi``, ``lo_closed`` and ``hi_closed`` are read-only arrays of the
+    components' endpoints and flags, built once with the set.
+    """
 
     components: tuple[Component, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "components", _merge(self.components))
+        parts = _merge(self.components)
+        object.__setattr__(self, "components", parts)
+        for name, dtype, values in (
+                ("lo", float, [c.lower for c in parts]),
+                ("hi", float, [c.upper for c in parts]),
+                ("lo_closed", bool, [c.lower_closed for c in parts]),
+                ("hi_closed", bool, [c.upper_closed for c in parts])):
+            array = np.array(values, dtype=dtype)
+            array.flags.writeable = False   # shared by every reader of the set
+            object.__setattr__(self, name, array)
+
+    def __reduce__(self):
+        # rebuild from the components, so a copy's arrays are read-only too
+        return IntervalSet, (self.components,)
 
     # -- constructors ------------------------------------------------------
 
@@ -167,9 +192,14 @@ class IntervalSet:
     def contains(self, t: float) -> bool:
         return any(c.contains(t) for c in self.components)
 
+    def site_ranges(self, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+        """`lattice_ends` of ``scale`` times the set, without building it;
+        ``scale`` may be a column of factors, giving one row of ranges each."""
+        return lattice_ends(self.lo * scale, self.lo_closed,
+                            self.hi * scale, self.hi_closed)
+
     def is_bounded(self) -> bool:
-        return all(math.isfinite(c.lower) and math.isfinite(c.upper)
-                   for c in self.components)
+        return bool(np.isfinite(self.lo).all() and np.isfinite(self.hi).all())
 
     def has_half_line(self) -> bool:
         if self.is_empty:
@@ -178,12 +208,8 @@ class IntervalSet:
 
     def finite_endpoint_bound(self) -> float:
         """Largest |endpoint| over finite endpoints (0 for the empty set or R)."""
-        best = 0.0
-        for c in self.components:
-            for e in (c.lower, c.upper):
-                if math.isfinite(e):
-                    best = max(best, abs(e))
-        return best
+        ends = np.abs(np.concatenate((self.lo, self.hi)))
+        return float(ends[np.isfinite(ends)].max(initial=0.0))
 
     def hull(self) -> tuple[float, float]:
         """Smallest enclosing interval as an endpoint pair; raises when empty."""
@@ -244,6 +270,21 @@ class IntervalSet:
 
 EMPTY = IntervalSet.empty()
 REALS = IntervalSet.reals()
+
+
+def lattice_ends(lo, lo_closed, hi, hi_closed) -> tuple[np.ndarray, np.ndarray]:
+    """First and last integer site of each component, as floats (or +-inf).
+
+    Arguments are broadcastable arrays, one entry per component, such as a
+    set's ``lo``, ``lo_closed``, ``hi`` and ``hi_closed`` or images of its
+    endpoints.  A site on an open endpoint is excluded, on a closed one
+    included; a component without sites gets first > last.
+    """
+    first = np.ceil(lo)
+    first += (first == lo) & ~lo_closed
+    last = np.floor(hi)
+    last -= (last == hi) & ~hi_closed
+    return first, last
 
 
 # -- textual notation ------------------------------------------------------

@@ -428,6 +428,8 @@ def typical_deviation_probe(a: IntervalSet, t: float, n: int, law: BranchingLaw,
         raise ValueError("t must be positive")
     if n < 1:
         raise ValueError("n must be positive")
+    if replicas < 1:
+        raise ValueError("replicas must be positive")
     threshold = nu(a) + t / math.sqrt(n)
     target = a.scale(math.sqrt(n))
     hits, early, bound = _parallel_event_count(

@@ -6,12 +6,14 @@ shift magnitude ``i_tilde`` with nu(A - x) >= p, and the least time fraction
 minimal offspring number) gives the coefficients of the sqrt(n) and n decay
 scales.
 
-The hot loops hold a set as ``(lo, hi)`` endpoint arrays.  The sup over shifts
-is a root of the slope sum pdf(lo_i - x) - pdf(hi_i - x), bracketed on a coarse
-grid whose error bound says which cells can hold the maximum.  The r scan
-screens whole batches of r on that grid and refines only where the bound
-leaves p within reach; monotonicity in r is never assumed, the first crossing
-on the r grid wins, and bisection locates it.
+The hot loops read a set's endpoint arrays ``IntervalSet.lo`` and ``hi``, and
+the interpolation scan evaluates each family member from its endpoints
+without building it as a set.  The sup over shifts is a root of the slope
+sum pdf(lo_i - x) - pdf(hi_i - x), bracketed on a coarse grid whose error
+bound says which cells can hold the maximum.  The r scan screens whole
+batches of r on that grid and refines only where the bound leaves p within
+reach; monotonicity in r is never assumed, the first crossing on the r grid
+wins, and bisection locates it.
 
 Everything here is pure; instances may be evaluated in parallel.
 """
@@ -26,8 +28,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import InfeasibleError, NumericError
-from .gaussian import (endpoints, normal_pdf, nu, phi, shifted_mass, shifted_nu,
-                       varphi)
+from .gaussian import dilated_mass, normal_pdf, nu, phi, shifted_mass, shifted_nu
 from .intervals import INF, IntervalSet
 
 __all__ = [
@@ -137,7 +138,7 @@ def sup_shift_measure(s: IntervalSet) -> tuple[float, float]:
     if s.has_half_line():
         arg = -INF if s.components[0].lower == -INF else INF
         return 1.0, arg
-    return _sup_shift(*endpoints(s))
+    return _sup_shift(s.lo, s.hi)
 
 
 def _bisect_crossing(s: IntervalSet, p: float, lo: float, hi: float) -> float:
@@ -161,7 +162,7 @@ def _bisect_crossing(s: IntervalSet, p: float, lo: float, hi: float) -> float:
 def _side_candidate(s: IntervalSet, p: float, sign: float, bound: float,
                     argmax_hint: Optional[float]) -> Optional[float]:
     xs = sign * np.arange(GRID_STEP, bound + GRID_STEP, GRID_STEP)
-    vals = shifted_mass(*endpoints(s), xs)
+    vals = shifted_mass(s.lo, s.hi, xs)
     feasible = np.flatnonzero(vals >= p)
     if feasible.size:
         k = int(feasible[0])
@@ -254,7 +255,7 @@ def j_tilde(s: IntervalSet, p: float, *,
     it, x = shift if shift is not None else i_tilde(s, p)
     if it != INF:
         return 0.0, 0.0, float(x)
-    lo, hi = endpoints(s)
+    lo, hi = s.lo, s.hi
     lo_r, hi_r, x_witness = _first_crossing(lo, hi, p)
     while hi_r - lo_r > ROOT_TOL:
         mid = 0.5 * (lo_r + hi_r)
@@ -299,7 +300,6 @@ class RateReport:
     scale: str                  # 'sqrt_n' | 'n'
     degenerate: bool = False
     near_critical: bool = False
-    decrossing_detected: Optional[bool] = None
 
     @property
     def rate(self) -> float:
@@ -309,8 +309,7 @@ class RateReport:
         return math.sqrt(n) if self.scale == "sqrt_n" else float(n)
 
 
-def classify(s: IntervalSet, p: float, b: int,
-             detect_decrossing: bool = False) -> RateReport:
+def classify(s: IntervalSet, p: float, b: int) -> RateReport:
     """Full rate report: regime, rates i = log(b)*i_tilde / j = log(b)*j_tilde.
 
     For p <= nu(S) the event is typical; the report is degenerate with zero
@@ -335,20 +334,8 @@ def classify(s: IntervalSet, p: float, b: int,
         return RateReport(p, b, it, x, 0.0, 0.0, x, logb * it, 0.0,
                           "shift", "sqrt_n", near_critical=near)
     jt, r, xd = j_tilde(s, p, shift=(it, x))
-    decross = None
-    if detect_decrossing:
-        decross = False
-        lo, hi = endpoints(s)
-        rr = jt + 0.01
-        while rr < 0.999:
-            value, _ = _dilated_sup(lo, hi, rr)
-            if value < p - NEAR_CRITICAL:
-                decross = True
-                break
-            rr += 0.01
     return RateReport(p, b, INF, None, jt, r, xd, INF, logb * jt,
-                      "dilation", "n", near_critical=near,
-                      decrossing_detected=decross)
+                      "dilation", "n", near_critical=near)
 
 
 def lower_tail_rate(s: IntervalSet, p: float, b: int) -> RateReport:
@@ -447,7 +434,8 @@ def interpolation_cost_exponent(alpha: float, p: float, delta: float, k0: int,
     rescaling (the feasibility value is varphi of the member at the elapsed
     time fraction); the cost exponent is log(b) * floor(x_k * sqrt(n)).  Both
     the displacement w and the feasibility value increase with k, so the first
-    feasible k is the cheapest.
+    feasible k is the cheapest.  A member x_k + r_k [-a, a] is evaluated from
+    its endpoints, rounded as the built set's would be.
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (1/2, 1), got {alpha}")
@@ -459,7 +447,6 @@ def interpolation_cost_exponent(alpha: float, p: float, delta: float, k0: int,
     if len(ns) < 2 or any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
         raise ValueError("n_grid must be strictly increasing with >= 2 entries")
     a = float(ndtri(0.5 * (1.0 + p)))
-    base = IntervalSet.closed(-a, a)
     logb = math.log(b)
     points = []
     for n in ns:
@@ -473,8 +460,9 @@ def interpolation_cost_exponent(alpha: float, p: float, delta: float, k0: int,
                 break
             if w < 1:
                 continue
-            member = base.scale(r_k).shift(x_k)
-            value = varphi(member, 1.0 - (n - w) / n, x_k)
+            elapsed = 1.0 - (n - w) / n
+            value = dilated_mass(np.array([-a * r_k + x_k]), np.array([a * r_k + x_k]),
+                                 x_k, 1.0 / math.sqrt(1.0 - elapsed))
             if value >= p - slack:
                 found = (k, w)
                 break

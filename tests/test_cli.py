@@ -157,6 +157,9 @@ def test_interp_alpha_hat_band(tmp_path):
     alpha_hat = float(rows[0]["alpha_hat"])
     assert 0.65 <= alpha_hat <= 0.85
     assert "# alpha_hat=" in text
+    # pinned (n, k, w): the first feasible family member at each n
+    assert [(row["n"], row["k"], row["w"]) for row in rows] == [
+        ("100", "3", "31"), ("1000", "5", "171"), ("10000", "9", "1004")]
 
 
 def test_clt_scan_metadata_and_decay(tmp_path):

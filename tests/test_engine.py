@@ -295,7 +295,7 @@ def test_evolve_mode_agreement_ks():
             measure = engine.step_exact(measure, law, rng)
         fr_exact[i] = engine.empirical_fraction(measure, 8, a)
     fr_vector = np.concatenate([
-        _final_block(start, law, 8, rows, rng).fraction_in(a.scale(math.sqrt(8)))
+        _final_block(start, law, 8, rows, rng).fraction_in(*a.site_ranges(math.sqrt(8)))
         for rows, rng in _blocks(start, 8, replicas, 202)])
     assert fr_vector.size == replicas
     _, pvalue = sps.ks_2samp(fr_exact, fr_vector)
@@ -405,7 +405,7 @@ def test_event_outcomes_extreme_thresholds_match_full_runs(target, threshold, st
     start = ParticleMeasure.delta(0, count=2 ** 44)
     out = engine.event_outcomes(start, law, 6, target, threshold, strict, 4,
                                 derive(14, 0))
-    fracs = _final_block(start, law, 6, 4, derive(14, 0)).fraction_in(target)
+    fracs = _final_block(start, law, 6, 4, derive(14, 0)).fraction_in(*target.site_ranges())
     full = fracs > threshold if strict else fracs >= threshold
     assert out.hits.tolist() == full.tolist()
     settled = threshold not in (0.0, 1.0) or target not in (REALS, EMPTY)
@@ -508,7 +508,7 @@ def test_lattice_fraction_lln():
     a = IntervalSet.below(0)
     start = ParticleMeasure.delta(0)
     vals = np.concatenate([
-        _final_block(start, law, 401, rows, rng).fraction_in(a.scale(math.sqrt(401.0)))
+        _final_block(start, law, 401, rows, rng).fraction_in(*a.site_ranges(math.sqrt(401.0)))
         for rows, rng in _blocks(start, 401, 40, 77)])
     assert vals.size == 40
     assert abs(float(np.mean(vals)) - 0.5) < 0.015

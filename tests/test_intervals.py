@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -102,6 +103,18 @@ def test_infinite_endpoints_coerced_open():
     assert not c.lower_closed and c.upper_closed
 
 
+def test_endpoint_arrays_are_read_only_and_survive_pickling():
+    s = parse_set("(-inf,0] U [1,2)")
+    for t in (s, pickle.loads(pickle.dumps(s))):
+        assert t == s
+        assert t.lo.tolist() == [-INF, 1.0] and t.hi.tolist() == [0.0, 2.0]
+        assert t.lo_closed.tolist() == [False, True]
+        assert t.hi_closed.tolist() == [True, False]
+        with pytest.raises(ValueError):
+            t.lo[0] = 5.0
+    assert EMPTY.lo.shape == EMPTY.hi_closed.shape == (0,)
+
+
 # -- property tests ----------------------------------------------------------
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -122,6 +135,36 @@ def interval_sets(draw):
     if draw(st.booleans()):
         s = s.union(IntervalSet.below(pts[0] - 1))
     return s
+
+
+half_steps = st.integers(-24, 24).map(lambda i: i / 2)
+
+
+@st.composite
+def lattice_sets(draw):
+    """Sets whose finite endpoints are integers or half-integers, any flags."""
+    pts = sorted(draw(st.lists(half_steps, max_size=6, unique=True)))
+    parts = [Component(a, b, draw(st.booleans()), draw(st.booleans()))
+             for a, b in zip(pts[::2], pts[1::2])]
+    s = IntervalSet(tuple(parts))
+    if draw(st.booleans()):
+        s = s.union(IntervalSet.below(draw(half_steps), draw(st.booleans())))
+    if draw(st.booleans()):
+        s = s.union(IntervalSet.above(draw(half_steps), draw(st.booleans())))
+    return s
+
+
+@given(st.one_of(st.sampled_from([REALS, EMPTY]), lattice_sets()))
+def test_site_ranges_match_contains(s):
+    # scaled by sqrt(k) as `evolve` scales its set, one row per k, the site
+    # ranges hold exactly the integers that s.scale(sqrt(k)) contains
+    roots = np.sqrt([1.0, 2.0, 4.0, 9.0])
+    firsts, lasts = s.site_ranges(roots[:, None])
+    for root, first, last in zip(roots, firsts, lasts):
+        scaled = s.scale(float(root))
+        for t in range(-40, 41):
+            in_ranges = bool(np.any((first <= t) & (t <= last)))
+            assert in_ranges == scaled.contains(float(t))
 
 
 @given(interval_sets())

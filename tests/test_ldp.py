@@ -295,7 +295,7 @@ def _surviving_fractions(start, law, n, target, rows, rng, decided_at):
                 return alive, np.zeros(0)
             block.keep_rows(keep)
         block.step(law)
-    return alive, block.fraction_in(target)
+    return alive, block.fraction_in(*target.site_ranges())
 
 
 DILATION_SET = IntervalSet.closed(-0.6744897501960817, 0.6744897501960817)
@@ -323,7 +323,7 @@ def test_early_decisions_match_full_runs(kind, x, r, a, p, idx, n):
                                     size, derive(11, idx, block))
         final = engine.evolve(start, LAW, spec.m, size, derive(11, idx, block),
                               REALS)[1]
-        full = final.fraction_in(target) >= p
+        full = final.fraction_in(*target.site_ranges()) >= p
         retired = out.decided_at < spec.m
         assert out.hits[retired].tolist() == full[retired].tolist()
         assert (out.bounds[retired] <= 1e-12).all()
@@ -461,3 +461,6 @@ def test_typical_probe_validates():
         ldp.typical_deviation_probe(HALF_LINE, 0.0, 16, LAW, 100)
     with pytest.raises(ValueError):
         ldp.typical_deviation_probe(HALF_LINE, 1.0, 0, LAW, 100)
+    for replicas in (0, -3):
+        with pytest.raises(ValueError):
+            ldp.typical_deviation_probe(HALF_LINE, 1.0, 16, LAW, replicas)

@@ -214,12 +214,6 @@ def test_classify_validates_inputs():
         rates.classify(IntervalSet.empty(), 0.5, 2)
 
 
-def test_classify_no_decrossing_for_interval():
-    s = IntervalSet.closed(-0.4, 0.4)
-    rep = rates.classify(s, 0.9, 2, detect_decrossing=True)
-    assert rep.decrossing_detected is False
-
-
 def test_lower_tail_matches_complement():
     rep = rates.lower_tail_rate(IntervalSet.above(0, closed=False), 0.2, 2)
     direct = rates.classify(IntervalSet.below(0), 0.8, 2)
