@@ -34,21 +34,24 @@ block's composition independently of scheduling (see `ldp` and `cli`).
 The estimators only ask whether a replica's final fraction in a set T clears
 a threshold p, and `event_outcomes` answers that with certified early
 decision.  Before generation k, with j = n - k generations left, a row with
-Z_k(R) particles has conditional mean fraction
-mu_k = sum_y Z_k(y) P(y + S_j in T) / Z_k(R), the walk law P taken exactly
-from `gaussian.hit_probs`.  Chebyshev's inequality and the Galton-Watson
-bound E Z_j^2 <= beta^(2j) K, K = 1 + sigma^2 / (beta (beta - 1)), bound the
+N = Z_k(R) particles has conditional mean fraction
+mu_k = sum_y Z_k(y) P(y + S_j in T) / N, the walk law P taken exactly from
+`gaussian.hit_probs`.  The offspring law is finite, so the martingale limit
+W of Z_j / beta^j has every moment, and K = E W^2 = 1 + sigma^2 /
+(beta (beta - 1)) and K4 = E W^4 bound E Z_j^2 / beta^(2j) and
+E Z_j^4 / beta^(4j).  Markov's inequality for the fourth moment bounds the
 chance that the final outcome differs from sign(mu_k - p) by
-c^2 K / (Z_k(R) (mu_k - p)^2), c = max(|p|, |1 - p|).  A row retires with
-that outcome once the bound is at most eps = 1e-12 and |mu_k - p| exceeds
-the rounding error of mu_k; rows never certified run to the end.  A retired
-row stops drawing, which moves the later draws of the rows beside it along
-the block's stream; retirement reads only the block's own draws, so the
-block stays deterministic.  By the union
-bound, the retired rows all decide as their full runs would, except with
-probability at most the sum of their bounds.  The bound holds for the exact
-process; sites above 2^53 particles follow the normal approximation, as on
-a full run.
+b^2 (3 + 16 K4 / (K^2 N)), where b = c^2 K / (N (mu_k - p)^2) is
+Chebyshev's bound and c = max(|p|, |1 - p|).  A row retires with that
+outcome once the bound is at most eps = 1e-12 and |mu_k - p| exceeds the
+rounding error of mu_k, which needs N >= K sqrt(3 / eps); rows never
+certified run to the end.  A retired row stops drawing, which moves the
+later draws of the rows beside it along the block's stream; retirement
+reads only the block's own draws, so the block stays deterministic.  By the
+union bound, the retired rows all decide as their full runs would, except
+with probability at most the sum of their bounds.  The bound holds for the
+exact process; sites above 2^53 particles follow the normal approximation,
+as on a full run.
 
 `step_exact` is the per-site reference the tests compare the kernel
 against: it draws each site's total with `BranchingLaw.sample_total` and its
@@ -271,6 +274,8 @@ def block_rows(zeta0: ParticleMeasure, n: int) -> int:
     blocks of an estimate, and with them its draws, do not depend on how
     the blocks are spread over workers.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     final_width = _layout(zeta0, n)[3]
     return max(1, min(_BLOCK_ROWS, _BLOCK_SITES // final_width))
 
@@ -476,15 +481,21 @@ class EventOutcomes:
 
 
 class _Certificate:
-    """Chebyshev test that a row's event ``final fraction in T vs p`` is settled.
+    """Fourth-moment test that a row's event ``final fraction in T vs p`` is
+    settled.
 
-    With j generations left, M = Z_n(T) - p Z_n(R) is a sum of Z_k(R)
-    independent subtree terms, each at most c Z_j in absolute value, where
-    c = max(|p|, |1 - p|) and E Z_j^2 <= beta^(2j) K.  Its conditional mean
-    is beta^j Z_k(R) (mu_k - p), with mu_k = sum_y Z_k(y) P(y + S_j in T) /
-    Z_k(R), so M takes the sign of mu_k - p except with probability at most
-    c^2 K / (Z_k(R) (mu_k - p)^2).  Since |mu_k - p| <= c, no row passes while
-    Z_k(R) < K / eps, and the test costs one max over the block until then.
+    With j generations left, M = Z_n(T) - p Z_n(R) is a sum of N = Z_k(R)
+    independent subtree terms X_i = T_i - p S_i, where S_i is the subtree's
+    size and T_i its part in T.  Its conditional mean is beta^j N (mu_k - p),
+    with mu_k = sum_y Z_k(y) P(y + S_j in T) / N, so M takes the sign of
+    g = mu_k - p unless the centred sum sum_i D_i, D_i = X_i - E X_i, reaches
+    beta^j N |g|.  Since |X_i| <= c S_i, c = max(|p|, |1 - p|), and
+    E S_i^2 <= beta^(2j) K, E S_i^4 <= beta^(4j) K4 (see the factors below),
+    E (sum_i D_i)^4 <= 16 N c^4 beta^(4j) K4 + 3 N^2 c^4 beta^(4j) K^2, and
+    Markov's inequality bounds the chance of a misdecision by
+    b^2 (3 + 16 K4 / (K^2 N)), where b = c^2 K / (N g^2) is Chebyshev's
+    bound.  Since |g| <= c, b >= K / N, so no row passes while
+    N < K sqrt(3 / eps), and the test costs one max over the block until then.
     """
 
     def __init__(self, law: BranchingLaw, target: IntervalSet, threshold: float):
@@ -492,7 +503,8 @@ class _Certificate:
         self.threshold = threshold
         k_factor = _second_moment_factor(law)
         self.c2k = max(abs(threshold), abs(1.0 - threshold)) ** 2 * k_factor
-        self.gate = k_factor / _DECIDE_EPS
+        self.k4_term = 16.0 * _fourth_moment_factor(law) / (k_factor * k_factor)
+        self.gate = k_factor * math.sqrt(3.0 / _DECIDE_EPS)
 
     def settle(self, block: _VectorState, j: int):
         """(rows, outcomes, bounds) of the block's rows settled with j
@@ -508,7 +520,10 @@ class _Certificate:
         error stays below (w + 2) 2^-52, and the relative error of Z_k(R)
         below the same slack.  So the slack holds for the 2-D reductions
         here, whose grouping of a row's terms may depend on the rows beside
-        it.
+        it.  With Z_k(R) and |mu_k - p| lowered by the slack, the computed
+        bound is the exact one for them times at most 28 rounding factors
+        1 + d, |d| <= u (c enters as c^4, a margin and Z_k(R) up to four
+        times), and 1 + 2^-46 > (1 - u)^-28 rounds it up.
         """
         v = block.v
         width = v.shape[1]
@@ -523,8 +538,11 @@ class _Certificate:
         rows = np.flatnonzero((totals >= np.ldexp(self.gate, -block.exp2))
                               & (margins > 0.0))
         margins = margins[rows]
-        bounds = np.ldexp(self.c2k / (totals[rows] * (1.0 - slack) * margins * margins),
-                          -block.exp2[rows])
+        exp2 = block.exp2[rows]
+        low_totals = totals[rows] * (1.0 - slack)   # Z_k(R) 2^-exp2, rounded down
+        chebyshev = np.ldexp(self.c2k / (low_totals * margins * margins), -exp2)
+        fourth = 3.0 + np.ldexp(self.k4_term / low_totals, -exp2)
+        bounds = chebyshev * chebyshev * fourth * (1.0 + 2.0 ** -46)
         settled = bounds <= _DECIDE_EPS
         rows = rows[settled]
         return rows, gaps[rows] > 0.0, bounds[settled]
@@ -543,20 +561,44 @@ def _hit_table(j: int, target: IntervalSet, lo: int, stride: int,
     return table
 
 
-def _second_moment_factor(law: BranchingLaw) -> float:
-    """K = 1 + sigma^2 / (beta (beta - 1)), rounded up.
+def _limit_moments(law: BranchingLaw) -> tuple[Fraction, Fraction, Fraction]:
+    """(E W^2, E W^3, E W^4) of the martingale limit W = lim Z_j / beta^j, in
+    exact rationals from the law's probabilities.
 
-    E Z_j^2 = beta^(2j) (1 + sigma^2 (1 - beta^-j) / (beta (beta - 1))) for
-    the Galton-Watson size Z_j from one particle (Athreya & Ney, *Branching
-    Processes*, 1972, ch. I), so E Z_j^2 <= beta^(2j) K for every j.  K is
-    computed in exact rationals from the law's probabilities.
+    W = beta^-1 sum_(i <= xi) W_i with W_i independent copies of W, and
+    expanding the powers of the sum over the factorial moments
+    f_r = E xi (xi - 1) ... (xi - r + 1) of the offspring count gives
+    m2 (beta^2 - beta) = f2, m3 (beta^3 - beta) = 3 f2 m2 + f3 and
+    m4 (beta^4 - beta) = 4 f2 m3 + 3 f2 m2^2 + 6 f3 m2 + f4 (Athreya & Ney,
+    *Branching Processes*, 1972, ch. I).  Z_j / beta^j is a martingale, so
+    E Z_j^r / beta^(rj) increases to E W^r for r >= 1.
     """
     probs = [Fraction(p) for p in law.probs]
     mass = sum(probs)
-    beta = sum(k * p for k, p in zip(law.support, probs)) / mass
-    second = sum(k * k * p for k, p in zip(law.support, probs)) / mass
-    exact = 1 + (second - beta * beta) / (beta * (beta - 1))
-    return math.nextafter(float(exact), math.inf)
+    beta, f2, f3, f4 = (sum(math.perm(k, r) * p
+                            for k, p in zip(law.support, probs)) / mass
+                        for r in range(1, 5))
+    m2 = f2 / (beta ** 2 - beta)
+    m3 = (3 * f2 * m2 + f3) / (beta ** 3 - beta)
+    m4 = (4 * f2 * m3 + 3 * f2 * m2 ** 2 + 6 * f3 * m2 + f4) / (beta ** 4 - beta)
+    return m2, m3, m4
+
+
+@lru_cache(maxsize=64)
+def _second_moment_factor(law: BranchingLaw) -> float:
+    """K = E W^2 = 1 + sigma^2 / (beta (beta - 1)), rounded up.
+
+    E Z_j^2 = beta^(2j) (1 + sigma^2 (1 - beta^-j) / (beta (beta - 1))) for
+    the Galton-Watson size Z_j from one particle, so E Z_j^2 <= beta^(2j) K
+    for every j.
+    """
+    return math.nextafter(float(_limit_moments(law)[0]), math.inf)
+
+
+@lru_cache(maxsize=64)
+def _fourth_moment_factor(law: BranchingLaw) -> float:
+    """K4 = E W^4, rounded up, so E Z_j^4 <= beta^(4j) K4 for every j."""
+    return math.nextafter(float(_limit_moments(law)[2]), math.inf)
 
 
 def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
@@ -567,9 +609,9 @@ def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
 
     Steps the replicas as one block drawing from ``rng``, like `evolve`
     with the same generator, but before each
-    generation k retires every row whose outcome a Chebyshev bound settles:
-    the row takes the sign of mu_k - threshold as its outcome once its
-    misdecision bound is at most _DECIDE_EPS = 1e-12 (see `_Certificate`).
+    generation k retires every row whose outcome a fourth-moment bound
+    settles: the row takes the sign of mu_k - threshold as its outcome once
+    its misdecision bound is at most _DECIDE_EPS = 1e-12 (see `_Certificate`).
     Retired rows leave the block, and the block stops when none is left;
     rows never settled run to the end and compare their final fraction.
     Until a row first retires the block draws as `evolve` does;

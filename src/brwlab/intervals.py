@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -123,22 +124,35 @@ class IntervalSet:
     """Normalized finite union of intervals; the empty union is the empty set.
 
     ``lo``, ``hi``, ``lo_closed`` and ``hi_closed`` are read-only arrays of the
-    components' endpoints and flags, built once with the set.
+    components' endpoints and flags, built on first use, so sets read only
+    through their components (parsed terms, partial unions) never build them.
     """
 
     components: tuple[Component, ...] = ()
 
     def __post_init__(self):
-        parts = _merge(self.components)
-        object.__setattr__(self, "components", parts)
-        for name, dtype, values in (
-                ("lo", float, [c.lower for c in parts]),
-                ("hi", float, [c.upper for c in parts]),
-                ("lo_closed", bool, [c.lower_closed for c in parts]),
-                ("hi_closed", bool, [c.upper_closed for c in parts])):
-            array = np.array(values, dtype=dtype)
-            array.flags.writeable = False   # shared by every reader of the set
-            object.__setattr__(self, name, array)
+        object.__setattr__(self, "components", _merge(self.components))
+
+    def _array(self, field: str, dtype) -> np.ndarray:
+        array = np.array([getattr(c, field) for c in self.components], dtype=dtype)
+        array.flags.writeable = False   # shared by every reader of the set
+        return array
+
+    @cached_property
+    def lo(self) -> np.ndarray:
+        return self._array("lower", float)
+
+    @cached_property
+    def hi(self) -> np.ndarray:
+        return self._array("upper", float)
+
+    @cached_property
+    def lo_closed(self) -> np.ndarray:
+        return self._array("lower_closed", bool)
+
+    @cached_property
+    def hi_closed(self) -> np.ndarray:
+        return self._array("upper_closed", bool)
 
     def __reduce__(self):
         # rebuild from the components, so a copy's arrays are read-only too

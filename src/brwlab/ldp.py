@@ -19,14 +19,15 @@ an index path as a tuple; the CLI passes (seed, grid index), so no two grid
 points or seeds share a stream.  Workers take whole blocks, so an estimate
 is the same for any worker count.  Each block runs through
 `engine.event_outcomes`, the one simulation kernel, which retires a replica
-as soon as a Chebyshev bound of at most 1e-12 certifies whether its final
-fraction clears the threshold, so in the shift regime most replicas stop
-tens of generations before the end.  The estimates report how many
-replicas were retired early (``decided_early``) and the sum of their bounds
-(``misdecision_bound``), a union bound on the chance that any of them
-decided otherwise than a full run would; the sum is exactly rounded, so it
-does not depend on the worker count.  Neither field enters the CSV data
-rows.
+as soon as a fourth-moment bound of at most 1e-12 certifies whether its
+final fraction clears the threshold, so in the shift regime replicas stop
+after about 26 generations, however long the run, and in the concentration
+probe the largest starts stop a generation or two before the end.  The
+estimates report how many replicas were retired early (``decided_early``)
+and the sum of their bounds (``misdecision_bound``), a union bound on the
+chance that any of them decided otherwise than a full run would; the sum is
+exactly rounded, so it does not depend on the worker count.  Neither field
+enters the CSV data rows.
 
 The ``workers`` argument is a count or a `WorkerPool`.  Given a count, an
 estimate starts and shuts down its own processes; given a pool, it reuses
@@ -401,6 +402,8 @@ def concentration_probe(population: int, a: IntervalSet, delta: float, n: int,
     """
     if population < 1 or replicas < 1:
         raise ValueError("population and replicas must be positive")
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
     if n < 1:
         raise ValueError("n must be positive")
     reference = nu_n_of_set(n, a)

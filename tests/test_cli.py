@@ -61,6 +61,14 @@ def test_threads_must_be_positive():
                  "--replicas", "5"]) == 2
 
 
+def test_negative_generations_and_deviation_exit_2(capsys):
+    assert main(["simulate", "--n", "-1"]) == 2
+    assert "n must be nonnegative" in capsys.readouterr().err
+    assert main(["probe-concentration", "--delta", "-1", "--n", "2",
+                 "--replicas", "5"]) == 2
+    assert "delta must be positive" in capsys.readouterr().err
+
+
 def test_simulate_reproducible_and_sane(tmp_path):
     args = ["simulate", "--law", "2:0.5,3:0.5", "--n", "65", "--replicas", "20",
             "--seed", "42"]

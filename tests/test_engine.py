@@ -447,12 +447,43 @@ def test_second_moment_factor_bounds_galton_watson_moments(text):
         second = var * beta ** j + beta * beta * second
 
 
-def test_galton_watson_second_moment_recursion_by_enumeration():
-    # the exact law of Z_j for j <= 3 under 2:0.5,3:0.5 against the recursion
-    pairs = _exact_law(BranchingLaw.binary_ternary())
+def _fourth_moments(pairs, count):
+    """E Z_j^4 for j < count, from E Z_(j+1)^r = E (sum_(i <= xi) Z_j^(i))^r
+    over the first generation's factorial moments f_r, in exact rationals."""
+    beta, f2, f3, f4 = (sum(math.perm(k, r) * p for k, p in pairs)
+                        for r in range(1, 5))
+    m1, m2, m3, m4 = Fraction(1), Fraction(1), Fraction(1), Fraction(1)
+    out = []
+    for _ in range(count):
+        out.append(m4)
+        m1, m2, m3, m4 = (beta * m1,
+                          beta * m2 + f2 * m1 ** 2,
+                          beta * m3 + 3 * f2 * m2 * m1 + f3 * m1 ** 3,
+                          beta * m4 + f2 * (4 * m3 * m1 + 3 * m2 ** 2)
+                          + 6 * f3 * m2 * m1 ** 2 + f4 * m1 ** 4)
+    return out
+
+
+@pytest.mark.parametrize("text", ["2:1", "2:0.5,3:0.5", "2:0.3,3:0.5,4:0.2",
+                                  "2:0.995,200:0.005"])
+def test_fourth_moment_factor_bounds_galton_watson_moments(text):
+    # E Z_j^4 <= beta^(4j) K4 for every j, and E Z_j^4 / beta^(4j) climbs to
+    # K4 = E W^4, so by j = 40 it is within 1e-9 of the factor
+    law = BranchingLaw.parse(text)
+    pairs = _exact_law(law)
+    beta = sum(k * p for k, p in pairs)
+    factor = Fraction(engine._fourth_moment_factor(law))
+    fourth = _fourth_moments(pairs, 41)
+    for j, moment in enumerate(fourth):
+        assert moment <= beta ** (4 * j) * factor
+    assert fourth[40] * (1 + Fraction(1, 10 ** 9)) >= beta ** 160 * factor
+
+
+def _size_laws(pairs, last):
+    """The exact laws of Z_1, ..., Z_last from one particle, by enumeration."""
     size = {1: Fraction(1)}
-    beta, var, second = Fraction(5, 2), Fraction(1, 4), Fraction(1)
-    for j in range(1, 4):
+    laws = []
+    for _ in range(last):
         nxt: dict[int, Fraction] = {}
         for z, q in size.items():
             # the offspring total of z particles: a z-fold convolution
@@ -466,8 +497,26 @@ def test_galton_watson_second_moment_recursion_by_enumeration():
             for t, qt in total.items():
                 nxt[t] = nxt.get(t, Fraction(0)) + q * qt
         size = nxt
+        laws.append(size)
+    return laws
+
+
+def test_galton_watson_second_moment_recursion_by_enumeration():
+    # the exact law of Z_j for j <= 3 under 2:0.5,3:0.5 against the recursion
+    pairs = _exact_law(BranchingLaw.binary_ternary())
+    beta, var, second = Fraction(5, 2), Fraction(1, 4), Fraction(1)
+    for j, size in enumerate(_size_laws(pairs, 3), start=1):
         second = var * beta ** (j - 1) + beta * beta * second
         assert sum(z * z * q for z, q in size.items()) == second
+
+
+@pytest.mark.parametrize("text", ["2:0.5,3:0.5", "2:0.3,3:0.5,4:0.2"])
+def test_galton_watson_fourth_moment_recursion_by_enumeration(text):
+    # the exact law of Z_j for j <= 3 against the recursion of the factor test
+    pairs = _exact_law(BranchingLaw.parse(text))
+    fourth = _fourth_moments(pairs, 4)
+    for j, size in enumerate(_size_laws(pairs, 3), start=1):
+        assert sum(z ** 4 * q for z, q in size.items()) == fourth[j]
 
 
 def test_block_rows_bounds_block_size():

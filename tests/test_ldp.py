@@ -9,6 +9,7 @@ from brwlab import engine, ldp
 from brwlab.cli import main
 from brwlab.engine import BranchingLaw, ParticleMeasure
 from brwlab.errors import InfeasibleError
+from brwlab.gaussian import nu_n_of_set
 from brwlab.intervals import REALS, IntervalSet
 from brwlab.rates import classify
 from brwlab.streams import derive
@@ -299,43 +300,61 @@ def _surviving_fractions(start, law, n, target, rows, rng, decided_at):
 
 
 DILATION_SET = IntervalSet.closed(-0.6744897501960817, 0.6744897501960817)
+CONCENTRATION_LAW = BranchingLaw.parse("2:0.995,200:0.005")
 
 
-@pytest.mark.parametrize("kind,x,r,a,p,idx,n", [
-    ("shift", -Z80, 0.0, HALF_LINE, 0.8, 0, 100),
-    ("shift", -Z80, 0.0, HALF_LINE, 0.8, 1, 400),
-    ("dilation", 0.0, 0.8318502626419066, DILATION_SET, 0.9, 2, 240),
-], ids=["0-100", "1-400", "dilation-2-240"])
-def test_early_decisions_match_full_runs(kind, x, r, a, p, idx, n):
-    # grid points of the shift-ldp and dilation-ldp workloads, on the block
-    # streams the CLI derives for them at seed 11: every retired row decides
-    # as in its block's full run.  A retirement moves its neighbours' later
-    # draws, so rows that never retire (only at the dilation point) are
-    # checked against their own final fractions.
+def _ldp_point(kind, x, r, a, n):
+    """(free generations, displaced target) of one `ldp` grid point."""
     spec = ldp.StrategySpec.make(kind, x, r, n)
-    target = a.scale(math.sqrt(n)).shift(float(-spec.w))
-    start = ParticleMeasure.delta(0)
-    rows = engine.block_rows(start, spec.m)
+    return spec.m, a.scale(math.sqrt(n)).shift(float(-spec.w))
+
+
+def _concentration_point(population, idx):
+    """A `probe-concentration` grid point at the CLI defaults."""
+    threshold = nu_n_of_set(16, HALF_LINE) + 0.05
+    return CONCENTRATION_LAW, population, 16, HALF_LINE, threshold, True, idx, True
+
+
+@pytest.mark.parametrize("law,population,steps,target,p,strict,idx,survivors", [
+    (LAW, 1, *_ldp_point("shift", -Z80, 0.0, HALF_LINE, 100), 0.8, False, 0, False),
+    (LAW, 1, *_ldp_point("shift", -Z80, 0.0, HALF_LINE, 400), 0.8, False, 1, False),
+    (LAW, 1, *_ldp_point("dilation", 0.0, 0.8318502626419066, DILATION_SET, 240),
+     0.9, False, 2, False),
+    _concentration_point(100, 0),
+    _concentration_point(400, 1),
+    _concentration_point(1600, 2),
+], ids=["0-100", "1-400", "dilation-2-240", "concentration-0-100",
+        "concentration-1-400", "concentration-2-1600"])
+def test_early_decisions_match_full_runs(law, population, steps, target, p,
+                                         strict, idx, survivors):
+    # grid points of the three simulation workloads, on the block streams the
+    # CLI derives for them at seed 11: every retired row decides as in its
+    # block's full run.  A retirement moves its neighbours' later draws, so
+    # rows that never retire (only at the concentration points) are checked
+    # against their own final fractions.
+    start = ParticleMeasure.delta(0, count=population)
+    rows = engine.block_rows(start, steps)
     early = survived = 0
     for block, first in enumerate(range(0, 200, rows)):
         size = min(rows, 200 - first)
-        out = engine.event_outcomes(start, LAW, spec.m, target, p, False,
+        out = engine.event_outcomes(start, law, steps, target, p, strict,
                                     size, derive(11, idx, block))
-        final = engine.evolve(start, LAW, spec.m, size, derive(11, idx, block),
+        final = engine.evolve(start, law, steps, size, derive(11, idx, block),
                               REALS)[1]
-        full = final.fraction_in(*target.site_ranges()) >= p
-        retired = out.decided_at < spec.m
+        fracs = final.fraction_in(*target.site_ranges())
+        full = fracs > p if strict else fracs >= p
+        retired = out.decided_at < steps
         assert out.hits[retired].tolist() == full[retired].tolist()
         assert (out.bounds[retired] <= 1e-12).all()
         assert (out.bounds[~retired] == 0.0).all()
-        alive, fracs = _surviving_fractions(start, LAW, spec.m, target, size,
+        alive, fracs = _surviving_fractions(start, law, steps, target, size,
                                             derive(11, idx, block), out.decided_at)
         assert alive.tolist() == np.flatnonzero(~retired).tolist()
-        assert out.hits[alive].tolist() == (fracs >= p).tolist()
+        assert out.hits[alive].tolist() == (fracs > p if strict else fracs >= p).tolist()
         early += int(retired.sum())
         survived += alive.size
     assert early > 0
-    assert (survived > 0) == (kind == "dilation")
+    assert (survived > 0) == survivors
 
 
 def test_early_decisions_worker_invariant():
@@ -422,6 +441,18 @@ def test_concentration_delta_above_one_impossible():
     # from 2^41 particles the rows are large enough to retire, as failures
     res = ldp.concentration_probe(2 ** 41, HALF_LINE, 1.0, 4, LAW, 100, seed=6)
     assert res.frequency == 0.0 and res.decided_early == 100
+
+
+def test_concentration_probe_validates():
+    # the probe asks for an upward deviation, so delta must be positive
+    for delta in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            ldp.concentration_probe(50, HALF_LINE, delta, 8, LAW, 100)
+    for population, replicas in ((0, 100), (50, 0)):
+        with pytest.raises(ValueError):
+            ldp.concentration_probe(population, HALF_LINE, 0.05, 8, LAW, replicas)
+    with pytest.raises(ValueError):
+        ldp.concentration_probe(50, HALF_LINE, 0.05, 0, LAW, 100)
 
 
 def test_concentration_reference_is_exact_lattice_mass():
