@@ -35,16 +35,21 @@ The estimators only ask whether a replica's final fraction in a set T clears
 a threshold p, and `event_outcomes` answers that with certified early
 decision.  Before generation k, with j = n - k generations left, a row with
 N = Z_k(R) particles has conditional mean fraction
-mu_k = sum_y Z_k(y) P(y + S_j in T) / N, the walk law P taken exactly from
-`gaussian.hit_probs`.  The offspring law is finite, so the martingale limit
-W of Z_j / beta^j has every moment, and K = E W^2 = 1 + sigma^2 /
+mu_k = sum_y Z_k(y) P(y + S_j in T) / N, the walk law P read from a float
+table built in O(j) whose absolute error delta(j) is derived, not fitted
+(`_table_error`: about 6e-13 at j = 900, 7e-10 at j = 10^6, per component of
+T); `gaussian.hit_probs` stays the exact reference.  The offspring law is
+finite, so the martingale limit W of Z_j / beta^j has every moment, and
+K = E W^2 = 1 + sigma^2 /
 (beta (beta - 1)) and K4 = E W^4 bound E Z_j^2 / beta^(2j) and
 E Z_j^4 / beta^(4j).  Markov's inequality for the fourth moment bounds the
 chance that the final outcome differs from sign(mu_k - p) by
 b^2 (3 + 16 K4 / (K^2 N)), where b = c^2 K / (N (mu_k - p)^2) is
 Chebyshev's bound and c = max(|p|, |1 - p|).  A row retires with that
 outcome once the bound is at most eps = 1e-12 and |mu_k - p| exceeds the
-rounding error of mu_k, which needs N >= K sqrt(3 / eps); rows never
+rounding error of mu_k plus delta(j), which needs N >= K sqrt(3 / eps); the
+table and mu_k are computed only for the rows that have reached that
+population.  Rows never
 certified run to the end.  A retired row stops drawing, which moves the
 later draws of the rows beside it along the block's stream; retirement
 reads only the block's own draws, so the block stays deterministic.  By the
@@ -68,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InfeasibleError, PopulationCapError
-from .gaussian import hit_probs
+from .gaussian import _paths_ending_in
 from .intervals import IntervalSet
 
 __all__ = [
@@ -87,7 +92,7 @@ _EXACT_MAX = 2 ** 53           # largest per-site count drawn exactly
 _RESCALE_ABOVE = 1e250         # vector state renormalizes beyond this
 _RESCALE_TARGET = 2.0 ** 332   # ~1e100 after renormalization
 _BLOCK_ROWS = 64               # replicas stepped as one block, at most
-_BLOCK_SITES = 2 ** 13         # rows x final width of one block, at most
+_BLOCK_SITES = 2 ** 16         # rows x final width of one block, at most
 
 
 @dataclass(frozen=True)
@@ -269,10 +274,13 @@ def block_rows(zeta0: ParticleMeasure, n: int) -> int:
     arrays small.
 
     A block of R rows run for n generations ends R x width floats wide; the
-    bound keeps that within _BLOCK_SITES (and R within _BLOCK_ROWS), so the
-    arrays stay a few hundred KB.  It depends only on (zeta0, n), so the
-    blocks of an estimate, and with them its draws, do not depend on how
-    the blocks are spread over workers.
+    bound keeps that within _BLOCK_SITES = 2^16 (and R within _BLOCK_ROWS =
+    64), so a start at one site gets 64 rows up to n = 1023 and one row from
+    n = 32768 on.  The worst-case block holds five arrays of 2^16 floats
+    (512 KB each), and a block whose rows retire early steps only the
+    front of them: rows x the width it reaches.  It depends only on
+    (zeta0, n), so the blocks of an estimate, and with them its draws, do
+    not depend on how the blocks are spread over workers.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -286,7 +294,8 @@ class _VectorState:
     Row r holds integer-valued floats times 2**exp2[r] at positions
     lo + stride*j.  The block draws from the one generator ``rng``, each
     kind of draw in one call over the flattened sites in row-major order.
-    Every row starts as ``zeta0``.
+    Every row starts as ``zeta0``.  The buffers are sized for the final width
+    but the steps write only their front, rows x current width.
     """
 
     __slots__ = ("v", "lo", "stride", "exp2", "unit", "generation", "rng",
@@ -495,11 +504,14 @@ class _Certificate:
     Markov's inequality bounds the chance of a misdecision by
     b^2 (3 + 16 K4 / (K^2 N)), where b = c^2 K / (N g^2) is Chebyshev's
     bound.  Since |g| <= c, b >= K / N, so no row passes while
-    N < K sqrt(3 / eps), and the test costs one max over the block until then.
+    N < K sqrt(3 / eps), and the test costs one max over the block until
+    then.  mu_k reads the walk law from a float table with a derived error
+    bound (`_walk_table`, `_table_error`), which the margin absorbs.
     """
 
     def __init__(self, law: BranchingLaw, target: IntervalSet, threshold: float):
         self.target = target
+        self.components = len(target.components)
         self.threshold = threshold
         k_factor = _second_moment_factor(law)
         self.c2k = max(abs(threshold), abs(1.0 - threshold)) ** 2 * k_factor
@@ -510,53 +522,137 @@ class _Certificate:
         """(rows, outcomes, bounds) of the block's rows settled with j
         generations left, as arrays.
 
-        mu_k and Z_k(R) are row sums of at most w = width nonnegative terms,
-        each product rounded twice (the table entry, then the product).  In
-        any summation order a term passes through at most w - 1 additions, so
-        a computed sum is within a factor 1 + gamma_(w+1) of the exact one,
-        gamma_m = m u / (1 - m u), u = 2^-53 (Higham, *Accuracy and Stability
-        of Numerical Algorithms*, 2002, sec. 4.2).  Adding the division and
-        the subtraction of p (mu_k and |mu_k - p| are at most 1), the gap's
-        error stays below (w + 2) 2^-52, and the relative error of Z_k(R)
-        below the same slack.  So the slack holds for the 2-D reductions
-        here, whose grouping of a row's terms may depend on the rows beside
-        it.  With Z_k(R) and |mu_k - p| lowered by the slack, the computed
-        bound is the exact one for them times at most 28 rounding factors
-        1 + d, |d| <= u (c enters as c^4, a margin and Z_k(R) up to four
-        times), and 1 + 2^-46 > (1 - u)^-28 rounds it up.
+        Only rows with Z_k(R) at the gate can pass, so the walk-law table and
+        mu_k are computed for those rows alone, and for none until one
+        reaches it; a max over the block skips the row sums while even the
+        largest site times the width stays below the gate.  mu_k uses the float table `_walk_table`, whose entries
+        are within delta = `_table_error` of the exact walk law, so mu_k is
+        within delta of its value under the exact table.  mu_k and Z_k(R) are
+        row sums of at most w = width nonnegative terms, each a table entry
+        times a count, rounded once.  In any summation order a term passes
+        through at most w - 1 additions, so a computed sum is within a factor
+        1 + gamma_(w+1) of the exact one, gamma_m = m u / (1 - m u),
+        u = 2^-53 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        2002, sec. 4.2).  Adding the division and the subtraction of p (mu_k
+        and |mu_k - p| are at most 1), the gap's rounding error stays below
+        the slack (w + 2) 2^-52, and the relative error of Z_k(R) below the
+        same slack; the margin is |mu_k - p| - slack - delta.  So the slack
+        holds for the 2-D reductions here, whose grouping of a row's terms
+        may depend on the rows beside it.  With Z_k(R) lowered by the slack
+        and |mu_k - p| by the margin's two terms, the computed bound is the
+        exact one for them times at most 28 rounding factors 1 + d,
+        |d| <= u (c enters as c^4, a margin and Z_k(R) up to four times),
+        and 1 + 2^-46 > (1 - u)^-28 rounds it up.
         """
         v = block.v
         width = v.shape[1]
         # the largest site times the width bounds every row's Z_k(R) above
         if float(v.max()) * width < math.ldexp(self.gate, -int(block.exp2.max())):
             return _NONE_SETTLED
-        table = _hit_table(j, self.target, block.lo, block.stride, width)
         totals = v.sum(axis=1)
-        gaps = (v * table).sum(axis=1) / totals - self.threshold
+        rows = np.flatnonzero(totals >= np.ldexp(self.gate, -block.exp2))
+        if not rows.size:
+            return _NONE_SETTLED
+        table = _walk_table(j, self.target, block.lo, block.stride, width)
+        totals = totals[rows]
+        terms = v[rows]
+        terms *= table
+        gaps = terms.sum(axis=1) / totals - self.threshold
         slack = (width + 2) * 2.0 ** -52
-        margins = np.abs(gaps) - slack
-        rows = np.flatnonzero((totals >= np.ldexp(self.gate, -block.exp2))
-                              & (margins > 0.0))
-        margins = margins[rows]
+        margins = np.abs(gaps) - slack - _table_error(j, self.components)
+        passing = margins > 0.0
+        rows, gaps, margins = rows[passing], gaps[passing], margins[passing]
         exp2 = block.exp2[rows]
-        low_totals = totals[rows] * (1.0 - slack)   # Z_k(R) 2^-exp2, rounded down
+        low_totals = totals[passing] * (1.0 - slack)   # Z_k(R) 2^-exp2, rounded down
         chebyshev = np.ldexp(self.c2k / (low_totals * margins * margins), -exp2)
         fourth = 3.0 + np.ldexp(self.k4_term / low_totals, -exp2)
         bounds = chebyshev * chebyshev * fourth * (1.0 + 2.0 ** -46)
         settled = bounds <= _DECIDE_EPS
-        rows = rows[settled]
-        return rows, gaps[rows] > 0.0, bounds[settled]
+        return rows[settled], gaps[settled] > 0.0, bounds[settled]
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u): the relative error of m roundings."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
+def _walk_prefix_row(j: int) -> np.ndarray:
+    """row[i] = P(S_j < 2i - j) for i <= j + 1, in floats: the prefix row of
+    the j-step walk law, indexed as `gaussian._prefix_row`, built in O(j).
+
+    With h = ceil(j / 2) and m = floor(j / 2), the mode C(j, m) 2^-j is the
+    product of the h factors (2i - 1) / (2i), i <= h.  The pmf runs from it
+    upward by the ratios (j - l) / (l + 1), l = m, ..., j - 1, and downward by
+    l / (j - l + 1), l = m, ..., 1, as two cumulative products, and the row
+    is the cumulative sum of the pmf.  See `_table_error` for its error.
+    """
+    m, h = j // 2, j - j // 2
+    even = 2.0 * np.arange(1, h + 1)
+    mode = np.prod((even - 1.0) / even)
+    up = np.arange(m, j)
+    down = np.arange(m, 0, -1)
+    pmf = np.empty(j + 1)
+    pmf[m:] = np.cumprod(np.concatenate(([mode], (j - up) / (up + 1.0))))
+    pmf[m::-1] = np.cumprod(np.concatenate(([mode], down / (j - down + 1.0))))
+    row = np.zeros(j + 2)
+    np.cumsum(pmf, out=row[1:])
+    return row
+
+
+def _table_error(j: int, components: int) -> float:
+    """An absolute bound on the error of every `_walk_table` entry for a
+    target of ``components`` components, j steps ahead.
+
+    Rounding follows Higham (*Accuracy and Stability of Numerical
+    Algorithms*, 2002, sec. 2.1): fl(x op y) = (x op y)(1 + d) + e with
+    |d| <= u = 2^-53, |e| <= 2^-1075 and e = 0 for additions and
+    subtractions; gamma_m = m u / (1 - m u).  In `_walk_prefix_row`:
+
+    - the mode takes h divisions and h - 1 products, each factor in
+      [1/2, 1) and no partial product below 1 / (2 sqrt(h)), so it is within
+      a factor 1 + gamma_(2h-1), in any order (sec. 3.1, Lemma 3.1);
+    - pmf entry i takes |i - m| <= h more ratios, each one division of exact
+      integers, and as many products of the cumulative product, so it is
+      within a factor 1 + gamma_(2j+1) of C(j, i) 2^-j, plus the underflow
+      terms e.  Away from the mode every ratio is at most 1, so each e
+      shrinks through the later products and entry i carries at most
+      h 2^-1074 of them, all entries together A <= (j + 1)^2 2^-1074;
+    - the cumulative sum adds at most j + 1 terms recursively, within
+      gamma_j times their sum (sec. 4.2, (4.4)); the exact prefix sums are
+      at most 1, so row[i] is within d_row = gamma_(3j+1) + 2A of
+      P(S_j < 2i - j), using (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_(a+b).
+
+    A table entry is a sum over the c components of differences of two row
+    entries, each difference within 2 d_row of the exact one before its own
+    rounding, and the exact entry is at most 1; the c - 1 additions, in any
+    order, and the c subtractions add at most gamma_c (1 + 2 c d_row).  So
+    every entry is within 2 c d_row + gamma_c (1 + 2 c d_row) of
+    P(y + S_j in target): about 6.0e-13 at j = 900 and 2.7e-11 at
+    j = 4 10^4 for one component.  The bound's own dozen roundings are
+    covered by the factor 1 + 2^-48.
+    """
+    row = _gamma(3 * j + 1) + 2.0 * (j + 1) ** 2 * 2.0 ** -1074
+    spread = 2.0 * components * row
+    return (spread + _gamma(components) * (1.0 + spread)) * (1.0 + 2.0 ** -48)
 
 
 @lru_cache(maxsize=256)
-def _hit_table(j: int, target: IntervalSet, lo: int, stride: int,
-               width: int) -> np.ndarray:
-    """P(y + S_j in target) at a block's sites y = lo + stride * i, i < width.
+def _walk_table(j: int, target: IntervalSet, lo: int, stride: int,
+                width: int) -> np.ndarray:
+    """P(y + S_j in target) at a block's sites y = lo + stride * i, i < width,
+    within `_table_error(j, components)`.
 
-    A block visits each j once, so the exact prefix row behind the table is
-    built for this call and not kept in `gaussian`'s shared cache.
+    Every block of an estimate at generation k has the same sites, so the
+    blocks share each table; its prefix row is built for this call only,
+    since at j = 10^6 one row takes 8 MB.
     """
-    table = hit_probs(j, target, lo + stride * np.arange(width), cache=False)
+    first, last = target.site_ranges()
+    sites = (lo + stride * np.arange(width))[:, None]
+    table = _paths_ending_in(j, first - sites, last - sites,
+                             _walk_prefix_row(j)).sum(axis=1)
     table.flags.writeable = False   # shared by every block through the cache
     return table
 

@@ -127,9 +127,11 @@ def srw_pmf_exact(n: int, k: int) -> Fraction:
     return Fraction(math.comb(n, (n + k) // 2), 1 << n)
 
 
-def _prefix_sums(n: int) -> np.ndarray:
-    # prefix[j] = sum_{i<j} C(n, i), exact integers: the number of n-step paths
-    # ending below site 2j - n.  Object dtype keeps them arbitrary-precision.
+@lru_cache(maxsize=32)
+def _prefix_row(n: int) -> np.ndarray:
+    """prefix[j] = sum_{i<j} C(n, i) in exact integers, cached: the number of
+    n-step paths ending below site 2j - n.  Object dtype keeps the integers
+    arbitrary-precision; at n = 850 a row holds about 0.1 MB of them."""
     prefix = np.empty(n + 2, dtype=object)
     prefix[0] = total = 0
     c = 1
@@ -137,22 +139,17 @@ def _prefix_sums(n: int) -> np.ndarray:
         total += c
         prefix[j + 1] = total
         c = c * (n - j) // (j + 1)
-    return prefix
-
-
-@lru_cache(maxsize=32)
-def _prefix_row(n: int) -> np.ndarray:
-    """`_prefix_sums` of n, cached: at n = 850 a row holds about 0.1 MB of integers."""
-    prefix = _prefix_sums(n)
     prefix.flags.writeable = False   # shared by every caller through the cache
     return prefix
 
 
 def _paths_ending_in(n: int, first, last, prefix=None) -> np.ndarray:
-    """Number of n-step paths ending in each integer site range [first, last],
-    as exact integers; a path of n steps ends at a site 2j - n.
+    """Prefix-row differences over each integer site range [first, last]: by
+    default the number of n-step paths ending there, as exact integers; a
+    path of n steps ends at a site 2j - n.
 
-    ``prefix`` is n's prefix row; by default the cached `_prefix_row`.
+    ``prefix`` is a prefix row of n, indexed as `_prefix_row`; by default
+    that exact row.  `engine` passes a float row of walk probabilities.
     """
     # Clipping to just outside [-n, n] keeps infinities and huge endpoints exact.
     first = np.clip(first, -n - 1, n + 1)
@@ -174,22 +171,18 @@ def nu_n_of_set(n: int, s: IntervalSet) -> float:
     return float(hit_probs(n, s, np.zeros(1))[0])
 
 
-def hit_probs(n: int, s: IntervalSet, sites: np.ndarray,
-              cache: bool = True) -> np.ndarray:
+def hit_probs(n: int, s: IntervalSet, sites: np.ndarray) -> np.ndarray:
     """P(y + S_n in s) for each integer site y in ``sites``, correctly rounded.
 
     The walk-law mass of the set seen from each site, `nu_n_of_set` being the
     one at site 0.  The set's integer site ranges are found once, so every
-    subtraction stays exact.  With ``cache=False`` the exact prefix row of n
-    is built for this call only and the shared cache stays as it is, for
-    callers that need each n once.
+    subtraction stays exact.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     first, last = s.site_ranges()
     y = np.asarray(sites, dtype=float)[:, None]
-    prefix = None if cache else _prefix_sums(n)
-    counts = _paths_ending_in(n, first - y, last - y, prefix).sum(axis=1)
+    counts = _paths_ending_in(n, first - y, last - y).sum(axis=1)
     return (counts / (1 << n)).astype(float)
 
 

@@ -133,7 +133,7 @@ def test_ldp_thread_count_invariance(tmp_path):
 @pytest.mark.parametrize("args,column,values", [
     (["ldp", "--set", "(-inf,0]", "--p", "0.8", "--law", "2:0.5,3:0.5",
       "--n-grid", "100,400,900", "--replicas", "100"],
-     "q_hat", ["0.9", "0.75", "0.89"]),
+     "q_hat", ["0.9", "0.74", "0.92"]),
     (["ldp", "--set", "[-0.6744897501960817,0.6744897501960817]", "--p", "0.9",
       "--n-grid", "60,120,240", "--replicas", "500"],
      "q_hat", ["0.016", "0.0", "0.958"]),
@@ -142,9 +142,27 @@ def test_ldp_thread_count_invariance(tmp_path):
 ])
 def test_workload_estimates_unchanged_since_0_5_0(tmp_path, args, column, values):
     # the benchmark's simulation workloads at seed 11 print the estimates
-    # 0.5.0 printed, the first version with one stream per replica block
+    # 0.5.0 printed, the first version with one stream per replica block;
+    # the shift points n = 400 and 900 print those of 0.8.0, which runs them
+    # in 64-row blocks (21 and 9 rows before)
     _, text = run_cli(args + ["--seed", "11", "--threads", "1"], tmp_path)
     assert [row[column] for row in rows_of(text)] == values
+
+
+def test_shift_trend_to_a_million_generations(tmp_path):
+    # criterion 7's set and law at n = 10^4, 10^5 and 10^6, the README's
+    # command: the relative gap to the theory rate falls with n, and the
+    # fitted slope is within 0.2% of the rate (at seeds 1-8 it lay between
+    # 0.04% and 0.06% below it)
+    code, text = run_cli(["ldp", "--set", "(-inf,0]", "--p", "0.8",
+                          "--n-grid", "10000,100000,1000000", "--replicas",
+                          "100", "--seed", "1", "--threads", "1"], tmp_path)
+    assert code == 0
+    rows = rows_of(text)
+    gaps = [float(row["gap"]) for row in rows]
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0
+    slope = float(text.split("fit_slope=")[1].split()[0])
+    assert abs(slope / float(rows[0]["theory_rate"]) - 1.0) <= 0.002
 
 
 def test_enumerate_exact_row(tmp_path):

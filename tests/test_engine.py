@@ -8,7 +8,7 @@ from scipy import stats as sps
 from brwlab import engine
 from brwlab.engine import BranchingLaw, ParticleMeasure
 from brwlab.errors import InfeasibleError, PopulationCapError
-from brwlab.intervals import EMPTY, REALS, IntervalSet
+from brwlab.intervals import EMPTY, REALS, IntervalSet, parse_set
 from brwlab.streams import derive
 
 
@@ -116,8 +116,10 @@ def test_parity_invariant():
 
 def _aggregated_step(start: ParticleMeasure, law: BranchingLaw,
                      rng: np.random.Generator) -> ParticleMeasure:
-    # one generation of a one-row block
-    return _final_block(start, law, 1, 1, rng).to_measure(0)
+    # one generation of a one-row block: the draws of a one-row `evolve`
+    block = engine._VectorState(start, 1, 1, rng)
+    block.step(law)
+    return block.to_measure(0)
 
 
 def _blocks(start, n, replicas, seed):
@@ -413,17 +415,72 @@ def test_event_outcomes_extreme_thresholds_match_full_runs(target, threshold, st
 
 
 def test_event_outcomes_leave_the_prefix_row_cache_empty():
-    # the certificate builds its walk-law tables without filling the shared
-    # cache of exact prefix rows, which pool workers would otherwise carry
+    # the certificate reads the walk law from float tables and never fills
+    # the shared cache of exact prefix rows, which pool workers would carry
     from brwlab import gaussian
     gaussian._prefix_row.cache_clear()
-    engine._hit_table.cache_clear()
+    engine._walk_table.cache_clear()
     start = ParticleMeasure.delta(0, count=2 ** 44)
     out = engine.event_outcomes(start, BranchingLaw.binary_ternary(), 6,
                                 IntervalSet.below(0), 1.5, True, 4, derive(14, 0))
     assert (out.decided_at < 6).all()
-    assert engine._hit_table.cache_info().currsize > 0
+    assert engine._walk_table.cache_info().currsize > 0
     assert gaussian._prefix_row.cache_info().currsize == 0
+
+
+def _lattice_sets(j):
+    """Targets j steps ahead: endpoints on lattice sites, open and closed,
+    one to four components, and one set with irrational endpoints."""
+    s = max(1, round(math.sqrt(j)))
+    z = 0.6744897501960817 * math.sqrt(max(j, 1))
+    return [IntervalSet.below(0), IntervalSet.below(0, closed=False),
+            parse_set(f"(-{s},{s}]"),
+            parse_set(f"[-{2 * s},-{s}) U ({s},{2 * s}]"),
+            parse_set(f"(-inf,-{2 * s}) U [-{s // 2},{s}) U ({2 * s},{3 * s}] "
+                      f"U [{4 * s},inf)"),
+            IntervalSet.closed(-z, z)]
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 5, 42, 875, 900, 4001, 10 ** 4, 4 * 10 ** 4])
+def test_walk_table_within_its_error_bound(j):
+    # the certificate's float walk-law table against the exact walk law,
+    # at every site near the origin and at sites of both parities across
+    # [-j - 3, j + 3]; hit_probs is correctly rounded, so within 2^-54 of
+    # the exact probability, and the table must be within delta of that
+    from brwlab import gaussian
+    stride = 2 * ((2 * j + 6) // 400) + 1
+    grids = [(-41, 1, 83), (-j - 3, stride, (2 * j + 6) // stride + 1)]
+    try:
+        for target in _lattice_sets(j):
+            delta = engine._table_error(j, len(target.components))
+            for lo, step, width in grids:
+                table = engine._walk_table(j, target, lo, step, width)
+                exact = gaussian.hit_probs(j, target, lo + step * np.arange(width))
+                assert np.abs(table - exact).max() <= delta - 2.0 ** -54
+    finally:
+        gaussian._prefix_row.cache_clear()   # the exact row at j = 4 10^4 is ~0.2 GB
+    assert engine._table_error(4 * 10 ** 4, 1) < 3e-11
+
+
+def test_certificate_margin_absorbs_the_table_error():
+    # one row of 2^100 particles at site 0, j = 4 10^4 steps ahead: the bound
+    # would pass at a gap of slack + delta / 2 if the table were exact, but
+    # the table is only known within delta, so the row must not retire; at
+    # slack + 2 delta it retires with the gap's sign
+    law = BranchingLaw.binary_ternary()
+    target = IntervalSet.below(0)
+    j = 4 * 10 ** 4
+    block = engine._VectorState(ParticleMeasure.delta(0, count=2 ** 100), 1, 1,
+                                derive(0, 0))
+    mu = float(engine._walk_table(j, target, 0, 2, 1)[0])
+    slack = 3 * 2.0 ** -52   # (width + 2) 2^-52 at width 1
+    delta = engine._table_error(j, 1)
+    inside = engine._Certificate(law, target, mu - (slack + delta / 2))
+    assert inside.settle(block, j)[0].size == 0
+    outside = engine._Certificate(law, target, mu - (slack + 2 * delta))
+    rows, outcomes, bounds = outside.settle(block, j)
+    assert rows.tolist() == [0] and outcomes.tolist() == [True]
+    assert 0.0 < bounds[0] <= 1e-12
 
 
 def _exact_law(law):
@@ -520,10 +577,14 @@ def test_galton_watson_fourth_moment_recursion_by_enumeration(text):
 
 
 def test_block_rows_bounds_block_size():
+    # at most 64 rows and 2^16 sites at the final width
     delta = ParticleMeasure.delta(0)
     assert engine.block_rows(delta, 16) == 64
-    assert engine.block_rows(delta, 875) == 2 ** 13 // 876
-    assert engine.block_rows(ParticleMeasure({0: 1, 1: 1}), 875) == 2 ** 13 // 1752
+    assert engine.block_rows(delta, 875) == 64
+    assert engine.block_rows(delta, 1023) == 64
+    assert engine.block_rows(delta, 1024) == 2 ** 16 // 1025
+    assert engine.block_rows(ParticleMeasure({0: 1, 1: 1}), 875) == 2 ** 16 // 1752
+    assert engine.block_rows(delta, 10 ** 4) == 2 ** 16 // 10001
     assert engine.block_rows(delta, 10 ** 6) == 1
 
 

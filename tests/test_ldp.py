@@ -266,18 +266,18 @@ def test_estimators_serial_with_fewer_blocks_than_workers(monkeypatch):
 
 
 def test_count_events_partition_invariance():
-    # replicas [0, 50) in 21-row blocks: any split at block boundaries gives
+    # replicas [0, 150) in 64-row blocks: any split at block boundaries gives
     # the same events and retired rows' bounds, in the same order
     spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 400)
     target = HALF_LINE.scale(math.sqrt(400)).shift(float(-spec.w))
-    assert engine.block_rows(ParticleMeasure.delta(0), spec.m) == 21
+    assert engine.block_rows(ParticleMeasure.delta(0), spec.m) == 64
     args = (LAW, spec.m, 1, target, 0.8, False, (83, 0))
-    whole = ldp._count_events(args + (0, 50))
-    for edges in ((0, 21, 50), (0, 42, 50), (0, 21, 42, 50)):
+    whole = ldp._count_events(args + (0, 150))
+    for edges in ((0, 64, 150), (0, 128, 150), (0, 64, 128, 150)):
         parts = [ldp._count_events(args + (a, b)) for a, b in zip(edges, edges[1:])]
         assert sum(count for count, _ in parts) == whole[0]
         assert [b for _, bounds in parts for b in bounds] == whole[1]
-    assert 0 < whole[0] < 50
+    assert 0 < whole[0] < 150
     assert whole[1]
 
 
