@@ -141,15 +141,24 @@ _SPECS: dict[str, list[Opt]] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the subcommand ``argv[0]`` names, if any.
+
+    Without a subcommand first (``--help``, ``--version``, an unknown name)
+    all eight are added.  With one, its metavar keeps the top-level usage
+    line listing all eight, so help and error text do not change.
+    """
     parser = argparse.ArgumentParser(
         prog="brwlab",
         description="Branching random walk deviation laboratory")
     parser.add_argument("--version", action="version", version=f"brwlab {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, opts in _SPECS.items():
+    one = bool(argv) and argv[0] in _SPECS
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_SPECS) + "}" if one else None)
+    for name in argv[:1] if one else _SPECS:
         sub = subs.add_parser(name)
-        for opt in opts + _COMMON:
+        for opt in _SPECS[name] + _COMMON:
             sub.add_argument(f"--{opt.name}", dest=opt.name.replace("-", "_"),
                              type=opt.type, default=None, help=opt.help)
     return parser
@@ -400,8 +409,8 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         resolved = _resolve(args, args.command)
         _DISPATCH[args.command](resolved)

@@ -10,10 +10,15 @@ The hot loops read a set's endpoint arrays ``IntervalSet.lo`` and ``hi``, and
 the interpolation scan evaluates each family member from its endpoints
 without building it as a set.  The sup over shifts is a root of the slope
 sum pdf(lo_i - x) - pdf(hi_i - x), bracketed on a coarse grid whose error
-bound says which cells can hold the maximum.  The r scan screens whole
-batches of r on that grid and refines only where the bound leaves p within
-reach; monotonicity in r is never assumed, the first crossing on the r grid
-wins, and bisection locates it.
+bound says which cells can hold the maximum and found by Newton steps.  The
+r scan screens whole batches of r on that grid and refines only where the
+bound leaves p within reach.  Its grid runs GRID_STEP apart up to
+1 - GRID_STEP and, for sets whose widest component needs more, on in log(1 - r)
+up to the r where that component alone reaches p, so a crossing always lies
+on it.  Monotonicity in r is never assumed: the first crossing on the r grid
+wins, and a safeguarded secant (Illinois regula falsi, with a bisection step
+whenever two steps have not halved the bracket) shrinks its bracket to
+ROOT_TOL.
 
 Everything here is pure; instances may be evaluated in parallel.
 """
@@ -37,7 +42,6 @@ __all__ = [
     "i_tilde",
     "j_tilde",
     "classify",
-    "lower_tail_rate",
     "InterpolationFamily",
     "interpolation_set",
     "ExponentFit",
@@ -54,6 +58,7 @@ _X_TOL = 1e-12         # last Newton step on the slope that counts as converged
 _MAX_ROOT_STEPS = 100  # bisection alone needs ~40 from a SUP_STEP bracket
 _BATCH_ROWS = 32       # r values screened together in the dilation scan
 _BATCH_CELLS = 1 << 17  # cap on one (r x x) screening batch: 1 MB of floats
+_LOG_STEPS = 100       # r grid points per decade of 1 - r above 1 - GRID_STEP
 
 Shift = tuple[float, Optional[float]]
 
@@ -80,10 +85,14 @@ def _slope_root(lo: np.ndarray, hi: np.ndarray, a: np.ndarray,
                 b: np.ndarray) -> np.ndarray:
     """In each bracket, where the slope turns from positive (at a) to not (at b).
 
-    Newton steps on the slope, with bisection whenever a step leaves the
-    bracket; the bracket shrinks around the sign change at every step.
+    Newton steps on the slope; the bracket shrinks around the sign change at
+    every step.  The first step that leaves a bracket goes to the end it
+    passed, since a root on a bracket end (the slope's root on a grid point,
+    as for a symmetric set) draws Newton steps just past it; any later one is
+    replaced by bisection.
     """
     x = 0.5 * (a + b)
+    clipped = np.zeros(x.shape, dtype=bool)
     for _ in range(_MAX_ROOT_STEPS):
         g, h = _slope(lo, hi, x)
         up = g > 0
@@ -91,7 +100,11 @@ def _slope_root(lo: np.ndarray, hi: np.ndarray, a: np.ndarray,
         b = np.where(up, b, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = x - g / h
-        nxt = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
+        inside = (step >= a) & (step <= b)
+        clip = ~inside & ~clipped & np.isfinite(step)
+        clipped |= clip
+        nxt = np.where(inside | clip, np.minimum(np.maximum(step, a), b),
+                       0.5 * (a + b))
         done = np.all(np.abs(nxt - x) <= _X_TOL)
         x = nxt
         if done:
@@ -210,14 +223,45 @@ def _dilated_sup(lo: np.ndarray, hi: np.ndarray, r: float) -> tuple[float, float
     return value, xprime / gamma
 
 
-def _first_crossing(lo: np.ndarray, hi: np.ndarray, p: float) -> tuple[float, float, float]:
-    """First r on the GRID_STEP grid with h(r) >= p: (previous grid r, r, witness x).
+def _r_grid(r_max: float) -> np.ndarray:
+    """The r values of the crossing scan: GRID_STEP apart up to 1 - GRID_STEP,
+    then, when r_max lies above, _LOG_STEPS per decade of 1 - r up to r_max."""
+    rs = GRID_STEP * np.arange(1, round(1.0 / GRID_STEP))
+    if r_max <= rs[-1]:
+        return rs
+    decades = math.log10((1.0 - rs[-1]) / (1.0 - r_max))
+    k = np.arange(1, math.ceil(decades * _LOG_STEPS))
+    return np.concatenate([rs, 1.0 - (1.0 - rs[-1]) * 10.0 ** (-k / _LOG_STEPS),
+                           [r_max]])
+
+
+def _first_crossing(lo: np.ndarray, hi: np.ndarray,
+                    p: float) -> tuple[float, float, float, float]:
+    """First grid r with h(r) >= p: (previous grid r, r, witness x, h(r)).
+
+    The widest component, of width w, reaches p alone, centred, at
+    r_max = 1 - w^2 / (4 z^2) with z = Phi^-1((1 + p) / 2), so a crossing lies
+    in (0, r_max], and the grid's last point is r_max or, for r_max <=
+    1 - GRID_STEP, above it.  Should rounding leave the computed sup a hair
+    below p there, that point counts as feasible, with the component's
+    midpoint as witness and p as its value.
 
     Batches of r are screened on a coarse grid of shifts, SUP_STEP apart after
     dilation; where the grid maximum plus its slack stays below p the sup does
     too, so only the remaining r are refined.
     """
-    rs = GRID_STEP * np.arange(1, round(1.0 / GRID_STEP))
+    widths = hi - lo
+    i = int(np.argmax(widths))
+    z = float(ndtri(0.5 * (1.0 + p)))
+    t = float(0.5 * widths[i] / z) ** 2
+    r_max = 1.0 - t
+    if 1.0 - r_max > t:        # round up, so the component reaches p at r_max
+        r_max = math.nextafter(r_max, 1.0)
+    if not r_max < 1.0:
+        raise NumericError(
+            f"no dilation crossing for p={p}: the widest component, of width "
+            f"{widths[i]}, reaches p only at an r that rounds to 1")
+    rs = _r_grid(r_max)
     slack = _grid_slack(lo.size)
     span = hi[-1] - lo[0]
     start = 0
@@ -231,21 +275,59 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray, p: float) -> tuple[float, fl
         for k in start + np.flatnonzero(vals.max(axis=1) >= p - slack):
             value, x = _dilated_sup(lo, hi, float(rs[k]))
             if value >= p:
-                return (float(rs[k - 1]) if k else 0.0), float(rs[k]), x
+                return (float(rs[k - 1]) if k else 0.0), float(rs[k]), x, value
         start = stop
-    raise NumericError(
-        f"no dilation crossing for p={p} up to r={rs[-1]}; "
-        "this should be impossible for a nonempty bounded set")
+    return float(rs[-2]), float(rs[-1]), 0.5 * float(lo[i] + hi[i]), p
+
+
+def _refine_crossing(lo: np.ndarray, hi: np.ndarray, p: float, a: float,
+                     b: float, x: float, value: float) -> tuple[float, float]:
+    """Shrink [a, b], h(a) < p <= h(b) = value, to ROOT_TOL: (feasible end, witness).
+
+    Illinois regula falsi on h(r) - p.  Each probe lies at least ROOT_TOL / 2
+    inside the bracket, so the bracket shrinks at every step; the value at an
+    end kept twice in a row is halved, and every second step is a bisection
+    when the two steps before it have not halved the bracket.
+    """
+    fa = _dilated_sup(lo, hi, a)[0] - p
+    fb = value - p
+    older = INF    # bracket width two steps ago, refreshed every second step
+    kept = 0       # +1 after a step that moved b, -1 after one that moved a
+    step = 0
+    while b - a > ROOT_TOL:
+        width = b - a
+        bisect = step % 2 == 0 and width > 0.5 * older
+        if step % 2 == 0:
+            older = width
+        r = 0.5 * (a + b) if bisect else b - fb * width / (fb - fa)
+        r = min(max(r, a + 0.5 * ROOT_TOL), b - 0.5 * ROOT_TOL)
+        value, x_r = _dilated_sup(lo, hi, r)
+        if value >= p:
+            b, fb, x = r, value - p, x_r
+            if kept > 0:
+                fa *= 0.5
+            kept = 1
+        else:
+            a, fa = r, value - p
+            if kept < 0:
+                fb *= 0.5
+            kept = -1
+        step += 1
+    return b, x
 
 
 def j_tilde(s: IntervalSet, p: float, *,
             shift: Optional[Shift] = None) -> tuple[float, float, float]:
     """Least time fraction r with sup_x varphi(S, r, x) >= p, plus witnesses (r, x).
 
-    Sets with a finite shift cost return 0 immediately.  Otherwise the first
-    crossing on the r grid is found and its bracket bisected; monotonicity of
-    the scanned function is not assumed.  ``shift`` passes in ``i_tilde(s, p)``
-    when the caller has it already.
+    Sets with a finite shift cost return 0 immediately.  Otherwise the scan
+    finds the first crossing on the r grid (GRID_STEP apart, then finer in
+    log(1 - r) above 1 - GRID_STEP) and a safeguarded secant shrinks its
+    bracket to ROOT_TOL, falling back to bisection when the secant stalls.
+    The returned r is the bracket's feasible end, with an infeasible r at
+    most ROOT_TOL below it; monotonicity of the scanned function is not
+    assumed.  ``shift`` passes in ``i_tilde(s, p)`` when the caller has it
+    already.
     """
     _check_p(p)
     if s.is_empty:
@@ -255,16 +337,8 @@ def j_tilde(s: IntervalSet, p: float, *,
     it, x = shift if shift is not None else i_tilde(s, p)
     if it != INF:
         return 0.0, 0.0, float(x)
-    lo, hi = s.lo, s.hi
-    lo_r, hi_r, x_witness = _first_crossing(lo, hi, p)
-    while hi_r - lo_r > ROOT_TOL:
-        mid = 0.5 * (lo_r + hi_r)
-        value, x = _dilated_sup(lo, hi, mid)
-        if value >= p:
-            hi_r, x_witness = mid, x
-        else:
-            lo_r = mid
-    return hi_r, hi_r, x_witness
+    r, x = _refine_crossing(s.lo, s.hi, p, *_first_crossing(s.lo, s.hi, p))
+    return r, r, x
 
 
 def _check_p(p: float) -> None:
@@ -336,13 +410,6 @@ def classify(s: IntervalSet, p: float, b: int) -> RateReport:
     jt, r, xd = j_tilde(s, p, shift=(it, x))
     return RateReport(p, b, INF, None, jt, r, xd, INF, logb * jt,
                       "dilation", "n", near_critical=near)
-
-
-def lower_tail_rate(s: IntervalSet, p: float, b: int) -> RateReport:
-    """Decay classification for staying *below* p: the complement at level 1-p."""
-    if s.is_reals:
-        raise ValueError("lower tail of the full line is empty")
-    return classify(s.complement(), 1.0 - p, b)
 
 
 # -- interpolating families ----------------------------------------------------

@@ -111,6 +111,36 @@ def test_simulate_runs_replicas_in_seeded_blocks(tmp_path):
         assert [float(r[column]) for r in printed] == values[:, 1].tolist()
 
 
+@pytest.mark.parametrize("text,p", [
+    ("[0,0.05]", 0.9),
+    ("[0,0.01]", 0.5),
+    # three criterion-4 style draws (conftest generator, seed 7)
+    ("[-2.9360356184392327,-2.871975126927544)", 0.9710197274738546),
+    ("(0.9093791304553737,0.917829619235752]", 0.37409284631989553),
+    ("[4.498949225882468,4.590849028973566]", 0.8706565809937593),
+])
+def test_rate_narrow_set_crosses_above_r_0_999(text, p, tmp_path):
+    # the widest component of width w reaches p alone at r = 1 - w^2 / (4 z^2),
+    # z = Phi^-1((1 + p) / 2), beyond the GRID_STEP grid's last r = 0.999
+    from scipy.special import ndtri
+
+    from brwlab.gaussian import varphi
+    from brwlab.intervals import parse_set
+
+    code, text_out = run_cli(["rate", "--set", text, "--p", repr(p)], tmp_path)
+    assert code == 0
+    row = rows_of(text_out)[0]
+    assert row["regime"] == "dilation"
+    r, x = float(row["r_star"]), float(row["x_star_dilation"])
+    s = parse_set(text)
+    (component,) = s.components
+    width = component.upper - component.lower
+    closed_form = 1.0 - width ** 2 / (4.0 * float(ndtri(0.5 * (1.0 + p))) ** 2)
+    assert closed_form > 0.999
+    assert abs(r - closed_form) <= 1e-8
+    assert varphi(s, r, x) >= p - 1e-8
+
+
 def test_ldp_infeasible_exits_3(tmp_path, capsys):
     code = main(["ldp", "--set", "(-inf,0]", "--p", "0.9", "--kind", "shift",
                  "--x", "0.2", "--n-grid", "64", "--replicas", "100"])
@@ -282,6 +312,51 @@ def test_mode_and_cap_options_are_gone(command):
 
 def test_missing_required_option_exits_2():
     assert main(["rate", "--p", "0.5"]) == 2  # --set absent
+
+
+COMMANDS = ["rate", "simulate", "ldp", "interp", "enumerate",
+            "probe-concentration", "probe-typical", "clt-scan"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_lists_its_options(command, capsys):
+    from brwlab import cli
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: brwlab {command} ")
+    for opt in cli._SPECS[command] + cli._COMMON:
+        assert f"--{opt.name} " in out
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(COMMANDS) + "}" in out
+
+
+def test_unknown_command_exits_2_and_names_the_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--p", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument command: invalid choice: 'bogus'" in err
+    assert "(choose from " + ", ".join(f"'{c}'" for c in COMMANDS) + ")" in err
+
+
+def test_usage_after_a_command_still_lists_every_command(capsys):
+    # only the named subcommand's parser is built, yet the top-level usage
+    # line of an error is the one with all eight
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--set", "R", "--p", "0.5", "extra"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "{" + ",".join(COMMANDS) + "}" in err
+    assert "unrecognized arguments: extra" in err
 
 
 def test_version_flag():

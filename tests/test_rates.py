@@ -214,8 +214,11 @@ def test_classify_validates_inputs():
         rates.classify(IntervalSet.empty(), 0.5, 2)
 
 
+# The lower tail, a fraction in S below p, is the upper tail of the complement
+# at 1 - p: classify(s.complement(), 1 - p, b), or `rate` on the complement.
+
 def test_lower_tail_matches_complement():
-    rep = rates.lower_tail_rate(IntervalSet.above(0, closed=False), 0.2, 2)
+    rep = rates.classify(IntervalSet.above(0, closed=False).complement(), 0.8, 2)
     direct = rates.classify(IntervalSet.below(0), 0.8, 2)
     assert rep.regime == direct.regime
     assert abs(rep.i_rate - direct.i_rate) < 1e-12
@@ -223,24 +226,26 @@ def test_lower_tail_matches_complement():
 
 def test_lower_tail_bounded_set():
     s = IntervalSet.closed(-A_HALF, A_HALF)
-    rep = rates.lower_tail_rate(s, 0.1, 2)
-    direct = rates.classify(s.complement(), 0.9, 2)
+    rep = rates.classify(s.complement(), 1.0 - 0.1, 2)
+    direct = rates.classify(parse_set(f"(-inf,{-A_HALF}) U ({A_HALF},inf)"), 0.9, 2)
     assert rep.regime == direct.regime == "shift"  # complement has half-lines
     assert abs(rep.i_tilde - direct.i_tilde) < 1e-12
 
 
 def test_lower_tail_random_identity(rng):
+    # the complement's printed text, as `rate --set` would read it, gives the
+    # same report as the complement itself
     for _ in range(15):
         s = random_interval_set(rng)
         if s.is_reals:
             continue
         p = float(rng.uniform(0.05, 0.9))
-        rep = rates.lower_tail_rate(s, p, 2)
-        direct = rates.classify(s.complement(), 1.0 - p, 2)
+        rep = rates.classify(s.complement(), 1.0 - p, 2)
+        direct = rates.classify(parse_set(str(s.complement())), 1.0 - p, 2)
         assert rep.i_tilde == direct.i_tilde
         assert rep.j_tilde == direct.j_tilde
     with pytest.raises(ValueError):
-        rates.lower_tail_rate(REALS, 0.5, 2)
+        rates.classify(REALS.complement(), 0.5, 2)  # the full line has no lower tail
 
 
 def test_dichotomy_smoke(rng):
@@ -270,6 +275,101 @@ def test_half_line_shortcut(rng):
         p = base + (1.0 - base) * 0.5
         rep = rates.classify(s, p, 2)
         assert rep.j_tilde == 0.0 and rep.i_tilde < INF
+
+
+# -- the dilation crossing search ----------------------------------------------------
+
+def _bisect_reference(lo, hi, p, a, b):
+    """Feasible end of [a, b], h(a) < p <= h(b), after bisecting it to ROOT_TOL."""
+    while b - a > rates.ROOT_TOL:
+        mid = 0.5 * (a + b)
+        if rates._dilated_sup(lo, hi, mid)[0] >= p:
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+@pytest.fixture
+def crossing_search(monkeypatch):
+    """j_tilde of a dilation case, with the _first_crossing bracket and the
+    number of _dilated_sup calls made after it."""
+    record = {"calls": 0}
+    dilated_sup, first_crossing = rates._dilated_sup, rates._first_crossing
+
+    def counting_sup(*args):
+        record["calls"] += 1
+        return dilated_sup(*args)
+
+    def recording_crossing(*args):
+        record["bracket"] = first_crossing(*args)
+        record["calls"] = 0
+        return record["bracket"]
+
+    monkeypatch.setattr(rates, "_dilated_sup", counting_sup)
+    monkeypatch.setattr(rates, "_first_crossing", recording_crossing)
+
+    def search(s, p):
+        _, r, x = rates.j_tilde(s, p, shift=(INF, None))
+        return r, x, record["bracket"], record["calls"]
+    return search
+
+
+def _check_crossing(s, p, r, x, bracket, calls):
+    a, b, _, _ = bracket
+    assert a < r <= b
+    value = rates._dilated_sup(s.lo, s.hi, r)[0]
+    # a grid end the scan accepted (the widest component alone reaches p
+    # there) may sit a rounding hair below p
+    assert value >= p or (r == b and value >= p - 1e-15)
+    assert varphi(s, r, x) >= p - 1e-8
+    assert calls <= 10
+
+
+def test_crossing_search_on_the_suite(crossing_search):
+    cases = [(s, p) for s, p, _ in rate_suite_sets()
+             if not s.has_half_line() and nu(s) < p and rates.i_tilde(s, p)[0] == INF]
+    assert len(cases) == 10
+    for s, p in cases:
+        r, x, bracket, calls = crossing_search(s, p)
+        _check_crossing(s, p, r, x, bracket, calls)
+        a, b, _, _ = bracket
+        assert abs(r - _bisect_reference(s.lo, s.hi, p, a, b)) <= 2 * rates.ROOT_TOL
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_crossing_search_on_random_sets(seed, crossing_search):
+    # bounded sets drawn as criterion 4 draws them, dilation cases only
+    rng = np.random.default_rng(seed)
+    cases = 0
+    while cases < 135:
+        s = random_interval_set(rng, allow_half_lines=False)
+        base = nu(s)
+        p = base + (1.0 - base) * float(rng.uniform(0.02, 0.98))
+        if rates.i_tilde(s, p)[0] != INF:
+            continue
+        cases += 1
+        _check_crossing(s, p, *crossing_search(s, p))
+
+
+@pytest.mark.parametrize("half_width,r", [(A_HALF, 1.0 - (A_HALF / Z95) ** 2),
+                                          (1.0, 0.3), (0.5, 0.9)])
+def test_sup_shift_root_on_a_grid_point(half_width, r, monkeypatch):
+    # the dilated interval spans an even number of SUP_STEP cells, so the
+    # slope's root 0 is a grid point: one grid call and two Newton steps
+    calls = []
+    slope = rates._slope
+
+    def counting_slope(*args):
+        calls.append(args)
+        return slope(*args)
+
+    monkeypatch.setattr(rates, "_slope", counting_slope)
+    c = half_width / math.sqrt(1.0 - r)
+    value, arg = rates._sup_shift(np.array([-c]), np.array([c]))
+    assert arg == 0.0
+    assert len(calls) <= 3
+    assert abs(value - nu(IntervalSet.closed(-c, c))) < 1e-15
 
 
 # -- oracle agreement --------------------------------------------------------------
