@@ -212,20 +212,6 @@ class ParticleMeasure:
     def span(self) -> tuple[int, int]:
         return min(self.counts), max(self.counts)
 
-    def to_lines(self) -> str:
-        return "\n".join(f"{x} {c}" for x, c in sorted(self.counts.items()))
-
-    @staticmethod
-    def from_lines(text: str, generation: int = 0) -> "ParticleMeasure":
-        counts: dict[int, int] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            x_text, c_text = line.split()
-            counts[int(x_text)] = counts.get(int(x_text), 0) + int(c_text)
-        return ParticleMeasure(counts, generation)
-
 
 # -- the per-site reference step ----------------------------------------------------
 

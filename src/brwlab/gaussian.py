@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "varphi",
     "nu_shifted_grid",
     "srw_pmf",
-    "srw_pmf_exact",
     "nu_n_of_set",
     "hit_probs",
     "clt_uniformity_scan",
@@ -116,15 +114,6 @@ def srw_pmf(n: int, k: int) -> float:
     prefix = _prefix_row(n)
     j = (n + k) // 2
     return (prefix[j + 1] - prefix[j]) / (1 << n)
-
-
-def srw_pmf_exact(n: int, k: int) -> Fraction:
-    """Exact rational walk probability; oracle mode intended for small n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if abs(k) > n or (n + k) % 2 != 0:
-        return Fraction(0)
-    return Fraction(math.comb(n, (n + k) // 2), 1 << n)
 
 
 @lru_cache(maxsize=32)

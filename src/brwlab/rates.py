@@ -8,15 +8,21 @@ scales.
 
 The hot loops read a set's endpoint arrays ``IntervalSet.lo`` and ``hi``, and
 the interpolation scan evaluates each family member from its endpoints
-without building it as a set.  The sup over shifts is a root of the slope
-sum pdf(lo_i - x) - pdf(hi_i - x), bracketed on a coarse grid whose error
-bound says which cells can hold the maximum and found by Newton steps.  The
-r scan screens whole batches of r on that grid and refines only where the
+without building it as a set.  Both costs use one search design: a coarse
+grid screened with a proved error bound, then one safeguarded secant.  On
+any grid cell of width h, f(x) = nu(S - x) exceeds the larger of its two end
+values by at most h^2/8 max|f''| <= h^2/8 * 2k pdf(1) for k components, so
+a cell whose ends both lie further below p cannot reach it.  The sup over
+shifts is a root of the slope sum pdf(lo_i - x) - pdf(hi_i - x), found by
+Newton steps in the screened cells where the slope changes sign.  The shift
+search walks a SUP_STEP grid of |x| outward from 0 on each side and takes
+the first cell that reaches p, at its far end or at its maximum.  The r scan
+screens whole batches of r on the same x grid and refines only where the
 bound leaves p within reach.  Its grid runs GRID_STEP apart up to
 1 - GRID_STEP and, for sets whose widest component needs more, on in log(1 - r)
 up to the r where that component alone reaches p, so a crossing always lies
-on it.  Monotonicity in r is never assumed: the first crossing on the r grid
-wins, and a safeguarded secant (Illinois regula falsi, with a bisection step
+on it.  Monotonicity is never assumed: the first crossing on a grid wins,
+and a safeguarded secant (Illinois regula falsi, with a bisection step
 whenever two steps have not halved the bracket) shrinks its bracket to
 ROOT_TOL.
 
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -50,7 +56,6 @@ __all__ = [
 
 GRID_STEP = 1e-3
 ROOT_TOL = 1e-9
-SUP_MARGIN = 1e-12     # sup below p by more than this => infeasible shift
 NEAR_CRITICAL = 1e-9
 SUP_STEP = 0.05        # x-grid step of the sup search, before refinement
 TIE = 1e-15            # sup values this close are rounding noise of one another
@@ -60,14 +65,15 @@ _BATCH_ROWS = 32       # r values screened together in the dilation scan
 _BATCH_CELLS = 1 << 17  # cap on one (r x x) screening batch: 1 MB of floats
 _LOG_STEPS = 100       # r grid points per decade of 1 - r above 1 - GRID_STEP
 
-Shift = tuple[float, Optional[float]]
-
 
 def _grid_slack(k: int) -> float:
-    """Bound on sup - (grid maximum) for a k-component set on a SUP_STEP grid.
+    """Bound on f - max(f(a), f(b)) over any cell [a, b] of a SUP_STEP grid,
+    f(x) = nu(S - x) for a k-component set.
 
-    At the maximizer the slope vanishes and |second derivative| <= 2k pdf(1),
-    and some grid point lies within SUP_STEP / 2 of it.
+    f minus its chord vanishes at both ends, so it is at most
+    (b - a)^2 / 8 max|f''|, and |f''| <= 2k pdf(1): each endpoint adds one
+    term z pdf(z), of size at most pdf(1).  The chord stays below the larger
+    end value.
     """
     return SUP_STEP * SUP_STEP / 8.0 * 2 * k * normal_pdf(1.0)
 
@@ -154,66 +160,64 @@ def sup_shift_measure(s: IntervalSet) -> tuple[float, float]:
     return _sup_shift(s.lo, s.hi)
 
 
-def _bisect_crossing(s: IntervalSet, p: float, lo: float, hi: float) -> float:
-    """Boundary of {nu(S - x) >= p} inside [lo, hi]; hi is feasible, lo is not.
+def _shift_crossing(s: IntervalSet, p: float, sign: float, ts: np.ndarray,
+                    ends: tuple[np.ndarray, np.ndarray]) -> Optional[tuple[float, float]]:
+    """Least t on [0, ts[-1]] with nu(S - sign t) >= p, and its witness x = sign t.
 
-    Returns the feasible end of the final bracket, so the witness always
-    satisfies the weak inequality up to the bisection tolerance.
+    ``ts`` is a grid from 0 at most SUP_STEP apart, and ``ends`` are the
+    endpoint arrays the slope reads.  Cells whose ends both lie more than the
+    grid slack below p cannot reach it.  A screened cell reaches p at its
+    maximum: the slope's root where the slope turns from rising to falling
+    along t inside it, else its far end.  The first cell that reaches p
+    brackets the crossing below that point.  None when no cell reaches p.
     """
-    flo = shifted_nu(s, lo) - p
-    if flo >= 0:
-        return lo
-    while abs(hi - lo) > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if shifted_nu(s, mid) >= p:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _side_candidate(s: IntervalSet, p: float, sign: float, bound: float,
-                    argmax_hint: Optional[float]) -> Optional[float]:
-    xs = sign * np.arange(GRID_STEP, bound + GRID_STEP, GRID_STEP)
+    xs = sign * ts
     vals = shifted_mass(s.lo, s.hi, xs)
-    feasible = np.flatnonzero(vals >= p)
-    if feasible.size:
-        k = int(feasible[0])
-        lo = 0.0 if k == 0 else float(xs[k - 1])
-        return _bisect_crossing(s, p, lo, float(xs[k]))
-    # near-critical: super-level set may be a sliver around the optimum
-    if argmax_hint is not None and math.isfinite(argmax_hint) \
-            and argmax_hint * sign > 0 and shifted_nu(s, argmax_hint) >= p:
-        return _bisect_crossing(s, p, 0.0, argmax_hint)
+    g = _slope(*ends, xs)[0]
+    left, right = (g[:-1], g[1:]) if sign > 0 else (g[1:], g[:-1])
+    peaks = (left > 0) & (right <= 0)
+
+    def gap(t: float) -> tuple[float, float]:
+        return shifted_nu(s, sign * t) - p, sign * t
+
+    for j in np.flatnonzero(np.maximum(vals[:-1], vals[1:]) >= p - _grid_slack(s.lo.size)):
+        t = float(ts[j + 1])
+        if peaks[j]:
+            cell = np.sort(xs[j:j + 2])
+            t = sign * float(_slope_root(*ends, cell[:1], cell[1:])[0])
+        value, x = gap(t)
+        if value >= 0:
+            return _refine_crossing(gap, float(ts[j]), t, value, x)
     return None
 
 
-def i_tilde(s: IntervalSet, p: float, *,
-            sup: Optional[tuple[float, float]] = None) -> Shift:
+def i_tilde(s: IntervalSet, p: float) -> tuple[float, Optional[float]]:
     """Least |x| with nu(S - x) >= p, and a witness x (None when infeasible).
 
-    Weak inequality throughout; p == nu(S) yields 0.  When both signs achieve
-    the optimum the negative witness is returned.  ``sup`` passes in
-    ``sup_shift_measure(s)`` when the caller has it already.
+    Weak inequality throughout; p == nu(S) yields 0.  Each side is searched
+    out to 10 beyond the largest finite endpoint; a bounded set's measure
+    only falls beyond its hull, and a half-line's tail mass is 1 to double
+    precision there.  When both signs achieve the optimum the negative
+    witness is returned.
     """
     _check_p(p)
     if s.is_empty:
         raise ValueError("empty set")
     if nu(s) >= p:
         return 0.0, 0.0
-    hint = None
-    if not s.has_half_line():
-        value, hint = sup if sup is not None else sup_shift_measure(s)
-        if value < p - SUP_MARGIN:
-            return INF, None
     bound = s.finite_endpoint_bound() + 10.0
-    neg = _side_candidate(s, p, -1.0, bound, hint)
-    pos = _side_candidate(s, p, +1.0, bound, hint)
+    ts = np.linspace(0.0, bound, math.ceil(bound / SUP_STEP) + 1)
+    # The slope reads an infinite endpoint as one 40 beyond the grid: its pdf
+    # terms underflow to 0 there as at infinity, without an inf * 0.
+    far = bound + 40.0
+    ends = (np.maximum(s.lo, -far), np.minimum(s.hi, far))
+    neg = _shift_crossing(s, p, -1.0, ts, ends)
+    pos = _shift_crossing(s, p, +1.0, ts, ends)
     if neg is None and pos is None:
         return INF, None
-    if pos is None or (neg is not None and abs(neg) <= abs(pos) + ROOT_TOL):
-        return abs(neg), neg
-    return abs(pos), pos
+    if pos is None or (neg is not None and neg[0] <= pos[0] + ROOT_TOL):
+        return neg
+    return pos
 
 
 def _dilated_sup(lo: np.ndarray, hi: np.ndarray, r: float) -> tuple[float, float]:
@@ -280,17 +284,17 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray,
     return float(rs[-2]), float(rs[-1]), 0.5 * float(lo[i] + hi[i]), p
 
 
-def _refine_crossing(lo: np.ndarray, hi: np.ndarray, p: float, a: float,
-                     b: float, x: float, value: float) -> tuple[float, float]:
-    """Shrink [a, b], h(a) < p <= h(b) = value, to ROOT_TOL: (feasible end, witness).
+def _refine_crossing(gap: Callable[[float], tuple[float, float]], a: float,
+                     b: float, fb: float, x: float) -> tuple[float, float]:
+    """Shrink [a, b] to ROOT_TOL around a root of gap: (feasible end, witness).
 
-    Illinois regula falsi on h(r) - p.  Each probe lies at least ROOT_TOL / 2
-    inside the bracket, so the bracket shrinks at every step; the value at an
-    end kept twice in a row is halved, and every second step is a bisection
-    when the two steps before it have not halved the bracket.
+    gap(t) is (value - p, witness at t), with gap(a) < 0 <= gap(b) = (fb, x).
+    Illinois regula falsi: each probe lies at least ROOT_TOL / 2 inside the
+    bracket, so the bracket shrinks at every step; the value at an end kept
+    twice in a row is halved, and every second step is a bisection when the
+    two steps before it have not halved the bracket.
     """
-    fa = _dilated_sup(lo, hi, a)[0] - p
-    fb = value - p
+    fa = gap(a)[0]
     older = INF    # bracket width two steps ago, refreshed every second step
     kept = 0       # +1 after a step that moved b, -1 after one that moved a
     step = 0
@@ -299,16 +303,16 @@ def _refine_crossing(lo: np.ndarray, hi: np.ndarray, p: float, a: float,
         bisect = step % 2 == 0 and width > 0.5 * older
         if step % 2 == 0:
             older = width
-        r = 0.5 * (a + b) if bisect else b - fb * width / (fb - fa)
-        r = min(max(r, a + 0.5 * ROOT_TOL), b - 0.5 * ROOT_TOL)
-        value, x_r = _dilated_sup(lo, hi, r)
-        if value >= p:
-            b, fb, x = r, value - p, x_r
+        t = 0.5 * (a + b) if bisect else b - fb * width / (fb - fa)
+        t = min(max(t, a + 0.5 * ROOT_TOL), b - 0.5 * ROOT_TOL)
+        value, x_t = gap(t)
+        if value >= 0:
+            b, fb, x = t, value, x_t
             if kept > 0:
                 fa *= 0.5
             kept = 1
         else:
-            a, fa = r, value - p
+            a, fa = t, value
             if kept < 0:
                 fb *= 0.5
             kept = -1
@@ -316,8 +320,7 @@ def _refine_crossing(lo: np.ndarray, hi: np.ndarray, p: float, a: float,
     return b, x
 
 
-def j_tilde(s: IntervalSet, p: float, *,
-            shift: Optional[Shift] = None) -> tuple[float, float, float]:
+def j_tilde(s: IntervalSet, p: float) -> tuple[float, float, float]:
     """Least time fraction r with sup_x varphi(S, r, x) >= p, plus witnesses (r, x).
 
     Sets with a finite shift cost return 0 immediately.  Otherwise the scan
@@ -326,18 +329,24 @@ def j_tilde(s: IntervalSet, p: float, *,
     bracket to ROOT_TOL, falling back to bisection when the secant stalls.
     The returned r is the bracket's feasible end, with an infeasible r at
     most ROOT_TOL below it; monotonicity of the scanned function is not
-    assumed.  ``shift`` passes in ``i_tilde(s, p)`` when the caller has it
-    already.
+    assumed.
     """
     _check_p(p)
     if s.is_empty:
         raise ValueError("empty set")
     if s.is_reals:
         return 0.0, 0.0, 0.0
-    it, x = shift if shift is not None else i_tilde(s, p)
+    it, x = i_tilde(s, p)
     if it != INF:
         return 0.0, 0.0, float(x)
-    r, x = _refine_crossing(s.lo, s.hi, p, *_first_crossing(s.lo, s.hi, p))
+    lo, hi = s.lo, s.hi
+
+    def gap(r: float) -> tuple[float, float]:
+        value, x_r = _dilated_sup(lo, hi, r)
+        return value - p, x_r
+
+    a, b, x, value = _first_crossing(lo, hi, p)
+    r, x = _refine_crossing(gap, a, b, value - p, x)
     return r, r, x
 
 
@@ -395,19 +404,15 @@ def classify(s: IntervalSet, p: float, b: int) -> RateReport:
     if s.is_empty:
         raise ValueError("empty set")
     logb = math.log(b)
-    near = False
-    sup = None
-    if not s.has_half_line():
-        sup = sup_shift_measure(s)
-        near = abs(sup[0] - p) <= NEAR_CRITICAL
+    near = not s.has_half_line() and abs(sup_shift_measure(s)[0] - p) <= NEAR_CRITICAL
     if nu(s) >= p:
         return RateReport(p, b, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                           "shift", "sqrt_n", degenerate=True, near_critical=near)
-    it, x = i_tilde(s, p, sup=sup)
+    it, x = i_tilde(s, p)
     if it != INF:
         return RateReport(p, b, it, x, 0.0, 0.0, x, logb * it, 0.0,
                           "shift", "sqrt_n", near_critical=near)
-    jt, r, xd = j_tilde(s, p, shift=(it, x))
+    jt, r, xd = j_tilde(s, p)
     return RateReport(p, b, INF, None, jt, r, xd, INF, logb * jt,
                       "dilation", "n", near_critical=near)
 

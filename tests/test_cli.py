@@ -160,6 +160,22 @@ def test_ldp_thread_count_invariance(tmp_path):
     assert float(row["q_hat"]) > 0.0
 
 
+def test_ldp_lower_tail_of_an_interval(tmp_path):
+    # a fraction in [-1, 1] below 0.1 is a fraction in its complement, a
+    # target of two half-lines, above 0.9
+    args = ["ldp", "--set", "(-inf,-1) U (1,inf)", "--p", "0.9",
+            "--n-grid", "100,400,900", "--replicas", "100", "--seed", "1"]
+    code, text1 = run_cli(args + ["--threads", "1"], tmp_path, "t1.csv")
+    _, text2 = run_cli(args + ["--threads", "2"], tmp_path, "t2.csv")
+    assert code == 0
+    assert text1 == text2
+    rows = rows_of(text1)
+    assert "regime=shift" in text1
+    assert all(float(row["q_hat"]) > 0.0 for row in rows)
+    slope = float(text1.split("fit_slope=")[1].split()[0])
+    assert abs(slope / float(rows[0]["theory_rate"]) - 1.0) <= 0.05
+
+
 @pytest.mark.parametrize("args,column,values", [
     (["ldp", "--set", "(-inf,0]", "--p", "0.8", "--law", "2:0.5,3:0.5",
       "--n-grid", "100,400,900", "--replicas", "100"],

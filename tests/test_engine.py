@@ -62,13 +62,6 @@ def test_measure_validation():
     assert m.counts == {0: 2}
 
 
-def test_measure_snapshot_round_trip():
-    m = ParticleMeasure({-3: 1, 0: 2 ** 80, 7: 5}, generation=4)
-    text = m.to_lines()
-    back = ParticleMeasure.from_lines(text, generation=4)
-    assert back.counts == m.counts and back.generation == 4
-
-
 # -- single steps ----------------------------------------------------------------
 
 def test_step_exact_binary_from_origin(rng):

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from brwlab import rates
 from brwlab.errors import InfeasibleError
-from brwlab.gaussian import nu, nu_shifted_grid, varphi
+from brwlab.gaussian import nu, nu_shifted_grid, shifted_nu, varphi
 from brwlab.intervals import INF, REALS, IntervalSet, parse_set
 from conftest import random_interval_set
 from oracles import brute_force_i, brute_force_j, rate_suite_sets
@@ -143,6 +144,35 @@ def test_i_tilde_witness_feasible(rng):
         value, x = rates.i_tilde(s, p)
         if value != INF:
             assert nu(s.shift(-x)) >= p - 1e-8
+
+
+def test_i_tilde_finds_a_crossing_between_grid_points():
+    # nu(S - x) reaches p only on a sliver around its maximum near x = 0.5003,
+    # which a scan of x every 1e-3 steps over
+    s = parse_set("[0.2003,0.8003] U [6,12]")
+    p = shifted_nu(s, 0.5003) - 1e-9
+    value, x = rates.i_tilde(s, p)
+    assert 0.0 < value <= 0.5003
+    assert x == value
+    assert shifted_nu(s, x) >= p
+
+
+@pytest.mark.parametrize("text,p", [
+    ("(-inf,0]", 0.8),
+    ("(-inf,-1) U (1,inf)", 0.9),
+    # a sliver around the bump's maximum near x = 3.0003, so the slope's
+    # root is sought in the cell that holds it
+    ("(-inf,-6] U [2.0003,4.0003]", 0.6826894911370859),
+])
+def test_i_tilde_half_lines_emit_no_warning(text, p):
+    # at an infinite endpoint the slope's pdf term times its argument is
+    # 0 * inf, unless the slope reads a finite stand-in
+    s = parse_set(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, x = rates.i_tilde(s, p)
+    assert 0.0 < value < INF
+    assert nu(s.shift(-x)) >= p - 1e-12
 
 
 # -- j_tilde ---------------------------------------------------------------------
@@ -310,7 +340,7 @@ def crossing_search(monkeypatch):
     monkeypatch.setattr(rates, "_first_crossing", recording_crossing)
 
     def search(s, p):
-        _, r, x = rates.j_tilde(s, p, shift=(INF, None))
+        _, r, x = rates.j_tilde(s, p)
         return r, x, record["bracket"], record["calls"]
     return search
 
