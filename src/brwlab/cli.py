@@ -4,8 +4,10 @@ Subcommands: rate, simulate, ldp, interp, enumerate, probe-concentration,
 probe-typical, clt-scan.  Every output artifact embeds the seed, a hash of the
 science-relevant configuration, and the tool version, and re-running with the
 same seed reproduces the data rows byte for byte regardless of --threads.
-The estimates of one command share one pool of --threads worker processes,
-which is shut down before the command returns.
+--threads N runs the replica blocks of ldp and the probes in N processes in
+all, the calling process included.  Each such command hands every grid
+point's blocks to one pool in one map, and shuts the pool down before it
+returns.
 
 Exit codes: 0 success, 2 usage or parse problems, 3 infeasible domain
 requests, 4 internal numeric failures.
@@ -36,10 +38,13 @@ from .gaussian import clt_uniformity_scan
 from .intervals import INF, ParseError, parse_set
 from .ldp import (
     StrategySpec,
+    WorkerPool,
+    _concentration_task,
+    _success_task,
+    _typical_task,
     concentration_probe,
     ldp_lower_bound,
     rate_fit,
-    WorkerPool,
     typical_deviation_probe,
 )
 from .rates import classify, interpolation_cost_exponent
@@ -77,7 +82,8 @@ def _fmt(value) -> str:
 _COMMON = [
     Opt("seed", int, None, "master seed (default: $BRWLAB_SEED or 0)"),
     Opt("out", str, None, "output path (default: stdout)", in_hash=False),
-    Opt("threads", int, 1, "max worker processes for replica runs", in_hash=False),
+    Opt("threads", int, 1, "max processes for replica runs, this one included",
+        in_hash=False),
     Opt("config", str, None, "KEY=VALUE config file; flags override", in_hash=False),
 ]
 
@@ -251,6 +257,18 @@ def _emit(resolved: dict, command: str, header_cols: Sequence[str],
 
 # -- subcommands ---------------------------------------------------------------
 
+def _grid_estimates(threads: int, task: Callable, estimate: Callable,
+                    points: Sequence[tuple], **kwargs) -> list:
+    """``estimate(*point, **kwargs)`` for every grid point, in one pool.
+
+    ``task(*point)`` is the point's event count: the pool runs every point's
+    blocks in one map, at the first estimate.
+    """
+    with WorkerPool(threads) as pool:
+        pool.expect([task(*point) for point in points])
+        return [estimate(*point, workers=pool, **kwargs) for point in points]
+
+
 def _cmd_rate(resolved: dict) -> None:
     target = parse_set(resolved["set"])
     report = classify(target, resolved["p"], resolved["b"])
@@ -304,18 +322,15 @@ def _cmd_ldp(resolved: dict) -> None:
             raise InfeasibleError("no finite shift witness; use --kind dilation")
     if r is None:
         r = 0.0 if kind == "shift" else report.r_star
-    rows = []
-    estimates = []
-    with WorkerPool(resolved["threads"]) as pool:
-        for idx, n in enumerate(resolved["n_grid"]):
-            spec = StrategySpec.make(kind, x, r, n)
-            est = ldp_lower_bound(spec, target, p, law, resolved["replicas"],
-                                  seed=(resolved["seed"], idx), workers=pool,
-                                  report=report)
-            estimates.append(est)
-            rows.append([n, kind, spec.x, spec.r, spec.w, spec.q, spec.s,
-                         est.log_prefix_prob, est.q_hat, est.ci_lo, est.ci_hi,
-                         est.log_neg_log, est.theory_rate, est.relative_gap])
+    points = [(StrategySpec.make(kind, x, r, n), target, p, law,
+               resolved["replicas"], (resolved["seed"], idx))
+              for idx, n in enumerate(resolved["n_grid"])]
+    estimates = _grid_estimates(resolved["threads"], _success_task,
+                                ldp_lower_bound, points, report=report)
+    rows = [[est.spec.n, kind, est.spec.x, est.spec.r, est.spec.w, est.spec.q,
+             est.spec.s, est.log_prefix_prob, est.q_hat, est.ci_lo, est.ci_hi,
+             est.log_neg_log, est.theory_rate, est.relative_gap]
+            for est in estimates]
     comments = [f"law={law} regime={report.regime} scale={report.scale}"]
     if len(estimates) >= 3:
         fit = rate_fit(estimates, report.scale)
@@ -354,14 +369,13 @@ def _cmd_enumerate(resolved: dict) -> None:
 def _cmd_probe_concentration(resolved: dict) -> None:
     law = BranchingLaw.parse(resolved["law"])
     target = parse_set(resolved["set"])
-    rows = []
-    with WorkerPool(resolved["threads"]) as pool:
-        for idx, pop in enumerate(resolved["pop_grid"]):
-            res = concentration_probe(pop, target, resolved["delta"], resolved["n"],
-                                      law, resolved["replicas"],
-                                      seed=(resolved["seed"], idx), workers=pool)
-            rows.append([pop, res.delta, res.n, res.replicas, res.frequency,
-                         res.reference])
+    points = [(pop, target, resolved["delta"], resolved["n"], law,
+               resolved["replicas"], (resolved["seed"], idx))
+              for idx, pop in enumerate(resolved["pop_grid"])]
+    results = _grid_estimates(resolved["threads"], _concentration_task,
+                              concentration_probe, points)
+    rows = [[res.population, res.delta, res.n, res.replicas, res.frequency,
+             res.reference] for res in results]
     _emit(resolved, "probe-concentration",
           ["population", "delta", "n", "replicas", "frequency", "reference"],
           rows, [f"law={law}"])
@@ -370,14 +384,13 @@ def _cmd_probe_concentration(resolved: dict) -> None:
 def _cmd_probe_typical(resolved: dict) -> None:
     law = BranchingLaw.parse(resolved["law"])
     target = parse_set(resolved["set"])
-    rows = []
-    with WorkerPool(resolved["threads"]) as pool:
-        for idx, n in enumerate(resolved["n_grid"]):
-            res = typical_deviation_probe(target, resolved["t"], n, law,
-                                          resolved["replicas"],
-                                          seed=(resolved["seed"], idx), workers=pool)
-            rows.append([n, resolved["t"], res.threshold, res.replicas,
-                         res.probability])
+    points = [(target, resolved["t"], n, law, resolved["replicas"],
+               (resolved["seed"], idx))
+              for idx, n in enumerate(resolved["n_grid"])]
+    results = _grid_estimates(resolved["threads"], _typical_task,
+                              typical_deviation_probe, points)
+    rows = [[res.n, resolved["t"], res.threshold, res.replicas, res.probability]
+            for res in results]
     _emit(resolved, "probe-typical",
           ["n", "t", "threshold", "replicas", "probability"], rows,
           [f"law={law}"])

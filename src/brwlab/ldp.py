@@ -29,9 +29,13 @@ chance that any of them decided otherwise than a full run would; the sum is
 exactly rounded, so it does not depend on the worker count.  Neither field
 enters the CSV data rows.
 
-The ``workers`` argument is a count or a `WorkerPool`.  Given a count, an
-estimate starts and shuts down its own processes; given a pool, it reuses
-the pool's processes, so the CLI starts at most one pool per run.
+The ``workers`` argument is a count or a `WorkerPool`, and counts the
+calling process: ``workers=N`` runs blocks in the caller and N - 1 child
+processes.  Given a count, an estimate starts and shuts down its own
+children; given a pool, it reuses the pool's.  A pool told the event counts
+of several estimates ahead (`WorkerPool.expect`) runs all their blocks in
+one map at the first of them, so the CLI runs each command's blocks in one
+map of one pool.
 """
 
 from __future__ import annotations
@@ -169,21 +173,68 @@ class SuccessEstimate:
 
 
 class WorkerPool:
-    """Worker processes shared by every estimate given this pool.
+    """``workers`` processes in all, the caller included, shared by every
+    estimate given this pool.
 
-    Holds at most one worker per core.  The processes start at the first
-    estimate that has at least one replica block per worker, and `close`,
-    or the end of a ``with`` block, shuts them down and reaps them.
+    Holds at most one process per core.  The ``workers - 1`` children start
+    at the first map with more than one job, and `close`, or the end of a
+    ``with`` block, shuts them down and reaps them.
     """
 
     def __init__(self, workers: int):
         self.workers = min(workers, os.cpu_count() or 1)
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._expected: list[_EventTask] = []
+        self._counted: dict[_EventTask, tuple[int, int, float]] = {}
 
     def map(self, fn, jobs: list) -> list:
+        """``[fn(job) for job in jobs]``, spread over the caller and the children.
+
+        The children take jobs from the front.  The caller runs the last job,
+        then takes the jobs no child has started, from the back.  An
+        exception from any job propagates, with the unstarted jobs dropped.
+        """
+        if self.workers <= 1 or len(jobs) <= 1:
+            return [fn(job) for job in jobs]
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return list(self._pool.map(fn, jobs))
+            self._pool = ProcessPoolExecutor(max_workers=self.workers - 1)
+        futures = [self._pool.submit(fn, job) for job in jobs[:-1]]
+        try:
+            tail = [fn(jobs[-1])]
+            # the executor starts jobs in order, so once one cannot be
+            # cancelled, every job before it has started too
+            while futures and futures[-1].cancel():
+                futures.pop()
+                tail.append(fn(jobs[len(futures)]))
+            return [future.result() for future in futures] + tail[::-1]
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+
+    def expect(self, tasks: Sequence[_EventTask]) -> None:
+        """Announce event counts that estimates given this pool will ask for.
+
+        The first count asked for runs the blocks of every announced task in
+        one map, in the order given; the others are then handed out as asked.
+        """
+        self._expected += tasks
+
+    def count(self, task: _EventTask) -> tuple[int, int, float]:
+        """(events, rows retired early, union bound on their misdecisions)."""
+        if task not in self._counted:
+            batch = self._expected if task in self._expected else self._expected + [task]
+            self._expected = []
+            blocks = [each.jobs() for each in batch]
+            parts = iter(self.map(_count_events, [job for jobs in blocks for job in jobs]))
+            for each, jobs in zip(batch, blocks):
+                mine = [next(parts) for _ in jobs]
+                retired = [b for _, bounds in mine for b in bounds]
+                # fsum is exactly rounded, so the sum does not depend on the
+                # worker split
+                self._counted[each] = (sum(count for count, _ in mine),
+                                       len(retired), math.fsum(retired))
+        return self._counted.pop(task)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -198,6 +249,31 @@ class WorkerPool:
 
 
 Workers = Union[int, WorkerPool]
+
+
+@dataclass(frozen=True)
+class _EventTask:
+    """One estimate's event count: ``replicas`` runs of ``steps`` generations
+    from ``start`` particles at 0, each testing its final fraction in
+    ``target`` against ``threshold`` (strictly or not), with block b drawing
+    from ``derive(*seed, b)``."""
+
+    law: BranchingLaw
+    steps: int
+    start: int
+    target: IntervalSet
+    threshold: float
+    strict: bool
+    seed: tuple[int, ...]
+    replicas: int
+
+    def jobs(self) -> list[tuple]:
+        """One `_count_events` job per replica block."""
+        rows = block_rows(ParticleMeasure.delta(0, count=self.start), self.steps)
+        head = (self.law, self.steps, self.start, self.target, self.threshold,
+                self.strict, self.seed)
+        return [head + (first, min(first + rows, self.replicas))
+                for first in range(0, self.replicas, rows)]
 
 
 def _count_events(args) -> tuple[int, list[float]]:
@@ -219,27 +295,53 @@ def _count_events(args) -> tuple[int, list[float]]:
     return count, bounds
 
 
-def _parallel_event_count(law, steps, start, target, threshold, strict, seed,
-                          replicas, workers: Workers) -> tuple[int, int, float]:
-    """(events, rows retired early, union bound on their misdecisions)."""
-    if not isinstance(workers, WorkerPool):
-        with WorkerPool(workers) as pool:
-            return _parallel_event_count(law, steps, start, target, threshold,
-                                         strict, seed, replicas, pool)
-    seed = seed if isinstance(seed, tuple) else (seed,)
-    args = (law, steps, start, target, threshold, strict, seed)
-    rows = block_rows(ParticleMeasure.delta(0, count=start), steps)
-    if workers.workers <= 1 or -(-replicas // rows) < workers.workers:
-        # fewer blocks than workers: nothing to share out
-        parts = [_count_events(args + (0, replicas))]
-    else:
-        # one job per block, so a block runs whole on one worker
-        jobs = [args + (first, min(first + rows, replicas))
-                for first in range(0, replicas, rows)]
-        parts = workers.map(_count_events, jobs)
-    retired = [b for _, part in parts for b in part]
-    # fsum is exactly rounded, so the sum does not depend on the worker split
-    return sum(count for count, _ in parts), len(retired), math.fsum(retired)
+def _event_count(task: _EventTask, workers: Workers) -> tuple[int, int, float]:
+    if isinstance(workers, WorkerPool):
+        return workers.count(task)
+    with WorkerPool(workers) as pool:
+        return pool.count(task)
+
+
+def _path(seed: Seed) -> tuple[int, ...]:
+    return seed if isinstance(seed, tuple) else (seed,)
+
+
+def _success_task(spec: StrategySpec, a: IntervalSet, p: float,
+                  law: BranchingLaw, replicas: int, seed: Seed) -> _EventTask:
+    """The event count of `conditional_success_estimate`, its arguments checked."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if replicas < 100:
+        raise ValueError("need at least 100 replicas")
+    target = a.scale(math.sqrt(spec.n)).shift(float(-spec.w))
+    return _EventTask(law, spec.m, 1, target, p, False, _path(seed), replicas)
+
+
+def _concentration_task(population: int, a: IntervalSet, delta: float, n: int,
+                        law: BranchingLaw, replicas: int,
+                        seed: Seed) -> _EventTask:
+    """The event count of `concentration_probe`, its arguments checked."""
+    if population < 1 or replicas < 1:
+        raise ValueError("population and replicas must be positive")
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _EventTask(law, n, population, a, nu_n_of_set(n, a) + delta, True,
+                      _path(seed), replicas)
+
+
+def _typical_task(a: IntervalSet, t: float, n: int, law: BranchingLaw,
+                  replicas: int, seed: Seed) -> _EventTask:
+    """The event count of `typical_deviation_probe`, its arguments checked."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if replicas < 1:
+        raise ValueError("replicas must be positive")
+    return _EventTask(law, n, 1, a.scale(math.sqrt(n)), nu(a) + t / math.sqrt(n),
+                      True, _path(seed), replicas)
 
 
 def conditional_success_estimate(spec: StrategySpec, a: IntervalSet, p: float,
@@ -252,13 +354,8 @@ def conditional_success_estimate(spec: StrategySpec, a: IntervalSet, p: float,
     target.  Zero-success runs are reported with the one-sided interval and
     flagged; the composition then falls back to the interval's upper end.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if replicas < 100:
-        raise ValueError("need at least 100 replicas")
-    target = a.scale(math.sqrt(spec.n)).shift(float(-spec.w))
-    successes, early, bound = _parallel_event_count(
-        law, spec.m, 1, target, p, False, seed, replicas, workers)
+    successes, early, bound = _event_count(
+        _success_task(spec, a, p, law, replicas, seed), workers)
     lo, hi = wilson_interval(successes, replicas)
     return SuccessEstimate(successes, replicas, successes / replicas, lo, hi,
                            successes == 0, early, bound)
@@ -400,17 +497,10 @@ def concentration_probe(population: int, a: IntervalSet, delta: float, n: int,
     checks the population-concentration behavior empirically; the decay
     constants themselves stay unfitted).
     """
-    if population < 1 or replicas < 1:
-        raise ValueError("population and replicas must be positive")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
-    reference = nu_n_of_set(n, a)
-    hits, early, bound = _parallel_event_count(
-        law, n, population, a, reference + delta, True, seed, replicas, workers)
-    return ConcentrationResult(population, delta, n, replicas,
-                               hits / replicas, reference, early, bound)
+    hits, early, bound = _event_count(
+        _concentration_task(population, a, delta, n, law, replicas, seed), workers)
+    return ConcentrationResult(population, delta, n, replicas, hits / replicas,
+                               nu_n_of_set(n, a), early, bound)
 
 
 @dataclass(frozen=True)
@@ -427,14 +517,6 @@ def typical_deviation_probe(a: IntervalSet, t: float, n: int, law: BranchingLaw,
                             replicas: int, seed: Seed = 0,
                             workers: Workers = 1) -> ProbeResult:
     """Estimate P(fraction in sqrt(n)A > nu(A) + t/sqrt(n)) from one root."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    threshold = nu(a) + t / math.sqrt(n)
-    target = a.scale(math.sqrt(n))
-    hits, early, bound = _parallel_event_count(
-        law, n, 1, target, threshold, True, seed, replicas, workers)
-    return ProbeResult(n, threshold, replicas, hits / replicas, early, bound)
+    task = _typical_task(a, t, n, law, replicas, seed)
+    hits, early, bound = _event_count(task, workers)
+    return ProbeResult(n, task.threshold, replicas, hits / replicas, early, bound)

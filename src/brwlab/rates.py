@@ -339,6 +339,11 @@ def j_tilde(s: IntervalSet, p: float) -> tuple[float, float, float]:
     it, x = i_tilde(s, p)
     if it != INF:
         return 0.0, 0.0, float(x)
+    return _dilation_cost(s, p)
+
+
+def _dilation_cost(s: IntervalSet, p: float) -> tuple[float, float, float]:
+    """`j_tilde` for a set whose shift cost is infinite."""
     lo, hi = s.lo, s.hi
 
     def gap(r: float) -> tuple[float, float]:
@@ -412,7 +417,7 @@ def classify(s: IntervalSet, p: float, b: int) -> RateReport:
     if it != INF:
         return RateReport(p, b, it, x, 0.0, 0.0, x, logb * it, 0.0,
                           "shift", "sqrt_n", near_critical=near)
-    jt, r, xd = j_tilde(s, p)
+    jt, r, xd = _dilation_cost(s, p)
     return RateReport(p, b, INF, None, jt, r, xd, INF, logb * jt,
                       "dilation", "n", near_critical=near)
 

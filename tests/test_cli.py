@@ -286,6 +286,62 @@ def test_grid_streams_disjoint_across_seeds(args, tmp_path, monkeypatch):
     assert not seen[0] & seen[1]
 
 
+@pytest.mark.parametrize("command", ["ldp", "probe-concentration"])
+def test_batched_grid_rows_equal_per_point_estimates(command, tmp_path, monkeypatch):
+    # every grid point's blocks go to the pool in one map, and the rows equal
+    # single-point estimates on the same (seed, grid index) keys at any
+    # --threads
+    from brwlab import ldp
+    from brwlab.cli import _fmt
+    from brwlab.engine import BranchingLaw
+    from brwlab.intervals import IntervalSet
+    from brwlab.rates import classify
+
+    maps = []
+    original = ldp.WorkerPool.map
+
+    def counting_map(self, fn, jobs):
+        maps.append(len(jobs))
+        return original(self, fn, jobs)
+
+    monkeypatch.setattr(ldp.WorkerPool, "map", counting_map)
+    law, half_line = BranchingLaw.binary_ternary(), IntervalSet.below(0)
+    if command == "ldp":
+        grid = (36, 64, 100)
+        args = ["ldp", "--set", "(-inf,0]", "--p", "0.8", "--n-grid",
+                "36,64,100", "--replicas", "130", "--seed", "7"]
+        report = classify(half_line, 0.8, law.b)
+        expected = []
+        for idx, n in enumerate(grid):
+            spec = ldp.StrategySpec.make("shift", report.x_star, 0.0, n)
+            est = ldp.ldp_lower_bound(spec, half_line, 0.8, law, 130, seed=(7, idx),
+                                      report=report)
+            expected.append([n, "shift", spec.x, spec.r, spec.w, spec.q, spec.s,
+                             est.log_prefix_prob, est.q_hat, est.ci_lo, est.ci_hi,
+                             est.log_neg_log, est.theory_rate, est.relative_gap])
+    else:
+        grid = (20, 30, 40)
+        args = ["probe-concentration", "--pop-grid", "20,30,40", "--n", "8",
+                "--law", "2:0.5,3:0.5", "--replicas", "130", "--seed", "7"]
+        expected = []
+        for idx, pop in enumerate(grid):
+            res = ldp.concentration_probe(pop, half_line, 0.05, 8, law, 130,
+                                          seed=(7, idx))
+            expected.append([pop, res.delta, res.n, res.replicas, res.frequency,
+                             res.reference])
+    maps.clear()
+    texts = []
+    for threads in ("1", "2", "3"):
+        code, text = run_cli(args + ["--threads", threads], tmp_path)
+        assert code == 0
+        texts.append(text)
+    assert texts[0] == texts[1] == texts[2]
+    assert maps == [9] * 3   # blocks of 64, 64 and 2 rows per point
+    rows = [line.split(",") for line in texts[0].splitlines()
+            if not line.startswith("#")][1:]
+    assert rows == [[_fmt(value) for value in row] for row in expected]
+
+
 def test_env_var_default_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("BRWLAB_SEED", "9")
     code, text = run_cli(["rate", "--set", "R", "--p", "0.3"], tmp_path)

@@ -1,5 +1,9 @@
 import itertools
 import math
+import multiprocessing
+import os
+import time
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -199,7 +203,8 @@ def test_estimators_worker_invariant_across_blocks():
 
 
 def test_worker_count_clamped_to_cores(monkeypatch, tmp_path):
-    # the pool gets at most one worker per core; the fake starts no process
+    # at most one process per core, the caller included, so the executor
+    # gets one child fewer; the fake starts no process
     pools = []
     shut = []
 
@@ -207,8 +212,10 @@ def test_worker_count_clamped_to_cores(monkeypatch, tmp_path):
         def __init__(self, max_workers):
             pools.append(max_workers)
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, job):
+            future = Future()
+            future.set_result(fn(job))
+            return future
 
         def shutdown(self):
             shut.append(self)
@@ -219,11 +226,11 @@ def test_worker_count_clamped_to_cores(monkeypatch, tmp_path):
     args = (20, HALF_LINE, 0.02, 4, LAW, 200)
     assert engine.block_rows(ParticleMeasure.delta(0, count=20), 4) == 64
     wide = ldp.concentration_probe(*args, seed=5, workers=10 ** 6)
-    assert pools == [3]
+    assert pools == [2]
     assert wide == ldp.concentration_probe(*args, seed=5, workers=1)
     monkeypatch.setattr(ldp.os, "cpu_count", lambda: None)
     ldp.concentration_probe(*args, seed=5, workers=10 ** 6)
-    assert pools == [3]   # an unknown core count runs in-process
+    assert pools == [2]   # an unknown core count runs in-process
     # two estimates of one CLI run share one pool, shut down before main returns
     monkeypatch.setattr(ldp.os, "cpu_count", lambda: 2)
     shut.clear()
@@ -231,7 +238,38 @@ def test_worker_count_clamped_to_cores(monkeypatch, tmp_path):
                  "--replicas", "200", "--threads", "2", "--seed", "5",
                  "--out", str(tmp_path / "out.csv")])
     assert code == 0
-    assert pools == [3, 2] and len(shut) == 1
+    assert pools == [2, 1] and len(shut) == 1
+
+
+def _job_and_pid(job):
+    time.sleep(0.01)
+    return job, os.getpid()
+
+
+def _fail_at_three(job):
+    if job == 3:
+        raise ValueError("job 3 failed")
+    return job
+
+
+def test_worker_pool_map_runs_jobs_in_the_caller_too():
+    with ldp.WorkerPool(3) as pool:
+        out = pool.map(_job_and_pid, list(range(8)))
+        assert [job for job, _ in out] == list(range(8))
+        pids = {pid for _, pid in out}
+        # the caller runs the last job itself
+        assert out[-1][1] == os.getpid()
+        assert len(pids - {os.getpid()}) <= pool.workers - 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [6, 4])
+def test_worker_pool_map_propagates_a_job_error(jobs):
+    # job 3 is a submitted job, then the one the caller runs first
+    with pytest.raises(ValueError, match="job 3 failed"):
+        with ldp.WorkerPool(2) as pool:
+            pool.map(_fail_at_three, list(range(jobs)))
+    assert multiprocessing.active_children() == []
 
 
 def test_estimators_worker_invariant_on_short_last_block():
