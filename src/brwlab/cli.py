@@ -6,8 +6,8 @@ science-relevant configuration, and the tool version, and re-running with the
 same seed reproduces the data rows byte for byte regardless of --threads.
 --threads N runs the replica blocks of ldp and the probes in N processes in
 all, the calling process included.  Each such command hands every grid
-point's blocks to one pool in one map, and shuts the pool down before it
-returns.
+point's blocks to one map, which forks the N - 1 children and reaps them
+before it returns; without os.fork, every block runs in this process.
 
 Exit codes: 0 success, 2 usage or parse problems, 3 infeasible domain
 requests, 4 internal numeric failures.
@@ -259,14 +259,14 @@ def _emit(resolved: dict, command: str, header_cols: Sequence[str],
 
 def _grid_estimates(threads: int, task: Callable, estimate: Callable,
                     points: Sequence[tuple], **kwargs) -> list:
-    """``estimate(*point, **kwargs)`` for every grid point, in one pool.
+    """``estimate(*point, **kwargs)`` for every grid point, from one pool.
 
     ``task(*point)`` is the point's event count: the pool runs every point's
     blocks in one map, at the first estimate.
     """
-    with WorkerPool(threads) as pool:
-        pool.expect([task(*point) for point in points])
-        return [estimate(*point, workers=pool, **kwargs) for point in points]
+    pool = WorkerPool(threads)
+    pool.expect([task(*point) for point in points])
+    return [estimate(*point, workers=pool, **kwargs) for point in points]
 
 
 def _cmd_rate(resolved: dict) -> None:

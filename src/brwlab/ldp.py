@@ -30,19 +30,25 @@ exactly rounded, so it does not depend on the worker count.  Neither field
 enters the CSV data rows.
 
 The ``workers`` argument is a count or a `WorkerPool`, and counts the
-calling process: ``workers=N`` runs blocks in the caller and N - 1 child
-processes.  Given a count, an estimate starts and shuts down its own
-children; given a pool, it reuses the pool's.  A pool told the event counts
-of several estimates ahead (`WorkerPool.expect`) runs all their blocks in
-one map at the first of them, so the CLI runs each command's blocks in one
-map of one pool.
+calling process: ``workers=N`` runs blocks in the caller and up to N - 1
+children, which `WorkerPool.map` forks and reaps anew at each map.  Every
+process takes blocks in order from one ticket pipe; the children inherit
+the blocks' arguments, so only their results are pickled.  Where
+``os.fork`` is missing, every block runs in the caller.  A pool told the
+event counts of several estimates ahead (`WorkerPool.expect`) runs all
+their blocks in one map at the first of them, so the CLI runs each
+command's blocks in one map.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import select
+import signal
+import struct
+import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -176,41 +182,85 @@ class WorkerPool:
     """``workers`` processes in all, the caller included, shared by every
     estimate given this pool.
 
-    Holds at most one process per core.  The ``workers - 1`` children start
-    at the first map with more than one job, and `close`, or the end of a
-    ``with`` block, shuts them down and reaps them.
+    Holds at most one process per core that this process may run on.  The
+    pool keeps no process between maps: each map forks its children and
+    reaps them before it returns or raises, so there is nothing to close.
     """
 
     def __init__(self, workers: int):
-        self.workers = min(workers, os.cpu_count() or 1)
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self.workers = min(workers, _usable_cores())
         self._expected: list[_EventTask] = []
         self._counted: dict[_EventTask, tuple[int, int, float]] = {}
 
     def map(self, fn, jobs: list) -> list:
-        """``[fn(job) for job in jobs]``, spread over the caller and the children.
+        """``[fn(job) for job in jobs]``, spread over the caller and forked children.
 
-        The children take jobs from the front.  The caller runs the last job,
-        then takes the jobs no child has started, from the back.  An
-        exception from any job propagates, with the unstarted jobs dropped.
+        Up to ``workers - 1`` children are forked, one fewer than the jobs.
+        They inherit ``fn`` and ``jobs``, so neither is pickled.  Every
+        process takes job indices from one ticket pipe, in job order, and
+        runs each job it takes; a child pickles its results back through a
+        pipe of its own when the tickets run out.  An exception from a job
+        in the caller kills the children.  One from a job in a child is
+        raised again in the caller, with the child's traceback as its
+        cause.  A child that ends without sending its results raises
+        RuntimeError naming its exit status.  Every child is reaped before
+        map returns or raises.  Without ``os.fork`` every job runs in the
+        caller.
         """
-        if self.workers <= 1 or len(jobs) <= 1:
+        processes = min(self.workers, len(jobs))
+        if processes <= 1 or not hasattr(os, "fork"):
             return [fn(job) for job in jobs]
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers - 1)
-        futures = [self._pool.submit(fn, job) for job in jobs[:-1]]
+        tickets = _Tickets(len(jobs))
+        children: dict[int, int] = {}   # pid -> read end of its result pipe
         try:
-            tail = [fn(jobs[-1])]
-            # the executor starts jobs in order, so once one cannot be
-            # cancelled, every job before it has started too
-            while futures and futures[-1].cancel():
-                futures.pop()
-                tail.append(fn(jobs[len(futures)]))
-            return [future.result() for future in futures] + tail[::-1]
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+            for _ in range(processes - 1):
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:   # the child
+                    code = 1
+                    try:
+                        os.close(read_fd)
+                        for fd in children.values():
+                            os.close(fd)
+                        tickets.close_writer()
+                        _serve(fn, jobs, tickets, write_fd)
+                        code = 0
+                    finally:
+                        # never return into the caller's stack, run its exit
+                        # handlers or flush the stdout buffers it inherited
+                        os._exit(code)
+                os.close(write_fd)
+                children[pid] = read_fd
+            out = {i: fn(jobs[i]) for i in tickets}
+            for pid, read_fd in list(children.items()):
+                with open(read_fd, "rb", closefd=False) as pipe:
+                    payload = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                os.close(children.pop(pid))
+                if status != 0 or not payload:
+                    raise RuntimeError(f"worker process {pid} ended with "
+                                       f"{_describe(status)} before sending "
+                                       "its results")
+                results, error = pickle.loads(payload)
+                if error is not None:
+                    exc, text = error
+                    raise exc from _ChildTraceback(text)
+                out.update(results)
+            return [out[i] for i in range(len(jobs))]
+        finally:
+            tickets.close()
+            for pid, read_fd in children.items():
+                os.close(read_fd)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
 
     def expect(self, tasks: Sequence[_EventTask]) -> None:
         """Announce event counts that estimates given this pool will ask for.
@@ -236,16 +286,106 @@ class WorkerPool:
                                        len(retired), math.fsum(retired))
         return self._counted.pop(task)
 
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the system has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_TICKET = struct.Struct("I")
+
+
+class _Tickets:
+    """The job indices 0, ..., count - 1 in a pipe, taken in order by any process.
+
+    A ticket is one fixed-size record, and each write is at most PIPE_BUF
+    bytes of whole tickets, which the kernel writes at once or not at all,
+    so a read of one ticket's size always gets a whole ticket.  Both ends
+    are non-blocking.  The caller writes what the pipe takes each time it
+    takes a ticket, so it never waits while tickets remain unwritten, and
+    closes its write end after the last one; a child closes its inherited
+    write end at once and waits for tickets with select.  A reader sees end
+    of file once every ticket is taken.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self.written = 0
+        self.read_fd, self.write_fd = os.pipe()
+        os.set_blocking(self.read_fd, False)
+        os.set_blocking(self.write_fd, False)
+
+    def __iter__(self):
+        while True:
+            if self.write_fd is not None:
+                self._fill()
+            try:
+                ticket = os.read(self.read_fd, _TICKET.size)
+            except BlockingIOError:   # empty, with a writer still open
+                if self.write_fd is None:
+                    select.select([self.read_fd], [], [])
+                continue
+            if not ticket:
+                return
+            yield _TICKET.unpack(ticket)[0]
+
+    def _fill(self) -> None:
+        per_write = select.PIPE_BUF // _TICKET.size
+        while self.written < self.count:
+            end = min(self.written + per_write, self.count)
+            try:
+                os.write(self.write_fd, struct.pack(f"{end - self.written}I",
+                                                    *range(self.written, end)))
+            except BlockingIOError:   # the pipe is full
+                return
+            self.written = end
+        self.close_writer()
+
+    def close_writer(self) -> None:
+        if self.write_fd is not None:
+            os.close(self.write_fd)
+            self.write_fd = None
+
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        self.close_writer()
+        os.close(self.read_fd)
 
-    def __enter__(self) -> "WorkerPool":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker child."""
+
+
+def _serve(fn, jobs: list, tickets: _Tickets, write_fd: int) -> None:
+    """A child's part of `WorkerPool.map`.
+
+    Runs the jobs it takes, then writes ``(results, error)`` to
+    ``write_fd``: the results as (index, result) pairs, the error as None or
+    (exception, formatted traceback).
+    """
+    results, error = [], None
+    try:
+        for i in tickets:
+            results.append((i, fn(jobs[i])))
+    except BaseException as exc:   # sent to the caller, which raises it again
+        error = (exc, traceback.format_exc())
+    try:
+        payload = pickle.dumps((results, error))
+    except Exception:   # a result or an exception that does not pickle
+        text = (error[1] if error else "") + traceback.format_exc()
+        payload = pickle.dumps(([], (RuntimeError("a job's result or error "
+                                                  "does not pickle"), text)))
+    with open(write_fd, "wb") as pipe:
+        pipe.write(payload)
+
+
+def _describe(status: int) -> str:
+    """A wait status in words."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"signal {-code} ({signal.Signals(-code).name})"
+    return f"exit status {code}"
 
 
 Workers = Union[int, WorkerPool]
@@ -296,10 +436,8 @@ def _count_events(args) -> tuple[int, list[float]]:
 
 
 def _event_count(task: _EventTask, workers: Workers) -> tuple[int, int, float]:
-    if isinstance(workers, WorkerPool):
-        return workers.count(task)
-    with WorkerPool(workers) as pool:
-        return pool.count(task)
+    pool = workers if isinstance(workers, WorkerPool) else WorkerPool(workers)
+    return pool.count(task)
 
 
 def _path(seed: Seed) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
+import contextlib
 import itertools
 import math
-import multiprocessing
 import os
+import signal
 import time
-from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -202,43 +202,71 @@ def test_estimators_worker_invariant_across_blocks():
     assert 0.0 < probes[0].frequency < 1.0
 
 
+def _assert_no_child_left():
+    # multiprocessing.active_children cannot see children of os.fork
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    # SIGALRM turns a hang into a failure; forked children do not inherit
+    # the alarm
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_worker_count_clamped_to_cores(monkeypatch, tmp_path):
-    # at most one process per core, the caller included, so the executor
-    # gets one child fewer; the fake starts no process
-    pools = []
-    shut = []
+    # at most one process per usable core, the caller included, so a map
+    # forks one child fewer
+    forks = []
+    real_fork = os.fork
 
-    class FakePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-        def submit(self, fn, job):
-            future = Future()
-            future.set_result(fn(job))
-            return future
-
-        def shutdown(self):
-            shut.append(self)
-
-    monkeypatch.setattr(ldp, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(ldp.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(ldp.os, "fork", counting_fork)
+    monkeypatch.setattr(ldp.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     # 200 replicas of 64-row blocks: four blocks, enough for three workers
     args = (20, HALF_LINE, 0.02, 4, LAW, 200)
     assert engine.block_rows(ParticleMeasure.delta(0, count=20), 4) == 64
     wide = ldp.concentration_probe(*args, seed=5, workers=10 ** 6)
-    assert pools == [2]
+    assert len(forks) == 2
     assert wide == ldp.concentration_probe(*args, seed=5, workers=1)
-    monkeypatch.setattr(ldp.os, "cpu_count", lambda: None)
-    ldp.concentration_probe(*args, seed=5, workers=10 ** 6)
-    assert pools == [2]   # an unknown core count runs in-process
-    # two estimates of one CLI run share one pool, shut down before main returns
-    monkeypatch.setattr(ldp.os, "cpu_count", lambda: 2)
-    shut.clear()
+    assert len(forks) == 2
+    _assert_no_child_left()
+    # two estimates of one CLI run share one map, reaped before main returns
+    monkeypatch.setattr(ldp.os, "sched_getaffinity", lambda pid: {0, 1})
+    forks.clear()
     code = main(["probe-concentration", "--pop-grid", "20,30", "--n", "4",
                  "--replicas", "200", "--threads", "2", "--seed", "5",
                  "--out", str(tmp_path / "out.csv")])
     assert code == 0
-    assert pools == [2, 1] and len(shut) == 1
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    # taskset or a cgroup cpuset limits the cores this process may use,
+    # whatever the host has
+    monkeypatch.setattr(ldp.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(ldp.os, "sched_getaffinity", lambda pid: {3})
+    assert ldp.WorkerPool(8).workers == 1
+    monkeypatch.setattr(ldp.os, "sched_getaffinity", lambda pid: {0, 5, 7})
+    assert ldp.WorkerPool(8).workers == 3
+    monkeypatch.delattr(ldp.os, "sched_getaffinity")
+    assert ldp.WorkerPool(8).workers == 8
+    monkeypatch.setattr(ldp.os, "cpu_count", lambda: None)
+    assert ldp.WorkerPool(8).workers == 1   # an unknown core count runs in-process
 
 
 def _job_and_pid(job):
@@ -253,23 +281,98 @@ def _fail_at_three(job):
 
 
 def test_worker_pool_map_runs_jobs_in_the_caller_too():
-    with ldp.WorkerPool(3) as pool:
-        out = pool.map(_job_and_pid, list(range(8)))
-        assert [job for job, _ in out] == list(range(8))
-        pids = {pid for _, pid in out}
-        # the caller runs the last job itself
-        assert out[-1][1] == os.getpid()
-        assert len(pids - {os.getpid()}) <= pool.workers - 1
-    assert multiprocessing.active_children() == []
+    pool = ldp.WorkerPool(3)
+    out = pool.map(_job_and_pid, list(range(8)))
+    assert [job for job, _ in out] == list(range(8))
+    pids = {pid for _, pid in out}
+    assert os.getpid() in pids
+    assert len(pids - {os.getpid()}) <= pool.workers - 1
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("jobs", [6, 4])
 def test_worker_pool_map_propagates_a_job_error(jobs):
-    # job 3 is a submitted job, then the one the caller runs first
+    # job 3 runs in the caller or in the child; either way map raises it
     with pytest.raises(ValueError, match="job 3 failed"):
-        with ldp.WorkerPool(2) as pool:
-            pool.map(_fail_at_three, list(range(jobs)))
-    assert multiprocessing.active_children() == []
+        ldp.WorkerPool(2).map(_fail_at_three, list(range(jobs)))
+    _assert_no_child_left()
+
+
+# Jobs of the failure-path tests carry the caller's pid, so a job knows
+# whether a child runs it.  A caller's job sleeps longer, so the children
+# take jobs too.
+
+def _jobs_with_caller(count):
+    return [(index, os.getpid()) for index in range(count)]
+
+
+def _killed_in_a_child(job):
+    index, caller = job
+    time.sleep(0.05 if os.getpid() == caller else 0.01)
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return index
+
+
+def _fails_in_a_child(job):
+    index, caller = job
+    time.sleep(0.05 if os.getpid() == caller else 0.01)
+    if os.getpid() != caller:
+        raise ValueError(f"job {index} failed in a child")
+    return index
+
+
+def _interrupted_in_the_caller(job):
+    index, caller = job
+    if os.getpid() != caller:
+        time.sleep(60)   # still busy when the caller stops
+    time.sleep(0.05)
+    raise KeyboardInterrupt
+
+
+def test_worker_pool_map_raises_for_a_killed_child(monkeypatch):
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
+    with _deadline(30), pytest.raises(RuntimeError, match=r"signal 9 \(SIGKILL\)"):
+        ldp.WorkerPool(2).map(_killed_in_a_child, _jobs_with_caller(8))
+    _assert_no_child_left()
+
+
+def test_worker_pool_map_raises_a_child_error_with_its_traceback(monkeypatch):
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
+    with _deadline(30), pytest.raises(ValueError, match="failed in a child") as info:
+        ldp.WorkerPool(2).map(_fails_in_a_child, _jobs_with_caller(8))
+    cause = info.value.__cause__
+    assert isinstance(cause, ldp._ChildTraceback)
+    assert "Traceback (most recent call last)" in str(cause)
+    assert "in _fails_in_a_child" in str(cause)
+    _assert_no_child_left()
+
+
+def test_worker_pool_map_interrupted_in_the_caller_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
+    started = time.perf_counter()
+    with _deadline(30), pytest.raises(KeyboardInterrupt):
+        ldp.WorkerPool(2).map(_interrupted_in_the_caller, _jobs_with_caller(4))
+    # the child, asleep in its job, was killed rather than waited for
+    assert time.perf_counter() - started < 20
+    _assert_no_child_left()
+
+
+def test_worker_pool_map_outlasts_a_full_ticket_pipe(monkeypatch):
+    # 20,000 tickets of four bytes overfill a 64 KiB pipe, so the caller
+    # must top it up between its own jobs
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
+    jobs = list(range(20_000))
+    with _deadline(60):
+        assert ldp.WorkerPool(2).map(abs, jobs) == jobs
+    _assert_no_child_left()
+
+
+def test_worker_pool_without_fork_runs_every_job_in_the_caller(monkeypatch):
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
+    monkeypatch.delattr(ldp.os, "fork")
+    out = ldp.WorkerPool(2).map(_job_and_pid, list(range(4)))
+    assert out == [(job, os.getpid()) for job in range(4)]
 
 
 def test_estimators_worker_invariant_on_short_last_block():
@@ -292,11 +395,11 @@ def test_estimators_worker_invariant_on_short_last_block():
 
 def test_estimators_serial_with_fewer_blocks_than_workers(monkeypatch):
     # one 64-row block for two workers: runs in-process, as at one worker
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def no_fork():
+        raise AssertionError("a child was forked")
 
-    monkeypatch.setattr(ldp, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(ldp.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ldp.os, "fork", no_fork)
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
     probes = [ldp.concentration_probe(30, HALF_LINE, 0.02, 8, LAW, 64,
                                       seed=(82, 1), workers=workers)
               for workers in (1, 2)]
