@@ -332,7 +332,7 @@ def _cmd_ldp(resolved: dict) -> None:
              est.log_neg_log, est.theory_rate, est.relative_gap]
             for est in estimates]
     comments = [f"law={law} regime={report.regime} scale={report.scale}"]
-    if len(estimates) >= 3:
+    if len({est.spec.n for est in estimates}) >= 3:   # rate_fit needs 3 distinct n
         fit = rate_fit(estimates, report.scale)
         comments.append(f"fit_slope={_fmt(fit.slope)} fit_scale={fit.scale}")
     _emit(resolved, "ldp",

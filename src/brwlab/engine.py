@@ -744,12 +744,11 @@ def empirical_fraction(zeta: ParticleMeasure, n: int, a: IntervalSet) -> float:
 
 # -- exact enumeration oracle ------------------------------------------------------
 
-def enumerate_exact(n: int, law: BranchingLaw, a: IntervalSet, p: float,
-                    state_limit: int = 10 ** 8) -> Fraction:
+def enumerate_exact(n: int, law: BranchingLaw, a: IntervalSet, p: float) -> Fraction:
     """Exact rational P(final fraction in sqrt(n)*A is >= p), by full enumeration.
 
     Feasible only for tiny trees; a pre-count of the dynamic-programming work
-    rejects anything beyond ``state_limit`` elementary operations.
+    rejects anything beyond 10^8 elementary operations.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -758,10 +757,9 @@ def enumerate_exact(n: int, law: BranchingLaw, a: IntervalSet, p: float,
     t = law.kmax ** n
     pairs = t * (t + 3) // 2
     entries = sum(2 * (n - d) + 1 for d in range(n + 1))
-    if entries * law.kmax * pairs * pairs > state_limit:
+    if entries * law.kmax * pairs * pairs > 10 ** 8:
         raise InfeasibleError(
-            f"enumeration for n={n}, law {law} needs more than "
-            f"{state_limit} operations")
+            f"enumeration for n={n}, law {law} needs more than 10^8 operations")
     target = a.scale(math.sqrt(n)) if n >= 1 else a
     p_frac = Fraction(p)
     law_fracs = [(k, Fraction(pk)) for k, pk in zip(law.support, law.probs)]

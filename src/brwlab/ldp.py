@@ -31,9 +31,11 @@ enters the CSV data rows.
 
 The ``workers`` argument is a count or a `WorkerPool`, and counts the
 calling process: ``workers=N`` runs blocks in the caller and up to N - 1
-children, which `WorkerPool.map` forks and reaps anew at each map.  Every
-process takes blocks in order from one ticket pipe; the children inherit
-the blocks' arguments, so only their results are pickled.  Where
+children, which `WorkerPool.map` forks and reaps anew at each map.  Before
+the first fork the caller writes every ticket into one pipe, a ticket being
+one block (a run of consecutive blocks above PIPE_BUF / 4 blocks), and every
+process takes tickets in order until the pipe is empty; the children
+inherit the blocks' arguments, so only their results are pickled.  Where
 ``os.fork`` is missing, every block runs in the caller.  A pool told the
 event counts of several estimates ahead (`WorkerPool.expect`) runs all
 their blocks in one map at the first of them, so the CLI runs each
@@ -197,15 +199,16 @@ class WorkerPool:
 
         Up to ``workers - 1`` children are forked, one fewer than the jobs.
         They inherit ``fn`` and ``jobs``, so neither is pickled.  Every
-        process takes job indices from one ticket pipe, in job order, and
-        runs each job it takes; a child pickles its results back through a
-        pipe of its own when the tickets run out.  An exception from a job
-        in the caller kills the children.  One from a job in a child is
-        raised again in the caller, with the child's traceback as its
-        cause.  A child that ends without sending its results raises
-        RuntimeError naming its exit status.  Every child is reaped before
-        map returns or raises.  Without ``os.fork`` every job runs in the
-        caller.
+        process takes `_Tickets` in job order, each one job or a run of
+        consecutive jobs, from one pipe filled before the first fork, and
+        runs the jobs of each ticket it takes; a child pickles its results
+        back through a pipe of its own when the tickets run out.  An
+        exception from a job in the caller kills the children.  One from a
+        job in a child is raised again in the caller, with the child's
+        traceback as its cause.  A child that ends without sending its
+        results raises RuntimeError naming its exit status.  Every child is
+        reaped before map returns or raises.  Without ``os.fork`` every job
+        runs in the caller.
         """
         processes = min(self.workers, len(jobs))
         if processes <= 1 or not hasattr(os, "fork"):
@@ -227,7 +230,6 @@ class WorkerPool:
                         os.close(read_fd)
                         for fd in children.values():
                             os.close(fd)
-                        tickets.close_writer()
                         _serve(fn, jobs, tickets, write_fd)
                         code = 0
                     finally:
@@ -300,56 +302,35 @@ _TICKET = struct.Struct("I")
 class _Tickets:
     """The job indices 0, ..., count - 1 in a pipe, taken in order by any process.
 
-    A ticket is one fixed-size record, and each write is at most PIPE_BUF
-    bytes of whole tickets, which the kernel writes at once or not at all,
-    so a read of one ticket's size always gets a whole ticket.  Both ends
-    are non-blocking.  The caller writes what the pipe takes each time it
-    takes a ticket, so it never waits while tickets remain unwritten, and
-    closes its write end after the last one; a child closes its inherited
-    write end at once and waits for tickets with select.  A reader sees end
-    of file once every ticket is taken.
+    The caller writes every ticket in one write of at most PIPE_BUF bytes,
+    which the empty pipe takes at once, and closes the write end; every
+    process then reads one ticket at a time until end of file.  Up to
+    PIPE_BUF / 4 jobs (1,024 on Linux) a ticket is one job; above that,
+    ticket t is the run of jobs [t c, (t + 1) c), c = ceil(count / (PIPE_BUF / 4)).
     """
 
     def __init__(self, count: int):
         self.count = count
-        self.written = 0
-        self.read_fd, self.write_fd = os.pipe()
-        os.set_blocking(self.read_fd, False)
-        os.set_blocking(self.write_fd, False)
+        self.run = -(-count // (select.PIPE_BUF // _TICKET.size))
+        tickets = -(-count // self.run)
+        data = struct.pack(f"{tickets}I", *range(tickets))
+        read_fd, write_fd = os.pipe()
+        try:
+            if os.write(write_fd, data) != len(data):
+                raise RuntimeError("the ticket pipe took only part of the tickets")
+        except BaseException:
+            os.close(read_fd)
+            raise
+        finally:
+            os.close(write_fd)
+        self.read_fd = read_fd
 
     def __iter__(self):
-        while True:
-            if self.write_fd is not None:
-                self._fill()
-            try:
-                ticket = os.read(self.read_fd, _TICKET.size)
-            except BlockingIOError:   # empty, with a writer still open
-                if self.write_fd is None:
-                    select.select([self.read_fd], [], [])
-                continue
-            if not ticket:
-                return
-            yield _TICKET.unpack(ticket)[0]
-
-    def _fill(self) -> None:
-        per_write = select.PIPE_BUF // _TICKET.size
-        while self.written < self.count:
-            end = min(self.written + per_write, self.count)
-            try:
-                os.write(self.write_fd, struct.pack(f"{end - self.written}I",
-                                                    *range(self.written, end)))
-            except BlockingIOError:   # the pipe is full
-                return
-            self.written = end
-        self.close_writer()
-
-    def close_writer(self) -> None:
-        if self.write_fd is not None:
-            os.close(self.write_fd)
-            self.write_fd = None
+        while ticket := os.read(self.read_fd, _TICKET.size):
+            first = _TICKET.unpack(ticket)[0] * self.run
+            yield from range(first, min(first + self.run, self.count))
 
     def close(self) -> None:
-        self.close_writer()
         os.close(self.read_fd)
 
 
@@ -408,31 +389,20 @@ class _EventTask:
     replicas: int
 
     def jobs(self) -> list[tuple]:
-        """One `_count_events` job per replica block."""
-        rows = block_rows(ParticleMeasure.delta(0, count=self.start), self.steps)
-        head = (self.law, self.steps, self.start, self.target, self.threshold,
-                self.strict, self.seed)
-        return [head + (first, min(first + rows, self.replicas))
-                for first in range(0, self.replicas, rows)]
+        """One `_count_events` job, (task, block index, rows), per replica block."""
+        size = block_rows(ParticleMeasure.delta(0, count=self.start), self.steps)
+        return [(self, block, min(size, self.replicas - first))
+                for block, first in enumerate(range(0, self.replicas, size))]
 
 
-def _count_events(args) -> tuple[int, list[float]]:
-    """(events, bounds of the rows retired early) over replicas [lo, hi).
-
-    Both ends must be block boundaries (multiples of `block_rows`) or, for
-    ``hi``, the estimate's replica count.
-    """
-    (law, steps, start, target, threshold, strict, seed, lo, hi) = args
-    zeta0 = ParticleMeasure.delta(0, count=start)
-    rows = block_rows(zeta0, steps)
-    count = 0
-    bounds: list[float] = []
-    for first in range(lo, hi, rows):
-        out = event_outcomes(zeta0, law, steps, target, threshold, strict,
-                             min(rows, hi - first), derive(*seed, first // rows))
-        count += int(np.count_nonzero(out.hits))
-        bounds += out.bounds[out.decided_at < steps].tolist()
-    return count, bounds
+def _count_events(job: tuple) -> tuple[int, list[float]]:
+    """(events, bounds of the rows retired early) in one replica block."""
+    task, block, rows = job
+    out = event_outcomes(ParticleMeasure.delta(0, count=task.start), task.law,
+                         task.steps, task.target, task.threshold, task.strict,
+                         rows, derive(*task.seed, block))
+    return (int(np.count_nonzero(out.hits)),
+            out.bounds[out.decided_at < task.steps].tolist())
 
 
 def _event_count(task: _EventTask, workers: Workers) -> tuple[int, int, float]:

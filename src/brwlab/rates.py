@@ -497,17 +497,14 @@ class ExponentFit:
     intercept: float
     residuals: tuple[float, ...]
     points: tuple[tuple[int, int, int, float], ...]   # (n, k, w, cost)
-    slack_coefficient: float
 
 
 def interpolation_cost_exponent(alpha: float, p: float, delta: float, k0: int,
-                                n_grid: Sequence[int], b: int,
-                                slack_coefficient: float = 0.5,
-                                k_cap: int = 10 ** 6) -> ExponentFit:
+                                n_grid: Sequence[int], b: int) -> ExponentFit:
     """Fitted growth exponent of the cheapest feasible family strategy.
 
     For each n the scan takes the smallest k whose translated, dilated member
-    keeps measure at least p - slack/sqrt(n) after the remaining-time
+    keeps measure at least p - 0.5/sqrt(n) after the remaining-time
     rescaling (the feasibility value is varphi of the member at the elapsed
     time fraction); the cost exponent is log(b) * floor(x_k * sqrt(n)).  Both
     the displacement w and the feasibility value increase with k, so the first
@@ -528,9 +525,9 @@ def interpolation_cost_exponent(alpha: float, p: float, delta: float, k0: int,
     points = []
     for n in ns:
         sqrt_n = math.sqrt(n)
-        slack = slack_coefficient / sqrt_n
+        slack = 0.5 / sqrt_n
         found = None
-        for k in range(k0, k_cap + 1):
+        for k in range(k0, 10 ** 6 + 1):
             x_k, r_k = _family_params(k, alpha, delta)
             w = math.floor(x_k * sqrt_n)
             if w >= n:
@@ -552,5 +549,4 @@ def interpolation_cost_exponent(alpha: float, p: float, delta: float, k0: int,
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     return ExponentFit(float(slope), float(intercept),
-                       tuple(float(r) for r in resid), tuple(points),
-                       slack_coefficient)
+                       tuple(float(r) for r in resid), tuple(points))

@@ -176,6 +176,19 @@ def test_ldp_lower_tail_of_an_interval(tmp_path):
     assert abs(slope / float(rows[0]["theory_rate"]) - 1.0) <= 0.05
 
 
+def test_ldp_grid_with_a_repeated_n_prints_every_row(tmp_path):
+    # two distinct n cannot be fitted, so the fit comment is left out, but
+    # every simulated point still prints its row
+    args = ["ldp", "--set", "(-inf,0]", "--p", "0.8", "--n-grid", "100,100,400",
+            "--replicas", "100", "--seed", "1", "--threads", "1"]
+    code, text = run_cli(args, tmp_path)
+    assert code == 0
+    assert "fit_slope" not in text
+    assert [row["n"] for row in rows_of(text)] == ["100", "100", "400"]
+    _, wider = run_cli(args[:6] + ["100,100,400,900"] + args[7:], tmp_path, "wide.csv")
+    assert "fit_slope=" in wider
+
+
 @pytest.mark.parametrize("args,column,values", [
     (["ldp", "--set", "(-inf,0]", "--p", "0.8", "--law", "2:0.5,3:0.5",
       "--n-grid", "100,400,900", "--replicas", "100"],

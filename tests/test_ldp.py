@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import os
+import select
 import signal
 import time
 from fractions import Fraction
@@ -359,12 +360,37 @@ def test_worker_pool_map_interrupted_in_the_caller_leaves_no_child(monkeypatch):
 
 
 def test_worker_pool_map_outlasts_a_full_ticket_pipe(monkeypatch):
-    # 20,000 tickets of four bytes overfill a 64 KiB pipe, so the caller
-    # must top it up between its own jobs
+    # 20,000 tickets of four bytes would overfill a 64 KiB pipe before the
+    # fork, so a ticket must stand for a run of jobs
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
     jobs = list(range(20_000))
     with _deadline(60):
         assert ldp.WorkerPool(2).map(abs, jobs) == jobs
+    _assert_no_child_left()
+
+
+def _job_and_pid_at_once(job):
+    return job, os.getpid()
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_worker_pool_map_at_the_ticket_run_edge(monkeypatch, extra):
+    # PIPE_BUF / 4 jobs take one ticket each; one more makes every ticket a
+    # run of two consecutive jobs, which one process runs
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
+    count = select.PIPE_BUF // 4 + extra
+    with _deadline(60):
+        out = ldp.WorkerPool(2).map(_job_and_pid_at_once, list(range(count)))
+    assert [job for job, _ in out] == list(range(count))
+    pids = [pid for _, pid in out]
+    if extra:
+        assert all(pids[i] == pids[i + 1] for i in range(0, count - 1, 2))
+    tickets = ldp._Tickets(count)
+    try:
+        assert tickets.run == 1 + extra
+        assert list(tickets) == list(range(count))
+    finally:
+        tickets.close()
     _assert_no_child_left()
 
 
@@ -406,20 +432,36 @@ def test_estimators_serial_with_fewer_blocks_than_workers(monkeypatch):
     assert probes[0] == probes[1]
 
 
-def test_count_events_partition_invariance():
-    # replicas [0, 150) in 64-row blocks: any split at block boundaries gives
-    # the same events and retired rows' bounds, in the same order
+def test_count_events_jobs_sum_to_the_one_task_estimate():
+    # replicas [0, 150) in 64-row blocks: one job per block, and the jobs'
+    # events and retired rows, summed in job order, make the estimate
     spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 400)
-    target = HALF_LINE.scale(math.sqrt(400)).shift(float(-spec.w))
-    assert engine.block_rows(ParticleMeasure.delta(0), spec.m) == 64
-    args = (LAW, spec.m, 1, target, 0.8, False, (83, 0))
-    whole = ldp._count_events(args + (0, 150))
-    for edges in ((0, 64, 150), (0, 128, 150), (0, 64, 128, 150)):
-        parts = [ldp._count_events(args + (a, b)) for a, b in zip(edges, edges[1:])]
-        assert sum(count for count, _ in parts) == whole[0]
-        assert [b for _, bounds in parts for b in bounds] == whole[1]
-    assert 0 < whole[0] < 150
-    assert whole[1]
+    task = ldp._success_task(spec, HALF_LINE, 0.8, LAW, 150, (83, 0))
+    jobs = task.jobs()
+    assert [(block, rows) for _, block, rows in jobs] == [(0, 64), (1, 64), (2, 22)]
+    parts = [ldp._count_events(job) for job in jobs]
+    bounds = [b for _, retired in parts for b in retired]
+    for workers in (1, 2):
+        est = ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 150,
+                                               seed=(83, 0), workers=workers)
+        assert est.successes == sum(count for count, _ in parts)
+        assert est.decided_early == len(bounds)
+        assert est.misdecision_bound == math.fsum(bounds)
+    assert 0 < est.successes < 150
+    assert bounds
+
+
+def test_estimators_worker_invariant_beyond_one_ticket_per_block():
+    # 1,100 blocks exceed the PIPE_BUF / 4 tickets of one pipe write (1,024
+    # on Linux), so tickets stand for runs of blocks
+    replicas = 64 * 1100
+    assert engine.block_rows(ParticleMeasure.delta(0), 1) == 64
+    assert replicas // 64 > select.PIPE_BUF // 4
+    probes = [ldp.concentration_probe(1, HALF_LINE, 0.1, 1, LAW, replicas,
+                                      seed=(84, 1), workers=workers)
+              for workers in (1, 2)]
+    assert probes[0] == probes[1]
+    assert 0.0 < probes[0].frequency < 1.0
 
 
 # -- certified early decision ------------------------------------------------------
