@@ -79,6 +79,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CSV_NATIVE = frozenset({str, int, float, type(None)})
+
 _COMMON = [
     Opt("seed", int, None, "master seed (default: $BRWLAB_SEED or 0)"),
     Opt("out", str, None, "output path (default: stdout)", in_hash=False),
@@ -245,8 +247,10 @@ def _emit(resolved: dict, command: str, header_cols: Sequence[str],
         buffer.write(f"# {comment}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header_cols)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    # csv writes these types as _fmt does (floats by repr, None as empty);
+    # only the rest, numpy scalars among them, go through _fmt
+    writer.writerows([v if type(v) in _CSV_NATIVE else _fmt(v) for v in row]
+                     for row in rows)
     text = buffer.getvalue()
     if resolved.get("out"):
         with open(resolved["out"], "w", newline="\n") as handle:

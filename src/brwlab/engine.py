@@ -40,16 +40,16 @@ table built in O(j) whose absolute error delta(j) is derived, not fitted
 (`_table_error`: about 6e-13 at j = 900, 7e-10 at j = 10^6, per component of
 T); `gaussian.hit_probs` stays the exact reference.  The offspring law is
 finite, so the martingale limit W of Z_j / beta^j has every moment, and
-K = E W^2 = 1 + sigma^2 /
-(beta (beta - 1)) and K4 = E W^4 bound E Z_j^2 / beta^(2j) and
-E Z_j^4 / beta^(4j).  Markov's inequality for the fourth moment bounds the
-chance that the final outcome differs from sign(mu_k - p) by
-b^2 (3 + 16 K4 / (K^2 N)), where b = c^2 K / (N (mu_k - p)^2) is
-Chebyshev's bound and c = max(|p|, |1 - p|).  A row retires with that
+m_k = E W^k bounds E Z_j^k / beta^(kj) for every j (`_limit_moments`,
+k <= 12).  Markov's inequality for the 2r-th moment, r = _ORDER = 6, bounds
+the chance that the final outcome differs from sign(mu_k - p) by
+b^r (t_0 + t_1 / N + ... + t_5 / N^5), where b = c^2 K / (N (mu_k - p)^2) is
+Chebyshev's bound, K = m_2, c = max(|p|, |1 - p|), t_0 = 11!! = 10395 and the
+other t_l depend only on the law (`_bound_terms`).  A row retires with that
 outcome once the bound is at most eps = 1e-12 and |mu_k - p| exceeds the
-rounding error of mu_k plus delta(j), which needs N >= K sqrt(3 / eps); the
-table and mu_k are computed only for the rows that have reached that
-population.  Rows never
+rounding error of mu_k plus delta(j), which needs N >= K (t_0 / eps)^(1/6),
+about 500 particles for 2:0.5,3:0.5; the table and mu_k are computed only
+for the rows that have reached that population.  Rows never
 certified run to the end.  A retired row stops drawing, which moves the
 later draws of the rows beside it along the block's stream; retirement
 reads only the block's own draws, so the block stays deterministic.  By the
@@ -465,6 +465,16 @@ _DECIDE_EPS = 1e-12   # a row retires once its misdecision bound is at most this
 # what `_Certificate.settle` returns when no row can pass
 _NONE_SETTLED = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool), np.zeros(0))
 
+_ORDER = 6
+"""Half the order r of the moment that `_Certificate` bounds, E (sum D_i)^(2r).
+
+No row passes below the gate K ((2r - 1)!! / eps)^(1/r) particles: about
+1.8e6 at r = 2, 3,400 at r = 4, 500 at r = 6 and 200 at r = 8 for
+2:0.5,3:0.5.  Going on to r = 8 would save about one generation of growth
+(beta = 2.5 there), while the t_l grow with the order, so the bound's terms
+in 1/N keep it above eps for longer, and the exact t_l take longer to build.
+"""
+
 
 @dataclass(frozen=True)
 class EventOutcomes:
@@ -472,11 +482,11 @@ class EventOutcomes:
 
     hits: np.ndarray        # bool: the event happened, or was certified to
     decided_at: np.ndarray  # generation the row retired at; n if it ran to the end
-    bounds: np.ndarray      # each retired row's misdecision bound; 0 for full runs
+    bounds: np.ndarray      # each retired row's misdecision bound, > 0; 0 for full runs
 
 
 class _Certificate:
-    """Fourth-moment test that a row's event ``final fraction in T vs p`` is
+    """Twelfth-moment test that a row's event ``final fraction in T vs p`` is
     settled.
 
     With j generations left, M = Z_n(T) - p Z_n(R) is a sum of N = Z_k(R)
@@ -485,24 +495,30 @@ class _Certificate:
     with mu_k = sum_y Z_k(y) P(y + S_j in T) / N, so M takes the sign of
     g = mu_k - p unless the centred sum sum_i D_i, D_i = X_i - E X_i, reaches
     beta^j N |g|.  Since |X_i| <= c S_i, c = max(|p|, |1 - p|), and
-    E S_i^2 <= beta^(2j) K, E S_i^4 <= beta^(4j) K4 (see the factors below),
-    E (sum_i D_i)^4 <= 16 N c^4 beta^(4j) K4 + 3 N^2 c^4 beta^(4j) K^2, and
-    Markov's inequality bounds the chance of a misdecision by
-    b^2 (3 + 16 K4 / (K^2 N)), where b = c^2 K / (N g^2) is Chebyshev's
-    bound.  Since |g| <= c, b >= K / N, so no row passes while
-    N < K sqrt(3 / eps), and the test costs one max over the block until
-    then.  mu_k reads the walk law from a float table with a derived error
-    bound (`_walk_table`, `_table_error`), which the margin absorbs.
+    E S_i^k <= beta^(kj) m_k (`_limit_moments`), E D_i^2 <= c^2 K beta^(2j)
+    with K = m_2 and |E D_i^k| <= 2^k c^k m_k beta^(kj).  Expanding
+    E (sum_i D_i)^(2r), r = _ORDER, over the set partitions of the 2r
+    factors into blocks of at least two (a lone factor has mean 0), a
+    partition with r - l blocks contributes at most N^(r-l) times its blocks'
+    moment bounds, and Markov's inequality bounds the chance of a
+    misdecision by b^r (t_0 + t_1 / N + ... + t_(r-1) / N^(r-1)), where
+    b = c^2 K / (N g^2) is Chebyshev's bound and the t_l depend only on the
+    law (`_bound_terms`), t_0 = (2r - 1)!!.  At r = 2 it is
+    b^2 (3 + 16 m_4 / (K^2 N)).  Since |g| <= c, b >= K / N, so no row
+    passes while N < K (t_0 / eps)^(1/r), and the test costs one max over the
+    block until then.  mu_k reads the walk law from a float table with a
+    derived error bound (`_walk_table`, `_table_error`), which the margin
+    absorbs.
     """
 
     def __init__(self, law: BranchingLaw, target: IntervalSet, threshold: float):
         self.target = target
         self.components = len(target.components)
         self.threshold = threshold
-        k_factor = _second_moment_factor(law)
+        k_factor = _limit_moments(law)[2]
         self.c2k = max(abs(threshold), abs(1.0 - threshold)) ** 2 * k_factor
-        self.k4_term = 16.0 * _fourth_moment_factor(law) / (k_factor * k_factor)
-        self.gate = k_factor * math.sqrt(3.0 / _DECIDE_EPS)
+        self.terms = _bound_terms(law)
+        self.gate = k_factor * (self.terms[0] / _DECIDE_EPS) ** (1.0 / _ORDER)
 
     def settle(self, block: _VectorState, j: int):
         """(rows, outcomes, bounds) of the block's rows settled with j
@@ -511,12 +527,13 @@ class _Certificate:
         Only rows with Z_k(R) at the gate can pass, so the walk-law table and
         mu_k are computed for those rows alone, and for none until one
         reaches it; a max over the block skips the row sums while even the
-        largest site times the width stays below the gate.  mu_k uses the float table `_walk_table`, whose entries
-        are within delta = `_table_error` of the exact walk law, so mu_k is
-        within delta of its value under the exact table.  mu_k and Z_k(R) are
-        row sums of at most w = width nonnegative terms, each a table entry
-        times a count, rounded once.  In any summation order a term passes
-        through at most w - 1 additions, so a computed sum is within a factor
+        largest site times the width stays below the gate.  mu_k uses the
+        float table `_walk_table`, whose entries are within
+        delta = `_table_error` of the exact walk law, so mu_k is within delta
+        of its value under the exact table.  mu_k and Z_k(R) are row sums of
+        at most w = width nonnegative terms, each a table entry times a
+        count, rounded once.  In any summation order a term passes through at
+        most w - 1 additions, so a computed sum is within a factor
         1 + gamma_(w+1) of the exact one, gamma_m = m u / (1 - m u),
         u = 2^-53 (Higham, *Accuracy and Stability of Numerical Algorithms*,
         2002, sec. 4.2).  Adding the division and the subtraction of p (mu_k
@@ -524,11 +541,25 @@ class _Certificate:
         the slack (w + 2) 2^-52, and the relative error of Z_k(R) below the
         same slack; the margin is |mu_k - p| - slack - delta.  So the slack
         holds for the 2-D reductions here, whose grouping of a row's terms
-        may depend on the rows beside it.  With Z_k(R) lowered by the slack
-        and |mu_k - p| by the margin's two terms, the computed bound is the
-        exact one for them times at most 28 rounding factors 1 + d,
-        |d| <= u (c enters as c^4, a margin and Z_k(R) up to four times),
-        and 1 + 2^-46 > (1 - u)^-28 rounds it up.
+        may depend on the rows beside it.
+
+        The bound is evaluated for Z_k(R) lowered by the slack and
+        |mu_k - p| by the margin's two terms, as b = f 2^(q - e) with
+        f in [1/2, 1), where e is the row's exponent, so f^r times the
+        polynomial is a normal float and only the final scaling by
+        2^(r (q - e)) can underflow.  Before it, the computed value is the
+        exact one for the lowered quantities times at most 87 rounding
+        factors 1 + d, |d| <= u: 10 in f (c enters as c^2, the lowered
+        Z_k(R) and two margins once each, and c^2 K takes two products and f
+        three divisions), so 10 r + r - 1 = 65 in f^r; at most 4 (r - 1) = 20
+        in the polynomial, whose term t_l / N^l takes l roundings of Z_k(R),
+        l divisions, l products and l additions in Horner's scheme; and 2
+        for the last two products.  1 + 2^-46 > (1 - u)^-87 rounds it up,
+        with room for the absolute error, below t_l 2^-1074, of any term
+        t_l / N^l that underflows.  A scaled result below the smallest
+        normal float is rounded to nearest, within 2^-1075, so it is stepped
+        up to the next float: a bound never rounds below the smallest
+        positive float.
         """
         v = block.v
         width = v.shape[1]
@@ -550,9 +581,18 @@ class _Certificate:
         rows, gaps, margins = rows[passing], gaps[passing], margins[passing]
         exp2 = block.exp2[rows]
         low_totals = totals[passing] * (1.0 - slack)   # Z_k(R) 2^-exp2, rounded down
-        chebyshev = np.ldexp(self.c2k / (low_totals * margins * margins), -exp2)
-        fourth = 3.0 + np.ldexp(self.k4_term / low_totals, -exp2)
-        bounds = chebyshev * chebyshev * fourth * (1.0 + 2.0 ** -46)
+        # divisions only, so nothing underflows before the final scaling
+        f, q = np.frexp(self.c2k / low_totals / margins / margins)
+        power = f.copy()
+        for _ in range(_ORDER - 1):
+            power *= f
+        inverse = np.ldexp(1.0 / low_totals, -exp2)   # 1 / Z_k(R)
+        poly = np.full(rows.size, self.terms[-1])
+        for term in self.terms[-2::-1]:
+            poly *= inverse
+            poly += term
+        bounds = np.ldexp(power * poly * (1.0 + 2.0 ** -46), _ORDER * (q - exp2))
+        np.nextafter(bounds, np.inf, out=bounds, where=bounds < np.finfo(float).tiny)
         settled = bounds <= _DECIDE_EPS
         return rows[settled], gaps[settled] > 0.0, bounds[settled]
 
@@ -643,44 +683,114 @@ def _walk_table(j: int, target: IntervalSet, lo: int, stride: int,
     return table
 
 
-def _limit_moments(law: BranchingLaw) -> tuple[Fraction, Fraction, Fraction]:
-    """(E W^2, E W^3, E W^4) of the martingale limit W = lim Z_j / beta^j, in
-    exact rationals from the law's probabilities.
+@lru_cache(maxsize=None)
+def _partitions(k: int, smallest: int = 1) -> tuple[tuple[int, ...], ...]:
+    """The partitions of k into parts of at least ``smallest``, each as its
+    parts in nonincreasing order, (k,) first."""
+    out = [(k,)] if k >= smallest else []
+    for last in range(smallest, k // 2 + 1):
+        out += [rest + (last,) for rest in _partitions(k - last, last)]
+    return tuple(out)
+
+
+def _set_partitions(parts: tuple[int, ...]) -> int:
+    """k! / (prod_i parts_i! prod_s mult_s!): the set partitions of k items
+    whose blocks have the sizes ``parts``, mult_s of them of size s."""
+    count = math.factorial(sum(parts))
+    for part in parts:
+        count //= math.factorial(part)
+    for part in set(parts):
+        count //= math.factorial(parts.count(part))
+    return count
+
+
+def _round_up(num: int, den: int) -> float:
+    """The least float >= num / den, for positive integers; inf beyond range."""
+    try:
+        x = num / den   # correctly rounded
+    except OverflowError:
+        return math.inf
+    a, b = x.as_integer_ratio()
+    return math.nextafter(x, math.inf) if a * den < num * b else x
+
+
+def _times_2_52(x: float) -> int:
+    """x 2^52 as an integer, exact for a float x >= 1."""
+    a, b = x.as_integer_ratio()
+    return a << 53 - b.bit_length()
+
+
+@lru_cache(maxsize=64)
+def _limit_moments(law: BranchingLaw) -> tuple[float, ...]:
+    """E W^k, k = 0, ..., 2 _ORDER, of the martingale limit W = lim Z_j / beta^j,
+    each rounded up.
 
     W = beta^-1 sum_(i <= xi) W_i with W_i independent copies of W, and
-    expanding the powers of the sum over the factorial moments
-    f_r = E xi (xi - 1) ... (xi - r + 1) of the offspring count gives
-    m2 (beta^2 - beta) = f2, m3 (beta^3 - beta) = 3 f2 m2 + f3 and
-    m4 (beta^4 - beta) = 4 f2 m3 + 3 f2 m2^2 + 6 f3 m2 + f4 (Athreya & Ney,
-    *Branching Processes*, 1972, ch. I).  Z_j / beta^j is a martingale, so
-    E Z_j^r / beta^(rj) increases to E W^r for r >= 1.
+    expanding the k-th power of the sum over the set partitions of its k
+    factors gives beta^k m_k = sum over the partitions l of k of
+    [k! / (prod l_i! prod mult!)] f_len(l) prod_i m_(l_i), with
+    f_r = E xi (xi - 1) ... (xi - r + 1) the factorial moments of the
+    offspring count (Athreya & Ney, *Branching Processes*, 1972, ch. I).  The
+    partition (k) gives beta m_k, so m_k (beta^k - beta) is a sum over the
+    others, of positive terms in lower moments: each m_k is computed from the
+    rounded-up ones before it, in exact integers, and rounded up, which
+    keeps every one an upper bound.  Z_j / beta^j is a martingale, so
+    E Z_j^k / beta^(kj) increases to E W^k for k >= 1, and m_k >= 1.
     """
-    probs = [Fraction(p) for p in law.probs]
-    mass = sum(probs)
-    beta, f2, f3, f4 = (sum(math.perm(k, r) * p
-                            for k, p in zip(law.support, probs)) / mass
-                        for r in range(1, 5))
-    m2 = f2 / (beta ** 2 - beta)
-    m3 = (3 * f2 * m2 + f3) / (beta ** 3 - beta)
-    m4 = (4 * f2 * m3 + 3 * f2 * m2 ** 2 + 6 * f3 * m2 + f4) / (beta ** 4 - beta)
-    return m2, m3, m4
+    # probabilities a_s / den over a common power-of-two scale, so the
+    # factorial moments are F_r / den in integers
+    ratios = [p.as_integer_ratio() for p in law.probs]
+    scale = max(b for _, b in ratios).bit_length()
+    weights = [a << scale - b.bit_length() for a, b in ratios]
+    den = sum(weights)
+    top = 2 * _ORDER
+    factorial = [sum(math.perm(k, r) * w for k, w in zip(law.support, weights))
+                 for r in range(top + 1)]
+    beta = factorial[1]
+    moments = [1.0, 1.0]
+    scaled = [0, 1 << 52]   # m_k 2^52
+    for k in range(2, top + 1):
+        by_length = [0] * (k + 1)   # sum of the partitions with that many parts
+        for parts in _partitions(k)[1:]:
+            term = _set_partitions(parts)
+            for part in parts:
+                term *= scaled[part]
+            by_length[len(parts)] += term
+        num = sum(factorial[r] * by_length[r] << 52 * (k - r)
+                  for r in range(2, k + 1)) * den ** (k - 1)
+        moment = _round_up(num, (beta ** k - beta * den ** (k - 1)) << 52 * k)
+        moments.append(moment)
+        if moment == math.inf:
+            return tuple(moments + [math.inf] * (top - k))
+        scaled.append(_times_2_52(moment))
+    return tuple(moments)
 
 
 @lru_cache(maxsize=64)
-def _second_moment_factor(law: BranchingLaw) -> float:
-    """K = E W^2 = 1 + sigma^2 / (beta (beta - 1)), rounded up.
+def _bound_terms(law: BranchingLaw) -> tuple[float, ...]:
+    """(t_0, ..., t_(r-1)) of `_Certificate`'s bound, r = _ORDER, each rounded up.
 
-    E Z_j^2 = beta^(2j) (1 + sigma^2 (1 - beta^-j) / (beta (beta - 1))) for
-    the Galton-Watson size Z_j from one particle, so E Z_j^2 <= beta^(2j) K
-    for every j.
+    t_l sums, over the partitions of 2r into r - l parts of at least 2, the
+    partition's count of set partitions times prod_i w_(part_i) / K^r, with
+    w_2 = K = m_2 and w_k = 2^k m_k from `_limit_moments`, in exact
+    integers; t_0 = (2r - 1)!!, the pairings.  They do not depend on c, so
+    they are built once per law, in about a millisecond, and `WorkerPool`
+    builds them before it forks.
     """
-    return math.nextafter(float(_limit_moments(law)[0]), math.inf)
-
-
-@lru_cache(maxsize=64)
-def _fourth_moment_factor(law: BranchingLaw) -> float:
-    """K4 = E W^4, rounded up, so E Z_j^4 <= beta^(4j) K4 for every j."""
-    return math.nextafter(float(_limit_moments(law)[2]), math.inf)
+    moments = _limit_moments(law)
+    if moments[-1] == math.inf:
+        return (math.inf,) * _ORDER
+    weights = [0, 0] + [_times_2_52(m) << (k if k > 2 else 0)
+                        for k, m in enumerate(moments) if k >= 2]
+    sums = [0] * (_ORDER + 1)   # by the number of blocks
+    for parts in _partitions(2 * _ORDER, 2):
+        term = _set_partitions(parts)
+        for part in parts:
+            term *= weights[part]
+        sums[len(parts)] += term
+    power = weights[2] ** _ORDER
+    return tuple(_round_up(sums[_ORDER - l] << 52 * l, power)
+                 for l in range(_ORDER))
 
 
 def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
@@ -691,7 +801,7 @@ def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
 
     Steps the replicas as one block drawing from ``rng``, like `evolve`
     with the same generator, but before each
-    generation k retires every row whose outcome a fourth-moment bound
+    generation k retires every row whose outcome a twelfth-moment bound
     settles: the row takes the sign of mu_k - threshold as its outcome once
     its misdecision bound is at most _DECIDE_EPS = 1e-12 (see `_Certificate`).
     Retired rows leave the block, and the block stops when none is left;

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -489,7 +490,7 @@ def test_second_moment_factor_bounds_galton_watson_moments(text):
     pairs = _exact_law(law)
     beta = sum(k * p for k, p in pairs)
     var = sum(k * k * p for k, p in pairs) - beta * beta
-    factor = Fraction(engine._second_moment_factor(law))
+    factor = Fraction(engine._limit_moments(law)[2])
     assert factor >= 1 + var / (beta * (beta - 1))
     second = Fraction(1)
     for j in range(41):
@@ -497,36 +498,53 @@ def test_second_moment_factor_bounds_galton_watson_moments(text):
         second = var * beta ** j + beta * beta * second
 
 
-def _fourth_moments(pairs, count):
-    """E Z_j^4 for j < count, from E Z_(j+1)^r = E (sum_(i <= xi) Z_j^(i))^r
-    over the first generation's factorial moments f_r, in exact rationals."""
-    beta, f2, f3, f4 = (sum(math.perm(k, r) * p for k, p in pairs)
-                        for r in range(1, 5))
-    m1, m2, m3, m4 = Fraction(1), Fraction(1), Fraction(1), Fraction(1)
-    out = []
+def _moments(pairs, count, top=12):
+    """(s, rows) with rows[j][k] = E Z_j^k s^(jk) for k <= top and j < count,
+    in integers, s the common denominator of the law's probabilities.
+
+    Z_(j+1) is the sum of xi independent copies of Z_j, so its moments'
+    exponential generating function is E (1 + psi)^xi =
+    sum_l E C(xi, l) psi^l, psi being Z_j's less 1; k! [t^k] psi^l sums
+    k! / prod a_i! prod E Z_j^(a_i) over the ordered l-tuples a of orders
+    >= 1 adding up to k, a binomial convolution of l factors.
+    """
+    scale = math.lcm(*(p.denominator for _, p in pairs))
+    weights = [(k, p.numerator * (scale // p.denominator)) for k, p in pairs]
+    choose = [sum(math.comb(k, l) * w for k, w in weights) for l in range(top + 1)]
+    row = [1] * (top + 1)
+    rows = []
     for _ in range(count):
-        out.append(m4)
-        m1, m2, m3, m4 = (beta * m1,
-                          beta * m2 + f2 * m1 ** 2,
-                          beta * m3 + 3 * f2 * m2 * m1 + f3 * m1 ** 3,
-                          beta * m4 + f2 * (4 * m3 * m1 + 3 * m2 ** 2)
-                          + 6 * f3 * m2 * m1 ** 2 + f4 * m1 ** 4)
-    return out
+        rows.append(row)
+        power = [1] + [0] * top   # k! [t^k] psi^l, scaled, from l = 0
+        total = [0] * (top + 1)
+        for l in range(1, top + 1):
+            power = [0] + [sum(math.comb(k, a) * row[a] * power[k - a]
+                               for a in range(1, k - l + 2))
+                           for k in range(1, top + 1)]
+            for k in range(l, top + 1):
+                total[k] += choose[l] * power[k]
+        row = [1] + [total[k] * scale ** (k - 1) for k in range(1, top + 1)]
+    return scale, rows
 
 
 @pytest.mark.parametrize("text", ["2:1", "2:0.5,3:0.5", "2:0.3,3:0.5,4:0.2",
                                   "2:0.995,200:0.005"])
 def test_fourth_moment_factor_bounds_galton_watson_moments(text):
-    # E Z_j^4 <= beta^(4j) K4 for every j, and E Z_j^4 / beta^(4j) climbs to
-    # K4 = E W^4, so by j = 40 it is within 1e-9 of the factor
+    # every factor m_k, k <= 12, the fourth's included: E Z_j^k <= beta^(kj) m_k
+    # for every j, and E Z_j^k / beta^(kj) climbs to m_k = E W^k, so by
+    # j = 40 it is within 1e-9 of the factor
     law = BranchingLaw.parse(text)
-    pairs = _exact_law(law)
-    beta = sum(k * p for k, p in pairs)
-    factor = Fraction(engine._fourth_moment_factor(law))
-    fourth = _fourth_moments(pairs, 41)
-    for j, moment in enumerate(fourth):
-        assert moment <= beta ** (4 * j) * factor
-    assert fourth[40] * (1 + Fraction(1, 10 ** 9)) >= beta ** 160 * factor
+    scale, rows = _moments(_exact_law(law), 41)
+    growth = sum(k * p for k, p in _exact_law(law)) * scale   # beta s
+    assert growth.denominator == 1
+    factors = engine._limit_moments(law)
+    assert len(factors) == 13 and factors[:2] == (1.0, 1.0)
+    for k in range(2, 13):
+        num, den = factors[k].as_integer_ratio()
+        for j, row in enumerate(rows):
+            assert row[k] * den <= growth.numerator ** (k * j) * num, (k, j)
+        assert (rows[40][k] * den * (10 ** 9 + 1)
+                >= growth.numerator ** (40 * k) * num * 10 ** 9), k
 
 
 def _size_laws(pairs, last):
@@ -562,11 +580,98 @@ def test_galton_watson_second_moment_recursion_by_enumeration():
 
 @pytest.mark.parametrize("text", ["2:0.5,3:0.5", "2:0.3,3:0.5,4:0.2"])
 def test_galton_watson_fourth_moment_recursion_by_enumeration(text):
-    # the exact law of Z_j for j <= 3 against the recursion of the factor test
+    # the exact law of Z_j for j <= 3 against the recursion of the factor
+    # test, for every moment up to the twelfth
     pairs = _exact_law(BranchingLaw.parse(text))
-    fourth = _fourth_moments(pairs, 4)
+    scale, rows = _moments(pairs, 4)
     for j, size in enumerate(_size_laws(pairs, 3), start=1):
-        assert sum(z ** 4 * q for z, q in size.items()) == fourth[j]
+        for k in range(13):
+            assert (sum(z ** k * q for z, q in size.items())
+                    == Fraction(rows[j][k], scale ** (j * k))), (j, k)
+
+
+def _bound_terms_by_set_partitions(law, order):
+    """`_bound_terms` at r = ``order`` from every set partition of 2r items
+    into blocks of at least two, in exact rationals over the float factors."""
+    moments = [Fraction(m) for m in engine._limit_moments(law)]
+    weight = [None, None, moments[2]] + [2 ** k * moments[k]
+                                         for k in range(3, 2 * order + 1)]
+    terms = [Fraction(0)] * order
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for size in range(1, len(rest) + 1):
+            for mates in itertools.combinations(rest, size):
+                others = [x for x in rest if x not in mates]
+                for tail in partitions(others):
+                    yield [(first, *mates)] + tail
+
+    for blocks in partitions(list(range(2 * order))):
+        product = Fraction(1)
+        for block in blocks:
+            product *= weight[len(block)]
+        terms[order - len(blocks)] += product / moments[2] ** order
+    return terms
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_bound_terms_against_set_partitions(monkeypatch, order):
+    # at r = 2 the bound is b^2 (3 + 16 m_4 / (K^2 N)); at r = 4 the 4,140
+    # set partitions of 8 items check the partition counts
+    monkeypatch.setattr(engine, "_ORDER", order)
+    engine._limit_moments.cache_clear()
+    engine._bound_terms.cache_clear()
+    try:
+        for text in ["2:1", "2:0.5,3:0.5", "2:0.995,200:0.005"]:
+            law = BranchingLaw.parse(text)
+            terms = engine._bound_terms(law)
+            exact = _bound_terms_by_set_partitions(law, order)
+            assert len(terms) == order
+            assert terms[0] == math.prod(range(1, 2 * order, 2))
+            for got, want in zip(terms, exact):
+                assert want <= Fraction(got) <= want * (1 + Fraction(1, 2 ** 52))
+            if order == 2:
+                m = engine._limit_moments(law)
+                assert exact[1] == 16 * Fraction(m[4]) / Fraction(m[2]) ** 2
+    finally:
+        engine._limit_moments.cache_clear()
+        engine._bound_terms.cache_clear()
+
+
+def test_bound_terms_at_order_six():
+    # t_0 = 11!! and the gate K (t_0 / eps)^(1/6) is about 500 particles
+    law = BranchingLaw.binary_ternary()
+    terms = engine._bound_terms(law)
+    assert engine._ORDER == 6 and len(terms) == 6 and terms[0] == 10395.0
+    gate = engine._Certificate(law, IntervalSet.below(0), 0.5).gate
+    assert 490 < gate < 510
+
+
+def test_certificate_never_passes_when_a_moment_overflows():
+    # m_12 of this law is about 1e324, beyond float range
+    law = BranchingLaw.parse(f"2:1,{10 ** 30}:1e-30")
+    assert engine._limit_moments(law)[11] < math.inf == engine._limit_moments(law)[12]
+    assert engine._bound_terms(law) == (math.inf,) * 6
+    certificate = engine._Certificate(law, IntervalSet.below(0), 0.5)
+    block = engine._VectorState(ParticleMeasure.delta(0, count=2 ** 100), 1, 1,
+                                derive(0, 0))
+    assert certificate.gate == math.inf
+    assert certificate.settle(block, 1)[0].size == 0
+
+
+@pytest.mark.parametrize("power", [600, 1000])
+def test_retired_bounds_never_round_to_zero(power):
+    # 2^600 particles put b^6 near 2^-3600, far below the smallest float; the
+    # bound still rounds up, to the smallest positive float
+    law = BranchingLaw.binary_ternary()
+    start = ParticleMeasure.delta(0, count=2 ** power)
+    out = engine.event_outcomes(start, law, 4, parse_set("(-inf,0]"), 0.3, False,
+                                3, derive(19, power))
+    assert (out.decided_at == 0).all() and out.hits.all()
+    assert (out.bounds == 2.0 ** -1074).all()
 
 
 def test_block_rows_bounds_block_size():

@@ -492,10 +492,27 @@ def _ldp_point(kind, x, r, a, n):
     return spec.m, a.scale(math.sqrt(n)).shift(float(-spec.w))
 
 
-def _concentration_point(population, idx):
+def _concentration_point(population, idx, survivors):
     """A `probe-concentration` grid point at the CLI defaults."""
     threshold = nu_n_of_set(16, HALF_LINE) + 0.05
-    return CONCENTRATION_LAW, population, 16, HALF_LINE, threshold, True, idx, True
+    return CONCENTRATION_LAW, population, 16, HALF_LINE, threshold, True, idx, survivors
+
+
+def _shadow_run(start, law, n, target, p, strict, rows, rng):
+    """A block stepped to the end without retiring, `_Certificate.settle`
+    asked before every generation: each row's first certified (outcome,
+    bound), by row, and every row's outcome from its own final fraction."""
+    block = engine._VectorState(start, n, rows, rng)
+    certificate = engine._Certificate(law, target, p)
+    first = {}
+    for k in range(n):
+        settled, outcomes, bounds = certificate.settle(block, n - k)
+        for row, outcome, bound in zip(settled.tolist(), outcomes.tolist(),
+                                       bounds.tolist()):
+            first.setdefault(row, (outcome, bound))
+        block.step(law)
+    fracs = block.fraction_in(*target.site_ranges())
+    return first, (fracs > p if strict else fracs >= p).tolist()
 
 
 @pytest.mark.parametrize("law,population,steps,target,p,strict,idx,survivors", [
@@ -503,41 +520,46 @@ def _concentration_point(population, idx):
     (LAW, 1, *_ldp_point("shift", -Z80, 0.0, HALF_LINE, 400), 0.8, False, 1, False),
     (LAW, 1, *_ldp_point("dilation", 0.0, 0.8318502626419066, DILATION_SET, 240),
      0.9, False, 2, False),
-    _concentration_point(100, 0),
-    _concentration_point(400, 1),
-    _concentration_point(1600, 2),
+    _concentration_point(100, 0, True),
+    _concentration_point(400, 1, True),
+    _concentration_point(1600, 2, False),
+    (CONCENTRATION_LAW, 1, *_ldp_point("shift", -Z80, 0.0, HALF_LINE, 100), 0.8,
+     False, 0, False),
 ], ids=["0-100", "1-400", "dilation-2-240", "concentration-0-100",
-        "concentration-1-400", "concentration-2-1600"])
+        "concentration-1-400", "concentration-2-1600", "heavy-law-0-100"])
 def test_early_decisions_match_full_runs(law, population, steps, target, p,
                                          strict, idx, survivors):
     # grid points of the three simulation workloads, on the block streams the
-    # CLI derives for them at seed 11: every retired row decides as in its
-    # block's full run.  A retirement moves its neighbours' later draws, so
-    # rows that never retire (only at the concentration points) are checked
-    # against their own final fractions.
+    # CLI derives for them at seed 11, and the shift point under the heavy
+    # law 2:0.995,200:0.005.  Shadow runs: every row runs to the end, so each
+    # row's first certified outcome is checked against its own final
+    # fraction.  Then `event_outcomes` on the same stream: its retired rows
+    # carry bounds in (0, 1e-12], and rows that never retire (only at the
+    # concentration points of 100 and 400 particles) end as their replayed
+    # final fractions say.
     start = ParticleMeasure.delta(0, count=population)
     rows = engine.block_rows(start, steps)
-    early = survived = 0
-    for block, first in enumerate(range(0, 200, rows)):
-        size = min(rows, 200 - first)
+    certified = never = 0
+    for block, first_row in enumerate(range(0, 200, rows)):
+        size = min(rows, 200 - first_row)
+        first, full = _shadow_run(start, law, steps, target, p, strict, size,
+                                  derive(11, idx, block))
+        for row, (outcome, bound) in first.items():
+            assert outcome == full[row], (block, row)
+            assert 0.0 < bound <= 1e-12
+        certified += len(first)
+        never += size - len(first)
         out = engine.event_outcomes(start, law, steps, target, p, strict,
                                     size, derive(11, idx, block))
-        final = engine.evolve(start, law, steps, size, derive(11, idx, block),
-                              REALS)[1]
-        fracs = final.fraction_in(*target.site_ranges())
-        full = fracs > p if strict else fracs >= p
         retired = out.decided_at < steps
-        assert out.hits[retired].tolist() == full[retired].tolist()
-        assert (out.bounds[retired] <= 1e-12).all()
+        assert ((out.bounds[retired] > 0.0) & (out.bounds[retired] <= 1e-12)).all()
         assert (out.bounds[~retired] == 0.0).all()
         alive, fracs = _surviving_fractions(start, law, steps, target, size,
                                             derive(11, idx, block), out.decided_at)
         assert alive.tolist() == np.flatnonzero(~retired).tolist()
         assert out.hits[alive].tolist() == (fracs > p if strict else fracs >= p).tolist()
-        early += int(retired.sum())
-        survived += alive.size
-    assert early > 0
-    assert (survived > 0) == survivors
+    assert certified > 0
+    assert (never > 0) == survivors
 
 
 def test_early_decisions_worker_invariant():
@@ -619,11 +641,17 @@ def test_rate_fit_degenerate_grid():
 # -- probes ---------------------------------------------------------------------------
 
 def test_concentration_delta_above_one_impossible():
-    res = ldp.concentration_probe(50, HALF_LINE, 1.0, 8, LAW, 100, seed=6)
+    # the threshold p = nu_n + 1 exceeds 1, so every row fails.  No row
+    # retires below the gate K (10395 / 1e-12)^(1/6), about 500 particles:
+    # at n = 2, 50 particles have at most 150 children before the last
+    # generation.  At n = 8 every row retires, as a failure: before the last
+    # generation it holds N >= 50 2^7 particles and |mu_k - p| >= nu_8 > 0.63,
+    # so b = p^2 K / (N (mu_k - p)^2) < 1.2e-3 and the bound is below 1e-13
+    res = ldp.concentration_probe(50, HALF_LINE, 1.0, 2, LAW, 100, seed=6)
     assert res.frequency == 0.0 and res.decided_early == 0
-    # from 2^41 particles the rows are large enough to retire, as failures
-    res = ldp.concentration_probe(2 ** 41, HALF_LINE, 1.0, 4, LAW, 100, seed=6)
+    res = ldp.concentration_probe(50, HALF_LINE, 1.0, 8, LAW, 100, seed=6)
     assert res.frequency == 0.0 and res.decided_early == 100
+    assert 0.0 < res.misdecision_bound <= 100 * 1e-12
 
 
 def test_concentration_probe_validates():
@@ -651,8 +679,12 @@ def test_concentration_smoke_decreasing():
 
 
 def test_typical_probe_full_line_is_zero():
-    # the threshold exceeds 1; at n = 40 every replica retires as a failure
-    for n, early in ((16, 0), (40, 100)):
+    # the threshold p = 1 + 0.5 / sqrt(n) exceeds 1 and mu_k = 1, so
+    # b = 4 p^2 K n / N, and a row retires once b is about 2e-3 or less.  At
+    # n = 8 that needs N > 3^7, more than a row holds before the last
+    # generation, so no row retires; at n = 40 every row holds N >= 2^19 by
+    # generation 19 and retires, as a failure
+    for n, early in ((8, 0), (40, 100)):
         res = ldp.typical_deviation_probe(REALS, 0.5, n, LAW, 100, seed=10)
         assert res.probability == 0.0 and res.decided_early == early
 
