@@ -5,9 +5,12 @@ probe-typical, clt-scan.  Every output artifact embeds the seed, a hash of the
 science-relevant configuration, and the tool version, and re-running with the
 same seed reproduces the data rows byte for byte regardless of --threads.
 --threads N runs the replica blocks of ldp and the probes in N processes in
-all, the calling process included.  Each such command hands every grid
-point's blocks to one map, which forks the N - 1 children and reaps them
-before it returns; without os.fork, every block runs in this process.
+all, the calling process included.  Each such command cuts every grid
+point's blocks into runs of consecutive blocks, at least one per process
+where there are enough, and hands all the runs to one map, which forks the
+N - 1 children and reaps them before it returns; without os.fork, every run
+steps in this process.  Every block draws from its own stream in any run,
+so the cut, which depends on N, changes no data row.
 
 Exit codes: 0 success, 2 usage or parse problems, 3 infeasible domain
 requests, 4 internal numeric failures.

@@ -19,17 +19,21 @@ a standardized draw and its normal approximation is at most
 split: below 5.1e-9 rho / sigma^3 and 3.6e-9 when c > 2^53, t >= 2c.  A
 deterministic law (sigma = 0) has exact totals b c.
 
-The kernel steps a block of replicas as one 2-D array, one row per replica,
-and runs it in two loops: `evolve` steps every row to the end and records
-each generation's statistics (for `simulate` and the tests), and
-`event_outcomes` retires rows as their events settle (for the estimators).
-When the start's occupied sites share one parity, a row stores only the
-sites of the parity occupied at the current generation.  A block draws from
-one generator: each generation makes one multinomial and one binomial call
-over its small sites and one normal call over its big sites, the sites
-taken in row-major order.  So a replica's trajectory depends on its block
-(its row, the rows beside it and when they retire), and callers fix a
-block's composition independently of scheduling (see `ldp` and `cli`).
+The kernel steps a run of consecutive blocks of replicas as one 2-D array,
+one row per replica, and runs it in two loops: `evolve` steps a run of one
+block to the end and records each generation's statistics (for `simulate`
+and the tests), and `event_outcomes` retires rows as their events settle
+(for the estimators, on runs of up to `run_blocks` blocks).  When the
+start's occupied sites share one parity, a row stores only the sites of the
+parity occupied at the current generation.  Every block draws from its own
+generator: each generation makes one multinomial and one binomial call over
+its small sites and one normal call over its big sites, the sites taken in
+row-major order, a contiguous slice of the run's.  Everything else (the
+masks, the split, the rescale and the certificate) runs once per run and
+works row by row.  So a replica's trajectory depends on its block (its row,
+the rows beside it in the block and when they retire) but not on the other
+blocks of its run, and callers fix a block's composition independently of
+scheduling (see `ldp` and `cli`).
 
 The estimators only ask whether a replica's final fraction in a set T clears
 a threshold p, and `event_outcomes` answers that with certified early
@@ -52,7 +56,7 @@ about 500 particles for 2:0.5,3:0.5; the table and mu_k are computed only
 for the rows that have reached that population.  Rows never
 certified run to the end.  A retired row stops drawing, which moves the
 later draws of the rows beside it along the block's stream; retirement
-reads only the block's own draws, so the block stays deterministic.  By the
+reads only the row's own counts, so the block stays deterministic.  By the
 union bound, the retired rows all decide as their full runs would, except
 with probability at most the sum of their bounds.  The bound holds for the
 exact process; sites above 2^53 particles follow the normal approximation,
@@ -69,6 +73,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -84,6 +89,7 @@ __all__ = [
     "EventOutcomes",
     "event_outcomes",
     "block_rows",
+    "run_blocks",
     "empirical_fraction",
     "enumerate_exact",
 ]
@@ -92,7 +98,7 @@ _EXACT_MAX = 2 ** 53           # largest per-site count drawn exactly
 _RESCALE_ABOVE = 1e250         # vector state renormalizes beyond this
 _RESCALE_TARGET = 2.0 ** 332   # ~1e100 after renormalization
 _BLOCK_ROWS = 64               # replicas stepped as one block, at most
-_BLOCK_SITES = 2 ** 16         # rows x final width of one block, at most
+_BLOCK_SITES = 2 ** 16         # rows x final width of one block or run, at most
 
 
 @dataclass(frozen=True)
@@ -256,8 +262,8 @@ def _layout(zeta: ParticleMeasure, n: int) -> tuple[int, int, int, int]:
 
 
 def block_rows(zeta0: ParticleMeasure, n: int) -> int:
-    """Replicas per block (one `evolve` or `event_outcomes` call) that keep its
-    arrays small.
+    """Replicas per block (one `evolve` call, or one generator's share of an
+    `event_outcomes` run) that keep its arrays small.
 
     A block of R rows run for n generations ends R x width floats wide; the
     bound keeps that within _BLOCK_SITES = 2^16 (and R within _BLOCK_ROWS =
@@ -274,33 +280,55 @@ def block_rows(zeta0: ParticleMeasure, n: int) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_SITES // final_width))
 
 
+def run_blocks(zeta0: ParticleMeasure, n: int) -> int:
+    """Blocks of `block_rows` rows that one run (one `event_outcomes` call)
+    may stack: as many as keep rows x final width within the budget of one
+    block, _BLOCK_SITES = 2^16, and at least one.
+
+    A start at one site gets runs of up to 1024 / (n + 1) blocks of 64 rows,
+    so stacking pays where blocks are narrow and the kernel's fixed cost
+    per call is most of a step; from n = 512 on every block is a run of its
+    own.  A run's arrays are no larger than the largest block's, so a
+    process's peak memory does not grow with stacking.
+    """
+    final_width = _layout(zeta0, n)[3]
+    return max(1, _BLOCK_SITES // (block_rows(zeta0, n) * final_width))
+
+
 class _VectorState:
-    """A block of replicas as dense per-site counts, one row per replica.
+    """A run of replica blocks as dense per-site counts, one row per replica.
 
     Row r holds integer-valued floats times 2**exp2[r] at positions
-    lo + stride*j.  The block draws from the one generator ``rng``, each
-    kind of draw in one call over the flattened sites in row-major order.
-    Every row starts as ``zeta0``.  The buffers are sized for the final width
-    but the steps write only their front, rows x current width.
+    lo + stride*j.  Block i holds ``rows[i]`` consecutive rows, every row
+    starts as ``zeta0``, and the block draws from its own generator
+    ``rngs[i]``: each kind of draw in one call over the block's sites in
+    row-major order, which are one contiguous slice of the run's.  So a
+    block draws as it would as a run of one, whatever blocks sit beside it.
+    The buffers are sized for the final width but the steps write only
+    their front, rows x current width.
     """
 
-    __slots__ = ("v", "lo", "stride", "exp2", "unit", "generation", "rng",
-                 "_spare", "_work")
+    __slots__ = ("v", "lo", "stride", "exp2", "unit", "generation", "rngs",
+                 "ends", "_spare", "_work")
 
-    def __init__(self, zeta0: ParticleMeasure, n: int, rows: int,
-                 rng: np.random.Generator):
+    def __init__(self, zeta0: ParticleMeasure, n: int, rows: Sequence[int],
+                 rngs: Sequence[np.random.Generator]):
+        if len(rows) != len(rngs):
+            raise ValueError("one generator per block")
         self.lo, self.stride, width, final_width = _layout(zeta0, n)
+        self.ends = np.cumsum(rows)   # one past each block's last row
+        total = int(self.ends[-1])
         # two buffers sized for the final width; steps alternate between them
-        capacity = rows * final_width
-        self.v = np.zeros(capacity)[:rows * width].reshape(rows, width)
+        capacity = total * final_width
+        self.v = np.zeros(capacity)[:total * width].reshape(total, width)
         columns = [(x - self.lo) // self.stride for x in zeta0.counts]
         self.v[:, columns] = [float(c) for c in zeta0.counts.values()]
         self._spare = np.empty(capacity)
         self._work = np.empty((3, capacity))   # step's scratch arrays
-        self.exp2 = np.zeros(rows, dtype=np.int64)
-        self.unit = np.ones((rows, 1))   # one particle in row r: 2**-exp2[r]
+        self.exp2 = np.zeros(total, dtype=np.int64)
+        self.unit = np.ones((total, 1))   # one particle in row r: 2**-exp2[r]
         self.generation = zeta0.generation
-        self.rng = rng
+        self.rngs = list(rngs)
 
     def positions(self) -> np.ndarray:
         return self.lo + self.stride * np.arange(self.v.shape[1])
@@ -325,25 +353,37 @@ class _VectorState:
         big = v > limit[:, None]
         small = v > 0.0
         small ^= big
-        small_at = np.flatnonzero(small)
-        big_at = np.flatnonzero(big)
+        small_at = small.ravel().nonzero()[0]
+        big_at = big.ravel().nonzero()[0]
 
-        # the small sites' totals, then their splits, then the big sites'
-        # normals, each in one call over the sites in row-major order
-        if small_at.size:
-            small_exp2 = self.exp2[small_at // width]
-            parents = np.rint(np.ldexp(v.reshape(-1)[small_at], small_exp2))
-            parents = parents.astype(np.int64)
-            if law.non_deterministic:
-                kids = self.rng.multinomial(parents, law.probs) @ np.array(law.support)
-            else:
-                kids = parents * law.b
-            drawn = self.rng.binomial(kids, 0.5)
+        # each block draws its small sites' totals, then their splits, then
+        # its big sites' normals, each in one call over its own sites in
+        # row-major order: a slice of small_at or big_at, since a block's rows
+        # are consecutive.  A block without sites of a kind makes no call.
+        small_rows = small_at // width
+        small_exp2 = self.exp2[small_rows]
+        parents = np.rint(np.ldexp(v.reshape(-1)[small_at], small_exp2)).astype(np.int64)
+        support = np.array(law.support)
+        kids, drawn, normals = [], [], []   # the blocks' draws, in block order
+        small_first = big_first = 0
+        for rng, small_last, big_last in zip(self.rngs,
+                                             small_rows.searchsorted(self.ends).tolist(),
+                                             (big_at // width).searchsorted(self.ends).tolist()):
+            if small_last > small_first:
+                totals = parents[small_first:small_last]
+                if law.non_deterministic:
+                    totals = rng.multinomial(totals, law.probs) @ support
+                else:
+                    totals = totals * law.b
+                kids.append(totals)
+                drawn.append(rng.binomial(totals, 0.5))
+            if big_last > big_first:
+                normals.append(rng.standard_normal((2, big_last - big_first)))
+            small_first, big_first = small_last, big_last
         t, right, spare = self._work[:, :v.size].reshape(3, rows, width)
         if big_at.size:
-            # t and right start as each big site's two normals, 0 elsewhere;
-            # one call fills all first normals, then all second ones
-            normals = self.rng.standard_normal((2, big_at.size))
+            # t and right start as each big site's two normals, 0 elsewhere
+            normals = np.concatenate(normals, axis=1)
             if big_at.size == v.size:   # every site is big: the draws are in place
                 t, right = normals.reshape(2, rows, width)
             else:
@@ -368,8 +408,9 @@ class _VectorState:
             t.fill(0.0)
             right.fill(0.0)
         if small_at.size:
-            t.reshape(-1)[small_at] = np.ldexp(kids.astype(np.float64), -small_exp2)
-            right.reshape(-1)[small_at] = np.ldexp(drawn.astype(np.float64), -small_exp2)
+            t.reshape(-1)[small_at] = np.ldexp(np.concatenate(kids, dtype=float), -small_exp2)
+            right.reshape(-1)[small_at] = np.ldexp(np.concatenate(drawn, dtype=float),
+                                                   -small_exp2)
         left = np.subtract(t, right, out=spare)
         np.subtract(t, left, out=right)   # exact (Fast2Sum): left + right == t in floats
 
@@ -388,7 +429,9 @@ class _VectorState:
             self.unit[hot, 0] = np.ldexp(1.0, -self.exp2[hot])
 
     def keep_rows(self, keep: np.ndarray) -> None:
-        """Drop the rows where ``keep`` is False; the others step on unchanged."""
+        """Drop the rows where ``keep`` is False; the others step on unchanged,
+        each in its block."""
+        self.ends = keep.nonzero()[0].searchsorted(self.ends)
         kept = self.v[keep]   # fancy indexing copies, so the buffer can take it
         self.v = self.v.base[:kept.size].reshape(kept.shape)
         self.v[...] = kept
@@ -426,10 +469,12 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
            trajectory_set: IntervalSet) -> tuple[dict[str, np.ndarray], _VectorState]:
     """Run ``rows`` replicas of ``zeta0`` for ``n`` generations as one block.
 
-    The replicas are the rows of one `_VectorState` block drawing from
-    ``rng``.  Returns per-generation statistics, each an array of shape
-    (n + 1, rows) with row k at generation k, and the block after the last
-    generation:
+    The replicas are the rows of a `_VectorState` run of this one block,
+    drawing from ``rng``.  It stays a run of one: the mean position is a
+    BLAS matrix product, whose rounding of a row is not known to be
+    independent of the rows beside it.  Returns per-generation statistics,
+    each an array of shape (n + 1, rows) with row k at generation k, and
+    the block after the last generation:
 
     - ``total_log``: log of the population Z_k;
     - ``normalized_total``: Z_k / (beta^k Z_0), whose mean stays 1; computed
@@ -440,7 +485,7 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    block = _VectorState(zeta0, n, rows, rng)
+    block = _VectorState(zeta0, n, [rows], [rng])
     roots = np.sqrt(np.arange(n + 1.0))
     roots[0] = 1.0   # the set unscaled at k = 0
     firsts, lasts = trajectory_set.site_ranges(roots[:, None])
@@ -478,7 +523,7 @@ in 1/N keep it above eps for longer, and the exact t_l take longer to build.
 
 @dataclass(frozen=True)
 class EventOutcomes:
-    """Per-replica outcome of one `event_outcomes` block."""
+    """Per-replica outcome of one `event_outcomes` run, its blocks end to end."""
 
     hits: np.ndarray        # bool: the event happened, or was certified to
     decided_at: np.ndarray  # generation the row retired at; n if it ran to the end
@@ -506,7 +551,7 @@ class _Certificate:
     law (`_bound_terms`), t_0 = (2r - 1)!!.  At r = 2 it is
     b^2 (3 + 16 m_4 / (K^2 N)).  Since |g| <= c, b >= K / N, so no row
     passes while N < K (t_0 / eps)^(1/r), and the test costs one max over the
-    block until then.  mu_k reads the walk law from a float table with a
+    run until then.  mu_k reads the walk law from a float table with a
     derived error bound (`_walk_table`, `_table_error`), which the margin
     absorbs.
     """
@@ -520,13 +565,13 @@ class _Certificate:
         self.terms = _bound_terms(law)
         self.gate = k_factor * (self.terms[0] / _DECIDE_EPS) ** (1.0 / _ORDER)
 
-    def settle(self, block: _VectorState, j: int):
-        """(rows, outcomes, bounds) of the block's rows settled with j
+    def settle(self, run: _VectorState, j: int):
+        """(rows, outcomes, bounds) of the run's rows settled with j
         generations left, as arrays.
 
         Only rows with Z_k(R) at the gate can pass, so the walk-law table and
         mu_k are computed for those rows alone, and for none until one
-        reaches it; a max over the block skips the row sums while even the
+        reaches it; a max over the run skips the row sums while even the
         largest site times the width stays below the gate.  mu_k uses the
         float table `_walk_table`, whose entries are within
         delta = `_table_error` of the exact walk law, so mu_k is within delta
@@ -539,9 +584,10 @@ class _Certificate:
         2002, sec. 4.2).  Adding the division and the subtraction of p (mu_k
         and |mu_k - p| are at most 1), the gap's rounding error stays below
         the slack (w + 2) 2^-52, and the relative error of Z_k(R) below the
-        same slack; the margin is |mu_k - p| - slack - delta.  So the slack
-        holds for the 2-D reductions here, whose grouping of a row's terms
-        may depend on the rows beside it.
+        same slack; the margin is |mu_k - p| - slack - delta.  The slack
+        holds in any grouping of a row's terms, and numpy sums a row along
+        the contiguous last axis in an order set by the width alone, so a
+        row settles as it would with no other row beside it.
 
         The bound is evaluated for Z_k(R) lowered by the slack and
         |mu_k - p| by the margin's two terms, as b = f 2^(q - e) with
@@ -561,16 +607,16 @@ class _Certificate:
         up to the next float: a bound never rounds below the smallest
         positive float.
         """
-        v = block.v
+        v = run.v
         width = v.shape[1]
         # the largest site times the width bounds every row's Z_k(R) above
-        if float(v.max()) * width < math.ldexp(self.gate, -int(block.exp2.max())):
+        if float(v.max()) * width < math.ldexp(self.gate, -int(run.exp2.max())):
             return _NONE_SETTLED
         totals = v.sum(axis=1)
-        rows = np.flatnonzero(totals >= np.ldexp(self.gate, -block.exp2))
+        rows = (totals >= np.ldexp(self.gate, -run.exp2)).nonzero()[0]
         if not rows.size:
             return _NONE_SETTLED
-        table = _walk_table(j, self.target, block.lo, block.stride, width)
+        table = _walk_table(j, self.target, run.lo, run.stride, width)
         totals = totals[rows]
         terms = v[rows]
         terms *= table
@@ -579,7 +625,7 @@ class _Certificate:
         margins = np.abs(gaps) - slack - _table_error(j, self.components)
         passing = margins > 0.0
         rows, gaps, margins = rows[passing], gaps[passing], margins[passing]
-        exp2 = block.exp2[rows]
+        exp2 = run.exp2[rows]
         low_totals = totals[passing] * (1.0 - slack)   # Z_k(R) 2^-exp2, rounded down
         # divisions only, so nothing underflows before the final scaling
         f, q = np.frexp(self.c2k / low_totals / margins / margins)
@@ -795,33 +841,38 @@ def _bound_terms(law: BranchingLaw) -> tuple[float, ...]:
 
 def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
                    final_set: IntervalSet, threshold: float, strict: bool,
-                   rows: int, rng: np.random.Generator) -> EventOutcomes:
-    """Whether each of ``rows`` replicas' final fraction inside ``final_set``
-    exceeds ``threshold`` (``strict``) or reaches it.
+                   rows: Sequence[int],
+                   rngs: Sequence[np.random.Generator]) -> EventOutcomes:
+    """Whether each replica's final fraction inside ``final_set`` exceeds
+    ``threshold`` (``strict``) or reaches it, for a run of blocks of
+    ``rows[i]`` replicas, block i drawing from ``rngs[i]``.
 
-    Steps the replicas as one block drawing from ``rng``, like `evolve`
-    with the same generator, but before each
-    generation k retires every row whose outcome a twelfth-moment bound
-    settles: the row takes the sign of mu_k - threshold as its outcome once
-    its misdecision bound is at most _DECIDE_EPS = 1e-12 (see `_Certificate`).
-    Retired rows leave the block, and the block stops when none is left;
-    rows never settled run to the end and compare their final fraction.
-    Until a row first retires the block draws as `evolve` does;
-    after that the remaining rows take later draws of the stream, so a row
-    that never retires may end differently from its full run.  By the union
-    bound, the chance that any retired row decides otherwise than its full
-    run would is at most the sum of their ``bounds``.
+    Steps the run as one `_VectorState`, but before each generation k
+    retires every row whose outcome a twelfth-moment bound settles: the row
+    takes the sign of mu_k - threshold as its outcome once its misdecision
+    bound is at most _DECIDE_EPS = 1e-12 (see `_Certificate`).  Retired rows
+    leave their block, and the run stops when none is left; rows never
+    settled run to the end and compare their final fraction.  Until a row
+    of a block first retires the block draws as `evolve` does with the same
+    generator; after that its remaining rows take later draws of its
+    stream, so a row that never retires may end differently from its full
+    run.  Every step and test works row by row and every block keeps its
+    own stream, so each block's outcomes are, bit for bit, those of a run
+    of that block alone; the arrays hold the blocks' outcomes end to end.
+    By the union bound, the chance that any retired row decides otherwise
+    than its full run would is at most the sum of their ``bounds``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    block = _VectorState(zeta0, n, rows, rng)
+    run = _VectorState(zeta0, n, rows, rngs)
+    total = run.v.shape[0]
     certificate = _Certificate(law, final_set, threshold)
-    ids = np.arange(rows)
-    hits = np.zeros(rows, dtype=bool)
-    decided_at = np.full(rows, n)
-    bounds = np.zeros(rows)
+    ids = np.arange(total)
+    hits = np.zeros(total, dtype=bool)
+    decided_at = np.full(total, n)
+    bounds = np.zeros(total)
     for k in range(n):
-        settled, outcomes, row_bounds = certificate.settle(block, n - k)
+        settled, outcomes, row_bounds = certificate.settle(run, n - k)
         if settled.size:
             done = ids[settled]
             hits[done] = outcomes
@@ -832,10 +883,10 @@ def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
             ids = ids[keep]
             if not ids.size:
                 break
-            block.keep_rows(keep)
-        block.step(law)
+            run.keep_rows(keep)
+        run.step(law)
     else:
-        fracs = block.fraction_in(*final_set.site_ranges())
+        fracs = run.fraction_in(*final_set.site_ranges())
         hits[ids] = fracs > threshold if strict else fracs >= threshold
     return EventOutcomes(hits, decided_at, bounds)
 

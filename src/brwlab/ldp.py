@@ -16,9 +16,12 @@ start and the generation count alone: block b holds replicas [b R, (b + 1) R)
 (the last block may be shorter) and draws from the one stream
 ``derive(*seed, b)``.  Every ``seed`` argument below takes either an int or
 an index path as a tuple; the CLI passes (seed, grid index), so no two grid
-points or seeds share a stream.  Workers take whole blocks, so an estimate
-is the same for any worker count.  Each block runs through
-`engine.event_outcomes`, the one simulation kernel, which retires a replica
+points or seeds share a stream.  An estimate's blocks are cut into runs of
+consecutive blocks, one per process, or more where a run would grow too
+wide (`_EventTask.jobs`), and each run steps as one array through
+`engine.event_outcomes`, the one simulation kernel, every block still
+drawing from its own stream; so an estimate is the same for any worker
+count and any cut.  The kernel retires a replica
 as soon as a twelfth-moment bound of at most 1e-12 certifies whether its
 final fraction clears the threshold, so in the shift regime replicas stop
 after about 16 generations, however long the run, and in the 16-generation
@@ -33,12 +36,12 @@ The ``workers`` argument is a count or a `WorkerPool`, and counts the
 calling process: ``workers=N`` runs blocks in the caller and up to N - 1
 children, which `WorkerPool.map` forks and reaps anew at each map.  Before
 the first fork the caller writes every ticket into one pipe, a ticket being
-one block (a run of consecutive blocks above PIPE_BUF / 4 blocks), and every
-process takes tickets in order until the pipe is empty; the children
-inherit the blocks' arguments, so only their results are pickled.  Where
-``os.fork`` is missing, every block runs in the caller.  A pool told the
+one job, a run of blocks (or consecutive jobs above PIPE_BUF / 4 jobs), and
+every process takes tickets in order until the pipe is empty; the children
+inherit the jobs' arguments, so only their results are pickled.  Where
+``os.fork`` is missing, every job runs in the caller.  A pool told the
 event counts of several estimates ahead (`WorkerPool.expect`) runs all
-their blocks in one map at the first of them, so the CLI runs each
+their runs of blocks in one map at the first of them, so the CLI runs each
 command's blocks in one map.
 """
 
@@ -57,7 +60,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .engine import (BranchingLaw, ParticleMeasure, _bound_terms, block_rows,
-                     event_outcomes)
+                     event_outcomes, run_blocks)
 from .errors import InfeasibleError
 from .gaussian import nu, nu_n_of_set, varphi
 from .intervals import IntervalSet
@@ -275,7 +278,8 @@ class WorkerPool:
         """Announce event counts that estimates given this pool will ask for.
 
         The first count asked for runs the blocks of every announced task in
-        one map, in the order given; the others are then handed out as asked.
+        one map, each task's cut into runs for this pool's processes, in the
+        order given; the others are then handed out as asked.
         """
         self._expected += tasks
 
@@ -284,11 +288,11 @@ class WorkerPool:
         if task not in self._counted:
             batch = self._expected if task in self._expected else self._expected + [task]
             self._expected = []
-            blocks = [each.jobs() for each in batch]
+            runs = [each.jobs(self.workers) for each in batch]
             for each in batch:   # built once here, so forked children inherit them
                 _bound_terms(each.law)
-            parts = iter(self.map(_count_events, [job for jobs in blocks for job in jobs]))
-            for each, jobs in zip(batch, blocks):
+            parts = iter(self.map(_count_events, [job for jobs in runs for job in jobs]))
+            for each, jobs in zip(batch, runs):
                 mine = [next(parts) for _ in jobs]
                 retired = [b for _, bounds in mine for b in bounds]
                 # fsum is exactly rounded, so the sum does not depend on the
@@ -315,7 +319,10 @@ class _Tickets:
     which the empty pipe takes at once, and closes the write end; every
     process then reads one ticket at a time until end of file.  Up to
     PIPE_BUF / 4 jobs (1,024 on Linux) a ticket is one job; above that,
-    ticket t is the run of jobs [t c, (t + 1) c), c = ceil(count / (PIPE_BUF / 4)).
+    ticket t is the jobs [t c, (t + 1) c), c = ceil(count / (PIPE_BUF / 4)).
+    An estimator's job is already a run of replica blocks, so its maps pass
+    that count only with hundreds of estimates in one map, or with blocks
+    too wide to stack.
     """
 
     def __init__(self, count: int):
@@ -397,19 +404,33 @@ class _EventTask:
     seed: tuple[int, ...]
     replicas: int
 
-    def jobs(self) -> list[tuple]:
-        """One `_count_events` job, (task, block index, rows), per replica block."""
-        size = block_rows(ParticleMeasure.delta(0, count=self.start), self.steps)
-        return [(self, block, min(size, self.replicas - first))
-                for block, first in enumerate(range(0, self.replicas, size))]
+    def jobs(self, processes: int) -> list[tuple]:
+        """`_count_events` jobs, (task, first block, rows of each block), one
+        per run of consecutive replica blocks.
+
+        The blocks are cut into as few runs as keep each within
+        `engine.run_blocks` blocks, which keeps its arrays small, and at
+        least ``processes`` runs where there are that many blocks, so every
+        process can take one.  Run sizes differ by at most one block, so no
+        run holds more than ceil(blocks / processes).  Every block draws from
+        its own stream whatever run it is in, so the cut changes no draw.
+        """
+        start = ParticleMeasure.delta(0, count=self.start)
+        size = block_rows(start, self.steps)
+        rows = [min(size, self.replicas - first)
+                for first in range(0, self.replicas, size)]
+        runs = max(min(processes, len(rows)),
+                   -(-len(rows) // run_blocks(start, self.steps)))
+        cuts = [len(rows) * i // runs for i in range(runs + 1)]
+        return [(self, first, rows[first:last]) for first, last in zip(cuts, cuts[1:])]
 
 
 def _count_events(job: tuple) -> tuple[int, list[float]]:
-    """(events, bounds of the rows retired early) in one replica block."""
-    task, block, rows = job
+    """(events, bounds of the rows retired early) in one run of replica blocks."""
+    task, first, rows = job
     out = event_outcomes(ParticleMeasure.delta(0, count=task.start), task.law,
                          task.steps, task.target, task.threshold, task.strict,
-                         rows, derive(*task.seed, block))
+                         rows, [derive(*task.seed, first + i) for i in range(len(rows))])
     return (int(np.count_nonzero(out.hits)),
             out.bounds[out.decided_at < task.steps].tolist())
 

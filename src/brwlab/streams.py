@@ -11,9 +11,11 @@ streams.
 Every stream feeds one block of replicas, and the engine draws the whole
 block's sites from it in one call per kind of draw.  The estimators key a
 block ``(seed, grid index, block)`` and `simulate` keys it ``(seed,
-block)``.  A replica that the engine retires early (see
-`engine.event_outcomes`) stops drawing, so the rows left in its block take
-later draws of the stream; the block's draws still depend only on its key.
+block)``.  The estimators step runs of consecutive blocks as one array, but
+each block keeps its own stream and makes the same calls on it as alone.  A
+replica that the engine retires early (see `engine.event_outcomes`) stops
+drawing, so the rows left in its block take later draws of the stream; the
+block's draws still depend only on its key.
 """
 
 from __future__ import annotations

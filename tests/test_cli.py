@@ -301,9 +301,9 @@ def test_grid_streams_disjoint_across_seeds(args, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["ldp", "probe-concentration"])
 def test_batched_grid_rows_equal_per_point_estimates(command, tmp_path, monkeypatch):
-    # every grid point's blocks go to the pool in one map, and the rows equal
-    # single-point estimates on the same (seed, grid index) keys at any
-    # --threads
+    # every grid point's runs of blocks go to the pool in one map, and the
+    # rows equal single-point estimates on the same (seed, grid index) keys
+    # at any --threads
     from brwlab import ldp
     from brwlab.cli import _fmt
     from brwlab.engine import BranchingLaw
@@ -318,6 +318,7 @@ def test_batched_grid_rows_equal_per_point_estimates(command, tmp_path, monkeypa
         return original(self, fn, jobs)
 
     monkeypatch.setattr(ldp.WorkerPool, "map", counting_map)
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
     law, half_line = BranchingLaw.binary_ternary(), IntervalSet.below(0)
     if command == "ldp":
         grid = (36, 64, 100)
@@ -349,7 +350,8 @@ def test_batched_grid_rows_equal_per_point_estimates(command, tmp_path, monkeypa
         assert code == 0
         texts.append(text)
     assert texts[0] == texts[1] == texts[2]
-    assert maps == [9] * 3   # blocks of 64, 64 and 2 rows per point
+    # three blocks per point, of 64, 64 and 2 rows, in one run per process
+    assert maps == [3, 6, 9]
     rows = [line.split(",") for line in texts[0].splitlines()
             if not line.startswith("#")][1:]
     assert rows == [[_fmt(value) for value in row] for row in expected]

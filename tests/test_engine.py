@@ -9,6 +9,7 @@ from scipy import stats as sps
 from brwlab import engine
 from brwlab.engine import BranchingLaw, ParticleMeasure
 from brwlab.errors import InfeasibleError, PopulationCapError
+from brwlab.gaussian import nu_n_of_set
 from brwlab.intervals import EMPTY, REALS, IntervalSet, parse_set
 from brwlab.streams import derive
 
@@ -111,7 +112,7 @@ def test_parity_invariant():
 def _aggregated_step(start: ParticleMeasure, law: BranchingLaw,
                      rng: np.random.Generator) -> ParticleMeasure:
     # one generation of a one-row block: the draws of a one-row `evolve`
-    block = engine._VectorState(start, 1, 1, rng)
+    block = engine._VectorState(start, 1, [1], [rng])
     block.step(law)
     return block.to_measure(0)
 
@@ -384,6 +385,58 @@ def test_block_normals_fill_first_then_second_draws():
         assert child.counts[1] == pytest.approx(right, rel=1e-12)
 
 
+HALF_LINE = IntervalSet.below(0)
+MIXED_START = ParticleMeasure({0: 2 ** 60, 2: 37, 4: 10 ** 6})
+
+
+@pytest.mark.parametrize("law_text,start,n,threshold,rows,first_empties", [
+    ("2:0.5,3:0.5", ParticleMeasure.delta(0, count=100), 16,
+     nu_n_of_set(16, HALF_LINE) + 0.005, [64, 36], False),
+    ("2:1", ParticleMeasure.delta(0, count=100), 16,
+     nu_n_of_set(16, HALF_LINE) + 0.005, [64, 36], False),
+    ("2:0.5,3:0.5", ParticleMeasure.delta(0, count=2 ** 100), 6,
+     nu_n_of_set(6, HALF_LINE) + 5e-15, [5, 3], False),
+    ("2:0.3,3:0.5,4:0.2", MIXED_START, 6, nu_n_of_set(6, HALF_LINE) + 1e-9,
+     [4, 7, 2], False),
+    ("2:0.5,3:0.5", ParticleMeasure.delta(0, count=100), 16,
+     nu_n_of_set(16, HALF_LINE) + 0.005, [2, 64, 36], True),
+], ids=["binary-ternary", "deterministic", "all-normal", "mixed-sites",
+        "first-block-empties-early"])
+def test_run_of_blocks_equals_its_blocks_alone(law_text, start, n, threshold, rows,
+                                              first_empties):
+    # a run stacks blocks, each drawing from its own stream: stepped to the
+    # end, and under early decision, each block ends bit for bit as it does
+    # as a run of one on the same key, however its neighbours draw or retire
+    law = BranchingLaw.parse(law_text)
+    seed = len(rows)
+    firsts = np.cumsum([0] + rows[:-1]).tolist()
+    run = engine._VectorState(start, n, rows, [derive(seed, b) for b in range(len(rows))])
+    alone = [engine._VectorState(start, n, [r], [derive(seed, b)])
+             for b, r in enumerate(rows)]
+    for _ in range(n):
+        for block in [run] + alone:
+            block.step(law)
+        for first, r, block in zip(firsts, rows, alone):
+            assert run.v[first:first + r].tolist() == block.v.tolist()
+            assert run.exp2[first:first + r].tolist() == block.exp2.tolist()
+    out = engine.event_outcomes(start, law, n, HALF_LINE, threshold, True, rows,
+                                [derive(seed, b) for b in range(len(rows))])
+    ends = []
+    for b, (first, r) in enumerate(zip(firsts, rows)):
+        one = engine.event_outcomes(start, law, n, HALF_LINE, threshold, True,
+                                    [r], [derive(seed, b)])
+        mine = slice(first, first + r)
+        assert out.hits[mine].tolist() == one.hits.tolist()
+        assert out.decided_at[mine].tolist() == one.decided_at.tolist()
+        assert out.bounds[mine].tolist() == one.bounds.tolist()
+        ends.append(int(one.decided_at.max()))
+    # rows retire after some steps, with bounds that any change of draws
+    # would move
+    assert (out.bounds > 0.0).any() and (out.decided_at > 0).all()
+    # whether the first block empties while its neighbours still step
+    assert (ends[0] < min(ends[1:])) == first_empties
+
+
 @pytest.mark.parametrize("target,threshold,strict", [
     (IntervalSet.below(0), 1.0, False),
     (IntervalSet.below(0), 1.0, True),
@@ -399,8 +452,8 @@ def test_event_outcomes_extreme_thresholds_match_full_runs(target, threshold, st
     # where mu_k equals the threshold (the full line at 1, the empty set at 0)
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure.delta(0, count=2 ** 44)
-    out = engine.event_outcomes(start, law, 6, target, threshold, strict, 4,
-                                derive(14, 0))
+    out = engine.event_outcomes(start, law, 6, target, threshold, strict, [4],
+                                [derive(14, 0)])
     fracs = _final_block(start, law, 6, 4, derive(14, 0)).fraction_in(*target.site_ranges())
     full = fracs > threshold if strict else fracs >= threshold
     assert out.hits.tolist() == full.tolist()
@@ -416,7 +469,7 @@ def test_event_outcomes_leave_the_prefix_row_cache_empty():
     engine._walk_table.cache_clear()
     start = ParticleMeasure.delta(0, count=2 ** 44)
     out = engine.event_outcomes(start, BranchingLaw.binary_ternary(), 6,
-                                IntervalSet.below(0), 1.5, True, 4, derive(14, 0))
+                                IntervalSet.below(0), 1.5, True, [4], [derive(14, 0)])
     assert (out.decided_at < 6).all()
     assert engine._walk_table.cache_info().currsize > 0
     assert gaussian._prefix_row.cache_info().currsize == 0
@@ -464,8 +517,8 @@ def test_certificate_margin_absorbs_the_table_error():
     law = BranchingLaw.binary_ternary()
     target = IntervalSet.below(0)
     j = 4 * 10 ** 4
-    block = engine._VectorState(ParticleMeasure.delta(0, count=2 ** 100), 1, 1,
-                                derive(0, 0))
+    block = engine._VectorState(ParticleMeasure.delta(0, count=2 ** 100), 1, [1],
+                                [derive(0, 0)])
     mu = float(engine._walk_table(j, target, 0, 2, 1)[0])
     slack = 3 * 2.0 ** -52   # (width + 2) 2^-52 at width 1
     delta = engine._table_error(j, 1)
@@ -656,8 +709,8 @@ def test_certificate_never_passes_when_a_moment_overflows():
     assert engine._limit_moments(law)[11] < math.inf == engine._limit_moments(law)[12]
     assert engine._bound_terms(law) == (math.inf,) * 6
     certificate = engine._Certificate(law, IntervalSet.below(0), 0.5)
-    block = engine._VectorState(ParticleMeasure.delta(0, count=2 ** 100), 1, 1,
-                                derive(0, 0))
+    block = engine._VectorState(ParticleMeasure.delta(0, count=2 ** 100), 1, [1],
+                                [derive(0, 0)])
     assert certificate.gate == math.inf
     assert certificate.settle(block, 1)[0].size == 0
 
@@ -669,7 +722,7 @@ def test_retired_bounds_never_round_to_zero(power):
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure.delta(0, count=2 ** power)
     out = engine.event_outcomes(start, law, 4, parse_set("(-inf,0]"), 0.3, False,
-                                3, derive(19, power))
+                                [3], [derive(19, power)])
     assert (out.decided_at == 0).all() and out.hits.all()
     assert (out.bounds == 2.0 ** -1074).all()
 

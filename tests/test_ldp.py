@@ -186,20 +186,23 @@ def test_conditional_worker_determinism():
     assert seq.successes == par.successes
 
 
-def test_estimators_worker_invariant_across_blocks():
-    # each of the two workers steps more than one block of replicas
+def test_estimators_worker_invariant_across_blocks(monkeypatch):
+    # one, two and three workers cut the blocks into different runs
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
     spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 100)
-    assert engine.block_rows(ParticleMeasure.delta(0), spec.m) < 300 // 2
+    assert engine.block_rows(ParticleMeasure.delta(0), spec.m) < 300 // 3
+    task = ldp._success_task(spec, HALF_LINE, 0.8, LAW, 300, (78, 1))
+    assert [len(task.jobs(workers)) for workers in (1, 2, 3)] == [1, 2, 3]
     runs = [ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 300,
                                              seed=(78, 1), workers=workers)
-            for workers in (1, 2)]
-    assert runs[0].successes == runs[1].successes
+            for workers in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
     assert 0 < runs[0].successes < 300
-    assert engine.block_rows(ParticleMeasure.delta(0, count=30), 8) < 100
+    assert engine.block_rows(ParticleMeasure.delta(0, count=30), 8) < 200 // 3
     probes = [ldp.concentration_probe(30, HALF_LINE, 0.02, 8, LAW, 200,
                                       seed=(79, 1), workers=workers)
-              for workers in (1, 2)]
-    assert probes[0].frequency == probes[1].frequency
+              for workers in (1, 2, 3)]
+    assert probes[0] == probes[1] == probes[2]
     assert 0.0 < probes[0].frequency < 1.0
 
 
@@ -432,36 +435,84 @@ def test_estimators_serial_with_fewer_blocks_than_workers(monkeypatch):
     assert probes[0] == probes[1]
 
 
-def test_count_events_jobs_sum_to_the_one_task_estimate():
-    # replicas [0, 150) in 64-row blocks: one job per block, and the jobs'
-    # events and retired rows, summed in job order, make the estimate
-    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 400)
+def test_count_events_jobs_sum_to_the_one_task_estimate(monkeypatch):
+    # replicas [0, 150) in 64-row blocks, one job per run: the jobs' events
+    # and retired rows, summed in job order, make the estimate, and every
+    # cut gives the same ones
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
+    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 100)
     task = ldp._success_task(spec, HALF_LINE, 0.8, LAW, 150, (83, 0))
-    jobs = task.jobs()
-    assert [(block, rows) for _, block, rows in jobs] == [(0, 64), (1, 64), (2, 22)]
-    parts = [ldp._count_events(job) for job in jobs]
-    bounds = [b for _, retired in parts for b in retired]
-    for workers in (1, 2):
+    cuts = {1: [(0, [64, 64, 22])],
+            2: [(0, [64]), (1, [64, 22])],
+            3: [(0, [64]), (1, [64]), (2, [22])]}
+    outcomes = []
+    for workers, runs in cuts.items():
+        jobs = task.jobs(workers)
+        assert [(first, rows) for _, first, rows in jobs] == runs
+        parts = [ldp._count_events(job) for job in jobs]
+        bounds = [b for _, retired in parts for b in retired]
         est = ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 150,
                                                seed=(83, 0), workers=workers)
         assert est.successes == sum(count for count, _ in parts)
         assert est.decided_early == len(bounds)
         assert est.misdecision_bound == math.fsum(bounds)
+        outcomes.append((est.successes, bounds))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
     assert 0 < est.successes < 150
     assert bounds
 
 
-def test_estimators_worker_invariant_beyond_one_ticket_per_block():
-    # 1,100 blocks exceed the PIPE_BUF / 4 tickets of one pipe write (1,024
-    # on Linux), so tickets stand for runs of blocks
-    replicas = 64 * 1100
-    assert engine.block_rows(ParticleMeasure.delta(0), 1) == 64
-    assert replicas // 64 > select.PIPE_BUF // 4
-    probes = [ldp.concentration_probe(1, HALF_LINE, 0.1, 1, LAW, replicas,
-                                      seed=(84, 1), workers=workers)
-              for workers in (1, 2)]
-    assert probes[0] == probes[1]
-    assert 0.0 < probes[0].frequency < 1.0
+@pytest.mark.parametrize("start,steps,replicas", [
+    (1, 16, 500), (1, 16, 64 * 300), (100, 16, 130), (1, 511, 1000),
+    (1, 512, 1000), (1, 10 ** 6, 3),
+])
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_event_task_jobs_cut_blocks_into_runs(start, steps, replicas, processes):
+    # every block once, in order, in runs of consecutive blocks: at most
+    # ceil(blocks / processes) of them and within a block's budget of 2^16
+    # sites at the final width, unless one block alone exceeds it; no more
+    # runs than these two bounds and one run per process ask for
+    task = ldp._EventTask(LAW, steps, start, HALF_LINE, 0.5, True, (0,), replicas)
+    zeta0 = ParticleMeasure.delta(0, count=start)
+    size = engine.block_rows(zeta0, steps)
+    blocks = [min(size, replicas - first) for first in range(0, replicas, size)]
+    final_width = engine._layout(zeta0, steps)[3]
+    jobs = task.jobs(processes)
+    assert all(job[0] is task for job in jobs)
+    assert [b for _, first, rows in jobs for b in range(first, first + len(rows))] \
+        == list(range(len(blocks)))
+    assert [r for _, _, rows in jobs for r in rows] == blocks
+    for _, _, rows in jobs:
+        assert len(rows) <= -(-len(blocks) // processes)
+        assert sum(rows) * final_width <= engine._BLOCK_SITES or len(rows) == 1
+    budget = max(1, engine._BLOCK_SITES // (size * final_width))
+    assert len(jobs) == max(min(processes, len(blocks)), -(-len(blocks) // budget))
+    if steps == 10 ** 6:   # a one-row block over the budget is a run of its own
+        assert [rows for _, _, rows in jobs] == [[1], [1], [1]]
+
+
+def test_estimators_worker_invariant_beyond_one_ticket_per_block(monkeypatch):
+    # 520 estimates of two 64-row blocks in one map: at two workers each
+    # block is a run of its own, and the 1,040 jobs exceed the PIPE_BUF / 4
+    # tickets of one pipe write (1,024 on Linux), so tickets stand for runs
+    # of jobs
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
+    pops = range(1, 521)
+    args = (HALF_LINE, 0.01, 1, LAW, 128)
+    assert engine.block_rows(ParticleMeasure.delta(0, count=520), 1) == 64
+    assert len(ldp._concentration_task(1, *args, (84, 1)).jobs(2)) == 2
+    assert 2 * len(pops) > select.PIPE_BUF // 4
+    frequencies = []
+    for workers in (1, 2):
+        pool = ldp.WorkerPool(workers)
+        pool.expect([ldp._concentration_task(pop, *args, (84, pop)) for pop in pops])
+        with _deadline(60):
+            frequencies.append([
+                ldp.concentration_probe(pop, *args, seed=(84, pop), workers=pool).frequency
+                for pop in pops])
+    assert frequencies[0] == frequencies[1]
+    assert 0.0 < min(frequencies[0]) and max(frequencies[0]) < 1.0
+    _assert_no_child_left()
 
 
 # -- certified early decision ------------------------------------------------------
@@ -469,7 +520,7 @@ def test_estimators_worker_invariant_beyond_one_ticket_per_block():
 def _surviving_fractions(start, law, n, target, rows, rng, decided_at):
     """Final fractions of the rows of an `event_outcomes` block that never
     retired, replaying the block's retirements on the same stream."""
-    block = engine._VectorState(start, n, rows, rng)
+    block = engine._VectorState(start, n, [rows], [rng])
     alive = np.arange(rows)
     for k in range(n):
         keep = decided_at[alive] != k
@@ -502,7 +553,7 @@ def _shadow_run(start, law, n, target, p, strict, rows, rng):
     """A block stepped to the end without retiring, `_Certificate.settle`
     asked before every generation: each row's first certified (outcome,
     bound), by row, and every row's outcome from its own final fraction."""
-    block = engine._VectorState(start, n, rows, rng)
+    block = engine._VectorState(start, n, [rows], [rng])
     certificate = engine._Certificate(law, target, p)
     first = {}
     for k in range(n):
@@ -550,7 +601,7 @@ def test_early_decisions_match_full_runs(law, population, steps, target, p,
         certified += len(first)
         never += size - len(first)
         out = engine.event_outcomes(start, law, steps, target, p, strict,
-                                    size, derive(11, idx, block))
+                                    [size], [derive(11, idx, block)])
         retired = out.decided_at < steps
         assert ((out.bounds[retired] > 0.0) & (out.bounds[retired] <= 1e-12)).all()
         assert (out.bounds[~retired] == 0.0).all()
