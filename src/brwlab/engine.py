@@ -26,14 +26,14 @@ and the tests), and `event_outcomes` retires rows as their events settle
 (for the estimators, on runs of up to `run_blocks` blocks).  When the
 start's occupied sites share one parity, a row stores only the sites of the
 parity occupied at the current generation.  Every block draws from its own
-generator: each generation makes one multinomial and one binomial call over
-its small sites and one normal call over its big sites, the sites taken in
-row-major order, a contiguous slice of the run's.  Everything else (the
-masks, the split, the rescale and the certificate) runs once per run and
-works row by row.  So a replica's trajectory depends on its block (its row,
-the rows beside it in the block and when they retire) but not on the other
-blocks of its run, and callers fix a block's composition independently of
-scheduling (see `ldp` and `cli`).
+generator: each generation makes one multinomial call (for two points, just
+its first binomial) and one binomial call over its small sites and one normal
+call over its big sites, the sites taken in row-major order, a contiguous
+slice of the run's.  Everything else (the masks, the split, the rescale and
+the certificate) runs once per run and works row by row.  So a replica's
+trajectory depends on its block (its row, the rows beside it in the block and
+when they retire) but not on the other blocks of its run, and callers fix a
+block's composition independently of scheduling (see `ldp` and `cli`).
 
 The estimators only ask whether a replica's final fraction in a set T clears
 a threshold p, and `event_outcomes` answers that with certified early
@@ -363,7 +363,6 @@ class _VectorState:
         small_rows = small_at // width
         small_exp2 = self.exp2[small_rows]
         parents = np.rint(np.ldexp(v.reshape(-1)[small_at], small_exp2)).astype(np.int64)
-        support = np.array(law.support)
         kids, drawn, normals = [], [], []   # the blocks' draws, in block order
         small_first = big_first = 0
         for rng, small_last, big_last in zip(self.rngs,
@@ -371,8 +370,10 @@ class _VectorState:
                                              (big_at // width).searchsorted(self.ends).tolist()):
             if small_last > small_first:
                 totals = parents[small_first:small_last]
-                if law.non_deterministic:
-                    totals = rng.multinomial(totals, law.probs) @ support
+                if len(law.support) == 2:   # the multinomial's own first draw
+                    totals = law.kmax * totals - (law.kmax - law.b) * rng.binomial(totals, law.p_b)
+                elif law.non_deterministic:
+                    totals = rng.multinomial(totals, law.probs) @ law.support
                 else:
                     totals = totals * law.b
                 kids.append(totals)

@@ -17,14 +17,15 @@ shifts is a root of the slope sum pdf(lo_i - x) - pdf(hi_i - x), found by
 Newton steps in the screened cells where the slope changes sign.  The shift
 search walks a SUP_STEP grid of |x| outward from 0 on each side and takes
 the first cell that reaches p, at its far end or at its maximum.  The r scan
-screens whole batches of r on the same x grid and refines only where the
-bound leaves p within reach.  Its grid runs GRID_STEP apart up to
-1 - GRID_STEP and, for sets whose widest component needs more, on in log(1 - r)
-up to the r where that component alone reaches p, so a crossing always lies
-on it.  Monotonicity is never assumed: the first crossing on a grid wins,
-and a safeguarded secant (Illinois regula falsi, with a bisection step
-whenever two steps have not halved the bracket) shrinks its bracket to
-ROOT_TOL.
+screens one r at a time on the same x grid: varphi moves by at most 2k pdf(1)
+per unit of log gamma, gamma = 1/sqrt(1 - r), so a row whose grid maximum
+plus slack lies d below p rules out every r within d / (2k pdf(1)) further in
+log gamma.  Its grid runs GRID_STEP apart up to 1 - GRID_STEP and, for sets
+whose widest component needs more, on in log(1 - r) up to the r where that
+component alone reaches p, so a crossing always lies on it.  Monotonicity is
+never assumed: the first crossing on a grid wins, and a safeguarded secant
+(Illinois regula falsi, with a bisection step whenever two steps have not
+halved the bracket) shrinks its bracket to ROOT_TOL.
 
 Everything here is pure; instances may be evaluated in parallel.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .errors import InfeasibleError, NumericError
 from .gaussian import dilated_mass, normal_pdf, nu, phi, shifted_mass, shifted_nu
@@ -61,8 +62,6 @@ SUP_STEP = 0.05        # x-grid step of the sup search, before refinement
 TIE = 1e-15            # sup values this close are rounding noise of one another
 _X_TOL = 1e-12         # last Newton step on the slope that counts as converged
 _MAX_ROOT_STEPS = 100  # bisection alone needs ~40 from a SUP_STEP bracket
-_BATCH_ROWS = 32       # r values screened together in the dilation scan
-_BATCH_CELLS = 1 << 17  # cap on one (r x x) screening batch: 1 MB of floats
 _LOG_STEPS = 100       # r grid points per decade of 1 - r above 1 - GRID_STEP
 
 
@@ -118,6 +117,12 @@ def _slope_root(lo: np.ndarray, hi: np.ndarray, a: np.ndarray,
     return x
 
 
+def _shift_grid(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts at most SUP_STEP apart over the hull of S, with nu(S - x) at each."""
+    xs = np.linspace(lo[0], hi[-1], max(2, math.ceil((hi[-1] - lo[0]) / SUP_STEP)) + 1)
+    return xs, shifted_mass(lo, hi, xs)
+
+
 def _sup_shift(lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
     """(max value, argmax) of x -> nu(S - x) for a bounded nonempty S.
 
@@ -128,9 +133,7 @@ def _sup_shift(lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
     second bump nearly as high as the first is not missed.  Maxima equal up to
     rounding (TIE) go to the leftmost maximizer.
     """
-    span = hi[-1] - lo[0]
-    xs = np.linspace(lo[0], hi[-1], max(2, math.ceil(span / SUP_STEP)) + 1)
-    vals = shifted_mass(lo, hi, xs)
+    xs, vals = _shift_grid(lo, hi)
     slope, _ = _slope(lo, hi, xs)
     i = int(np.argmax(vals))
     best = (float(vals[i]), float(xs[i]))
@@ -250,9 +253,12 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray,
     below p there, that point counts as feasible, with the component's
     midpoint as witness and p as its value.
 
-    Batches of r are screened on a coarse grid of shifts, SUP_STEP apart after
-    dilation; where the grid maximum plus its slack stays below p the sup does
-    too, so only the remaining r are refined.
+    Each term of F(gamma, x) = sum_i Phi(gamma (b_i - x)) - Phi(gamma (a_i - x)),
+    gamma = 1/sqrt(1 - r), has log-gamma derivative z pdf(z), at most pdf(1) in
+    size, so h drifts by at most 2k pdf(1) per unit of log gamma.  A row at r_k
+    with grid maximum M (on `_shift_grid`) and d = p - slack - M > 0 rules out
+    every later grid r whose drift from r_k is below d, cut by one part in 10^6
+    for rounding, so a jump can only get shorter; otherwise h(r_k) is refined.
     """
     widths = hi - lo
     i = int(np.argmax(widths))
@@ -266,21 +272,17 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray,
             f"no dilation crossing for p={p}: the widest component, of width "
             f"{widths[i]}, reaches p only at an r that rounds to 1")
     rs = _r_grid(r_max)
+    drift = -lo.size * normal_pdf(1.0) * np.log1p(-rs)   # 2k pdf(1) log gamma
     slack = _grid_slack(lo.size)
-    span = hi[-1] - lo[0]
-    start = 0
-    while start < rs.size:
-        gamma_top = 1.0 / math.sqrt(1.0 - rs[min(start + _BATCH_ROWS, rs.size) - 1])
-        width = max(2, math.ceil(span * gamma_top / SUP_STEP)) + 1
-        stop = min(start + max(1, min(_BATCH_ROWS, _BATCH_CELLS // width)), rs.size)
-        gamma = (1.0 / np.sqrt(1.0 - rs[start:stop]))[:, None]
-        u = gamma * np.linspace(lo[0], hi[-1], width)
-        vals = sum(ndtr(gamma * b - u) - ndtr(gamma * a - u) for a, b in zip(lo, hi))
-        for k in start + np.flatnonzero(vals.max(axis=1) >= p - slack):
+    k = 0
+    while k < rs.size:
+        gamma = 1.0 / math.sqrt(1.0 - rs[k])
+        room = p - slack - float(_shift_grid(gamma * lo, gamma * hi)[1].max())
+        if room <= 0:
             value, x = _dilated_sup(lo, hi, float(rs[k]))
             if value >= p:
                 return (float(rs[k - 1]) if k else 0.0), float(rs[k]), x, value
-        start = stop
+        k = max(k + 1, int(np.searchsorted(drift, drift[k] + room * (1.0 - 1e-6))))
     return float(rs[-2]), float(rs[-1]), 0.5 * float(lo[i] + hi[i]), p
 
 
@@ -323,13 +325,10 @@ def _refine_crossing(gap: Callable[[float], tuple[float, float]], a: float,
 def j_tilde(s: IntervalSet, p: float) -> tuple[float, float, float]:
     """Least time fraction r with sup_x varphi(S, r, x) >= p, plus witnesses (r, x).
 
-    Sets with a finite shift cost return 0 immediately.  Otherwise the scan
-    finds the first crossing on the r grid (GRID_STEP apart, then finer in
-    log(1 - r) above 1 - GRID_STEP) and a safeguarded secant shrinks its
-    bracket to ROOT_TOL, falling back to bisection when the secant stalls.
-    The returned r is the bracket's feasible end, with an infeasible r at
-    most ROOT_TOL below it; monotonicity of the scanned function is not
-    assumed.
+    Sets with a finite shift cost return 0 immediately.  Otherwise the r scan
+    (`_first_crossing`) brackets the first grid crossing, and the secant of
+    `_refine_crossing` returns the bracket's feasible end, with an infeasible r
+    at most ROOT_TOL below it.
     """
     _check_p(p)
     if s.is_empty:

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from brwlab import rates
 from brwlab.errors import InfeasibleError
-from brwlab.gaussian import nu, nu_shifted_grid, shifted_nu, varphi
+from brwlab.gaussian import normal_pdf, nu, nu_shifted_grid, shifted_nu, varphi
 from brwlab.intervals import INF, REALS, IntervalSet, parse_set
 from conftest import random_interval_set
 from oracles import brute_force_i, brute_force_j, rate_suite_sets
@@ -380,6 +381,71 @@ def test_crossing_search_on_random_sets(seed, crossing_search):
             continue
         cases += 1
         _check_crossing(s, p, *crossing_search(s, p))
+
+
+def _screened_crossing(lo, hi, p, rs):
+    """First r of the grid rs with _dilated_sup >= p, as _first_crossing reports it.
+
+    Every grid point is screened, 32 rows at a time (fewer where the rows are
+    wide), on shifts SUP_STEP apart after dilation; only rows whose grid
+    maximum comes within the grid slack of p are refined.
+    """
+    slack = rates._grid_slack(lo.size)
+    start = 0
+    while start < rs.size:
+        gamma_top = 1.0 / math.sqrt(1.0 - rs[min(start + 32, rs.size) - 1])
+        width = max(2, math.ceil((hi[-1] - lo[0]) * gamma_top / rates.SUP_STEP)) + 1
+        stop = min(start + max(1, min(32, (1 << 17) // width)), rs.size)
+        gamma = (1.0 / np.sqrt(1.0 - rs[start:stop]))[:, None]
+        u = gamma * np.linspace(lo[0], hi[-1], width)
+        vals = sum(ndtr(gamma * b - u) - ndtr(gamma * a - u) for a, b in zip(lo, hi))
+        for k in start + np.flatnonzero(vals.max(axis=1) >= p - slack):
+            value, x = rates._dilated_sup(lo, hi, float(rs[k]))
+            if value >= p:
+                return (float(rs[k - 1]) if k else 0.0), float(rs[k]), x, value
+        start = stop
+    i = int(np.argmax(hi - lo))
+    return float(rs[-2]), float(rs[-1]), 0.5 * float(lo[i] + hi[i]), p
+
+
+def test_first_crossing_equals_a_screen_of_every_grid_point(monkeypatch):
+    grids = []
+    r_grid = rates._r_grid
+
+    def recording_grid(r_max):
+        grids.append(r_grid(r_max))
+        return grids[-1]
+
+    monkeypatch.setattr(rates, "_r_grid", recording_grid)
+    cases = [(s, p) for s, p, _ in rate_suite_sets()
+             if not s.has_half_line() and nu(s) < p and rates.i_tilde(s, p)[0] == INF]
+    assert len(cases) == 10
+    rng = np.random.default_rng(61)
+    while len(cases) < 40:
+        s = random_interval_set(rng, max_components=4, allow_half_lines=False)
+        if len(s.components) >= 2:
+            sup = rates.sup_shift_measure(s)[0]
+            cases.append((s, sup + (1.0 - sup) * float(rng.uniform(0.02, 0.98))))
+    for s, p in cases:
+        found = rates._first_crossing(s.lo, s.hi, p)
+        assert found == _screened_crossing(s.lo, s.hi, p, grids[-1])
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_dilated_sup_moves_at_most_2k_pdf1_per_unit_of_log_gamma(seed):
+    # the bound behind the r scan's skip-ahead, |d varphi / d log gamma| <=
+    # 2k pdf(1), is nearly attained, so a halved constant fails here
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(200):
+        s = random_interval_set(rng, allow_half_lines=False)
+        r1 = float(rng.uniform(0.0, 0.99))
+        r2 = r1 + (1.0 - r1) * float(rng.uniform(0.001, 0.1))
+        bound = 2 * s.lo.size * normal_pdf(1.0) * 0.5 * math.log((1.0 - r1) / (1.0 - r2))
+        move = abs(rates._dilated_sup(s.lo, s.hi, r2)[0] - rates._dilated_sup(s.lo, s.hi, r1)[0])
+        assert move <= bound + 1e-12
+        worst = max(worst, move / bound)
+    assert worst > 0.9
 
 
 @pytest.mark.parametrize("half_width,r", [(A_HALF, 1.0 - (A_HALF / Z95) ** 2),

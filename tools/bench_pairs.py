@@ -13,9 +13,20 @@ first in even pairs and the change first in odd ones.  The last line a run
 prints is its JSON result.  For every workload and end-to-end metric of
 ``BENCHMARK.json`` the file records both sides' median and quartiles, the
 pairs the change wins (better in the metric's direction; ties count for
-neither), the pair count, every raw value, the failed invocations, and the
-machine's core count and versions.  Each tree benchmarks its own sources
-with its own ``perfbench/``.
+neither), the pair count, every raw value, a verdict, the failed
+invocations, and the machine's core count and versions.  Each tree
+benchmarks its own sources with its own ``perfbench/``.
+
+A metric's verdict is the first that applies of:
+
+- ``gain``: the change wins at least 9 of 10 pairs and its median is better
+  than the parent's by more than the parent's interquartile range;
+- ``regression``: the change's median is worse than the parent's by more
+  than the metric's bound in ``BENCHMARK.json`` (a fraction of the parent's
+  median);
+- ``unresolved``: the parent's interquartile range is wider than the bound
+  and not every run of the change is better than every run of the parent;
+- ``within bound``.
 """
 
 from __future__ import annotations
@@ -54,10 +65,28 @@ def quartiles(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-def summarize(runs: dict, better: dict) -> dict:
-    """Per-metric medians, quartiles and wins of the change over ``runs``."""
+def verdict(m: dict, bound: float) -> str:
+    """gain, regression, unresolved or within bound: see the module docstring."""
+    parent, change = m["parent"], m["change"]
+    sign = -1.0 if m["better"] == "lower" else 1.0
+    gap = sign * (change["median"] - parent["median"])   # > 0: the change is better
+    iqr = parent["q3"] - parent["q1"]
+    if 10 * m["wins"] >= 9 * m["pairs"] and gap > iqr:
+        return "gain"
+    if -gap > bound * parent["median"]:
+        return "regression"
+    separated = (min(sign * v for v in m["change_values"])
+                 > max(sign * v for v in m["parent_values"]))
+    if iqr > bound * parent["median"] and not separated:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: dict, metrics: list) -> dict:
+    """Per-metric medians, quartiles, wins and verdicts of the change over ``runs``."""
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         sides = {side: [r["metrics"][name]["value"] for r in runs[side]]
                  for side in SIDES}
         sign = -1.0 if direction == "lower" else 1.0
@@ -69,6 +98,7 @@ def summarize(runs: dict, better: dict) -> dict:
                      "wins": int(wins), "pairs": len(sides["parent"]),
                      "parent_values": sides["parent"],
                      "change_values": sides["change"]}
+        out[name]["verdict"] = verdict(out[name], metric["bound"])
     return out
 
 
@@ -86,7 +116,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w for w in args.workloads.split(",") if w]
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     for i in range(args.pairs):
@@ -108,7 +137,7 @@ def main(argv=None) -> int:
         "seeds": [args.seed + i for i in range(args.pairs)],
         "first_side": "parent in even pairs, change in odd pairs",
         "workloads": {
-            w: {"metrics": summarize(runs[w], better),
+            w: {"metrics": summarize(runs[w], spec["end_to_end"]),
                 "failed": {side: sum(r["failed"] for r in runs[w][side])
                            for side in SIDES},
                 "attempted": {side: sum(r["attempted"] for r in runs[w][side])
@@ -122,7 +151,7 @@ def main(argv=None) -> int:
         for name, m in record["workloads"][w]["metrics"].items():
             print(f"{w:14s} {name:15s} {m['parent']['median']:10.4g} -> "
                   f"{m['change']['median']:10.4g} {m['unit']:4s} "
-                  f"wins {m['wins']}/{m['pairs']}")
+                  f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
     return 0
 
 
