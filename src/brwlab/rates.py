@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InfeasibleError, NumericError
 from .gaussian import dilated_mass, normal_pdf, nu, phi, shifted_mass, shifted_nu
@@ -63,6 +63,16 @@ TIE = 1e-15            # sup values this close are rounding noise of one another
 _X_TOL = 1e-12         # last Newton step on the slope that counts as converged
 _MAX_ROOT_STEPS = 100  # bisection alone needs ~40 from a SUP_STEP bracket
 _LOG_STEPS = 100       # r grid points per decade of 1 - r above 1 - GRID_STEP
+
+
+_STANDARD_NORMAL = NormalDist()
+
+
+def _central_quantile(p: float) -> float:
+    """z with 2 Phi(z) - 1 = p: the half-width of the centred interval of
+    measure p (inf when (1 + p)/2 rounds to 1)."""
+    q = 0.5 * (1.0 + p)
+    return _STANDARD_NORMAL.inv_cdf(q) if q < 1.0 else INF
 
 
 def _grid_slack(k: int) -> float:
@@ -123,7 +133,8 @@ def _shift_grid(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return xs, shifted_mass(lo, hi, xs)
 
 
-def _sup_shift(lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+def _sup_shift(lo: np.ndarray, hi: np.ndarray,
+               grid: Optional[tuple[np.ndarray, np.ndarray]] = None) -> tuple[float, float]:
     """(max value, argmax) of x -> nu(S - x) for a bounded nonempty S.
 
     The argmax lies in the convex hull of S: beyond the last endpoint the
@@ -131,9 +142,11 @@ def _sup_shift(lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
     Every grid cell where the slope turns from positive to negative and whose
     ends come within the grid slack of the grid maximum is refined, so a
     second bump nearly as high as the first is not missed.  Maxima equal up to
-    rounding (TIE) go to the leftmost maximizer.
+    rounding (TIE) go to the leftmost maximizer.  ``grid`` is the set's
+    `_shift_grid`, when the caller has it already; the refined roots are
+    valued with the scalar `dilated_mass`.
     """
-    xs, vals = _shift_grid(lo, hi)
+    xs, vals = _shift_grid(lo, hi) if grid is None else grid
     slope, _ = _slope(lo, hi, xs)
     i = int(np.argmax(vals))
     best = (float(vals[i]), float(xs[i]))
@@ -142,7 +155,7 @@ def _sup_shift(lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
         & (np.maximum(vals[:-1], vals[1:]) >= vals[i] - _grid_slack(lo.size)))
     if cells.size:
         x = _slope_root(lo, hi, xs[cells], xs[cells + 1])
-        v = shifted_mass(lo, hi, x)
+        v = np.array([dilated_mass(lo, hi, t, 1.0) for t in x.tolist()])
         top = np.flatnonzero(v >= max(v.max(), best[0]) - TIE)
         if top.size:
             best = (float(v[top[0]]), float(x[top[0]]))
@@ -223,10 +236,12 @@ def i_tilde(s: IntervalSet, p: float) -> tuple[float, Optional[float]]:
     return pos
 
 
-def _dilated_sup(lo: np.ndarray, hi: np.ndarray, r: float) -> tuple[float, float]:
-    # h(r) = sup_x varphi(S, r, x), with its maximizer in unscaled coordinates.
+def _dilated_sup(lo: np.ndarray, hi: np.ndarray, r: float,
+                 grid: Optional[tuple[np.ndarray, np.ndarray]] = None) -> tuple[float, float]:
+    # h(r) = sup_x varphi(S, r, x), with its maximizer in unscaled coordinates;
+    # ``grid`` is the `_shift_grid` of the dilated set, when the caller has it.
     gamma = 1.0 / math.sqrt(1.0 - r)
-    value, xprime = _sup_shift(gamma * lo, gamma * hi)
+    value, xprime = _sup_shift(gamma * lo, gamma * hi, grid)
     return value, xprime / gamma
 
 
@@ -258,12 +273,12 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray,
     size, so h drifts by at most 2k pdf(1) per unit of log gamma.  A row at r_k
     with grid maximum M (on `_shift_grid`) and d = p - slack - M > 0 rules out
     every later grid r whose drift from r_k is below d, cut by one part in 10^6
-    for rounding, so a jump can only get shorter; otherwise h(r_k) is refined.
+    for rounding, so a jump can only get shorter; otherwise h(r_k) is refined,
+    on the row's screened grid.
     """
     widths = hi - lo
     i = int(np.argmax(widths))
-    z = float(ndtri(0.5 * (1.0 + p)))
-    t = float(0.5 * widths[i] / z) ** 2
+    t = float(0.5 * widths[i] / _central_quantile(p)) ** 2
     r_max = 1.0 - t
     if 1.0 - r_max > t:        # round up, so the component reaches p at r_max
         r_max = math.nextafter(r_max, 1.0)
@@ -276,12 +291,14 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray,
     slack = _grid_slack(lo.size)
     k = 0
     while k < rs.size:
-        gamma = 1.0 / math.sqrt(1.0 - rs[k])
-        room = p - slack - float(_shift_grid(gamma * lo, gamma * hi)[1].max())
+        r = float(rs[k])
+        gamma = 1.0 / math.sqrt(1.0 - r)
+        grid = _shift_grid(gamma * lo, gamma * hi)
+        room = p - slack - float(grid[1].max())
         if room <= 0:
-            value, x = _dilated_sup(lo, hi, float(rs[k]))
+            value, x = _dilated_sup(lo, hi, r, grid)
             if value >= p:
-                return (float(rs[k - 1]) if k else 0.0), float(rs[k]), x, value
+                return (float(rs[k - 1]) if k else 0.0), r, x, value
         k = max(k + 1, int(np.searchsorted(drift, drift[k] + room * (1.0 - 1e-6))))
     return float(rs[-2]), float(rs[-1]), 0.5 * float(lo[i] + hi[i]), p
 
@@ -462,7 +479,7 @@ def interpolation_set(alpha: float, p: float, delta: float,
         raise ValueError("k0 must be >= 2 (k = 1 degenerates to a point)")
     if big_k < k0:
         raise ValueError("K must be >= k0")
-    a = float(ndtri(0.5 * (1.0 + p)))
+    a = _central_quantile(p)
     if abs(2.0 * phi(a) - 1.0 - p) > 1e-10:
         raise NumericError("quantile solve failed")
     base = IntervalSet.closed(-a, a)
@@ -519,7 +536,7 @@ def interpolation_cost_exponent(alpha: float, p: float, delta: float, k0: int,
     ns = [int(n) for n in n_grid]
     if len(ns) < 2 or any(n2 <= n1 for n1, n2 in zip(ns, ns[1:])):
         raise ValueError("n_grid must be strictly increasing with >= 2 entries")
-    a = float(ndtri(0.5 * (1.0 + p)))
+    a = _central_quantile(p)
     logb = math.log(b)
     points = []
     for n in ns:

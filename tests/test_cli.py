@@ -141,6 +141,25 @@ def test_rate_narrow_set_crosses_above_r_0_999(text, p, tmp_path):
     assert varphi(s, r, x) >= p - 1e-8
 
 
+def test_import_and_a_rate_run_load_no_scipy():
+    # a fresh interpreter, since the tests themselves import scipy as a reference
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys\n"
+            "import brwlab.cli\n"
+            "assert brwlab.cli.main(['rate', '--set', '[-1,1]', '--p', '0.95']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert ",dilation," in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_ldp_infeasible_exits_3(tmp_path, capsys):
     code = main(["ldp", "--set", "(-inf,0]", "--p", "0.9", "--kind", "shift",
                  "--x", "0.2", "--n-grid", "64", "--replicas", "100"])

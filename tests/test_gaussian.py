@@ -189,6 +189,55 @@ def test_varphi_matches_built_set_on_dichotomy_cases():
             assert g.varphi(s, r, x) == g.nu(s.shift(-x).scale(1.0 / math.sqrt(1.0 - r)))
 
 
+# -- the vectorized Phi -----------------------------------------------------------
+
+def test_phi_array_within_2_pow_minus_52_of_mpmath():
+    # uniform points on [-40, 10] plus every midpoint between Taylor nodes,
+    # where the truncated series is furthest from its node
+    rng = np.random.default_rng(71)
+    nodes = np.arange(g._T_LO * g._NODES, g._T_HI * g._NODES) / g._NODES
+    t = np.concatenate([rng.uniform(-40.0, 10.0, 4000), nodes + 0.5 / g._NODES])
+    exact = np.array([phi_oracle(z) for z in t.tolist()])
+    err = np.abs(g._phi_array(t) - exact)
+    assert err.max() <= 2.0 ** -52
+    # the relative error the module docstring states, which an eight-term
+    # series misses in the tail
+    for above, bound in ((-5.0, 5e-15), (-20.0, 1e-10)):
+        assert (err[t > above] / exact[t > above]).max() <= bound
+    assert g._phi_array(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+
+
+def test_phi_array_at_nodes_equals_scalar_phi():
+    nodes = np.arange(g._T_LO * g._NODES, g._T_HI * g._NODES + 1) / g._NODES
+    assert g._phi_array(nodes).tolist() == [g.phi(z) for z in nodes.tolist()]
+
+
+def test_phi_array_against_ndtr_on_a_dense_grid():
+    from scipy.special import ndtr
+    t = np.concatenate([np.linspace(-45.0, 12.0, 200_001),
+                        [-np.inf, -1e300, -39.0, 9.0, 1e300, np.inf]])
+    assert np.abs(g._phi_array(t) - ndtr(t)).max() <= 2.0 ** -51
+
+
+def test_phi_array_keeps_shape_and_gives_nan_for_nan():
+    t = np.array([[0.0, np.nan, 1.0], [np.nan, -np.inf, np.inf]])
+    out = g._phi_array(t)
+    assert out.shape == t.shape
+    assert np.array_equal(np.isnan(out), np.isnan(t))
+    assert out[~np.isnan(t)].tolist() == [0.5, g.phi(1.0), 0.0, 1.0]
+
+
+@pytest.mark.parametrize("seed", [81, 82])
+def test_shifted_mass_matches_scalar_shifted_nu(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        s = random_interval_set(rng, max_components=4)
+        xs = rng.normal(0.0, 4.0, size=33)
+        masses = g.shifted_mass(s.lo, s.hi, xs)
+        scalar = [g.shifted_nu(s, x) for x in xs.tolist()]
+        assert np.abs(masses - scalar).max() <= 2 * s.lo.size * 2.0 ** -52
+
+
 def test_nu_shifted_grid_matches_scalar(rng):
     for _ in range(20):
         s = random_interval_set(rng)
@@ -311,7 +360,7 @@ def test_scan_decreasing_in_n():
 
 
 def test_scan_matches_pointwise_loop():
-    # The row-at-a-time scan against one nu_n_of_set / nu pair per grid point.
+    # The scan against one nu_n_of_set / nu pair per grid point.
     a = IntervalSet.closed(-1, 1).union(IntervalSet.interval(1.5, 2.5, False, True))
     n, big_r = 16, 2.0
     res = g.clt_uniformity_scan(a, big_r, n, rho_points=9)
@@ -321,6 +370,15 @@ def test_scan_matches_pointwise_loop():
                 for rho in np.linspace(1.0 / big_r, big_r, 9)
                 for j in range(-half, half + 1))
     assert abs(res.sup_error - worst) < 1e-15
+
+
+@pytest.mark.parametrize("ends", [1, 500])
+def test_scan_in_smaller_chunks_gives_the_same_result(ends, monkeypatch):
+    # one rho row per chunk, and chunks of two rows with a shorter last one
+    a = IntervalSet.closed(-1, 1).union(IntervalSet.interval(1.5, 2.5, False, True))
+    whole = g.clt_uniformity_scan(a, 2.0, 16, rho_points=9)
+    monkeypatch.setattr(g, "_SCAN_ENDS", ends)
+    assert g.clt_uniformity_scan(a, 2.0, 16, rho_points=9) == whole
 
 
 def test_scan_metadata_records_truncation():

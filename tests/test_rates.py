@@ -431,6 +431,21 @@ def test_first_crossing_equals_a_screen_of_every_grid_point(monkeypatch):
         assert found == _screened_crossing(s.lo, s.hi, p, grids[-1])
 
 
+def test_first_crossing_refines_a_row_on_its_screened_grid(monkeypatch):
+    grids = []
+    sup_shift = rates._sup_shift
+
+    def recording_sup(lo, hi, grid=None):
+        grids.append(grid)
+        return sup_shift(lo, hi, grid)
+
+    monkeypatch.setattr(rates, "_sup_shift", recording_sup)
+    for s, p, _ in rate_suite_sets():
+        if not s.has_half_line() and nu(s) < p and rates.i_tilde(s, p)[0] == INF:
+            rates._first_crossing(s.lo, s.hi, p)
+    assert grids and all(grid is not None for grid in grids)
+
+
 @pytest.mark.parametrize("seed", [51, 52])
 def test_dilated_sup_moves_at_most_2k_pdf1_per_unit_of_log_gamma(seed):
     # the bound behind the r scan's skip-ahead, |d varphi / d log gamma| <=
