@@ -30,6 +30,7 @@ import io
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -152,22 +153,24 @@ _SPECS: dict[str, list[Opt]] = {
 }
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: only the subcommand ``argv[0]`` names, if any.
+@lru_cache(maxsize=None)
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser of one subcommand, or of all eight for ``command`` None.
 
-    Without a subcommand first (``--help``, ``--version``, an unknown name)
-    all eight are added.  With one, its metavar keeps the top-level usage
-    line listing all eight, so help and error text do not change.
+    Each of the nine is built once per process, on first use: argparse
+    keeps no state from one parse to the next, and help text is laid out, at
+    the terminal's width then, only when printed.  With one subcommand, its metavar keeps
+    the top-level usage line listing all eight, so help and error text are
+    those of the full parser.
     """
     parser = argparse.ArgumentParser(
         prog="brwlab",
         description="Branching random walk deviation laboratory")
     parser.add_argument("--version", action="version", version=f"brwlab {__version__}")
-    one = bool(argv) and argv[0] in _SPECS
     subs = parser.add_subparsers(
         dest="command", required=True,
-        metavar="{" + ",".join(_SPECS) + "}" if one else None)
-    for name in argv[:1] if one else _SPECS:
+        metavar=None if command is None else "{" + ",".join(_SPECS) + "}")
+    for name in _SPECS if command is None else (command,):
         sub = subs.add_parser(name)
         for opt in _SPECS[name] + _COMMON:
             sub.add_argument(f"--{opt.name}", dest=opt.name.replace("-", "_"),
@@ -430,7 +433,10 @@ _DISPATCH = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    # a subcommand first gets its own parser; --help, --version or an
+    # unknown name, the full one
+    command = argv[0] if argv and argv[0] in _SPECS else None
+    args = _parser(command).parse_args(argv)
     try:
         resolved = _resolve(args, args.command)
         _DISPATCH[args.command](resolved)

@@ -20,9 +20,9 @@ are clamped to [-39, 9], so Phi(-inf) = 0 and Phi(inf) = 1 exactly, and a
 NaN input gives NaN.  The lattice side is exact:
 the walk-law mass of a set is a sum of binomial coefficients over its
 `intervals.lattice_ends` site ranges, read off cached integer prefix sums,
-divided once by 2^n with correct rounding.  Sets are read through their
-endpoint arrays (``IntervalSet.lo``, ``hi`` and the flags), which
-`intervals` builds.  All functions here are pure and reentrant.
+and scaled once by 2^-n with correct rounding (`_walk_probs`).  Sets are
+read through their endpoint arrays (``IntervalSet.lo``, ``hi`` and the
+flags), which `intervals` builds.  All functions here are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -226,7 +226,24 @@ def hit_probs(n: int, s: IntervalSet, sites: np.ndarray) -> np.ndarray:
         raise ValueError("n must be nonnegative")
     first, last = s.site_ranges()
     y = np.asarray(sites, dtype=float)[:, None]
-    counts = _paths_ending_in(n, first - y, last - y).sum(axis=1)
+    return _walk_probs(_paths_ending_in(n, first - y, last - y).sum(axis=1), n)
+
+
+# the largest n at which every nonzero count / 2^n is a normal float
+_LDEXP_MAX_N = 1022
+
+
+def _walk_probs(counts: np.ndarray, n: int) -> np.ndarray:
+    """Exact n-step path counts as probabilities count / 2^n, correctly rounded.
+
+    float(count) rounds correctly, and scaling by 2^-n is exact while the
+    result is normal, as every nonzero count / 2^n is for n <= 1022, so
+    `np.ldexp` gives the correctly rounded quotient there.  Beyond, a count
+    may pass the float range or its quotient be subnormal, and the integers
+    are divided instead.
+    """
+    if n <= _LDEXP_MAX_N:
+        return np.ldexp(counts.astype(float), -n)
     return (counts / (1 << n)).astype(float)
 
 
@@ -289,7 +306,7 @@ def clt_uniformity_scan(s: IntervalSet, big_r: float, n: int,
             img_lo * sqrt_n, lo_closed, img_hi * sqrt_n, hi_closed)).sum(axis=0)
         cdf = _phi_array(np.stack((img_hi, img_lo)))
         gauss = (cdf[0] - cdf[1]).sum(axis=0)
-        err[start:start + rows] = np.abs((counts / (1 << n)).astype(float) - gauss)
+        err[start:start + rows] = np.abs(_walk_probs(counts, n) - gauss)
     # the first maximum in (rho, xi) order, as a scan over rho rows would keep it
     i, j = np.unravel_index(int(np.argmax(err)), err.shape)
     return CltScanResult(float(err[i, j]), float(rhos[i]), float(xis[j]),

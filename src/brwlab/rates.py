@@ -177,19 +177,20 @@ def sup_shift_measure(s: IntervalSet) -> tuple[float, float]:
 
 
 def _shift_crossing(s: IntervalSet, p: float, sign: float, ts: np.ndarray,
-                    ends: tuple[np.ndarray, np.ndarray]) -> Optional[tuple[float, float]]:
+                    ends: tuple[np.ndarray, np.ndarray], vals: np.ndarray,
+                    g: np.ndarray) -> Optional[tuple[float, float]]:
     """Least t on [0, ts[-1]] with nu(S - sign t) >= p, and its witness x = sign t.
 
-    ``ts`` is a grid from 0 at most SUP_STEP apart, and ``ends`` are the
-    endpoint arrays the slope reads.  Cells whose ends both lie more than the
-    grid slack below p cannot reach it.  A screened cell reaches p at its
-    maximum: the slope's root where the slope turns from rising to falling
-    along t inside it, else its far end.  The first cell that reaches p
-    brackets the crossing below that point.  None when no cell reaches p.
+    ``ts`` is a grid from 0 at most SUP_STEP apart, ``ends`` are the
+    endpoint arrays the slope reads, and ``vals`` and ``g`` are nu(S - x)
+    and the slope at the shifts x = sign ts.  Cells whose ends both lie more
+    than the grid slack below p cannot reach it.  A screened cell reaches p
+    at its maximum: the slope's root where the slope turns from rising to
+    falling along t inside it, else its far end.  The first cell that
+    reaches p brackets the crossing below that point.  None when no cell
+    reaches p.
     """
     xs = sign * ts
-    vals = shifted_mass(s.lo, s.hi, xs)
-    g = _slope(*ends, xs)[0]
     left, right = (g[:-1], g[1:]) if sign > 0 else (g[1:], g[:-1])
     peaks = (left > 0) & (right <= 0)
 
@@ -227,8 +228,13 @@ def i_tilde(s: IntervalSet, p: float) -> tuple[float, Optional[float]]:
     # terms underflow to 0 there as at infinity, without an inf * 0.
     far = bound + 40.0
     ends = (np.maximum(s.lo, -far), np.minimum(s.hi, far))
-    neg = _shift_crossing(s, p, -1.0, ts, ends)
-    pos = _shift_crossing(s, p, +1.0, ts, ends)
+    # both sides screened at once, x = -ts then ts: one Phi call, one slope pass
+    xs = np.concatenate((-ts, ts))
+    vals = shifted_mass(s.lo, s.hi, xs)
+    g = _slope(*ends, xs)[0]
+    m = ts.size
+    neg = _shift_crossing(s, p, -1.0, ts, ends, vals[:m], g[:m])
+    pos = _shift_crossing(s, p, +1.0, ts, ends, vals[m:], g[m:])
     if neg is None and pos is None:
         return INF, None
     if pos is None or (neg is not None and neg[0] <= pos[0] + ROOT_TOL):
@@ -257,8 +263,9 @@ def _r_grid(r_max: float) -> np.ndarray:
                            [r_max]])
 
 
-def _first_crossing(lo: np.ndarray, hi: np.ndarray,
-                    p: float) -> tuple[float, float, float, float]:
+def _first_crossing(lo: np.ndarray, hi: np.ndarray, p: float,
+                    below: Optional[dict[float, float]] = None
+                    ) -> tuple[float, float, float, float]:
     """First grid r with h(r) >= p: (previous grid r, r, witness x, h(r)).
 
     The widest component, of width w, reaches p alone, centred, at
@@ -274,7 +281,9 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray,
     with grid maximum M (on `_shift_grid`) and d = p - slack - M > 0 rules out
     every later grid r whose drift from r_k is below d, cut by one part in 10^6
     for rounding, so a jump can only get shorter; otherwise h(r_k) is refined,
-    on the row's screened grid.
+    on the row's screened grid.  When the scan screened the grid r just below
+    a crossing it found, h there, refined before or now on that row's grid,
+    goes into ``below``, keyed by that r, for the secant to start from.
     """
     widths = hi - lo
     i = int(np.argmax(widths))
@@ -290,30 +299,41 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray,
     drift = -lo.size * normal_pdf(1.0) * np.log1p(-rs)   # 2k pdf(1) log gamma
     slack = _grid_slack(lo.size)
     k = 0
+    last = None    # (k, grid, refined value or None) of the last screened row
     while k < rs.size:
         r = float(rs[k])
         gamma = 1.0 / math.sqrt(1.0 - r)
         grid = _shift_grid(gamma * lo, gamma * hi)
         room = p - slack - float(grid[1].max())
+        value = None
         if room <= 0:
             value, x = _dilated_sup(lo, hi, r, grid)
             if value >= p:
+                if below is not None and last is not None and last[0] == k - 1:
+                    j, row_grid, h = last
+                    if h is None:
+                        h = _dilated_sup(lo, hi, float(rs[j]), row_grid)[0]
+                    below[float(rs[j])] = h
                 return (float(rs[k - 1]) if k else 0.0), r, x, value
+        last = (k, grid, value)
         k = max(k + 1, int(np.searchsorted(drift, drift[k] + room * (1.0 - 1e-6))))
     return float(rs[-2]), float(rs[-1]), 0.5 * float(lo[i] + hi[i]), p
 
 
 def _refine_crossing(gap: Callable[[float], tuple[float, float]], a: float,
-                     b: float, fb: float, x: float) -> tuple[float, float]:
+                     b: float, fb: float, x: float,
+                     fa: Optional[float] = None) -> tuple[float, float]:
     """Shrink [a, b] to ROOT_TOL around a root of gap: (feasible end, witness).
 
-    gap(t) is (value - p, witness at t), with gap(a) < 0 <= gap(b) = (fb, x).
+    gap(t) is (value - p, witness at t), with gap(a) < 0 <= gap(b) = (fb, x);
+    ``fa`` is gap(a)[0] when the caller has it already.
     Illinois regula falsi: each probe lies at least ROOT_TOL / 2 inside the
     bracket, so the bracket shrinks at every step; the value at an end kept
     twice in a row is halved, and every second step is a bisection when the
     two steps before it have not halved the bracket.
     """
-    fa = gap(a)[0]
+    if fa is None:
+        fa = gap(a)[0]
     older = INF    # bracket width two steps ago, refreshed every second step
     kept = 0       # +1 after a step that moved b, -1 after one that moved a
     step = 0
@@ -366,8 +386,10 @@ def _dilation_cost(s: IntervalSet, p: float) -> tuple[float, float, float]:
         value, x_r = _dilated_sup(lo, hi, r)
         return value - p, x_r
 
-    a, b, x, value = _first_crossing(lo, hi, p)
-    r, x = _refine_crossing(gap, a, b, value - p, x)
+    below: dict[float, float] = {}
+    a, b, x, value = _first_crossing(lo, hi, p, below)
+    fa = below[a] - p if a in below else None
+    r, x = _refine_crossing(gap, a, b, value - p, x, fa)
     return r, r, x
 
 
@@ -418,18 +440,21 @@ def classify(s: IntervalSet, p: float, b: int) -> RateReport:
 
     For p <= nu(S) the event is typical; the report is degenerate with zero
     cost.  Near-critical inputs (p within ~1e-9 of the attainable supremum)
-    are flagged rather than rejected.
+    are flagged rather than rejected.  A bounded set whose sup over shifts
+    lies further than that below p has no shift reaching p, so its shift
+    cost is infinite without `i_tilde`'s screens.
     """
     _check_p(p)
     _check_b(b)
     if s.is_empty:
         raise ValueError("empty set")
     logb = math.log(b)
-    near = not s.has_half_line() and abs(sup_shift_measure(s)[0] - p) <= NEAR_CRITICAL
+    sup = sup_shift_measure(s)[0]     # 1 for a half-line
+    near = not s.has_half_line() and abs(sup - p) <= NEAR_CRITICAL
     if nu(s) >= p:
         return RateReport(p, b, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                           "shift", "sqrt_n", degenerate=True, near_critical=near)
-    it, x = i_tilde(s, p)
+    it, x = (INF, None) if sup < p - NEAR_CRITICAL else i_tilde(s, p)
     if it != INF:
         return RateReport(p, b, it, x, 0.0, 0.0, x, logb * it, 0.0,
                           "shift", "sqrt_n", near_critical=near)

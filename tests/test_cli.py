@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,3 +485,115 @@ def test_numeric_failure_exits_4(monkeypatch, capsys):
     code = main(["rate", "--set", "R", "--p", "0.5"])
     assert code == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+# -- parsers built once per process -----------------------------------------------
+
+SESSION = [
+    ["rate", "--set", "(-inf,0]", "--p", "0.8"],
+    ["clt-scan", "--set", "[-1,1] U [2,3]", "--R", "3", "--n-grid", "9,36"],
+    ["rate", "--set", "[-1,1]", "--p", "0.95", "--b", "3", "--seed", "4"],
+    ["enumerate", "--n", "2", "--set", "(-inf,0]", "--p", "1"],
+    ["simulate", "--n", "8", "--replicas", "2", "--seed", "3"],
+    ["interp", "--k0", "3"],
+    ["probe-typical", "--n-grid", "16,32", "--replicas", "50", "--seed", "2"],
+    ["ldp", "--set", "(-inf,0]", "--p", "0.8", "--n-grid", "36,64",
+     "--replicas", "100", "--seed", "5", "--threads", "2"],
+]
+
+
+def _fresh_python(*args):
+    """stdout of ``python *args`` in a new interpreter on this checkout's
+    sources, with BRWLAB_SEED unset."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("BRWLAB_SEED", None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_repeated_calls_print_what_fresh_interpreters_print(capsys, monkeypatch):
+    monkeypatch.delenv("BRWLAB_SEED", raising=False)
+    fresh = [_fresh_python("-m", "brwlab.cli", *argv) for argv in SESSION]
+    for _ in range(2):
+        for argv, expected in zip(SESSION, fresh):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+
+
+def test_import_builds_no_parser():
+    code = "import brwlab.cli\nprint(brwlab.cli._parser.cache_info().currsize)\n"
+    assert _fresh_python("-c", code) == "0\n"
+
+
+def _printed(parser, argv, capsys):
+    """(exit code, stdout, stderr) of ``parser.parse_args(argv)`` that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["52", "200"])
+def test_cached_parsers_print_the_help_of_fresh_ones(columns, capsys, monkeypatch):
+    # help is laid out when printed, at the terminal width of that moment
+    from brwlab import cli
+
+    monkeypatch.setenv("COLUMNS", columns)
+    fresh = cli._parser.__wrapped__
+    top = fresh(None).format_help()
+    assert top.splitlines()[0].startswith("usage: brwlab [-h] [--version]")
+    for command in [None, *COMMANDS]:
+        assert cli._parser(command).format_help() == top
+    for command in COMMANDS:
+        argv = [command, "--help"]
+        expected = _printed(fresh(None), argv, capsys)
+        assert _printed(fresh(command), argv, capsys) == expected
+        assert expected[0] == 0 and expected[1].startswith(f"usage: brwlab {command} ")
+        for _ in range(2):
+            assert _printed(cli._parser(command), argv, capsys) == expected
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys, monkeypatch):
+    from brwlab import cli
+
+    monkeypatch.delenv("BRWLAB_SEED", raising=False)
+    ok = ["rate", "--set", "(-inf,0]", "--p", "0.8"]
+    expected = _fresh_python("-m", "brwlab.cli", *ok)
+    bad_type = _printed(cli._parser.__wrapped__("rate"), ["rate", "--p", "x"], capsys)
+    assert bad_type[0] == 2 and "invalid float value: 'x'" in bad_type[2]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(ok + ["--bogus", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+        assert _printed(cli._parser("rate"), ["rate", "--p", "x"], capsys) == bad_type
+        assert main(ok) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_config_and_seed_env_do_not_carry_to_the_next_call(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("set=[-1,1]\np=0.95\nseed=5\n")
+    monkeypatch.delenv("BRWLAB_SEED", raising=False)
+    code, text = run_cli(["rate", "--config", str(cfg)], tmp_path, "a.csv")
+    assert code == 0 and "# seed=5 " in text and rows_of(text)[0]["p"] == "0.95"
+    # the next call reads neither the file's set and p nor its seed
+    assert main(["rate"]) == 2
+    assert "--set is required" in capsys.readouterr().err
+    code, text = run_cli(["rate", "--set", "(-inf,0]", "--p", "0.8"], tmp_path, "b.csv")
+    assert code == 0 and "# seed=0 " in text and rows_of(text)[0]["p"] == "0.8"
+    monkeypatch.setenv("BRWLAB_SEED", "7")
+    _, text = run_cli(["rate", "--set", "(-inf,0]", "--p", "0.8"], tmp_path, "c.csv")
+    assert "# seed=7 " in text
+    monkeypatch.delenv("BRWLAB_SEED")
+    _, text = run_cli(["rate", "--set", "(-inf,0]", "--p", "0.8"], tmp_path, "d.csv")
+    assert "# seed=0 " in text
+
+
+def test_clt_scan_past_the_ldexp_range_exits_0(tmp_path):
+    # from n = 1023 on, the path counts are divided as integers
+    code, text = run_cli(["clt-scan", "--set", "(-inf,0]", "--n-grid", "1022,1024"], tmp_path)
+    assert code == 0
+    assert [row["n"] for row in rows_of(text)] == ["1022", "1024"]

@@ -381,6 +381,33 @@ def test_scan_in_smaller_chunks_gives_the_same_result(ends, monkeypatch):
     assert g.clt_uniformity_scan(a, 2.0, 16, rho_points=9) == whole
 
 
+def _divided(counts, n):
+    """The reference scaling: exact integers divided, correctly rounded."""
+    return (counts / (1 << n)).astype(float)
+
+
+_SAMPLED_N = sorted(np.random.default_rng(91).integers(1, 1023, 6).tolist())
+
+
+@pytest.mark.parametrize("n", _SAMPLED_N + [1, 53, 54, 1021, 1022, 1023, 1024, 1100])
+def test_walk_probs_equal_integer_division(n):
+    # every binomial and prefix sum of row n, and counts on float rounding ties
+    prefix = g._prefix_row(n)
+    ties = [c for c in ((1 << 53) + 1, (1 << 60) + (1 << 7), (1 << 60) + 3 * (1 << 7),
+                        (1 << 1000) + (1 << 947), (1 << 1000) + (1 << 947) + 1)
+            if c <= 1 << n]
+    counts = np.concatenate((np.diff(prefix), prefix, np.array(ties, dtype=object)))
+    assert g._walk_probs(counts, n).tobytes() == _divided(counts, n).tobytes()
+
+
+@pytest.mark.parametrize("n", _SAMPLED_N + [1022, 1023, 1024, 1100])
+def test_scan_equals_its_integer_division_reference(n, monkeypatch):
+    a = IntervalSet.closed(-1, 1).union(IntervalSet.interval(1.5, 2.5, False, True))
+    res = g.clt_uniformity_scan(a, 2.0, n, rho_points=3)
+    monkeypatch.setattr(g, "_walk_probs", _divided)
+    assert g.clt_uniformity_scan(a, 2.0, n, rho_points=3) == res
+
+
 def test_scan_metadata_records_truncation():
     a = IntervalSet.closed(-1.5, 2.0)
     res = g.clt_uniformity_scan(a, 2.0, 25)

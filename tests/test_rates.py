@@ -308,6 +308,68 @@ def test_half_line_shortcut(rng):
         assert rep.j_tilde == 0.0 and rep.i_tilde < INF
 
 
+@pytest.mark.parametrize("seed", [71, 72])
+def test_classify_equals_its_report_without_the_i_tilde_skip(seed):
+    # classify gives a bounded set whose shift sup lies more than
+    # NEAR_CRITICAL below p an infinite shift cost unscreened; i_tilde, and
+    # j_tilde, which calls it first, screen every such case
+    rng = np.random.default_rng(seed)
+    skipped = 0
+    for _ in range(100):
+        s = random_interval_set(rng, max_components=4, allow_half_lines=False)
+        sup = rates.sup_shift_measure(s)[0]
+        p = sup + (1.0 - sup) * float(rng.uniform(0.02, 0.98))
+        if not p < 1.0:
+            continue
+        rep = rates.classify(s, p, 2)
+        assert rates.i_tilde(s, p) == (rep.i_tilde, rep.x_star) == (INF, None)
+        assert rates.j_tilde(s, p) == (rep.j_tilde, rep.r_star, rep.x_star_dilation)
+        skipped += sup < p - rates.NEAR_CRITICAL
+    assert skipped >= 90
+
+
+@pytest.mark.parametrize("offset,calls", [(-5e-10, 1), (5e-10, 1), (0.99e-9, 1),
+                                          (2e-9, 0), (0.01, 0)])
+def test_classify_screens_near_critical_sets(offset, calls, monkeypatch):
+    # p within NEAR_CRITICAL of the sup still goes through i_tilde
+    count = [0]
+    i_tilde = rates.i_tilde
+
+    def counting_i_tilde(s, p):
+        count[0] += 1
+        return i_tilde(s, p)
+
+    monkeypatch.setattr(rates, "i_tilde", counting_i_tilde)
+    s = IntervalSet.closed(1, 2)
+    p = rates.sup_shift_measure(s)[0] + offset
+    rep = rates.classify(s, p, 2)
+    assert count[0] == calls
+    assert rep.near_critical == (abs(offset) <= rates.NEAR_CRITICAL)
+    assert rep.regime == ("shift" if offset < 0 else "dilation")
+    rates.classify(IntervalSet.below(0).union(s), 0.9, 2)   # a half-line
+    assert count[0] == calls + 1
+
+
+def test_classify_builds_each_shift_grid_once(monkeypatch):
+    # the dilation secant starts from the row the r scan screened just below
+    # the crossing, without building that row's grid again
+    keys = []
+    shift_grid = rates._shift_grid
+
+    def counting_grid(lo, hi):
+        keys.append(lo.tobytes() + hi.tobytes())
+        return shift_grid(lo, hi)
+
+    monkeypatch.setattr(rates, "_shift_grid", counting_grid)
+    total = 0
+    for s, p, _ in rate_suite_sets():
+        keys.clear()
+        rates.classify(s, p, 2)
+        assert len(set(keys)) == len(keys)
+        total += len(keys)
+    assert total == 138
+
+
 # -- the dilation crossing search ----------------------------------------------------
 
 def _bisect_reference(lo, hi, p, a, b):
