@@ -8,8 +8,13 @@ scales.
 
 The hot loops read a set's endpoint arrays ``IntervalSet.lo`` and ``hi``, and
 the interpolation scan evaluates each family member from its endpoints
-without building it as a set.  Both costs use one search design: a coarse
-grid screened with a proved error bound, then one safeguarded secant.  On
+without building it as a set.  A set of one component has closed forms, and
+no search runs for it: an interval of width w is best placed centred, so its
+sup over shifts is its mass about its midpoint and it reaches p first at
+r = 1 - w^2 / (4 z^2), z = Phi^-1((1 + p) / 2); a half-line (-inf, b] or
+[a, inf) needs the shift b - Phi^-1(p) or a + Phi^-1(p).  For sets of two
+or more components both costs use one search design: a coarse grid screened
+with a proved error bound, then one safeguarded secant.  On
 any grid cell of width h, f(x) = nu(S - x) exceeds the larger of its two end
 values by at most h^2/8 max|f''| <= h^2/8 * 2k pdf(1) for k components, so
 a cell whose ends both lie further below p cannot reach it.  The sup over
@@ -20,9 +25,11 @@ the first cell that reaches p, at its far end or at its maximum.  The r scan
 screens one r at a time on the same x grid: varphi moves by at most 2k pdf(1)
 per unit of log gamma, gamma = 1/sqrt(1 - r), so a row whose grid maximum
 plus slack lies d below p rules out every r within d / (2k pdf(1)) further in
-log gamma.  Its grid runs GRID_STEP apart up to 1 - GRID_STEP and, for sets
-whose widest component needs more, on in log(1 - r) up to the r where that
-component alone reaches p, so a crossing always lies on it.  Monotonicity is
+log gamma; a row within reach is screened again at the midpoints of its
+cells, with a quarter of the slack, before it is refined.  Its grid runs
+GRID_STEP apart up to 1 - GRID_STEP and, for sets whose widest component
+needs more, on in log(1 - r) up to the r where that component alone reaches
+p, so a crossing always lies on it.  Monotonicity is
 never assumed: the first crossing on a grid wins, and a safeguarded secant
 (Illinois regula falsi, with a bisection step whenever two steps have not
 halved the bracket) shrinks its bracket to ROOT_TOL.
@@ -70,9 +77,30 @@ _STANDARD_NORMAL = NormalDist()
 
 def _central_quantile(p: float) -> float:
     """z with 2 Phi(z) - 1 = p: the half-width of the centred interval of
-    measure p (inf when (1 + p)/2 rounds to 1)."""
-    q = 0.5 * (1.0 + p)
-    return _STANDARD_NORMAL.inv_cdf(q) if q < 1.0 else INF
+    measure p, read from the tail mass (1 - p)/2 beyond z.  That is exact for
+    p >= 1/2, where (1 + p)/2 rounds: at p = 1 - 1e-9 the rounding would move
+    the r at which an interval of width 12 reaches p by 6e-9."""
+    return -_STANDARD_NORMAL.inv_cdf(0.5 * (1.0 - p))
+
+
+def _centred_fraction(width: float, p: float) -> float:
+    """Least r in [0, 1) at which an interval of this width, centred, has
+    dilated mass p: r = 1 - width^2 / (4 z^2), z = Phi^-1((1 + p) / 2).
+
+    r is rounded up, so that 1 - r <= width^2 / (4 z^2): the centred interval,
+    dilated by 1/sqrt(1 - r), is at least 2z wide there.  Should rounding of
+    Phi still leave its mass a hair below p, r counts as feasible.  An r that
+    rounds to 1 raises NumericError.
+    """
+    t = float(0.5 * width / _central_quantile(p)) ** 2
+    r = 1.0 - t
+    if 1.0 - r > t:        # round up, so the interval reaches p at r
+        r = math.nextafter(r, 1.0)
+    if not r < 1.0:
+        raise NumericError(
+            f"no dilation crossing for p={p}: the widest component, of width "
+            f"{width}, reaches p only at an r that rounds to 1")
+    return max(r, 0.0)
 
 
 def _grid_slack(k: int) -> float:
@@ -136,6 +164,22 @@ def _shift_grid(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _sup_shift(lo: np.ndarray, hi: np.ndarray,
                grid: Optional[tuple[np.ndarray, np.ndarray]] = None) -> tuple[float, float]:
     """(max value, argmax) of x -> nu(S - x) for a bounded nonempty S.
+
+    One interval [a, b] is best placed centred: the slope pdf(a - x) -
+    pdf(b - x) is positive below the midpoint and negative above it.  So its
+    sup is its paired-erfc mass (`dilated_mass`) about the midpoint, which is
+    the maximizer, with no grid or Newton step; ``grid`` is then unused.
+    Sets of two or more components go through `_screened_sup`.
+    """
+    if lo.size == 1:
+        mid = float(0.5 * (lo[0] + hi[0]))
+        return dilated_mass(lo, hi, mid, 1.0), mid
+    return _screened_sup(lo, hi, grid)
+
+
+def _screened_sup(lo: np.ndarray, hi: np.ndarray,
+                  grid: Optional[tuple[np.ndarray, np.ndarray]] = None) -> tuple[float, float]:
+    """`_sup_shift` by a screened search, for any bounded nonempty S.
 
     The argmax lies in the convex hull of S: beyond the last endpoint the
     measure is strictly decreasing in the shift, so the grid stops there.
@@ -211,17 +255,32 @@ def _shift_crossing(s: IntervalSet, p: float, sign: float, ts: np.ndarray,
 def i_tilde(s: IntervalSet, p: float) -> tuple[float, Optional[float]]:
     """Least |x| with nu(S - x) >= p, and a witness x (None when infeasible).
 
-    Weak inequality throughout; p == nu(S) yields 0.  Each side is searched
-    out to 10 beyond the largest finite endpoint; a bounded set's measure
-    only falls beyond its hull, and a half-line's tail mass is 1 to double
-    precision there.  When both signs achieve the optimum the negative
-    witness is returned.
+    Weak inequality throughout; p == nu(S) yields 0.  A half-line (-inf, b]
+    or [a, inf) reaches p exactly at x = b - Phi^-1(p) or a + Phi^-1(p),
+    with Phi^-1 from `NormalDist.inv_cdf`; should rounding of Phi leave its
+    mass a hair below p there, that x counts as feasible.  Every other set
+    goes through `_screened_shift_cost`.
     """
     _check_p(p)
     if s.is_empty:
         raise ValueError("empty set")
     if nu(s) >= p:
         return 0.0, 0.0
+    if len(s.components) == 1 and s.has_half_line():
+        z = _STANDARD_NORMAL.inv_cdf(p)
+        x = float(s.hi[0] - z if s.lo[0] == -INF else s.lo[0] + z)
+        return abs(x), x
+    return _screened_shift_cost(s, p)
+
+
+def _screened_shift_cost(s: IntervalSet, p: float) -> tuple[float, Optional[float]]:
+    """`i_tilde` by a two-sided screen, for a nonempty S with nu(S) < p.
+
+    Each side is searched out to 10 beyond the largest finite endpoint; a
+    bounded set's measure only falls beyond its hull, and a half-line's tail
+    mass is 1 to double precision there.  When both signs achieve the
+    optimum the negative witness is returned.
+    """
     bound = s.finite_endpoint_bound() + 10.0
     ts = np.linspace(0.0, bound, math.ceil(bound / SUP_STEP) + 1)
     # The slope reads an infinite endpoint as one 40 beyond the grid: its pdf
@@ -268,34 +327,29 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray, p: float,
                     ) -> tuple[float, float, float, float]:
     """First grid r with h(r) >= p: (previous grid r, r, witness x, h(r)).
 
-    The widest component, of width w, reaches p alone, centred, at
-    r_max = 1 - w^2 / (4 z^2) with z = Phi^-1((1 + p) / 2), so a crossing lies
-    in (0, r_max], and the grid's last point is r_max or, for r_max <=
-    1 - GRID_STEP, above it.  Should rounding leave the computed sup a hair
-    below p there, that point counts as feasible, with the component's
-    midpoint as witness and p as its value.
+    The widest component reaches p alone, centred, at r_max =
+    `_centred_fraction` of its width, so a crossing lies in (0, r_max], and
+    the grid's last point is r_max or, for r_max <= 1 - GRID_STEP, above it.
+    Should rounding leave the computed sup a hair below p there, that point
+    counts as feasible, with the component's midpoint as witness and p as
+    its value.
 
     Each term of F(gamma, x) = sum_i Phi(gamma (b_i - x)) - Phi(gamma (a_i - x)),
     gamma = 1/sqrt(1 - r), has log-gamma derivative z pdf(z), at most pdf(1) in
     size, so h drifts by at most 2k pdf(1) per unit of log gamma.  A row at r_k
     with grid maximum M (on `_shift_grid`) and d = p - slack - M > 0 rules out
     every later grid r whose drift from r_k is below d, cut by one part in 10^6
-    for rounding, so a jump can only get shorter; otherwise h(r_k) is refined,
-    on the row's screened grid.  When the scan screened the grid r just below
+    for rounding, so a jump can only get shorter.  Where d <= 0, the row's
+    cell midpoints are screened too, unless d <= -3/4 slack: cells of half
+    the width leave a quarter of the slack, so d = p - slack / 4 - M' with M'
+    the maximum over both grids, and the skip is taken once d > 0.  Otherwise
+    h(r_k) is refined, on the row's screened grid.  When the scan screened the grid r just below
     a crossing it found, h there, refined before or now on that row's grid,
     goes into ``below``, keyed by that r, for the secant to start from.
     """
     widths = hi - lo
     i = int(np.argmax(widths))
-    t = float(0.5 * widths[i] / _central_quantile(p)) ** 2
-    r_max = 1.0 - t
-    if 1.0 - r_max > t:        # round up, so the component reaches p at r_max
-        r_max = math.nextafter(r_max, 1.0)
-    if not r_max < 1.0:
-        raise NumericError(
-            f"no dilation crossing for p={p}: the widest component, of width "
-            f"{widths[i]}, reaches p only at an r that rounds to 1")
-    rs = _r_grid(r_max)
+    rs = _r_grid(_centred_fraction(widths[i], p))
     drift = -lo.size * normal_pdf(1.0) * np.log1p(-rs)   # 2k pdf(1) log gamma
     slack = _grid_slack(lo.size)
     k = 0
@@ -303,8 +357,14 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray, p: float,
     while k < rs.size:
         r = float(rs[k])
         gamma = 1.0 / math.sqrt(1.0 - r)
-        grid = _shift_grid(gamma * lo, gamma * hi)
-        room = p - slack - float(grid[1].max())
+        glo, ghi = gamma * lo, gamma * hi
+        grid = _shift_grid(glo, ghi)
+        top = float(grid[1].max())
+        room = p - slack - top
+        if -0.75 * slack < room <= 0:     # else the midpoints cannot lift d above 0
+            xs = grid[0]
+            mids = shifted_mass(glo, ghi, 0.5 * (xs[:-1] + xs[1:]))
+            room = p - 0.25 * slack - max(top, float(mids.max()))
         value = None
         if room <= 0:
             value, x = _dilated_sup(lo, hi, r, grid)
@@ -362,10 +422,11 @@ def _refine_crossing(gap: Callable[[float], tuple[float, float]], a: float,
 def j_tilde(s: IntervalSet, p: float) -> tuple[float, float, float]:
     """Least time fraction r with sup_x varphi(S, r, x) >= p, plus witnesses (r, x).
 
-    Sets with a finite shift cost return 0 immediately.  Otherwise the r scan
-    (`_first_crossing`) brackets the first grid crossing, and the secant of
-    `_refine_crossing` returns the bracket's feasible end, with an infeasible r
-    at most ROOT_TOL below it.
+    Sets with a finite shift cost return 0 immediately.  One interval has the
+    closed form of `_dilation_cost`.  Otherwise the r scan (`_first_crossing`)
+    brackets the first grid crossing, and the secant of `_refine_crossing`
+    returns the bracket's feasible end, with an infeasible r at most ROOT_TOL
+    below it.
     """
     _check_p(p)
     if s.is_empty:
@@ -379,8 +440,15 @@ def j_tilde(s: IntervalSet, p: float) -> tuple[float, float, float]:
 
 
 def _dilation_cost(s: IntervalSet, p: float) -> tuple[float, float, float]:
-    """`j_tilde` for a set whose shift cost is infinite."""
+    """`j_tilde` for a set whose shift cost is infinite.
+
+    One interval reaches p first centred, so its cost is `_centred_fraction`
+    of its width, with its midpoint as witness: no r scan and no secant.
+    """
     lo, hi = s.lo, s.hi
+    if lo.size == 1:
+        r = _centred_fraction(float(hi[0] - lo[0]), p)
+        return r, r, float(0.5 * (lo[0] + hi[0]))
 
     def gap(r: float) -> tuple[float, float]:
         value, x_r = _dilated_sup(lo, hi, r)

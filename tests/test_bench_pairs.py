@@ -1,6 +1,8 @@
-"""Verdicts of `tools/bench_pairs.py` on one metric's paired runs."""
+"""Verdicts of `tools/bench_pairs.py` on one metric's paired runs, and the
+bytecode state its runs start in."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,33 @@ def test_a_noisy_parent_leaves_a_mixed_change_unresolved():
     # every change run better than every parent run settles it
     assert _summary(parent, [0.59] * 10)["verdict"] == "gain"
     assert _summary(parent, [0.59] * 8 + [2.0] * 2)["verdict"] == "unresolved"
+
+
+def test_every_run_has_a_fresh_cache_without_the_tree_bytecode(tmp_path, monkeypatch):
+    # one tree's stale or valid .pyc files must not reach its runs, and
+    # what one run caches must not reach the next
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    mirror = Path(*tree.resolve().parts[1:])
+    runs = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        if "perfbench/run.py" not in argv:
+            # the warm-up: it caches everything it imports, the tree's modules too
+            assert "PYTHONDONTWRITEBYTECODE" not in env
+            assert not any(cache.iterdir())
+            (cache / mirror / "src" / "brwlab").mkdir(parents=True)
+            (cache / mirror / "src" / "brwlab" / "rates.pyc").write_bytes(b"")
+            (cache / "numpy.pyc").write_bytes(b"")
+            return subprocess.CompletedProcess(argv, 0)
+        assert env.get("PYTHONDONTWRITEBYTECODE") == "1"
+        assert (cache / "numpy.pyc").exists() and not (cache / mirror).exists()
+        runs.append(cache)
+        return subprocess.CompletedProcess(argv, 0, stdout='{"metrics": {}}\n')
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert bench_pairs.run_once(tree, "analytic", 1, 1.0) == {"metrics": {}}
+    assert len(set(runs)) == 2 and not any(cache.exists() for cache in runs)

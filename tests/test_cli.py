@@ -487,6 +487,14 @@ def test_numeric_failure_exits_4(monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_rate_on_an_interval_too_narrow_to_dilate_exits_4(capsys):
+    # the centred interval reaches p only at an r that rounds to 1
+    assert main(["rate", "--set", "[0,1e-9]", "--p", "0.5"]) == 4
+    assert capsys.readouterr().err == (
+        "brwlab: numeric failure: no dilation crossing for p=0.5: the widest "
+        "component, of width 1e-09, reaches p only at an r that rounds to 1\n")
+
+
 # -- parsers built once per process -----------------------------------------------
 
 SESSION = [

@@ -367,7 +367,7 @@ def test_classify_builds_each_shift_grid_once(monkeypatch):
         rates.classify(s, p, 2)
         assert len(set(keys)) == len(keys)
         total += len(keys)
-    assert total == 138
+    assert total == 65
 
 
 # -- the dilation crossing search ----------------------------------------------------
@@ -383,11 +383,14 @@ def _bisect_reference(lo, hi, p, a, b):
     return b
 
 
+_FIRST_CROSSING = rates._first_crossing
+
+
 @pytest.fixture
 def crossing_search(monkeypatch):
-    """j_tilde of a dilation case, with the _first_crossing bracket and the
-    number of _dilated_sup calls made after it."""
-    record = {"calls": 0}
+    """j_tilde of a dilation case, with the _first_crossing bracket (None when
+    the case made none) and the number of _dilated_sup calls made after it."""
+    record = {}
     dilated_sup, first_crossing = rates._dilated_sup, rates._first_crossing
 
     def counting_sup(*args):
@@ -403,19 +406,29 @@ def crossing_search(monkeypatch):
     monkeypatch.setattr(rates, "_first_crossing", recording_crossing)
 
     def search(s, p):
+        record.update(bracket=None, calls=0)
         _, r, x = rates.j_tilde(s, p)
         return r, x, record["bracket"], record["calls"]
     return search
 
 
 def _check_crossing(s, p, r, x, bracket, calls):
+    value = rates._dilated_sup(s.lo, s.hi, r)[0]
+    assert varphi(s, r, x) >= p - 1e-8
+    if len(s.components) == 1:
+        # the closed form runs no scan and no secant; it lies within ROOT_TOL
+        # of the scan's bracket bisected, and its witness is the midpoint
+        assert bracket is None and calls == 0
+        a, b, _, _ = _FIRST_CROSSING(s.lo, s.hi, p)
+        assert abs(r - _bisect_reference(s.lo, s.hi, p, a, b)) <= rates.ROOT_TOL
+        assert value >= p - 1e-15
+        assert x == 0.5 * (s.lo[0] + s.hi[0])
+        return
     a, b, _, _ = bracket
     assert a < r <= b
-    value = rates._dilated_sup(s.lo, s.hi, r)[0]
     # a grid end the scan accepted (the widest component alone reaches p
     # there) may sit a rounding hair below p
     assert value >= p or (r == b and value >= p - 1e-15)
-    assert varphi(s, r, x) >= p - 1e-8
     assert calls <= 10
 
 
@@ -426,8 +439,9 @@ def test_crossing_search_on_the_suite(crossing_search):
     for s, p in cases:
         r, x, bracket, calls = crossing_search(s, p)
         _check_crossing(s, p, r, x, bracket, calls)
-        a, b, _, _ = bracket
-        assert abs(r - _bisect_reference(s.lo, s.hi, p, a, b)) <= 2 * rates.ROOT_TOL
+        if bracket is not None:
+            a, b, _, _ = bracket
+            assert abs(r - _bisect_reference(s.lo, s.hi, p, a, b)) <= 2 * rates.ROOT_TOL
 
 
 @pytest.mark.parametrize("seed", [41, 42, 43])
@@ -470,6 +484,22 @@ def _screened_crossing(lo, hi, p, rs):
     return float(rs[-2]), float(rs[-1]), 0.5 * float(lo[i] + hi[i]), p
 
 
+def _scan_cases(seed, count, near_slack=False):
+    """Bounded sets of 2 to 4 components with p above their sup over shifts:
+    anywhere up to 1, or, ``near_slack``, by less than the grid slack."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        s = random_interval_set(rng, max_components=4, allow_half_lines=False)
+        if len(s.components) >= 2:
+            sup = rates.sup_shift_measure(s)[0]
+            gap = rates._grid_slack(s.lo.size) if near_slack else 1.0 - sup
+            p = sup + gap * float(rng.uniform(0.02, 0.98))
+            if p < 1.0:
+                cases.append((s, p))
+    return cases
+
+
 def test_first_crossing_equals_a_screen_of_every_grid_point(monkeypatch):
     grids = []
     r_grid = rates._r_grid
@@ -482,15 +512,31 @@ def test_first_crossing_equals_a_screen_of_every_grid_point(monkeypatch):
     cases = [(s, p) for s, p, _ in rate_suite_sets()
              if not s.has_half_line() and nu(s) < p and rates.i_tilde(s, p)[0] == INF]
     assert len(cases) == 10
-    rng = np.random.default_rng(61)
-    while len(cases) < 40:
-        s = random_interval_set(rng, max_components=4, allow_half_lines=False)
-        if len(s.components) >= 2:
-            sup = rates.sup_shift_measure(s)[0]
-            cases.append((s, sup + (1.0 - sup) * float(rng.uniform(0.02, 0.98))))
+    cases += _scan_cases(61, 30) + _scan_cases(62, 12, near_slack=True)
     for s, p in cases:
         found = rates._first_crossing(s.lo, s.hi, p)
         assert found == _screened_crossing(s.lo, s.hi, p, grids[-1])
+
+
+def test_near_slack_scan_screens_cell_midpoints_before_refining(monkeypatch):
+    # p lies 6.4e-4 above the sup, just past the grid slack of 6.0e-4 for
+    # k = 4, so every row from r = 0.001 to the crossing near 0.293 comes
+    # within reach on its grid: all 284 were refined before the midpoint screen
+    s, p = _scan_cases(61, 8)[7]
+    assert len(s.components) == 4
+    assert 6.4e-4 < p - rates.sup_shift_measure(s)[0] < 6.5e-4
+    assert 6.0e-4 < rates._grid_slack(4) < 6.1e-4
+    calls = [0]
+    dilated_sup = rates._dilated_sup
+
+    def counting_sup(*args):
+        calls[0] += 1
+        return dilated_sup(*args)
+
+    monkeypatch.setattr(rates, "_dilated_sup", counting_sup)
+    _, r, _, _ = rates._first_crossing(s.lo, s.hi, p)
+    assert r == 0.293
+    assert calls[0] == 128
 
 
 def test_first_crossing_refines_a_row_on_its_screened_grid(monkeypatch):
@@ -539,10 +585,87 @@ def test_sup_shift_root_on_a_grid_point(half_width, r, monkeypatch):
 
     monkeypatch.setattr(rates, "_slope", counting_slope)
     c = half_width / math.sqrt(1.0 - r)
-    value, arg = rates._sup_shift(np.array([-c]), np.array([c]))
+    value, arg = rates._screened_sup(np.array([-c]), np.array([c]))
     assert arg == 0.0
     assert len(calls) <= 3
     assert abs(value - nu(IntervalSet.closed(-c, c))) < 1e-15
+
+
+# -- one-component closed forms --------------------------------------------------
+
+def _levels(rng, base, top=0.999):
+    """p from just above ``base`` up to ``top`` (up to 1 when base >= top)."""
+    top = top if base < top else 1.0
+    ps = [math.nextafter(base, 1.0), base + 1e-12,
+          *(base + (top - base) * rng.uniform(0.0, 1.0, size=4)), top]
+    return [float(p) for p in ps if base < p < 1.0]
+
+
+def _search_report(s, p, monkeypatch):
+    """classify(s, p, 2) with the sup over shifts and the shift cost searched."""
+    with monkeypatch.context() as m:
+        m.setattr(rates, "_sup_shift", rates._screened_sup)
+        m.setattr(rates, "i_tilde",
+                  lambda s, p: (0.0, 0.0) if nu(s) >= p else rates._screened_shift_cost(s, p))
+        return rates.classify(s, p, 2)
+
+
+@pytest.mark.parametrize("seed", [81, 82])
+def test_one_interval_closed_forms_equal_the_searches(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        width = float(10.0 ** rng.uniform(-6.0, math.log10(8.0)))
+        a = float(rng.uniform(-4.0, 4.0))
+        s = IntervalSet.closed(a, a + width)
+        sup, x = rates._sup_shift(s.lo, s.hi)
+        ref = rates._screened_sup(s.lo, s.hi)
+        assert abs(sup - ref[0]) <= 1e-15
+        assert rates.sup_shift_measure(s) == (sup, x)
+        for p in _levels(rng, sup):
+            r, _, xd = rates._dilation_cost(s, p)
+            top = math.nextafter(1.0, 0.0)
+            assert rates._dilated_sup(s.lo, s.hi, top)[0] >= p
+            assert abs(r - _bisect_reference(s.lo, s.hi, p, 0.0, top)) <= rates.ROOT_TOL
+            # the witness reaches p, or a rounding hair below it
+            assert xd == x
+            assert varphi(s, r, xd) >= p - 1e-15
+            rep, ref_rep = rates.classify(s, p, 2), _search_report(s, p, monkeypatch)
+            assert (rep.regime, rep.near_critical) == (ref_rep.regime, ref_rep.near_critical)
+
+
+@pytest.mark.parametrize("seed", [83, 84])
+def test_half_line_closed_form_equals_the_screen(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        end = float(rng.uniform(-4.0, 4.0))
+        closed = bool(rng.integers(2))
+        for s in (IntervalSet.below(end, closed), IntervalSet.above(end, closed)):
+            for p in _levels(rng, nu(s)):
+                value, x = rates.i_tilde(s, p)
+                ref = rates._screened_shift_cost(s, p)
+                assert abs(value - ref[0]) <= rates.ROOT_TOL
+                assert abs(x - ref[1]) <= rates.ROOT_TOL
+                assert value == abs(x)
+                assert shifted_nu(s, x) >= p - 1e-15
+                rep, ref_rep = rates.classify(s, p, 2), _search_report(s, p, monkeypatch)
+                assert (rep.regime, rep.near_critical) == (ref_rep.regime, ref_rep.near_critical)
+                assert rates.j_tilde(s, p) == (0.0, 0.0, x)
+
+
+def test_classify_builds_no_shift_grid_for_one_component(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a shift grid was searched")
+
+    monkeypatch.setattr(rates, "_shift_grid", no_grid)
+    monkeypatch.setattr(rates, "_slope", no_grid)
+    for text, p in [("[1,2]", 0.5), ("[-1,1]", 0.95),
+                    ("(-inf,0]", 0.8), ("[0,inf)", 0.75), ("[2.5,3.5]", 0.4)]:
+        s = parse_set(text)
+        rep = rates.classify(s, p, 2)
+        if s.has_half_line():
+            assert rep.regime == "shift"
+        else:
+            assert rep.regime == "dilation" and rep.x_star_dilation == sum(s.hull()) / 2
 
 
 # -- oracle agreement --------------------------------------------------------------

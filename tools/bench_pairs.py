@@ -17,6 +17,12 @@ neither), the pair count, every raw value, a verdict, the failed
 invocations, and the machine's core count and versions.  Each tree
 benchmarks its own sources with its own ``perfbench/``.
 
+Both trees run in the same bytecode state (`bytecode_cache`): every run
+compiles the tree's own modules from source, as in a fresh checkout, and
+loads everything else from bytecode, whatever ``__pycache__`` directories
+either tree holds.  Stale or missing ``.pyc`` files of one tree would
+otherwise show in its ``setup_s`` and ``peak_rss_mb``.
+
 A metric's verdict is the first that applies of:
 
 - ``gain``: the change wins at least 9 of 10 pairs and its median is better
@@ -32,12 +38,15 @@ A metric's verdict is the first that applies of:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +54,41 @@ import numpy as np
 SIDES = ("parent", "change")
 
 
+BYTECODE = ("a fresh PYTHONPYCACHEPREFIX per run, holding the bytecode of every "
+            "module the run imports but the tree's own")
+
+
+@contextlib.contextmanager
+def bytecode_cache(tree: Path, modules: str):
+    """The environment of one run in ``tree``: a fresh PYTHONPYCACHEPREFIX
+    that holds the bytecode of what importing ``modules`` (with ``perfbench``
+    and ``src`` on the path) loads, except the tree's own modules.
+
+    Under a prefix Python neither reads nor writes ``__pycache__``
+    directories, so the run sees none of the tree's ``.pyc`` files.  An
+    empty prefix would make every interpreter compile numpy too (0.6 s
+    instead of 0.2 s for a fresh ``import brwlab.cli`` on 2 vCPUs).  The run
+    keeps PYTHONDONTWRITEBYTECODE as given: where it is set, every
+    interpreter of the run compiles the tree's modules; else the first one
+    caches them for the rest.
+    """
+    with tempfile.TemporaryDirectory(prefix="pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        warm = {k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        subprocess.run([sys.executable, "-c", "import sys; sys.path[:0] = "
+                        f"['perfbench', 'src']; import {modules}"],
+                       cwd=tree, env=warm, check=True, capture_output=True)
+        shutil.rmtree(Path(cache, *tree.resolve().parts[1:]), ignore_errors=True)
+        yield env
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result of one untraced benchmark run in ``tree``."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True)
+    with bytecode_cache(tree, "run, brwlab.cli") as env:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, env=env, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -133,6 +171,8 @@ def main(argv=None) -> int:
                     "numpy": np.__version__, "platform": platform.platform()},
         "commits": {side: commit_of(tree) for side, tree in trees.items()},
         "command": "perfbench/run.py --trace 0",
+        "bytecode": BYTECODE,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "seconds": args.seconds, "pairs": args.pairs,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "first_side": "parent in even pairs, change in odd pairs",

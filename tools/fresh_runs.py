@@ -9,7 +9,9 @@ commit checked out in a separate directory:
 Every run is a new interpreter that imports ``brwlab.cli`` from the tree's
 ``src/`` and runs the criterion-7 ``ldp`` line (shift regime, n = 100, 400
 and 900, 1,000 replicas, seed 1), so a run pays everything a user's command
-pays, import included.  For each ``--threads`` value the runs alternate
+pays, import included.  Each run has its own bytecode cache, as in
+``bench_pairs.py``: the tree's modules are compiled from source, and the
+rest loads from bytecode.  For each ``--threads`` value the runs alternate
 parent and change, the parent first in even rounds and the change first in
 odd ones.  The tool records each side's median and every wall time, and
 whether the two trees printed the same data rows.  The record goes under the
@@ -28,6 +30,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from bench_pairs import BYTECODE, bytecode_cache
+
 SIDES = ("parent", "change")
 COMMAND = ["ldp", "--set", "(-inf,0]", "--p", "0.8", "--n-grid", "100,400,900",
            "--replicas", "1000", "--seed", "1"]
@@ -36,13 +40,14 @@ LAUNCH = "import sys; from brwlab.cli import main; sys.exit(main(sys.argv[1:]))"
 
 def run_once(tree: Path, threads: int, cwd: str) -> tuple[float, list[str]]:
     """Wall seconds of one fresh command in ``tree`` and its data rows."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", LAUNCH, *COMMAND,
-                           "--threads", str(threads)],
-                          cwd=cwd, env=env, check=True, capture_output=True,
-                          text=True)
-    wall = time.perf_counter() - t0
+    with bytecode_cache(tree, "brwlab.cli") as env:
+        env["PYTHONPATH"] = str(tree / "src")
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", LAUNCH, *COMMAND,
+                               "--threads", str(threads)],
+                              cwd=cwd, env=env, check=True, capture_output=True,
+                              text=True)
+        wall = time.perf_counter() - t0
     return wall, [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
 
 
@@ -59,7 +64,9 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {"command": "brwlab " + " ".join(COMMAND), "runs": args.runs,
               "first_side": "parent in even rounds, change in odd rounds",
-              "nproc": os.cpu_count(), "threads": {}}
+              "nproc": os.cpu_count(), "bytecode": BYTECODE,
+              "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+              "threads": {}}
     rows = {side: set() for side in SIDES}
     with tempfile.TemporaryDirectory() as cwd:
         for threads in (int(t) for t in args.threads.split(",") if t):
