@@ -26,41 +26,27 @@ and the tests), and `event_outcomes` retires rows as their events settle
 (for the estimators, on runs of up to `run_blocks` blocks).  When the
 start's occupied sites share one parity, a row stores only the sites of the
 parity occupied at the current generation.  Every block draws from its own
-generator: each generation makes one multinomial call (for two points, just
-its first binomial) and one binomial call over its small sites and one normal
-call over its big sites, the sites taken in row-major order, a contiguous
-slice of the run's.  Everything else (the masks, the split, the rescale and
-the certificate) runs once per run and works row by row.  So a replica's
-trajectory depends on its block (its row, the rows beside it in the block and
-when they retire) but not on the other blocks of its run, and callers fix a
-block's composition independently of scheduling (see `ldp` and `cli`).
+generator: each generation makes one `BranchingLaw.totals` call (one
+multinomial; for two points, just its first binomial; for one point, none)
+and one binomial call over its small sites and one normal call over its big
+sites, the sites taken in row-major order, a contiguous slice of the run's.
+Everything else (the masks, the split, the rescale and the certificate)
+runs once per run and works row by row.  So a replica's trajectory depends
+on its block (its row, the rows beside it in the block and when they
+retire) but not on the other blocks of its run, and callers fix a block's
+composition independently of scheduling (see `ldp` and `cli`).
 
 The estimators only ask whether a replica's final fraction in a set T clears
 a threshold p, and `event_outcomes` answers that with certified early
-decision.  Before generation k, with j = n - k generations left, a row with
-N = Z_k(R) particles has conditional mean fraction
-mu_k = sum_y Z_k(y) P(y + S_j in T) / N, the walk law P read from a float
-table built in O(j) whose absolute error delta(j) is derived, not fitted
-(`_table_error`: about 6e-13 at j = 900, 7e-10 at j = 10^6, per component of
-T); `gaussian.hit_probs` stays the exact reference.  The offspring law is
-finite, so the martingale limit W of Z_j / beta^j has every moment, and
-m_k = E W^k bounds E Z_j^k / beta^(kj) for every j (`_limit_moments`,
-k <= 12).  Markov's inequality for the 2r-th moment, r = _ORDER = 6, bounds
-the chance that the final outcome differs from sign(mu_k - p) by
-b^r (t_0 + t_1 / N + ... + t_5 / N^5), where b = c^2 K / (N (mu_k - p)^2) is
-Chebyshev's bound, K = m_2, c = max(|p|, |1 - p|), t_0 = 11!! = 10395 and the
-other t_l depend only on the law (`_bound_terms`).  A row retires with that
-outcome once the bound is at most eps = 1e-12 and |mu_k - p| exceeds the
-rounding error of mu_k plus delta(j), which needs N >= K (t_0 / eps)^(1/6),
-about 500 particles for 2:0.5,3:0.5; the table and mu_k are computed only
-for the rows that have reached that population.  Rows never
-certified run to the end.  A retired row stops drawing, which moves the
-later draws of the rows beside it along the block's stream; retirement
-reads only the row's own counts, so the block stays deterministic.  By the
-union bound, the retired rows all decide as their full runs would, except
-with probability at most the sum of their bounds.  The bound holds for the
-exact process; sites above 2^53 particles follow the normal approximation,
-as on a full run.
+decision: a row retires with the sign of mu_k - p, mu_k its conditional mean
+fraction in T, once a twelfth-moment bound on the chance of a misdecision is
+at most 1e-12 (`_Certificate`, built on the law's exact factorial moments).
+A retired row stops drawing, which moves the later draws of the rows beside
+it along the block's stream; retirement reads only the row's own counts, so
+the block stays deterministic.  By the union bound, the retired rows all
+decide as their full runs would, except with probability at most the sum of
+their bounds.  The bound holds for the exact process; sites above 2^53
+particles follow the normal approximation, as on a full run.
 
 `step_exact` is the per-site reference the tests compare the kernel
 against: it draws each site's total with `BranchingLaw.sample_total` and its
@@ -190,6 +176,27 @@ class BranchingLaw:
         """Exact draw of the summed offspring of ``parents`` independent particles."""
         counts = rng.multinomial(parents, self.probs)
         return int(np.dot(counts, self.support))
+
+    def totals(self, parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Exact draws of the summed offspring of each entry of ``parents``
+        (int64, each times `kmax` within int64), in one call: those of
+        ``rng.multinomial(parents, probs) @ support`` from the same stream,
+        which for two points is its first draw alone, one binomial, and for
+        one point no draw."""
+        if len(self.support) == 2:
+            return self.kmax * parents - (self.kmax - self.b) * rng.binomial(parents, self.p_b)
+        if len(self.support) > 2:
+            return rng.multinomial(parents, self.probs) @ self.support
+        return parents * self.b
+
+    def factorial_moments(self, top: int) -> tuple[tuple[int, ...], int]:
+        """((F_0, ..., F_top), D), integers with F_r / D = E xi (xi - 1) ...
+        (xi - r + 1) exactly, the probabilities over one power-of-two scale."""
+        ratios = [p.as_integer_ratio() for p in self.probs]
+        scale = max(b for _, b in ratios).bit_length()
+        weights = [a << scale - b.bit_length() for a, b in ratios]
+        return (tuple(sum(math.perm(k, r) * w for k, w in zip(self.support, weights))
+                      for r in range(top + 1)), sum(weights))
 
 
 @dataclass
@@ -369,13 +376,7 @@ class _VectorState:
                                              small_rows.searchsorted(self.ends).tolist(),
                                              (big_at // width).searchsorted(self.ends).tolist()):
             if small_last > small_first:
-                totals = parents[small_first:small_last]
-                if len(law.support) == 2:   # the multinomial's own first draw
-                    totals = law.kmax * totals - (law.kmax - law.b) * rng.binomial(totals, law.p_b)
-                elif law.non_deterministic:
-                    totals = rng.multinomial(totals, law.probs) @ law.support
-                else:
-                    totals = totals * law.b
+                totals = law.totals(parents[small_first:small_last], rng)
                 kids.append(totals)
                 drawn.append(rng.binomial(totals, 0.5))
             if big_last > big_first:
@@ -730,25 +731,20 @@ def _walk_table(j: int, target: IntervalSet, lo: int, stride: int,
     return table
 
 
-@lru_cache(maxsize=None)
-def _partitions(k: int, smallest: int = 1) -> tuple[tuple[int, ...], ...]:
-    """The partitions of k into parts of at least ``smallest``, each as its
-    parts in nonincreasing order, (k,) first."""
-    out = [(k,)] if k >= smallest else []
-    for last in range(smallest, k // 2 + 1):
-        out += [rest + (last,) for rest in _partitions(k - last, last)]
-    return tuple(out)
-
-
-def _set_partitions(parts: tuple[int, ...]) -> int:
-    """k! / (prod_i parts_i! prod_s mult_s!): the set partitions of k items
-    whose blocks have the sizes ``parts``, mult_s of them of size s."""
-    count = math.factorial(sum(parts))
-    for part in parts:
-        count //= math.factorial(part)
-    for part in set(parts):
-        count //= math.factorial(parts.count(part))
-    return count
+def _bell_row(x: Sequence[int], rows: list[list[int]]) -> list[int]:
+    """Append to ``rows`` row m = len(rows) of the partial Bell polynomials
+    B(m, k) of x_1, x_2, ... and return it: the sum, over the set partitions
+    of m items into k blocks, of the products of x_(block size).  The first
+    item's block holds i items, so B(m, k) = sum_i C(m - 1, i - 1) x_i
+    B(m - i, k - 1) for k >= 2, which needs only x_1, ..., x_(m-1) and the
+    rows before (rows[0] = [1]); B(m, 1) = x_m is left 0, for the caller."""
+    m = len(rows)
+    row = [0] * (m + 1)
+    for k in range(2, m + 1):
+        row[k] = sum(math.comb(m - 1, i - 1) * x[i] * rows[m - i][k - 1]
+                     for i in range(1, m - k + 2))
+    rows.append(row)
+    return row
 
 
 def _round_up(num: int, den: int) -> float:
@@ -774,42 +770,34 @@ def _limit_moments(law: BranchingLaw) -> tuple[float, ...]:
 
     W = beta^-1 sum_(i <= xi) W_i with W_i independent copies of W, and
     expanding the k-th power of the sum over the set partitions of its k
-    factors gives beta^k m_k = sum over the partitions l of k of
-    [k! / (prod l_i! prod mult!)] f_len(l) prod_i m_(l_i), with
+    factors into r blocks gives beta^k m_k = sum_r f_r B(k, r), with B(k, r)
+    the partial Bell polynomials of m_1, m_2, ... (`_bell_row`) and
     f_r = E xi (xi - 1) ... (xi - r + 1) the factorial moments of the
-    offspring count (Athreya & Ney, *Branching Processes*, 1972, ch. I).  The
-    partition (k) gives beta m_k, so m_k (beta^k - beta) is a sum over the
-    others, of positive terms in lower moments: each m_k is computed from the
-    rounded-up ones before it, in exact integers, and rounded up, which
-    keeps every one an upper bound.  Z_j / beta^j is a martingale, so
-    E Z_j^k / beta^(kj) increases to E W^k for k >= 1, and m_k >= 1.
+    offspring count (`BranchingLaw.factorial_moments`; Athreya & Ney,
+    *Branching Processes*, 1972, ch. I).  The one block, B(k, 1) = m_k,
+    gives beta m_k, so m_k (beta^k - beta) is a sum of positive terms in
+    lower moments: each m_k is computed from the rounded-up ones before it,
+    in exact integers (each m_i as m_i 2^52), and rounded up, which keeps
+    every one an upper bound.  The table of B grows one row per moment.
+    Z_j / beta^j is a martingale, so E Z_j^k / beta^(kj) increases to E W^k
+    for k >= 1, and m_k >= 1.
     """
-    # probabilities a_s / den over a common power-of-two scale, so the
-    # factorial moments are F_r / den in integers
-    ratios = [p.as_integer_ratio() for p in law.probs]
-    scale = max(b for _, b in ratios).bit_length()
-    weights = [a << scale - b.bit_length() for a, b in ratios]
-    den = sum(weights)
     top = 2 * _ORDER
-    factorial = [sum(math.perm(k, r) * w for k, w in zip(law.support, weights))
-                 for r in range(top + 1)]
+    factorial, den = law.factorial_moments(top)   # f_r = factorial[r] / den
     beta = factorial[1]
     moments = [1.0, 1.0]
     scaled = [0, 1 << 52]   # m_k 2^52
+    bell = [[1], [0, scaled[1]]]
     for k in range(2, top + 1):
-        by_length = [0] * (k + 1)   # sum of the partitions with that many parts
-        for parts in _partitions(k)[1:]:
-            term = _set_partitions(parts)
-            for part in parts:
-                term *= scaled[part]
-            by_length[len(parts)] += term
-        num = sum(factorial[r] * by_length[r] << 52 * (k - r)
+        row = _bell_row(scaled, bell)
+        num = sum(factorial[r] * row[r] << 52 * (k - r)
                   for r in range(2, k + 1)) * den ** (k - 1)
         moment = _round_up(num, (beta ** k - beta * den ** (k - 1)) << 52 * k)
         moments.append(moment)
         if moment == math.inf:
             return tuple(moments + [math.inf] * (top - k))
         scaled.append(_times_2_52(moment))
+        row[1] = scaled[k]
     return tuple(moments)
 
 
@@ -817,24 +805,23 @@ def _limit_moments(law: BranchingLaw) -> tuple[float, ...]:
 def _bound_terms(law: BranchingLaw) -> tuple[float, ...]:
     """(t_0, ..., t_(r-1)) of `_Certificate`'s bound, r = _ORDER, each rounded up.
 
-    t_l sums, over the partitions of 2r into r - l parts of at least 2, the
-    partition's count of set partitions times prod_i w_(part_i) / K^r, with
-    w_2 = K = m_2 and w_k = 2^k m_k from `_limit_moments`, in exact
-    integers; t_0 = (2r - 1)!!, the pairings.  They do not depend on c, so
-    they are built once per law, in about a millisecond, and `WorkerPool`
-    builds them before it forks.
+    t_l sums, over the set partitions of 2r items into r - l blocks of at
+    least 2, prod w_(block size) / K^r, with w_2 = K = m_2 and w_k = 2^k m_k
+    from `_limit_moments`: the partial Bell polynomial B(2r, r - l) of
+    w_1 = 0, w_2, w_3, ... (`_bell_row`) over K^r, in exact integers;
+    t_0 = (2r - 1)!!, the pairings.  They do not depend on c, so they are
+    built once per law, in under a millisecond, and `WorkerPool` builds them
+    before it forks.
     """
     moments = _limit_moments(law)
     if moments[-1] == math.inf:
         return (math.inf,) * _ORDER
     weights = [0, 0] + [_times_2_52(m) << (k if k > 2 else 0)
                         for k, m in enumerate(moments) if k >= 2]
-    sums = [0] * (_ORDER + 1)   # by the number of blocks
-    for parts in _partitions(2 * _ORDER, 2):
-        term = _set_partitions(parts)
-        for part in parts:
-            term *= weights[part]
-        sums[len(parts)] += term
+    bell = [[1]]
+    for m in range(1, 2 * _ORDER + 1):
+        _bell_row(weights, bell)[1] = weights[m]
+    sums = bell[-1]   # by the number of blocks
     power = weights[2] ** _ORDER
     return tuple(_round_up(sums[_ORDER - l] << 52 * l, power)
                  for l in range(_ORDER))
@@ -906,71 +893,83 @@ def empirical_fraction(zeta: ParticleMeasure, n: int, a: IntervalSet) -> float:
 
 # -- exact enumeration oracle ------------------------------------------------------
 
+_ENUMERATION_PRODUCTS = 10 ** 6   # at 5 to 40 us each, more as n grows
+
+
+def _enumeration_products(n: int, law: BranchingLaw, limit: int) -> int:
+    """An upper bound on the products of `enumerate_exact`'s convolutions,
+    counted until it passes ``limit``.
+
+    A subtree of depth d ends with a total in T_d (T_0 = {1}; T_d holds the
+    sums of k members of T_(d-1), k in the support), so its law has at most
+    P(T_d) = sum_(t in T_d) (t + 1) pairs (inside, total).  Each of the
+    n - d + 1 sites of depth d >= 1 convolves, for j = 1, ..., kmax, its
+    power j - 1 (at most P(S_(j-1)) pairs, S_(j-1) the (j-1)-fold sums of
+    T_(d-1)) with one child's law (at most P(T_(d-1)) pairs).  A sumset
+    takes fewer steps than the products it bounds, so the count is cheap.
+    """
+    count, totals = 0, {1}
+    for d in range(1, n + 1):
+        pairs, power, next_totals = sum(totals) + len(totals), {0}, set()
+        for j in range(1, law.kmax + 1):
+            count += (n - d + 1) * (sum(power) + len(power)) * pairs
+            if count > limit:
+                return count
+            power = {s + t for s in power for t in totals}
+            if j in law.support:
+                next_totals |= power
+        totals = next_totals
+    return count
+
+
+def _convolve(a_dist: dict, b_dist: dict) -> dict:
+    """The law of the sum of independent pairs (inside, total) with laws
+    ``a_dist`` and ``b_dist``: len(a_dist) len(b_dist) products."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i1, t1), q1 in a_dist.items():
+        for (i2, t2), q2 in b_dist.items():
+            key = (i1 + i2, t1 + t2)
+            out[key] = out.get(key, Fraction(0)) + q1 * q2
+    return out
+
+
 def enumerate_exact(n: int, law: BranchingLaw, a: IntervalSet, p: float) -> Fraction:
     """Exact rational P(final fraction in sqrt(n)*A is >= p), by full enumeration.
 
-    Feasible only for tiny trees; a pre-count of the dynamic-programming work
-    rejects anything beyond 10^8 elementary operations.
+    Feasible only for tiny trees: a request whose bound on the convolution
+    products (`_enumeration_products`) passes _ENUMERATION_PRODUCTS = 10^6 is
+    refused.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    t = law.kmax ** n
-    pairs = t * (t + 3) // 2
-    entries = sum(2 * (n - d) + 1 for d in range(n + 1))
-    if entries * law.kmax * pairs * pairs > 10 ** 8:
-        raise InfeasibleError(
-            f"enumeration for n={n}, law {law} needs more than 10^8 operations")
+    if _enumeration_products(n, law, _ENUMERATION_PRODUCTS) > _ENUMERATION_PRODUCTS:
+        raise InfeasibleError(f"enumeration for n={n}, law {law} needs more than "
+                              "10^6 products of exact rationals")
     target = a.scale(math.sqrt(n)) if n >= 1 else a
-    p_frac = Fraction(p)
     law_fracs = [(k, Fraction(pk)) for k, pk in zip(law.support, law.probs)]
     half = Fraction(1, 2)
-    memo: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-
-    def child_law(x: int, d: int) -> dict[tuple[int, int], Fraction]:
-        # one child of a particle at x: step, then evolve d generations
-        plus = subtree(x + 1, d)
-        minus = subtree(x - 1, d)
-        mixed: dict[tuple[int, int], Fraction] = {}
-        for dist in (plus, minus):
-            for key, q in dist.items():
-                mixed[key] = mixed.get(key, Fraction(0)) + half * q
-        return mixed
-
-    def convolve(a_dist, b_dist):
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, t1), q1 in a_dist.items():
-            for (i2, t2), q2 in b_dist.items():
-                key = (i1 + i2, t1 + t2)
-                out[key] = out.get(key, Fraction(0)) + q1 * q2
-        return out
-
-    def subtree(x: int, d: int) -> dict[tuple[int, int], Fraction]:
-        # distribution of (particles inside target, total) for one particle at x
-        # with d generations to go
-        key = (x, d)
-        if key in memo:
-            return memo[key]
-        if d == 0:
-            dist = {(1 if target.contains(float(x)) else 0, 1): Fraction(1)}
-        else:
-            one_child = child_law(x, d - 1)
-            dist = {}
-            power = {(0, 0): Fraction(1)}
-            level = 0
+    # laws[x]: the law of (particles inside target, total) that one particle
+    # at x leaves after d generations, at the sites reached from 0 in n - d steps
+    laws = {x: {(int(target.contains(float(x))), 1): Fraction(1)}
+            for x in range(-n, n + 1, 2)}
+    for d in range(1, n + 1):
+        below, laws = laws, {}
+        for x in range(d - n, n - d + 1, 2):
+            # one child: a step either way, then d - 1 generations
+            child: dict[tuple[int, int], Fraction] = {}
+            for side in (below[x + 1], below[x - 1]):
+                for pair, q in side.items():
+                    child[pair] = child.get(pair, Fraction(0)) + half * q
+            dist, power, level = {}, {(0, 0): Fraction(1)}, 0
             for k, pk in law_fracs:
                 while level < k:
-                    power = convolve(power, one_child)
+                    power = _convolve(power, child)
                     level += 1
                 for pair, q in power.items():
                     dist[pair] = dist.get(pair, Fraction(0)) + pk * q
-        memo[key] = dist
-        return dist
-
-    top = subtree(0, n)
-    hit = Fraction(0)
-    for (inside, total), q in top.items():
-        if Fraction(inside, total) >= p_frac:
-            hit += q
-    return hit
+            laws[x] = dist
+    p_frac = Fraction(p)
+    return sum((q for (inside, total), q in laws[0].items()
+                if Fraction(inside, total) >= p_frac), Fraction(0))

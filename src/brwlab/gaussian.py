@@ -12,7 +12,8 @@ Normal Distribution", J. Stat. Softw. 11(4), 2004),
 
 with Phi(c) from `math.erfc`, as `phi` computes it, and He the probabilists'
 Hermite polynomials.  The (9, 1537) coefficient table is built at import, and
-one call is a clamp, one gather of coefficient columns and a Horner pass.
+one call is a clamp, one gather of coefficient columns and a Horner pass,
+over chunks of at most 2^15 entries.
 Its absolute error is at most 2^-52 on the whole line (checked against
 mpmath); its relative error is below 5e-15 for t > -5 and 1e-10 for
 t > -20, so it serves sums of absolute masses, not deep-tail ratios.  Inputs
@@ -83,10 +84,22 @@ def _taylor_table() -> np.ndarray:
 
 
 _TAYLOR = _taylor_table()
+_CHUNK = 2 ** 15   # entries per pass of `_phi_array`: a gather of 2.4 MB
 
 
 def _phi_array(t: np.ndarray) -> np.ndarray:
-    """Phi at each entry of the array ``t``: see the module docstring."""
+    """Phi at each entry of the array ``t``: see the module docstring.
+
+    An array of more than _CHUNK entries goes through in chunks of that
+    many, so the gathered (9, entries) coefficients stay small however long
+    the array; Phi is elementwise, so the chunks change no bit.
+    """
+    if t.size > _CHUNK:
+        out = np.empty(t.shape)
+        flat, entries = out.reshape(-1), t.reshape(-1)
+        for start in range(0, t.size, _CHUNK):
+            flat[start:start + _CHUNK] = _phi_array(entries[start:start + _CHUNK])
+        return out
     u = np.maximum(t, _T_LO)          # NaN stays NaN
     np.minimum(u, _T_HI, out=u)
     u *= _NODES

@@ -255,6 +255,17 @@ def test_enumerate_exact_row(tmp_path):
     assert float(row["probability"]) == 0.390625
 
 
+@pytest.mark.parametrize("n, law, code", [(6, "2:1", 0), (5, "2:0.5,3:0.5", 3)])
+def test_enumerate_exit_code_follows_the_product_count(tmp_path, n, law, code):
+    # n = 6 under 2:1 makes about 2,100 products; n = 5 under 2:0.5,3:0.5
+    # would pass the limit of 10^6
+    got, text = run_cli(["enumerate", "--n", str(n), "--law", law,
+                         "--set", "(-inf,0]", "--p", "0.5"], tmp_path)
+    assert got == code
+    if code == 0:
+        assert 0.0 < float(rows_of(text)[0]["probability"]) < 1.0
+
+
 def test_interp_alpha_hat_band(tmp_path):
     code, text = run_cli(["interp", "--alpha", "0.75", "--p", "0.5",
                           "--delta", "0.05", "--n-grid", "100,1000,10000"],

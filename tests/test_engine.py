@@ -715,6 +715,90 @@ def test_certificate_never_passes_when_a_moment_overflows():
     assert certificate.settle(block, 1)[0].size == 0
 
 
+# (m_0, ..., m_12) of `_limit_moments` and (t_0, ..., t_5) of `_bound_terms`
+# as float.hex, from the partition sums that the partial-Bell recurrence
+# replaced; the overflow law's m_12 and terms are inf
+_MOMENT_GOLDEN = {
+    "2:1": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0"),
+        ("0x1.44d8000000000p+13", "0x1.2814e00000000p+23", "0x1.cab1000000000p+27",
+         "0x1.895fa00000000p+27", "0x1.f060000000000p+22", "0x1.0000000000000p+12"),
+    ),
+    "2:0.5,3:0.5": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1111111111112p+0",
+         "0x1.342cdc67600fbp+0", "0x1.6ce39b067d34cp+0", "0x1.c1c6cb6554a8bp+0",
+         "0x1.1eb3a58ec4dc8p+1", "0x1.7808e4c44c1f4p+1", "0x1.f94fbe0415ca0p+1",
+         "0x1.5abb8ad04c887p+2", "0x1.e4bc63403b743p+2", "0x1.587d06681a701p+3",
+         "0x1.f106daf1f7fffp+3"),
+        ("0x1.44d8000000000p+13", "0x1.6307ea5fa5fa6p+23", "0x1.56e27f374c304p+28",
+         "0x1.9fe1218f87b39p+28", "0x1.c88c498ad8878p+24", "0x1.5172ce0f02ff5p+15"),
+    ),
+    "2:0.995,200:0.005": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0e3beee05231bp+5",
+         "0x1.3ab2ecad5c712p+11", "0x1.d4a344e7a6282p+17", "0x1.924cd6346ca28p+24",
+         "0x1.7fea4e3f855bap+31", "0x1.9036c9bf62424p+38", "0x1.c2f4f4174211ap+45",
+         "0x1.1091d749a0f72p+53", "0x1.5f6c3da147100p+60", "0x1.e0e686e875239p+67",
+         "0x1.5bcd142930ceep+75"),
+        ("0x1.44d8000000000p+13", "0x1.8578c3faa667cp+30", "0x1.e6b321e41e77dp+42",
+         "0x1.22e6610036833p+51", "0x1.0b9c09b27399ap+56", "0x1.f6c2416a26f2ep+56"),
+    ),
+    "2:0.3,3:0.5,4:0.2": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.16c410b9d80b3p+0",
+         "0x1.466d43cc3d4fcp+0", "0x1.968471f2432dep+0", "0x1.0ac0be7423e1ep+1",
+         "0x1.6e313af8e5428p+1", "0x1.05574493dabbfp+2", "0x1.81f3a865efc24p+2",
+         "0x1.25adab197673bp+3", "0x1.cb04468397592p+3", "0x1.6f6401deb32d8p+4",
+         "0x1.2c753f0e8e352p+5"),
+        ("0x1.44d8000000000p+13", "0x1.76daac165c65dp+23", "0x1.82a0505832562p+28",
+         "0x1.03fe9c558fe1dp+29", "0x1.53236956a8b23p+25", "0x1.686d000705dfdp+16"),
+    ),
+    "2:1,1e30:1e-30": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0d43b7bc05df2p+97",
+         "0x1.3e9e4e4c2f345p+195", "0x1.e1356992e25cfp+293", "0x1.a2fac5cf1d563p+392",
+         "0x1.95b7011e6ceedp+491", "0x1.ad674b6f39b45p+590", "0x1.eb86cb5efd32ap+689",
+         "0x1.2df93a85f79b4p+789", "0x1.8befc965685bbp+888", "0x1.13a2911f695dcp+988",
+         "inf"),
+        ("inf", "inf", "inf", "inf", "inf", "inf"),
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_MOMENT_GOLDEN))
+def test_limit_moments_and_bound_terms_golden(text):
+    law = BranchingLaw.parse(text.replace("1e30:", f"{10 ** 30}:"))
+    moments, terms = _MOMENT_GOLDEN[text]
+    assert tuple(m.hex() for m in engine._limit_moments(law)) == moments
+    assert tuple(t.hex() for t in engine._bound_terms(law)) == terms
+
+
+def test_factorial_moments_are_exact():
+    # E xi (xi - 1) ... (xi - r + 1) in rationals, over the float
+    # probabilities divided by their exact sum
+    law = BranchingLaw.parse("2:0.3,3:0.5,4:0.2")
+    numerators, den = law.factorial_moments(5)
+    assert len(numerators) == 6 and numerators[0] == den
+    for r, f in enumerate(numerators):
+        assert Fraction(f, den) == sum(math.perm(k, r) * p for k, p in _exact_law(law))
+
+
+@pytest.mark.parametrize("text", ["3:1", "2:0.3,5:0.7", "2:0.3,3:0.5,4:0.2"])
+def test_law_totals_are_the_multinomial_draws(text):
+    # the same totals as multinomial @ support from an identically seeded
+    # stream, which each call leaves in the same state
+    law = BranchingLaw.parse(text)
+    parents = np.array([1, 2, 7, 40, 1000, 3, 2 ** 40], dtype=np.int64)
+    rng, reference = derive(61, 0), derive(61, 0)
+    for _ in range(3):
+        got = law.totals(parents, rng)
+        want = reference.multinomial(parents, law.probs) @ law.support
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        np.testing.assert_equal(rng.bit_generator.state, reference.bit_generator.state)
+
+
 @pytest.mark.parametrize("power", [600, 1000])
 def test_retired_bounds_never_round_to_zero(power):
     # 2^600 particles put b^6 near 2^-3600, far below the smallest float; the
@@ -819,3 +903,39 @@ def test_enumerate_size_guard():
     with pytest.raises(InfeasibleError):
         engine.enumerate_exact(8, BranchingLaw.binary_ternary(),
                                IntervalSet.below(0), 0.5)
+
+
+@pytest.mark.parametrize("text", ["2:1", "3:1", "2:0.5,3:0.5", "2:0.5,4:0.5",
+                                  "2:0.3,3:0.5,4:0.2"])
+def test_enumeration_products_bound_the_convolutions(monkeypatch, text):
+    # the pre-count against the products the DP makes, counted: never
+    # below, and within a factor of 5 (1.25 from n = 2 on); past the first
+    # n over 10^5 products the DP would take seconds, so the grid stops
+    law = BranchingLaw.parse(text)
+    made = []
+    convolve = engine._convolve
+
+    def counting(a_dist, b_dist):
+        made.append(len(a_dist) * len(b_dist))
+        return convolve(a_dist, b_dist)
+
+    monkeypatch.setattr(engine, "_convolve", counting)
+    for n in range(1, 8):
+        bound = engine._enumeration_products(n, law, 10 ** 9)
+        if bound > 10 ** 5:
+            break
+        for target in ("(-inf,0]", "[-1,1]", "[0.5,2]"):
+            made.clear()
+            engine.enumerate_exact(n, law, parse_set(target), 0.5)
+            assert sum(made) <= bound <= 5 * sum(made), (n, target)
+            assert n == 1 or bound <= 1.25 * sum(made), (n, target)
+    assert n >= 3
+
+
+def test_enumeration_products_stop_past_the_limit():
+    # a law with a huge top count is refused after a few hundred steps
+    law = BranchingLaw.parse(f"2:0.5,{10 ** 30}:0.5")
+    assert engine._enumeration_products(3, law, 10 ** 6) > 10 ** 6
+    with pytest.raises(InfeasibleError, match="10\\^6 products"):
+        engine.enumerate_exact(3, law, IntervalSet.below(0), 0.5)
+    assert engine._enumeration_products(6, BranchingLaw.binary(), 10 ** 6) == 2220

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -225,6 +226,37 @@ def test_phi_array_keeps_shape_and_gives_nan_for_nan():
     assert out.shape == t.shape
     assert np.array_equal(np.isnan(out), np.isnan(t))
     assert out[~np.isnan(t)].tolist() == [0.5, g.phi(1.0), 0.0, 1.0]
+
+
+def test_phi_array_chunks_change_no_bit(monkeypatch):
+    # three and a half chunks, with the clamp edges, infinities and NaNs
+    # among them, flat and as a 2-D array, against one unchunked pass
+    rng = np.random.default_rng(83)
+    edges = [-np.inf, np.inf, np.nan, -1e300, 1e300, -39.0, 9.0,
+             -39.0 - 1 / 64, 9.0 + 1 / 64, -39.0 + 1 / 64, 9.0 - 1 / 64, 0.0]
+    t = np.concatenate([rng.uniform(-45.0, 12.0, 7 * g._CHUNK // 2 - len(edges)), edges])
+    rng.shuffle(t)
+    chunked = [g._phi_array(t), g._phi_array(t.reshape(7, -1))]
+    monkeypatch.setattr(g, "_CHUNK", t.size)
+    assert chunked[0].tobytes() == g._phi_array(t).tobytes()
+    assert chunked[1].shape == (7, t.size // 7)
+    assert chunked[1].tobytes() == g._phi_array(t.reshape(7, -1)).tobytes()
+
+
+def test_shifted_mass_over_a_million_shifts_stays_small():
+    # one unchunked pass gathered (9, 4 10^6) coefficients, about 400 MB at
+    # its peak; in chunks the (4, 10^6) arrays of offsets and values dominate
+    xs = np.linspace(-45.0, 45.0, 10 ** 6)
+    lo, hi = np.array([-1.0, 2.0]), np.array([0.5, 3.0])
+    tracemalloc.start()
+    try:
+        masses = g.shifted_mass(lo, hi, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 27   # 128 MiB
+    assert masses[[0, -1]].tolist() == [0.0, 0.0]
+    assert masses[xs.size // 2] == g.shifted_mass(lo, hi, xs[[xs.size // 2]])[0]
 
 
 @pytest.mark.parametrize("seed", [81, 82])

@@ -15,7 +15,8 @@ rest loads from bytecode.  For each ``--threads`` value the runs alternate
 parent and change, the parent first in even rounds and the change first in
 odd ones.  The tool records each side's median and every wall time, and
 whether the two trees printed the same data rows.  The record goes under the
-key ``fresh_ldp`` of ``--out``; other keys of an existing file are kept.
+key ``fresh_ldp`` of ``--out``; other keys of an existing file are kept,
+and an empty file counts as none.
 """
 
 from __future__ import annotations
@@ -82,7 +83,9 @@ def main(argv=None) -> int:
                 side: {"median_s": statistics.median(walls[side]),
                        "values_s": walls[side]} for side in SIDES}
     record["rows_equal"] = len(rows["parent"] | rows["change"]) == 1
-    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    # an empty file, as mktemp makes, holds no record yet
+    text = args.out.read_text() if args.out.exists() else ""
+    out = json.loads(text) if text.strip() else {}
     out["fresh_ldp"] = record
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for threads, sides in record["threads"].items():
