@@ -76,7 +76,6 @@ __all__ = [
     "event_outcomes",
     "block_rows",
     "run_blocks",
-    "empirical_fraction",
     "enumerate_exact",
 ]
 
@@ -877,18 +876,6 @@ def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
         fracs = run.fraction_in(*final_set.site_ranges())
         hits[ids] = fracs > threshold if strict else fracs >= threshold
     return EventOutcomes(hits, decided_at, bounds)
-
-
-def empirical_fraction(zeta: ParticleMeasure, n: int, a: IntervalSet) -> float:
-    """Fraction of particles in sqrt(n) * A, honoring endpoint flags on the lattice.
-
-    For n = 0 the set is used unscaled.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    scaled = a.scale(math.sqrt(n)) if n >= 1 else a
-    inside = sum(c for x, c in zeta.counts.items() if scaled.contains(float(x)))
-    return inside / zeta.total
 
 
 # -- exact enumeration oracle ------------------------------------------------------

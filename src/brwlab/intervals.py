@@ -105,9 +105,7 @@ def _merge(parts: Iterable[Component]) -> tuple[Component, ...]:
         prev = out[-1]
         touching = c.lower == prev.upper and (prev.upper_closed or c.lower_closed)
         if c.lower < prev.upper or touching:
-            if (c.upper, c.upper_closed) == (prev.upper, prev.upper_closed):
-                hi, hic = prev.upper, prev.upper_closed
-            elif c.upper > prev.upper:
+            if c.upper > prev.upper:
                 hi, hic = c.upper, c.upper_closed
             elif c.upper < prev.upper:
                 hi, hic = prev.upper, prev.upper_closed

@@ -528,9 +528,9 @@ def composed_log_neg_log(spec: StrategySpec, law: BranchingLaw, q: float) -> flo
 class LdpEstimate:
     """Composed lower-bound estimate of the tail probability, in log-log form.
 
-    ``neg_log_p`` approximates -log P from below (the strategy is one way to
-    realize the event), so ``log_neg_log`` approaches the theory value
-    rate * scale(n) from above as n grows.
+    ``log_neg_log`` is log(-log P_hat), where P_hat bounds P from below (the
+    strategy is one way to realize the event), so it approaches the theory
+    value rate * scale(n) from above as n grows.
     """
 
     spec: StrategySpec
@@ -540,10 +540,8 @@ class LdpEstimate:
     ci_lo: float
     ci_hi: float
     zero_success: bool
-    neg_log_p: float
     log_neg_log: float
     theory_rate: float
-    theory_scale: str
     relative_gap: float
 
 
@@ -568,10 +566,9 @@ def ldp_lower_bound(spec: StrategySpec, a: IntervalSet, p: float,
     theory = report if report is not None else classify(a, p, law.b)
     denom = theory.rate * theory.scale_factor(spec.n)
     gap = abs(log_neg_log / denom - 1.0) if 0.0 < denom < math.inf else math.inf
-    neg_log_p = math.exp(log_neg_log) if log_neg_log < 709.0 else math.inf
     return LdpEstimate(spec, replicas, strategy_prefix_logprob(spec, law),
                        est.q_hat, est.ci_lo, est.ci_hi, est.zero_success,
-                       neg_log_p, log_neg_log, theory.rate, theory.scale, gap)
+                       log_neg_log, theory.rate, gap)
 
 
 @dataclass(frozen=True)

@@ -14,25 +14,31 @@ sup over shifts is its mass about its midpoint and it reaches p first at
 r = 1 - w^2 / (4 z^2), z = Phi^-1((1 + p) / 2); a half-line (-inf, b] or
 [a, inf) needs the shift b - Phi^-1(p) or a + Phi^-1(p).  For sets of two
 or more components both costs use one search design: a coarse grid screened
-with a proved error bound, then one safeguarded secant.  On
-any grid cell of width h, f(x) = nu(S - x) exceeds the larger of its two end
-values by at most h^2/8 max|f''| <= h^2/8 * 2k pdf(1) for k components, so
-a cell whose ends both lie further below p cannot reach it.  The sup over
-shifts is a root of the slope sum pdf(lo_i - x) - pdf(hi_i - x), found by
-Newton steps in the screened cells where the slope changes sign.  The shift
-search walks a SUP_STEP grid of |x| outward from 0 on each side and takes
-the first cell that reaches p, at its far end or at its maximum.  The r scan
-screens one r at a time on the same x grid: varphi moves by at most 2k pdf(1)
-per unit of log gamma, gamma = 1/sqrt(1 - r), so a row whose grid maximum
-plus slack lies d below p rules out every r within d / (2k pdf(1)) further in
-log gamma; a row within reach is screened again at the midpoints of its
-cells, with a quarter of the slack, before it is refined.  Its grid runs
+with a proved error bound, then one safeguarded secant.  On any grid
+cell of width h, f(x) = nu(S - x) exceeds the larger of its two end
+values by at most h^2/8 max|f''| <= h^2/8 * 2k pdf(1) for k components, the
+grid slack.  Every screen applies one rule before any per-cell work: a cell
+whose larger end lies more than the slack below the screen's level (the
+grid maximum for a sup, p for a crossing) holds no point at that level, so
+only the cells it keeps are evaluated further.  The sup over shifts is a
+root of the slope sum pdf(lo_i - x) - pdf(hi_i - x), found by Newton steps
+in the kept cells where the slope changes sign; the slope is read only at
+the ends of kept cells.  The shift search walks a SUP_STEP grid of |x|
+outward from 0 on each side and takes the first kept cell that reaches p,
+at its far end or at its maximum.  The r scan screens one r at a time on
+the same x grid: varphi moves by at most 2k pdf(1) per unit of log gamma,
+gamma = 1/sqrt(1 - r), so a row whose grid maximum plus slack lies d below
+p rules out every r within d / (2k pdf(1)) further in log gamma; a row
+within reach is screened again at the midpoints of its cells, with a
+quarter of the slack, before it is refined.  A midpoint lies at most the
+slack above its cell's larger end, so only cells whose larger end is within
+twice the slack of the row maximum have theirs evaluated.  The r grid runs
 GRID_STEP apart up to 1 - GRID_STEP and, for sets whose widest component
 needs more, on in log(1 - r) up to the r where that component alone reaches
-p, so a crossing always lies on it.  Monotonicity is
-never assumed: the first crossing on a grid wins, and a safeguarded secant
-(Illinois regula falsi, with a bisection step whenever two steps have not
-halved the bracket) shrinks its bracket to ROOT_TOL.
+p, so a crossing always lies on it.  Monotonicity is never assumed: the
+first crossing on a grid wins, and a safeguarded secant (Illinois regula
+falsi, with a bisection step whenever two steps have not halved the
+bracket) shrinks its bracket to ROOT_TOL.
 
 Everything here is pure; instances may be evaluated in parallel.
 """
@@ -115,6 +121,14 @@ def _grid_slack(k: int) -> float:
     return SUP_STEP * SUP_STEP / 8.0 * 2 * k * normal_pdf(1.0)
 
 
+def _kept_cells(vals: np.ndarray, level: float) -> np.ndarray:
+    """Indices j of the grid cells [x_j, x_(j+1)] whose larger end value
+    reaches ``level``.  On a SUP_STEP grid no value in a cell exceeds its
+    larger end by more than the grid slack, so with ``level`` at least the
+    slack below a screen's level, no cell left out holds a point at it."""
+    return np.flatnonzero(np.maximum(vals[:-1], vals[1:]) >= level)
+
+
 def _slope(lo: np.ndarray, hi: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
     """d/dx nu(S - x) and its derivative at each x, up to the factor 1/sqrt(2 pi)."""
     za = lo[:, None] - x
@@ -183,20 +197,20 @@ def _screened_sup(lo: np.ndarray, hi: np.ndarray,
 
     The argmax lies in the convex hull of S: beyond the last endpoint the
     measure is strictly decreasing in the shift, so the grid stops there.
-    Every grid cell where the slope turns from positive to negative and whose
-    ends come within the grid slack of the grid maximum is refined, so a
-    second bump nearly as high as the first is not missed.  Maxima equal up to
+    The cells whose larger end comes within the grid slack of the grid
+    maximum are kept, and the slope is taken at their ends only; every kept
+    cell where it turns from positive to negative is refined, so a second
+    bump nearly as high as the first is not missed.  Maxima equal up to
     rounding (TIE) go to the leftmost maximizer.  ``grid`` is the set's
     `_shift_grid`, when the caller has it already; the refined roots are
     valued with the scalar `dilated_mass`.
     """
     xs, vals = _shift_grid(lo, hi) if grid is None else grid
-    slope, _ = _slope(lo, hi, xs)
     i = int(np.argmax(vals))
     best = (float(vals[i]), float(xs[i]))
-    cells = np.flatnonzero(
-        (slope[:-1] > 0) & (slope[1:] <= 0)
-        & (np.maximum(vals[:-1], vals[1:]) >= vals[i] - _grid_slack(lo.size)))
+    kept = _kept_cells(vals, vals[i] - _grid_slack(lo.size))
+    g = _slope(lo, hi, xs[np.concatenate((kept, kept + 1))])[0]
+    cells = kept[(g[:kept.size] > 0) & (g[kept.size:] <= 0)]
     if cells.size:
         x = _slope_root(lo, hi, xs[cells], xs[cells + 1])
         v = np.array([dilated_mass(lo, hi, t, 1.0) for t in x.tolist()])
@@ -221,30 +235,27 @@ def sup_shift_measure(s: IntervalSet) -> tuple[float, float]:
 
 
 def _shift_crossing(s: IntervalSet, p: float, sign: float, ts: np.ndarray,
-                    ends: tuple[np.ndarray, np.ndarray], vals: np.ndarray,
-                    g: np.ndarray) -> Optional[tuple[float, float]]:
+                    ends: tuple[np.ndarray, np.ndarray],
+                    vals: np.ndarray) -> Optional[tuple[float, float]]:
     """Least t on [0, ts[-1]] with nu(S - sign t) >= p, and its witness x = sign t.
 
     ``ts`` is a grid from 0 at most SUP_STEP apart, ``ends`` are the
-    endpoint arrays the slope reads, and ``vals`` and ``g`` are nu(S - x)
-    and the slope at the shifts x = sign ts.  Cells whose ends both lie more
-    than the grid slack below p cannot reach it.  A screened cell reaches p
-    at its maximum: the slope's root where the slope turns from rising to
-    falling along t inside it, else its far end.  The first cell that
-    reaches p brackets the crossing below that point.  None when no cell
-    reaches p.
+    endpoint arrays the slope reads, and ``vals`` is nu(S - x) at the shifts
+    x = sign ts.  Cells whose ends both lie more than the grid slack below p
+    cannot reach it; the others are visited in order of t, and the slope is
+    read at the two ends of each.  A visited cell reaches p at its maximum:
+    the slope's root where the slope turns from rising to falling along x
+    inside it, else its far end.  The first cell that reaches p brackets the
+    crossing below that point.  None when no cell reaches p.
     """
-    xs = sign * ts
-    left, right = (g[:-1], g[1:]) if sign > 0 else (g[1:], g[:-1])
-    peaks = (left > 0) & (right <= 0)
-
     def gap(t: float) -> tuple[float, float]:
         return shifted_nu(s, sign * t) - p, sign * t
 
-    for j in np.flatnonzero(np.maximum(vals[:-1], vals[1:]) >= p - _grid_slack(s.lo.size)):
+    for j in _kept_cells(vals, p - _grid_slack(s.lo.size)):
         t = float(ts[j + 1])
-        if peaks[j]:
-            cell = np.sort(xs[j:j + 2])
+        cell = np.sort(sign * ts[j:j + 2])
+        left, right = _slope(*ends, cell)[0]
+        if left > 0 >= right:
             t = sign * float(_slope_root(*ends, cell[:1], cell[1:])[0])
         value, x = gap(t)
         if value >= 0:
@@ -287,13 +298,11 @@ def _screened_shift_cost(s: IntervalSet, p: float) -> tuple[float, Optional[floa
     # terms underflow to 0 there as at infinity, without an inf * 0.
     far = bound + 40.0
     ends = (np.maximum(s.lo, -far), np.minimum(s.hi, far))
-    # both sides screened at once, x = -ts then ts: one Phi call, one slope pass
-    xs = np.concatenate((-ts, ts))
-    vals = shifted_mass(s.lo, s.hi, xs)
-    g = _slope(*ends, xs)[0]
+    # both sides screened at once, x = -ts then ts: one Phi call
+    vals = shifted_mass(s.lo, s.hi, np.concatenate((-ts, ts)))
     m = ts.size
-    neg = _shift_crossing(s, p, -1.0, ts, ends, vals[:m], g[:m])
-    pos = _shift_crossing(s, p, +1.0, ts, ends, vals[m:], g[m:])
+    neg = _shift_crossing(s, p, -1.0, ts, ends, vals[:m])
+    pos = _shift_crossing(s, p, +1.0, ts, ends, vals[m:])
     if neg is None and pos is None:
         return INF, None
     if pos is None or (neg is not None and neg[0] <= pos[0] + ROOT_TOL):
@@ -342,8 +351,11 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray, p: float,
     for rounding, so a jump can only get shorter.  Where d <= 0, the row's
     cell midpoints are screened too, unless d <= -3/4 slack: cells of half
     the width leave a quarter of the slack, so d = p - slack / 4 - M' with M'
-    the maximum over both grids, and the skip is taken once d > 0.  Otherwise
-    h(r_k) is refined, on the row's screened grid.  When the scan screened the grid r just below
+    the maximum over both grids, and the skip is taken once d > 0.  A
+    midpoint lies at most the slack above its cell's larger end, so only the
+    midpoints of cells whose larger end is within 2 slack of M are
+    evaluated: no other can lift M.  Otherwise h(r_k) is refined, on the
+    row's screened grid.  When the scan screened the grid r just below
     a crossing it found, h there, refined before or now on that row's grid,
     goes into ``below``, keyed by that r, for the secant to start from.
     """
@@ -362,8 +374,9 @@ def _first_crossing(lo: np.ndarray, hi: np.ndarray, p: float,
         top = float(grid[1].max())
         room = p - slack - top
         if -0.75 * slack < room <= 0:     # else the midpoints cannot lift d above 0
-            xs = grid[0]
-            mids = shifted_mass(glo, ghi, 0.5 * (xs[:-1] + xs[1:]))
+            xs, vals = grid
+            kept = _kept_cells(vals, top - 2.0 * slack)
+            mids = shifted_mass(glo, ghi, 0.5 * (xs[kept] + xs[kept + 1]))
             room = p - 0.25 * slack - max(top, float(mids.max()))
         value = None
         if room <= 0:

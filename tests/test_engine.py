@@ -290,7 +290,7 @@ def test_evolve_mode_agreement_ks():
         measure = start
         for _ in range(8):
             measure = engine.step_exact(measure, law, rng)
-        fr_exact[i] = engine.empirical_fraction(measure, 8, a)
+        fr_exact[i] = empirical_fraction(measure, 8, a)
     fr_vector = np.concatenate([
         _final_block(start, law, 8, rows, rng).fraction_in(*a.site_ranges(math.sqrt(8)))
         for rows, rng in _blocks(start, 8, replicas, 202)])
@@ -307,7 +307,7 @@ def test_evolve_vector_final_measure_matches_fraction():
                                  derive(44, 0), a)
     for r in range(2):
         final = block.to_measure(r)
-        direct = engine.empirical_fraction(final, 40, a)
+        direct = empirical_fraction(final, 40, a)
         assert stats["fraction"][-1, r] == pytest.approx(direct, abs=1e-12)
         assert all((x - 40) % 2 == 0 for x in final.counts)
         mean = sum(x * c for x, c in final.counts.items()) / final.total
@@ -831,19 +831,30 @@ def test_evolve_validates():
 
 # -- fractions ----------------------------------------------------------------------
 
+def empirical_fraction(zeta: ParticleMeasure, n: int, a: IntervalSet) -> float:
+    """Fraction of particles in sqrt(n) * A, honoring endpoint flags on the lattice.
+
+    The reference the vector kernel's `fraction_in` is checked against; for
+    n = 0 the set is used unscaled.
+    """
+    scaled = a.scale(math.sqrt(n)) if n >= 1 else a
+    inside = sum(c for x, c in zeta.counts.items() if scaled.contains(float(x)))
+    return inside / zeta.total
+
+
 def test_empirical_fraction_examples():
     m = ParticleMeasure({-1: 3, 1: 1}, generation=1)
-    assert engine.empirical_fraction(m, 1, IntervalSet.below(0)) == 0.75
-    assert engine.empirical_fraction(m, 1, REALS) == 1.0
-    assert engine.empirical_fraction(m, 1, EMPTY) == 0.0
+    assert empirical_fraction(m, 1, IntervalSet.below(0)) == 0.75
+    assert empirical_fraction(m, 1, REALS) == 1.0
+    assert empirical_fraction(m, 1, EMPTY) == 0.0
 
 
 def test_empirical_fraction_scaling():
     m = ParticleMeasure({-2: 1, 0: 1, 2: 1, 6: 1}, generation=4)
     # sqrt(4) * [-1, 1] = [-2, 2]
-    assert engine.empirical_fraction(m, 4, IntervalSet.closed(-1, 1)) == 0.75
+    assert empirical_fraction(m, 4, IntervalSet.closed(-1, 1)) == 0.75
     # open endpoints exclude lattice points
-    assert engine.empirical_fraction(m, 4, IntervalSet.open(-1, 1)) == 0.25
+    assert empirical_fraction(m, 4, IntervalSet.open(-1, 1)) == 0.25
 
 
 def test_lattice_fraction_lln():
@@ -893,7 +904,7 @@ def test_enumerate_matches_monte_carlo():
     for _ in range(replicas):
         m = engine.step_exact(engine.step_exact(ParticleMeasure.delta(0), law, rng),
                               law, rng)
-        if engine.empirical_fraction(m, 2, a) >= p:
+        if empirical_fraction(m, 2, a) >= p:
             hits += 1
     sigma = math.sqrt(exact * (1 - exact) / replicas)
     assert abs(hits / replicas - exact) < 4 * sigma

@@ -96,6 +96,12 @@ def test_merging_touching_endpoints():
     # open-open touching stays split: the union misses the touching point
     c = IntervalSet.open(0, 1).union(IntervalSet.open(1, 2))
     assert len(c.components) == 2
+    # equal upper ends: the merged end is closed when either end is
+    half_open = IntervalSet.interval(0, 2, True, False)
+    assert half_open.union(IntervalSet.interval(1, 2, True, False)) == half_open
+    assert half_open.union(IntervalSet.interval(1, 2, False, True)) == IntervalSet.closed(0, 2)
+    assert IntervalSet.closed(0, 2).union(IntervalSet.open(1, 2)) == IntervalSet.closed(0, 2)
+    assert IntervalSet.above(0).union(IntervalSet.above(1)) == IntervalSet.above(0)
 
 
 def test_infinite_endpoints_coerced_open():

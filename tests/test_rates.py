@@ -7,7 +7,8 @@ from scipy.special import ndtr
 
 from brwlab import rates
 from brwlab.errors import InfeasibleError
-from brwlab.gaussian import normal_pdf, nu, nu_shifted_grid, shifted_nu, varphi
+from brwlab.gaussian import (dilated_mass, normal_pdf, nu, nu_shifted_grid, shifted_nu,
+                             varphi)
 from brwlab.intervals import INF, REALS, IntervalSet, parse_set
 from conftest import random_interval_set
 from oracles import brute_force_i, brute_force_j, rate_suite_sets
@@ -589,6 +590,174 @@ def test_sup_shift_root_on_a_grid_point(half_width, r, monkeypatch):
     assert arg == 0.0
     assert len(calls) <= 3
     assert abs(value - nu(IntervalSet.closed(-c, c))) < 1e-15
+
+
+# -- kept cells: slopes and midpoints only where the grid slack leaves room ---------
+
+_SLOPE_ROOT = rates._slope_root
+
+
+def _bits(values):
+    return tuple(None if v is None else float(v).hex() for v in values)
+
+
+def _full_grid_sup(lo, hi):
+    """(left ends of the refined cells, (sup, argmax)) of `_screened_sup`'s
+    selection made from the slope at every grid point: cells where it turns
+    from positive to not, among those whose larger end is within the slack
+    of the grid maximum."""
+    xs, vals = rates._shift_grid(lo, hi)
+    slope = rates._slope(lo, hi, xs)[0]
+    i = int(np.argmax(vals))
+    best = (float(vals[i]), float(xs[i]))
+    cells = np.flatnonzero(
+        (slope[:-1] > 0) & (slope[1:] <= 0)
+        & (np.maximum(vals[:-1], vals[1:]) >= vals[i] - rates._grid_slack(lo.size)))
+    if cells.size:
+        x = _SLOPE_ROOT(lo, hi, xs[cells], xs[cells + 1])
+        v = np.array([dilated_mass(lo, hi, t, 1.0) for t in x.tolist()])
+        top = np.flatnonzero(v >= max(v.max(), best[0]) - rates.TIE)
+        if top.size:
+            best = (float(v[top[0]]), float(x[top[0]]))
+    return xs[cells], best
+
+
+def _full_grid_shift_cost(s, p):
+    """`_screened_shift_cost` from the slope at every grid point of both sides."""
+    bound = s.finite_endpoint_bound() + 10.0
+    ts = np.linspace(0.0, bound, math.ceil(bound / rates.SUP_STEP) + 1)
+    far = bound + 40.0
+    ends = (np.maximum(s.lo, -far), np.minimum(s.hi, far))
+    xs = np.concatenate((-ts, ts))
+    vals, g = nu_shifted_grid(s, xs), rates._slope(*ends, xs)[0]
+    m = ts.size
+    found = []
+    for sign, v, gs in ((-1.0, vals[:m], g[:m]), (1.0, vals[m:], g[m:])):
+        left, right = (gs[:-1], gs[1:]) if sign > 0 else (gs[1:], gs[:-1])
+        peaks = (left > 0) & (right <= 0)
+
+        def gap(t, sign=sign):
+            return shifted_nu(s, sign * t) - p, sign * t
+
+        hit = None
+        for j in np.flatnonzero(np.maximum(v[:-1], v[1:]) >= p - rates._grid_slack(s.lo.size)):
+            t = float(ts[j + 1])
+            if peaks[j]:
+                cell = np.sort(sign * ts[j:j + 2])
+                t = sign * float(_SLOPE_ROOT(*ends, cell[:1], cell[1:])[0])
+            value, x = gap(t)
+            if value >= 0:
+                hit = rates._refine_crossing(gap, float(ts[j]), t, value, x)
+                break
+        found.append(hit)
+    neg, pos = found
+    if neg is None and pos is None:
+        return INF, None
+    if pos is None or (neg is not None and neg[0] <= pos[0] + rates.ROOT_TOL):
+        return neg
+    return pos
+
+
+def _multi_component_sets(seed, count, half_lines):
+    rng = np.random.default_rng(seed)
+    sets = []
+    while len(sets) < count:
+        s = random_interval_set(rng, max_components=4, allow_half_lines=half_lines)
+        if len(s.components) >= 2:
+            sets.append(s)
+    return sets
+
+
+def test_kept_cells_equal_a_full_grid_slope_screen(monkeypatch):
+    # taking the slope only at the ends of the cells the grid slack keeps
+    # changes no cell, no sup, no cost and no witness, bit for bit
+    roots = []
+
+    def recording_root(lo, hi, a, b):
+        roots.append(a)
+        return _SLOPE_ROOT(lo, hi, a, b)
+
+    monkeypatch.setattr(rates, "_slope_root", recording_root)
+    suite = [(s, p) for s, p, _ in rate_suite_sets()]
+    bounded = [s for s, _ in suite if len(s.components) >= 2 and s.is_bounded()]
+    assert len(bounded) == 4
+    refined = 0
+    for s in bounded + _multi_component_sets(91, 40, half_lines=False):
+        for r in (0.0, 0.5, 0.9, 0.99):
+            gamma = 1.0 / math.sqrt(1.0 - r)
+            lo, hi = gamma * s.lo, gamma * s.hi
+            roots.clear()
+            got = rates._screened_sup(lo, hi)
+            cells, want = _full_grid_sup(lo, hi)
+            assert _bits(got) == _bits(want)
+            assert len(roots) == (1 if cells.size else 0)
+            if cells.size:
+                assert np.array_equal(roots[0], cells)
+            refined += cells.size
+    assert refined > 160
+    rng = np.random.default_rng(92)
+    cases = [(s, p) for s, p in suite if nu(s) < p]
+    for s in _multi_component_sets(93, 40, half_lines=True):
+        base = nu(s)
+        cases += [(s, base + (1.0 - base) * float(u)) for u in rng.uniform(0.02, 0.98, 2)]
+    finite = 0
+    for s, p in cases:
+        got = rates._screened_shift_cost(s, p)
+        assert _bits(got) == _bits(_full_grid_shift_cost(s, p))
+        finite += got[0] != INF
+    assert 20 < finite < len(cases) - 20
+
+
+def test_screens_take_slopes_only_at_kept_cell_ends(monkeypatch):
+    # near r_max = 1 - 2.7e-6 the rows of this narrow set hold about 135,000
+    # shifts; a slope over every grid point took them all in one call
+    points, grids = [], []
+    slope, shift_grid = rates._slope, rates._shift_grid
+
+    def recording_slope(lo, hi, x):
+        points.append(np.size(x))
+        return slope(lo, hi, x)
+
+    def recording_grid(lo, hi):
+        grid = shift_grid(lo, hi)
+        grids.append(grid[0].size)
+        return grid
+
+    monkeypatch.setattr(rates, "_slope", recording_slope)
+    monkeypatch.setattr(rates, "_shift_grid", recording_grid)
+    rep = rates.classify(parse_set("[0,0.001] U [5,5.001]"), 0.5, 2)
+    assert rep.regime == "dilation"
+    assert max(grids) > 130_000
+    assert points and max(points) <= 1000
+
+
+def test_near_slack_screen_evaluates_midpoints_of_kept_cells_only(monkeypatch):
+    # the case of the 128-row pin above: every midpoint pass of a row keeps
+    # only the cells whose larger end is within twice the slack of the row
+    # maximum, 38,110 midpoints in all when every cell was evaluated
+    s, p = _scan_cases(61, 8)[7]
+    mids = []
+    in_grid = [False]
+    shift_grid, shifted_mass = rates._shift_grid, rates.shifted_mass
+
+    def marking_grid(lo, hi):
+        in_grid[0] = True
+        try:
+            return shift_grid(lo, hi)
+        finally:
+            in_grid[0] = False
+
+    def recording_mass(lo, hi, xs):
+        if not in_grid[0]:
+            mids.append(xs.size)
+        return shifted_mass(lo, hi, xs)
+
+    monkeypatch.setattr(rates, "_shift_grid", marking_grid)
+    monkeypatch.setattr(rates, "shifted_mass", recording_mass)
+    _, r, _, _ = rates._first_crossing(s.lo, s.hi, p)
+    assert r == 0.293
+    assert len(mids) == 157
+    assert sum(mids) < 10_000
 
 
 # -- one-component closed forms --------------------------------------------------
