@@ -30,8 +30,10 @@ generator: each generation makes one `BranchingLaw.totals` call (one
 multinomial; for two points, just its first binomial; for one point, none)
 and one binomial call over its small sites and one normal call over its big
 sites, the sites taken in row-major order, a contiguous slice of the run's.
-Everything else (the masks, the split, the rescale and the certificate)
-runs once per run and works row by row.  So a replica's trajectory depends
+A block holds up to 256 replicas (`block_rows`), so each call's fixed cost
+is shared by the sites of many rows.  Everything else (the masks, the
+split, the rescale and the certificate) runs once per run and works row by
+row.  So a replica's trajectory depends
 on its block (its row, the rows beside it in the block and when they
 retire) but not on the other blocks of its run, and callers fix a block's
 composition independently of scheduling (see `ldp` and `cli`).
@@ -82,7 +84,7 @@ __all__ = [
 _EXACT_MAX = 2 ** 53           # largest per-site count drawn exactly
 _RESCALE_ABOVE = 1e250         # vector state renormalizes beyond this
 _RESCALE_TARGET = 2.0 ** 332   # ~1e100 after renormalization
-_BLOCK_ROWS = 64               # replicas stepped as one block, at most
+_BLOCK_ROWS = 256              # replicas stepped as one block, at most
 _BLOCK_SITES = 2 ** 16         # rows x final width of one block or run, at most
 
 
@@ -273,10 +275,15 @@ def block_rows(zeta0: ParticleMeasure, n: int) -> int:
 
     A block of R rows run for n generations ends R x width floats wide; the
     bound keeps that within _BLOCK_SITES = 2^16 (and R within _BLOCK_ROWS =
-    64), so a start at one site gets 64 rows up to n = 1023 and one row from
-    n = 32768 on.  The worst-case block holds five arrays of 2^16 floats
-    (512 KB each), and a block whose rows retire early steps only the
-    front of them: rows x the width it reaches.  It depends only on
+    256), so a start at one site gets 256 rows up to n = 255 and one row
+    from n = 32768 on.  Each generation a block makes one
+    `BranchingLaw.totals` call and one binomial call over its small sites.
+    On a 2-vCPU x86-64 VM with numpy 2.4 each costs about 7-9 us plus
+    80-90 ns per draw, so a narrow block of 64 rows spent most of its draw
+    time on the fixed part, and 256 rows spread it over four times as many
+    draws.  The worst-case block holds five arrays of 2^16 floats (512 KB
+    each), and a block whose rows retire early steps only the front of
+    them: rows x the width it reaches.  It depends only on
     (zeta0, n), so the blocks of an estimate, and with them its draws, do
     not depend on how the blocks are spread over workers.
     """
@@ -291,9 +298,9 @@ def run_blocks(zeta0: ParticleMeasure, n: int) -> int:
     may stack: as many as keep rows x final width within the budget of one
     block, _BLOCK_SITES = 2^16, and at least one.
 
-    A start at one site gets runs of up to 1024 / (n + 1) blocks of 64 rows,
+    A start at one site gets runs of up to 256 / (n + 1) blocks of 256 rows,
     so stacking pays where blocks are narrow and the kernel's fixed cost
-    per call is most of a step; from n = 512 on every block is a run of its
+    per call is most of a step; from n = 128 on every block is a run of its
     own.  A run's arrays are no larger than the largest block's, so a
     process's peak memory does not grow with stacking.
     """
@@ -305,10 +312,11 @@ class _VectorState:
     """A run of replica blocks as dense per-site counts, one row per replica.
 
     Row r holds integer-valued floats times 2**exp2[r] at positions
-    lo + stride*j.  Block i holds ``rows[i]`` consecutive rows, every row
-    starts as ``zeta0``, and the block draws from its own generator
-    ``rngs[i]``: each kind of draw in one call over the block's sites in
-    row-major order, which are one contiguous slice of the run's.  So a
+    lo + stride*j.  Block i holds ``rows[i]`` consecutive rows (at most
+    256, see `block_rows`), every row starts as ``zeta0``, and the block
+    draws from its own generator ``rngs[i]``: each kind of draw in one call
+    over the block's sites in row-major order, which are one contiguous
+    slice of the run's.  So a
     block draws as it would as a run of one, whatever blocks sit beside it.
     The buffers are sized for the final width but the steps write only
     their front, rows x current width.

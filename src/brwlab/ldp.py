@@ -11,12 +11,13 @@ Only the factorized lower-bound route is priced; summing over all prefix
 measures for the matching upper bound is out of reach at simulation scale and
 is probed indirectly through the concentration experiment.
 
-Replicas run in blocks of `engine.block_rows` rows, a number fixed by the
-start and the generation count alone: block b holds replicas [b R, (b + 1) R)
-(the last block may be shorter) and draws from the one stream
-``derive(*seed, b)``.  Every ``seed`` argument below takes either an int or
-an index path as a tuple; the CLI passes (seed, grid index), so no two grid
-points or seeds share a stream.  An estimate's blocks are cut into runs of
+Replicas run in blocks of `engine.block_rows` rows, at most 256 (up to
+n = 255 from one particle), a number fixed by the start and the generation
+count alone: block b holds replicas [b R, (b + 1) R) (the last block may be
+shorter) and draws from the one stream ``derive(*seed, b)``.  Every
+``seed`` argument below takes either an int or an index path as a tuple;
+the CLI passes (seed, grid index), so no two grid points or seeds share a
+stream.  An estimate's blocks are cut into runs of
 consecutive blocks, one per process, or more where a run would grow too
 wide (`_EventTask.jobs`), and each run steps as one array through
 `engine.event_outcomes`, the one simulation kernel, every block still

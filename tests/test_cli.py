@@ -88,26 +88,28 @@ def test_simulate_reproducible_and_sane(tmp_path):
 
 
 def test_simulate_runs_replicas_in_seeded_blocks(tmp_path):
-    # block b holds replicas [64 b, 64 (b + 1)) at n = 65 and draws from
-    # (seed, b), so more replicas leave the first block's rows unchanged
+    # block b holds replicas [R b, R (b + 1)) at n = 65, R = block_rows, and
+    # draws from (seed, b), so more replicas leave the first block's rows
+    # unchanged
     from brwlab import engine
     from brwlab.engine import BranchingLaw, ParticleMeasure
     from brwlab.intervals import parse_set
     from brwlab.streams import derive
 
-    assert engine.block_rows(ParticleMeasure.delta(0), 65) == 64
+    size = engine.block_rows(ParticleMeasure.delta(0), 65)
+    more = size + 6
     args = ["simulate", "--n", "65", "--seed", "3"]
-    _, text64 = run_cli(args + ["--replicas", "64"], tmp_path, "a.csv")
-    _, text70 = run_cli(args + ["--replicas", "70"], tmp_path, "b.csv")
-    rows64, rows70 = rows_of(text64), rows_of(text70)
-    assert len(rows64) == 64 * 66 and len(rows70) == 70 * 66
-    assert rows70[:len(rows64)] == rows64
-    assert [r["replica"] for r in rows70[::66]] == [str(i) for i in range(70)]
-    # replica 65 is row 1 of block 1; the CLI prints its evolve row as is
+    _, text_one = run_cli(args + ["--replicas", str(size)], tmp_path, "a.csv")
+    _, text_two = run_cli(args + ["--replicas", str(more)], tmp_path, "b.csv")
+    rows_one, rows_two = rows_of(text_one), rows_of(text_two)
+    assert len(rows_one) == size * 66 and len(rows_two) == more * 66
+    assert rows_two[:len(rows_one)] == rows_one
+    assert [r["replica"] for r in rows_two[::66]] == [str(i) for i in range(more)]
+    # replica R + 1 is row 1 of block 1; the CLI prints its evolve row as is
     stats, _ = engine.evolve(ParticleMeasure.delta(0),
                              BranchingLaw.parse("2:0.5,3:0.5"), 65, 6,
                              derive(3, 1), parse_set("(-inf,0]"))
-    printed = rows70[65 * 66:66 * 66]
+    printed = rows_two[(size + 1) * 66:(size + 2) * 66]
     assert [int(r["generation"]) for r in printed] == list(range(66))
     columns = ("total_log", "normalized_total", "mean_position", "fraction_A")
     for column, values in zip(columns, stats.values(), strict=True):
@@ -214,18 +216,18 @@ def test_ldp_grid_with_a_repeated_n_prints_every_row(tmp_path):
 @pytest.mark.parametrize("args,column,values", [
     (["ldp", "--set", "(-inf,0]", "--p", "0.8", "--law", "2:0.5,3:0.5",
       "--n-grid", "100,400,900", "--replicas", "100"],
-     "q_hat", ["0.9", "0.74", "0.92"]),
+     "q_hat", ["0.85", "0.71", "0.92"]),
     (["ldp", "--set", "[-0.6744897501960817,0.6744897501960817]", "--p", "0.9",
       "--n-grid", "60,120,240", "--replicas", "500"],
-     "q_hat", ["0.016", "0.0", "0.958"]),
+     "q_hat", ["0.03", "0.002", "0.964"]),
     (["probe-concentration", "--replicas", "500"],
-     "frequency", ["0.114", "0.004", "0.0"]),
+     "frequency", ["0.094", "0.01", "0.0"]),
 ])
-def test_workload_estimates_unchanged_since_0_5_0(tmp_path, args, column, values):
+def test_workload_estimates_unchanged_since_0_14_0(tmp_path, args, column, values):
     # the benchmark's simulation workloads at seed 11 print the estimates
-    # 0.5.0 printed, the first version with one stream per replica block;
-    # the shift points n = 400 and 900 print those of 0.8.0, which runs them
-    # in 64-row blocks (21 and 9 rows before)
+    # 0.14.0 printed, the first version with blocks of up to 256 rows (64
+    # before): 256 at every point but the shift points n = 400 and 900, which
+    # get 170 and 74 rows
     _, text = run_cli(args + ["--seed", "11", "--threads", "1"], tmp_path)
     assert [row[column] for row in rows_of(text)] == values
 
@@ -337,9 +339,9 @@ def test_batched_grid_rows_equal_per_point_estimates(command, tmp_path, monkeypa
     # every grid point's runs of blocks go to the pool in one map, and the
     # rows equal single-point estimates on the same (seed, grid index) keys
     # at any --threads
-    from brwlab import ldp
+    from brwlab import engine, ldp
     from brwlab.cli import _fmt
-    from brwlab.engine import BranchingLaw
+    from brwlab.engine import BranchingLaw, ParticleMeasure
     from brwlab.intervals import IntervalSet
     from brwlab.rates import classify
 
@@ -353,26 +355,31 @@ def test_batched_grid_rows_equal_per_point_estimates(command, tmp_path, monkeypa
     monkeypatch.setattr(ldp.WorkerPool, "map", counting_map)
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
     law, half_line = BranchingLaw.binary_ternary(), IntervalSet.below(0)
+    # three blocks per point, of R, R and 2 rows
+    size = engine.block_rows(ParticleMeasure.delta(0), 16)
+    replicas = 2 * size + 2
     if command == "ldp":
         grid = (36, 64, 100)
         args = ["ldp", "--set", "(-inf,0]", "--p", "0.8", "--n-grid",
-                "36,64,100", "--replicas", "130", "--seed", "7"]
+                "36,64,100", "--replicas", str(replicas), "--seed", "7"]
         report = classify(half_line, 0.8, law.b)
         expected = []
         for idx, n in enumerate(grid):
             spec = ldp.StrategySpec.make("shift", report.x_star, 0.0, n)
-            est = ldp.ldp_lower_bound(spec, half_line, 0.8, law, 130, seed=(7, idx),
-                                      report=report)
+            assert engine.block_rows(ParticleMeasure.delta(0), spec.m) == size
+            est = ldp.ldp_lower_bound(spec, half_line, 0.8, law, replicas,
+                                      seed=(7, idx), report=report)
             expected.append([n, "shift", spec.x, spec.r, spec.w, spec.q, spec.s,
                              est.log_prefix_prob, est.q_hat, est.ci_lo, est.ci_hi,
                              est.log_neg_log, est.theory_rate, est.relative_gap])
     else:
         grid = (20, 30, 40)
         args = ["probe-concentration", "--pop-grid", "20,30,40", "--n", "8",
-                "--law", "2:0.5,3:0.5", "--replicas", "130", "--seed", "7"]
+                "--law", "2:0.5,3:0.5", "--replicas", str(replicas), "--seed", "7"]
         expected = []
         for idx, pop in enumerate(grid):
-            res = ldp.concentration_probe(pop, half_line, 0.05, 8, law, 130,
+            assert engine.block_rows(ParticleMeasure.delta(0, count=pop), 8) == size
+            res = ldp.concentration_probe(pop, half_line, 0.05, 8, law, replicas,
                                           seed=(7, idx))
             expected.append([pop, res.delta, res.n, res.replicas, res.frequency,
                              res.reference])
@@ -383,8 +390,10 @@ def test_batched_grid_rows_equal_per_point_estimates(command, tmp_path, monkeypa
         assert code == 0
         texts.append(text)
     assert texts[0] == texts[1] == texts[2]
-    # three blocks per point, of 64, 64 and 2 rows, in one run per process
-    assert maps == [3, 6, 9]
+    # one run per process, except that at one process the n = 100 point's
+    # two R-row blocks fill a run's 2^16 sites, so its third block is a run
+    # of its own
+    assert maps == ([4, 6, 9] if command == "ldp" else [3, 6, 9])
     rows = [line.split(",") for line in texts[0].splitlines()
             if not line.startswith("#")][1:]
     assert rows == [[_fmt(value) for value in row] for row in expected]

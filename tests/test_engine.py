@@ -437,6 +437,44 @@ def test_run_of_blocks_equals_its_blocks_alone(law_text, start, n, threshold, ro
     assert (ends[0] < min(ends[1:])) == first_empties
 
 
+@pytest.mark.parametrize("law_text,population,full_runs", [
+    ("2:0.5,3:0.5", 100, False),
+    ("2:0.995,200:0.005", 30, True),
+])
+def test_event_outcomes_draw_totals_once_per_live_block(monkeypatch, law_text,
+                                                        population, full_runs):
+    # each generation makes one `BranchingLaw.totals` call per block that
+    # still has live rows, however many rows it has: two full blocks and a
+    # 3-row one, which leave the run at different generations, and under the
+    # heavy law rows that run to the end
+    law = BranchingLaw.parse(law_text)
+    start = ParticleMeasure.delta(0, count=population)
+    size = engine.block_rows(start, 16)
+    rows = [size, size, 3]
+    calls = []
+    step, totals = engine._VectorState.step, BranchingLaw.totals
+
+    def counting_step(self, law):
+        calls.append(0)
+        step(self, law)
+
+    def counting_totals(self, parents, rng):
+        calls[-1] += 1
+        return totals(self, parents, rng)
+
+    monkeypatch.setattr(engine._VectorState, "step", counting_step)
+    monkeypatch.setattr(BranchingLaw, "totals", counting_totals)
+    out = engine.event_outcomes(start, law, 16, HALF_LINE,
+                                nu_n_of_set(16, HALF_LINE) + 0.05, True, rows,
+                                [derive(23, b) for b in range(len(rows))])
+    # a row retired at generation k takes no step from k on
+    block_of = np.repeat(np.arange(len(rows)), rows)
+    live = [np.unique(block_of[out.decided_at > k]).size for k in range(16)]
+    assert calls == [count for count in live if count]
+    assert live[0] == len(rows) and 0 < min(c for c in live if c) < len(rows)
+    assert (out.decided_at == 16).any() == full_runs
+
+
 @pytest.mark.parametrize("target,threshold,strict", [
     (IntervalSet.below(0), 1.0, False),
     (IntervalSet.below(0), 1.0, True),
@@ -812,15 +850,22 @@ def test_retired_bounds_never_round_to_zero(power):
 
 
 def test_block_rows_bounds_block_size():
-    # at most 64 rows and 2^16 sites at the final width
+    # at most 256 rows and 2^16 sites at the final width: from one particle,
+    # 256 rows up to n = 255 and one row from n = 32768, and runs stack
+    # blocks only below n = 128
     delta = ParticleMeasure.delta(0)
-    assert engine.block_rows(delta, 16) == 64
-    assert engine.block_rows(delta, 875) == 64
-    assert engine.block_rows(delta, 1023) == 64
-    assert engine.block_rows(delta, 1024) == 2 ** 16 // 1025
+    assert engine.block_rows(delta, 16) == 256
+    assert engine.block_rows(delta, 255) == 256
+    assert engine.block_rows(delta, 256) == 2 ** 16 // 257
+    assert engine.block_rows(delta, 875) == 2 ** 16 // 876
     assert engine.block_rows(ParticleMeasure({0: 1, 1: 1}), 875) == 2 ** 16 // 1752
     assert engine.block_rows(delta, 10 ** 4) == 2 ** 16 // 10001
+    assert engine.block_rows(delta, 32767) == 2
+    assert engine.block_rows(delta, 32768) == 1
     assert engine.block_rows(delta, 10 ** 6) == 1
+    assert engine.run_blocks(delta, 16) == 2 ** 16 // (256 * 17)
+    assert engine.run_blocks(delta, 127) == 2
+    assert engine.run_blocks(delta, 128) == 1
 
 
 def test_evolve_validates():

@@ -187,19 +187,22 @@ def test_conditional_worker_determinism():
 
 
 def test_estimators_worker_invariant_across_blocks(monkeypatch):
-    # one, two and three workers cut the blocks into different runs
+    # one, two and three workers cut the blocks into different runs: four
+    # blocks of a shift point and of the probe, the last one short
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
-    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 100)
-    assert engine.block_rows(ParticleMeasure.delta(0), spec.m) < 300 // 3
-    task = ldp._success_task(spec, HALF_LINE, 0.8, LAW, 300, (78, 1))
+    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 64)
+    replicas = 3 * engine.block_rows(ParticleMeasure.delta(0), spec.m) + 44
+    task = ldp._success_task(spec, HALF_LINE, 0.8, LAW, replicas, (78, 1))
     assert [len(task.jobs(workers)) for workers in (1, 2, 3)] == [1, 2, 3]
-    runs = [ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 300,
+    runs = [ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, replicas,
                                              seed=(78, 1), workers=workers)
             for workers in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
-    assert 0 < runs[0].successes < 300
-    assert engine.block_rows(ParticleMeasure.delta(0, count=30), 8) < 200 // 3
-    probes = [ldp.concentration_probe(30, HALF_LINE, 0.02, 8, LAW, 200,
+    assert 0 < runs[0].successes < replicas
+    replicas = 3 * engine.block_rows(ParticleMeasure.delta(0, count=30), 8) + 8
+    task = ldp._concentration_task(30, HALF_LINE, 0.02, 8, LAW, replicas, (79, 1))
+    assert [len(task.jobs(workers)) for workers in (1, 2, 3)] == [1, 2, 3]
+    probes = [ldp.concentration_probe(30, HALF_LINE, 0.02, 8, LAW, replicas,
                                       seed=(79, 1), workers=workers)
               for workers in (1, 2, 3)]
     assert probes[0] == probes[1] == probes[2]
@@ -240,9 +243,9 @@ def test_worker_count_clamped_to_cores(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ldp.os, "fork", counting_fork)
     monkeypatch.setattr(ldp.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    # 200 replicas of 64-row blocks: four blocks, enough for three workers
-    args = (20, HALF_LINE, 0.02, 4, LAW, 200)
-    assert engine.block_rows(ParticleMeasure.delta(0, count=20), 4) == 64
+    # four blocks, the last one short: enough for three workers
+    replicas = 3 * engine.block_rows(ParticleMeasure.delta(0, count=20), 4) + 8
+    args = (20, HALF_LINE, 0.02, 4, LAW, replicas)
     wide = ldp.concentration_probe(*args, seed=5, workers=10 ** 6)
     assert len(forks) == 2
     assert wide == ldp.concentration_probe(*args, seed=5, workers=1)
@@ -252,7 +255,7 @@ def test_worker_count_clamped_to_cores(monkeypatch, tmp_path):
     monkeypatch.setattr(ldp.os, "sched_getaffinity", lambda pid: {0, 1})
     forks.clear()
     code = main(["probe-concentration", "--pop-grid", "20,30", "--n", "4",
-                 "--replicas", "200", "--threads", "2", "--seed", "5",
+                 "--replicas", str(replicas), "--threads", "2", "--seed", "5",
                  "--out", str(tmp_path / "out.csv")])
     assert code == 0
     assert len(forks) == 1
@@ -405,17 +408,17 @@ def test_worker_pool_without_fork_runs_every_job_in_the_caller(monkeypatch):
 
 
 def test_estimators_worker_invariant_on_short_last_block():
-    # 130 replicas of 64-row blocks leave a 2-row last block
-    assert engine.block_rows(ParticleMeasure.delta(0, count=30), 8) == 64
-    probes = [ldp.concentration_probe(30, HALF_LINE, 0.02, 8, LAW, 130,
+    # two full blocks leave a 2-row last block
+    replicas = 2 * engine.block_rows(ParticleMeasure.delta(0, count=30), 8) + 2
+    probes = [ldp.concentration_probe(30, HALF_LINE, 0.02, 8, LAW, replicas,
                                       seed=(80, 1), workers=workers)
               for workers in (1, 2)]
     assert probes[0] == probes[1]
     assert 0.0 < probes[0].frequency < 1.0
-    # the shift point at n = 100 has 64-row blocks too, under early decision
+    # and at the shift point n = 100, under early decision
     spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 100)
-    assert engine.block_rows(ParticleMeasure.delta(0), spec.m) == 64
-    runs = [ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 130,
+    replicas = 2 * engine.block_rows(ParticleMeasure.delta(0), spec.m) + 2
+    runs = [ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, replicas,
                                              seed=(81, 1), workers=workers)
             for workers in (1, 2)]
     assert runs[0] == runs[1]
@@ -436,35 +439,37 @@ def test_estimators_serial_with_fewer_blocks_than_workers(monkeypatch):
 
 
 def test_count_events_jobs_sum_to_the_one_task_estimate(monkeypatch):
-    # replicas [0, 150) in 64-row blocks, one job per run: the jobs' events
+    # two blocks of R rows and one of 22, one job per run: the jobs' events
     # and retired rows, summed in job order, make the estimate, and every
     # cut gives the same ones
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
-    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 100)
-    task = ldp._success_task(spec, HALF_LINE, 0.8, LAW, 150, (83, 0))
-    cuts = {1: [(0, [64, 64, 22])],
-            2: [(0, [64]), (1, [64, 22])],
-            3: [(0, [64]), (1, [64]), (2, [22])]}
+    spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 64)
+    size = engine.block_rows(ParticleMeasure.delta(0), spec.m)
+    replicas = 2 * size + 22
+    task = ldp._success_task(spec, HALF_LINE, 0.8, LAW, replicas, (83, 0))
+    cuts = {1: [(0, [size, size, 22])],
+            2: [(0, [size]), (1, [size, 22])],
+            3: [(0, [size]), (1, [size]), (2, [22])]}
     outcomes = []
     for workers, runs in cuts.items():
         jobs = task.jobs(workers)
         assert [(first, rows) for _, first, rows in jobs] == runs
         parts = [ldp._count_events(job) for job in jobs]
         bounds = [b for _, retired in parts for b in retired]
-        est = ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, 150,
+        est = ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, replicas,
                                                seed=(83, 0), workers=workers)
         assert est.successes == sum(count for count, _ in parts)
         assert est.decided_early == len(bounds)
         assert est.misdecision_bound == math.fsum(bounds)
         outcomes.append((est.successes, bounds))
     assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert 0 < est.successes < 150
+    assert 0 < est.successes < replicas
     assert bounds
 
 
 @pytest.mark.parametrize("start,steps,replicas", [
-    (1, 16, 500), (1, 16, 64 * 300), (100, 16, 130), (1, 511, 1000),
-    (1, 512, 1000), (1, 10 ** 6, 3),
+    (1, 16, 500), (1, 16, 64 * 300), (100, 16, 130), (1, 127, 1000),
+    (1, 128, 1000), (1, 511, 1000), (1, 512, 1000), (1, 10 ** 6, 3),
 ])
 @pytest.mark.parametrize("processes", [1, 2, 3])
 def test_event_task_jobs_cut_blocks_into_runs(start, steps, replicas, processes):
@@ -492,14 +497,14 @@ def test_event_task_jobs_cut_blocks_into_runs(start, steps, replicas, processes)
 
 
 def test_estimators_worker_invariant_beyond_one_ticket_per_block(monkeypatch):
-    # 520 estimates of two 64-row blocks in one map: at two workers each
+    # 520 estimates of two full blocks in one map: at two workers each
     # block is a run of its own, and the 1,040 jobs exceed the PIPE_BUF / 4
     # tickets of one pipe write (1,024 on Linux), so tickets stand for runs
     # of jobs
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
     pops = range(1, 521)
-    args = (HALF_LINE, 0.01, 1, LAW, 128)
-    assert engine.block_rows(ParticleMeasure.delta(0, count=520), 1) == 64
+    args = (HALF_LINE, 0.01, 1, LAW,
+            2 * engine.block_rows(ParticleMeasure.delta(0, count=520), 1))
     assert len(ldp._concentration_task(1, *args, (84, 1)).jobs(2)) == 2
     assert 2 * len(pops) > select.PIPE_BUF // 4
     frequencies = []
@@ -544,7 +549,8 @@ def _ldp_point(kind, x, r, a, n):
 
 
 def _concentration_point(population, idx, survivors):
-    """A `probe-concentration` grid point at the CLI defaults."""
+    """A `probe-concentration` grid point at the CLI defaults but for its
+    population."""
     threshold = nu_n_of_set(16, HALF_LINE) + 0.05
     return CONCENTRATION_LAW, population, 16, HALF_LINE, threshold, True, idx, survivors
 
@@ -572,22 +578,24 @@ def _shadow_run(start, law, n, target, p, strict, rows, rng):
     (LAW, 1, *_ldp_point("dilation", 0.0, 0.8318502626419066, DILATION_SET, 240),
      0.9, False, 2, False),
     _concentration_point(100, 0, True),
-    _concentration_point(400, 1, True),
+    _concentration_point(200, 1, True),
     _concentration_point(1600, 2, False),
     (CONCENTRATION_LAW, 1, *_ldp_point("shift", -Z80, 0.0, HALF_LINE, 100), 0.8,
      False, 0, False),
 ], ids=["0-100", "1-400", "dilation-2-240", "concentration-0-100",
-        "concentration-1-400", "concentration-2-1600", "heavy-law-0-100"])
+        "concentration-1-200", "concentration-2-1600", "heavy-law-0-100"])
 def test_early_decisions_match_full_runs(law, population, steps, target, p,
                                          strict, idx, survivors):
     # grid points of the three simulation workloads, on the block streams the
     # CLI derives for them at seed 11, and the shift point under the heavy
-    # law 2:0.995,200:0.005.  Shadow runs: every row runs to the end, so each
-    # row's first certified outcome is checked against its own final
-    # fraction.  Then `event_outcomes` on the same stream: its retired rows
-    # carry bounds in (0, 1e-12], and rows that never retire (only at the
-    # concentration points of 100 and 400 particles) end as their replayed
-    # final fractions say.
+    # law 2:0.995,200:0.005; the concentration point of index 1 starts from
+    # 200 particles, as in --pop-grid 100,200,1600, since in 256-row blocks
+    # every row of the default 400 retires.  Shadow runs: every row runs to
+    # the end, so each row's first certified outcome is checked against its
+    # own final fraction.  Then `event_outcomes` on the same stream: its
+    # retired rows carry bounds in (0, 1e-12], and rows that never retire
+    # (only at the concentration points of 100 and 200 particles) end as
+    # their replayed final fractions say.
     start = ParticleMeasure.delta(0, count=population)
     rows = engine.block_rows(start, steps)
     certified = never = 0
