@@ -17,7 +17,10 @@ theorem with C <= 0.4748 (Shevtsova, 2011), the Kolmogorov distance between
 a standardized draw and its normal approximation is at most
 0.4748 rho / (sigma^3 sqrt(c)) for a total and 0.4748 / sqrt(t) for a
 split: below 5.1e-9 rho / sigma^3 and 3.6e-9 when c > 2^53, t >= 2c.  A
-deterministic law (sigma = 0) has exact totals b c.
+deterministic law (sigma = 0) has exact totals b c.  Among the README lines
+and the benchmark workloads only `simulate` reaches such sites (on 357 of
+the 400 steps of its README line): the estimators retire their rows long
+before.
 
 The kernel steps a run of consecutive blocks of replicas as one 2-D array,
 one row per replica, and runs it in two loops: `evolve` steps a run of one
@@ -319,11 +322,13 @@ class _VectorState:
     slice of the run's.  So a
     block draws as it would as a run of one, whatever blocks sit beside it.
     The buffers are sized for the final width but the steps write only
-    their front, rows x current width.
+    their front, rows x current width.  A row's counts and its exponent are
+    all its state: the normal draws at sites above 2^53 particles take a
+    particle's weight 2**-exp2[r] from the exponent, so the rescale and
+    `keep_rows` keep nothing else in step.
     """
 
-    __slots__ = ("v", "lo", "stride", "exp2", "unit", "generation", "rngs",
-                 "ends", "_spare", "_work")
+    __slots__ = ("v", "lo", "stride", "exp2", "rngs", "ends", "_spare", "_work")
 
     def __init__(self, zeta0: ParticleMeasure, n: int, rows: Sequence[int],
                  rngs: Sequence[np.random.Generator]):
@@ -340,8 +345,6 @@ class _VectorState:
         self._spare = np.empty(capacity)
         self._work = np.empty((3, capacity))   # step's scratch arrays
         self.exp2 = np.zeros(total, dtype=np.int64)
-        self.unit = np.ones((total, 1))   # one particle in row r: 2**-exp2[r]
-        self.generation = zeta0.generation
         self.rngs = list(rngs)
 
     def positions(self) -> np.ndarray:
@@ -355,13 +358,11 @@ class _VectorState:
         self._spare = self.v.base
         self.v = grown
         self.lo -= 1
-        self.generation += 1
         return grown
 
     def step(self, law: BranchingLaw) -> None:
         v = self.v
         rows, width = v.shape
-        unit = self.unit
         # exact while the true count c <= 2^53 and c * kmax fits int64
         limit = np.ldexp(float(min(_EXACT_MAX, (2 ** 63 - 1) // law.kmax)), -self.exp2)
         big = v > limit[:, None]
@@ -390,16 +391,14 @@ class _VectorState:
                 normals.append(rng.standard_normal((2, big_last - big_first)))
             small_first, big_first = small_last, big_last
         t, right, spare = self._work[:, :v.size].reshape(3, rows, width)
+        t.fill(0.0)
+        right.fill(0.0)
         if big_at.size:
             # t and right start as each big site's two normals, 0 elsewhere
             normals = np.concatenate(normals, axis=1)
-            if big_at.size == v.size:   # every site is big: the draws are in place
-                t, right = normals.reshape(2, rows, width)
-            else:
-                t.fill(0.0)
-                right.fill(0.0)
-                t.reshape(-1)[big_at] = normals[0]
-                right.reshape(-1)[big_at] = normals[1]
+            t.reshape(-1)[big_at] = normals[0]
+            right.reshape(-1)[big_at] = normals[1]
+            unit = np.ldexp(1.0, -self.exp2)[:, None]   # one particle in row r
             # t = v beta + z_t sqrt(v var unit), clamped to [b v, kmax v], and
             # right = t/2 + z_r sqrt(t unit)/2, clamped to [0, t]; 0 at empty sites
             np.sqrt(np.multiply(v, law.variance * unit, out=spare), out=spare)
@@ -413,9 +412,6 @@ class _VectorState:
             right += np.multiply(t, 0.5, out=spare)
             np.maximum(right, 0.0, out=right)
             np.minimum(right, t, out=right)
-        else:
-            t.fill(0.0)
-            right.fill(0.0)
         if small_at.size:
             t.reshape(-1)[small_at] = np.ldexp(np.concatenate(kids, dtype=float), -small_exp2)
             right.reshape(-1)[small_at] = np.ldexp(np.concatenate(drawn, dtype=float),
@@ -435,7 +431,6 @@ class _VectorState:
             shifts = np.ceil(np.log2(peak[hot] / _RESCALE_TARGET)).astype(np.int64)
             grown[hot] = np.ldexp(grown[hot], -shifts[:, None])
             self.exp2[hot] += shifts
-            self.unit[hot, 0] = np.ldexp(1.0, -self.exp2[hot])
 
     def keep_rows(self, keep: np.ndarray) -> None:
         """Drop the rows where ``keep`` is False; the others step on unchanged,
@@ -445,7 +440,6 @@ class _VectorState:
         self.v = self.v.base[:kept.size].reshape(kept.shape)
         self.v[...] = kept
         self.exp2 = self.exp2[keep]
-        self.unit = self.unit[keep]
 
     def fraction_in(self, first: np.ndarray, last: np.ndarray) -> np.ndarray:
         """Fraction of each row's particles at sites inside the integer ranges
@@ -453,22 +447,6 @@ class _VectorState:
         sites = self.positions()
         inside = ((sites >= first[:, None]) & (sites <= last[:, None])).any(axis=0)
         return self.v[:, inside].sum(axis=1) / self.v.sum(axis=1)
-
-    def to_measure(self, row: int) -> ParticleMeasure:
-        counts: dict[int, int] = {}
-        exp2 = int(self.exp2[row])
-        for i, val in enumerate(self.v[row]):
-            if val <= 0.0:
-                continue
-            x = self.lo + self.stride * i
-            if exp2 == 0:
-                counts[x] = int(round(val))
-            else:
-                mant, e2 = math.frexp(float(val))
-                whole = int(mant * 9007199254740992.0)  # 2**53
-                shift = exp2 + e2 - 53
-                counts[x] = whole << shift if shift >= 0 else whole >> -shift
-        return ParticleMeasure(counts, self.generation)
 
 
 # -- evolve ----------------------------------------------------------------------

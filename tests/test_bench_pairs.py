@@ -2,6 +2,7 @@
 bytecode state its runs start in."""
 
 import importlib.util
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -78,3 +79,22 @@ def test_every_run_has_a_fresh_cache_without_the_tree_bytecode(tmp_path, monkeyp
     for _ in range(2):
         assert bench_pairs.run_once(tree, "analytic", 1, 1.0) == {"metrics": {}}
     assert len(set(runs)) == 2 and not any(cache.exists() for cache in runs)
+
+
+def test_a_tree_without_git_is_named_by_its_sources(tmp_path):
+    # the BENCH file names the code it measured even where git cannot
+    repo = TOOL.parent.parent
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        for top in ("src", "perfbench"):
+            shutil.copytree(repo / top, tree / top,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+    digest = bench_pairs.sources_digest(trees[0])
+    assert len(digest) == 64 and not (trees[0] / ".git").exists()
+    assert bench_pairs.commit_of(trees[0]).endswith(f"sha256:{digest}")
+    assert bench_pairs.sources_digest(trees[1]) == digest
+    engine = trees[1] / "src" / "brwlab" / "engine.py"
+    text = bytearray(engine.read_bytes())
+    text[-1] ^= 1   # one edited byte
+    engine.write_bytes(bytes(text))
+    assert bench_pairs.sources_digest(trees[1]) != digest

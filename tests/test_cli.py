@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -114,6 +115,24 @@ def test_simulate_runs_replicas_in_seeded_blocks(tmp_path):
     columns = ("total_log", "normalized_total", "mean_position", "fraction_A")
     for column, values in zip(columns, stats.values(), strict=True):
         assert [float(r[column]) for r in printed] == values[:, 1].tolist()
+
+
+@pytest.mark.parametrize("args,digest,rescaled", [
+    (["--law", "2:0.5,3:0.5", "--n", "400", "--replicas", "3", "--seed", "7"],
+     "e320f62b2d397e7c6fee3f83bd45b738377ac8c755fc2abfb907c494494b1213", False),
+    (["--law", "2:0.3,3:0.5,4:0.2", "--n", "700", "--replicas", "5", "--seed", "3"],
+     "197bbd62364c5044fc09679369484f4df270b96f1cf9ce02c3a3bbfd26ed57c9", True),
+], ids=["readme", "rescaled"])
+def test_simulate_rows_unchanged_since_0_14_0(tmp_path, args, digest, rescaled):
+    # the sha256 of the header and data rows 0.14.0 printed under numpy 2.4:
+    # the README line, whose sites pass 2^53 particles and take the normal
+    # path on most steps, and a run whose rows pass the 1e250 rescale
+    _, text = run_cli(["simulate"] + args, tmp_path)
+    rows = "".join(line + "\n" for line in text.splitlines() if not line.startswith("#"))
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+    if rescaled:
+        # a total above 1e250 times the 701 sites puts more than 1e250 on one
+        assert max(float(row["total_log"]) for row in rows_of(text)) > math.log(1e250 * 701)
 
 
 @pytest.mark.parametrize("text,p", [

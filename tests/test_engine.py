@@ -100,11 +100,34 @@ def _final_block(start, law, n, rows, rng):
     return engine.evolve(start, law, n, rows, rng, REALS)[1]
 
 
+def measure_of(block, row: int) -> ParticleMeasure:
+    """Row ``row`` of a `_VectorState` as a measure of exact integers.
+
+    A row holds integer-valued floats times 2**exp2[row]; a value's 53-bit
+    mantissa shifted by its exponent plus exp2[row] is its count, exact above
+    2^53 too.  The block does not count its generations, so the measure's
+    is left at 0.
+    """
+    counts: dict[int, int] = {}
+    exp2 = int(block.exp2[row])
+    for x, val in zip(block.positions().tolist(), block.v[row].tolist()):
+        if val <= 0.0:
+            continue
+        if exp2 == 0:
+            counts[x] = int(round(val))
+        else:
+            mant, e2 = math.frexp(val)
+            whole = int(mant * 2.0 ** 53)
+            shift = exp2 + e2 - 53
+            counts[x] = whole << shift if shift >= 0 else whole >> -shift
+    return ParticleMeasure(counts)
+
+
 def test_parity_invariant():
     law = BranchingLaw.binary_ternary()
     block = _final_block(ParticleMeasure.delta(0), law, 9, 3, derive(11, 0))
     for r in range(3):
-        counts = block.to_measure(r).counts
+        counts = measure_of(block, r).counts
         assert all((x - 9) % 2 == 0 for x in counts)
         assert all(abs(x) <= 9 for x in counts)
 
@@ -114,7 +137,7 @@ def _aggregated_step(start: ParticleMeasure, law: BranchingLaw,
     # one generation of a one-row block: the draws of a one-row `evolve`
     block = engine._VectorState(start, 1, [1], [rng])
     block.step(law)
-    return block.to_measure(0)
+    return measure_of(block, 0)
 
 
 def _blocks(start, n, replicas, seed):
@@ -230,7 +253,7 @@ def test_aggregated_heavy_tail_law_is_exact():
 def test_evolve_deterministic_binary_total():
     stats, block = engine.evolve(ParticleMeasure.delta(0), BranchingLaw.binary(),
                                  10, 1, derive(1, 0), REALS)
-    assert block.to_measure(0).total == 1024
+    assert measure_of(block, 0).total == 1024
     assert stats["normalized_total"][-1, 0] == pytest.approx(1.0)
 
 
@@ -244,7 +267,7 @@ def test_evolve_modes_agree_on_totals_deterministic():
     rng = derive(2, 1)
     for _ in range(30):
         reference = engine.step_exact(reference, law, rng, cap=2 ** 30)
-    assert block.to_measure(0).total == reference.total == 2 ** 30
+    assert measure_of(block, 0).total == reference.total == 2 ** 30
 
 
 def test_evolve_records_normalized_sequence():
@@ -306,7 +329,7 @@ def test_evolve_vector_final_measure_matches_fraction():
     stats, block = engine.evolve(ParticleMeasure.delta(0), law, 40, 2,
                                  derive(44, 0), a)
     for r in range(2):
-        final = block.to_measure(r)
+        final = measure_of(block, r)
         direct = empirical_fraction(final, 40, a)
         assert stats["fraction"][-1, r] == pytest.approx(direct, abs=1e-12)
         assert all((x - 40) % 2 == 0 for x in final.counts)
@@ -317,7 +340,7 @@ def test_evolve_vector_final_measure_matches_fraction():
 def test_evolve_general_start(rng):
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure({-1: 2, 2: 1}, generation=0)
-    final = _final_block(start, law, 5, 1, rng).to_measure(0)
+    final = measure_of(_final_block(start, law, 5, 1, rng), 0)
     assert min(final.counts) >= -6 and max(final.counts) <= 7
 
 
@@ -325,7 +348,7 @@ def test_evolve_mixed_parity_start():
     # {-1: 2, 2: 1} has both parities, so the vector rows keep every site
     law = BranchingLaw.binary()
     start = ParticleMeasure({-1: 2, 2: 1}, generation=0)
-    counts = _final_block(start, law, 5, 1, derive(12, 0)).to_measure(0).counts
+    counts = measure_of(_final_block(start, law, 5, 1, derive(12, 0)), 0).counts
     assert min(counts) >= -6 and max(counts) <= 7
     assert sum(c for x, c in counts.items() if x % 2 == 0) == 64
     assert sum(c for x, c in counts.items() if x % 2 != 0) == 32
@@ -348,7 +371,7 @@ def test_evolve_block_is_deterministic_and_tracks_rescaled_totals(n):
     rescaled = (final.exp2 > 0).any()
     assert rescaled == (n == 480)
     for r in range(7):
-        exact = math.log(final.to_measure(r).total)
+        exact = math.log(measure_of(final, r).total)
         assert stats["total_log"][-1, r] == pytest.approx(exact, rel=1e-12)
 
 
@@ -366,7 +389,7 @@ def test_block_draws_one_call_per_kind_in_row_major_order():
     for r in range(2):
         lt, rt = left[3 * r:3 * r + 3], right[3 * r:3 * r + 3]
         expect = {-1: lt[0], 1: rt[0] + lt[1], 3: rt[1] + lt[2], 5: rt[2]}
-        assert block.to_measure(r).counts == {x: int(c) for x, c in expect.items()}
+        assert measure_of(block, r).counts == {x: int(c) for x, c in expect.items()}
 
 
 def test_block_normals_fill_first_then_second_draws():
@@ -380,7 +403,7 @@ def test_block_normals_fill_first_then_second_draws():
     for r in range(3):
         t = c * law.beta + z_total[r] * math.sqrt(c * law.variance)
         right = t / 2 + z_split[r] * math.sqrt(t) / 2
-        child = block.to_measure(r)
+        child = measure_of(block, r)
         assert child.total == pytest.approx(t, rel=1e-12)
         assert child.counts[1] == pytest.approx(right, rel=1e-12)
 
@@ -435,6 +458,39 @@ def test_run_of_blocks_equals_its_blocks_alone(law_text, start, n, threshold, ro
     assert (out.bounds > 0.0).any() and (out.decided_at > 0).all()
     # whether the first block empties while its neighbours still step
     assert (ends[0] < min(ends[1:])) == first_empties
+
+
+def test_rescaled_rows_step_on_after_keep_rows():
+    # rows that hold different exponents keep their own scale through
+    # `keep_rows`: a run of three blocks, cut by one row of the first, the
+    # whole second and one row of the third, ends each kept block bit for bit
+    # as that block's run of one after the same cut.  From 2^828 particles
+    # every row would stay equal, since a normal draw there moves no float;
+    # from one particle under a law of mean 2.1 the rows part early, pass the
+    # 1e250 rescale at generation 781 by different shifts, and keep sites of
+    # 2^53 to 2^100 particles, whose normal draws read the row's scale
+    law = BranchingLaw.parse("2:0.9,3:0.1")
+    start = ParticleMeasure.delta(0)
+    rows, n, cut_at = [3, 2, 3], 800, 785
+    run = engine._VectorState(start, n, rows, [derive(5, b) for b in range(3)])
+    alone = [engine._VectorState(start, n, [r], [derive(5, b)])
+             for b, r in enumerate(rows)]
+    for _ in range(cut_at):
+        for block in [run] + alone:
+            block.step(law)
+    keep = [[True, False, True], [False, False], [False, True, True]]
+    kept = np.concatenate(keep)
+    assert len(set(run.exp2[kept].tolist())) > 1
+    counts = np.ldexp(run.v[kept], run.exp2[kept, None])
+    assert ((counts > 2.0 ** 53) & (counts < 2.0 ** 100)).any(axis=1).all()
+    run.keep_rows(kept)
+    for block, mine in zip(alone, keep):
+        block.keep_rows(np.array(mine))
+    for _ in range(n - cut_at):
+        for block in [run, alone[0], alone[2]]:
+            block.step(law)
+    assert run.v.tolist() == alone[0].v.tolist() + alone[2].v.tolist()
+    assert run.exp2.tolist() == alone[0].exp2.tolist() + alone[2].exp2.tolist()
 
 
 @pytest.mark.parametrize("law_text,population,full_runs", [

@@ -15,7 +15,9 @@ prints is its JSON result.  For every workload and end-to-end metric of
 pairs the change wins (better in the metric's direction; ties count for
 neither), the pair count, every raw value, a verdict, the failed
 invocations, and the machine's core count and versions.  Each tree
-benchmarks its own sources with its own ``perfbench/``.
+benchmarks its own sources with its own ``perfbench/``, and the file names
+both: each tree's ``git describe`` where it is a checkout, and a sha256 of
+its ``src/`` and ``perfbench/`` sources (`sources_digest`) in any case.
 
 Both trees run in the same bytecode state (`bytecode_cache`): every run
 compiles the tree's own modules from source, as in a fresh checkout, and
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import platform
@@ -92,10 +95,26 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def sources_digest(tree: Path) -> str:
+    """sha256 over the ``*.py`` files under the tree's ``src/`` and
+    ``perfbench/``: each file's relative path, its length and its bytes, in
+    sorted path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p.relative_to(tree).as_posix() for top in ("src", "perfbench")
+                       for p in (tree / top).rglob("*.py")):
+        data = (tree / path).read_bytes()
+        digest.update(f"{path}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def commit_of(tree: Path) -> str:
+    """The tree's ``git describe``, if it is a checkout, and its
+    `sources_digest`, so a tree copied without ``.git`` is named too."""
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
                           capture_output=True, text=True)
-    return proc.stdout.strip() or "unknown"
+    digest = f"sha256:{sources_digest(tree)}"
+    return f"{proc.stdout.strip()} {digest}" if proc.stdout.strip() else digest
 
 
 def quartiles(values: list[float]) -> dict:
