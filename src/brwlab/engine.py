@@ -22,17 +22,19 @@ and the benchmark workloads only `simulate` reaches such sites (on 357 of
 the 400 steps of its README line): the estimators retire their rows long
 before.
 
-The kernel steps a run of consecutive blocks of replicas as one 2-D array,
-one row per replica, and runs it in two loops: `evolve` steps a run of one
-block to the end and records each generation's statistics (for `simulate`
-and the tests), and `event_outcomes` retires rows as their events settle
-(for the estimators, on runs of up to `run_blocks` blocks).  When the
-start's occupied sites share one parity, a row stores only the sites of the
-parity occupied at the current generation.  Every block draws from its own
-generator: each generation makes one `BranchingLaw.totals` call (one
-multinomial; for two points, just its first binomial; for one point, none)
-and one binomial call over its small sites and one normal call over its big
-sites, the sites taken in row-major order, a contiguous slice of the run's.
+The kernel steps a run of blocks of replicas as one 2-D array, one row per
+replica, and runs it in two loops: `evolve` steps a run of one block to the
+end and records each generation's statistics (for `simulate` and the
+tests), and `event_outcomes` retires rows as their events settle (for the
+estimators, on runs of up to `run_blocks` blocks, which may belong to
+several estimates of one event and start from different counts of one
+layout).  When the start's occupied sites share one parity, a row stores
+only the sites of the parity occupied at the current generation.  Every
+block draws from its own generator: each generation makes one
+`BranchingLaw.totals` call (one multinomial; for two points, just its first
+binomial; for one point, none) and one binomial call over its small sites
+and one normal call over its big sites, the sites taken in row-major order,
+a contiguous slice of the run's.
 A block holds up to 256 replicas (`block_rows`), so each call's fixed cost
 is shared by the sites of many rows.  Everything else (the masks, the
 split, the rescale and the certificate) runs once per run and works row by
@@ -316,10 +318,11 @@ class _VectorState:
 
     Row r holds integer-valued floats times 2**exp2[r] at positions
     lo + stride*j.  Block i holds ``rows[i]`` consecutive rows (at most
-    256, see `block_rows`), every row starts as ``zeta0``, and the block
-    draws from its own generator ``rngs[i]``: each kind of draw in one call
-    over the block's sites in row-major order, which are one contiguous
-    slice of the run's.  So a
+    256, see `block_rows`), every one starting as ``starts[i]``, and draws
+    from its own generator ``rngs[i]``: each kind of draw in one call over
+    the block's sites in row-major order, which are one contiguous slice of
+    the run's.  The starts may differ in their counts but must share one
+    layout (`_layout`), so that every row has the same sites.  So a
     block draws as it would as a run of one, whatever blocks sit beside it.
     The buffers are sized for the final width but the steps write only
     their front, rows x current width.  A row's counts and its exponent are
@@ -330,18 +333,22 @@ class _VectorState:
 
     __slots__ = ("v", "lo", "stride", "exp2", "rngs", "ends", "_spare", "_work")
 
-    def __init__(self, zeta0: ParticleMeasure, n: int, rows: Sequence[int],
-                 rngs: Sequence[np.random.Generator]):
-        if len(rows) != len(rngs):
-            raise ValueError("one generator per block")
-        self.lo, self.stride, width, final_width = _layout(zeta0, n)
+    def __init__(self, starts: Sequence[ParticleMeasure], n: int,
+                 rows: Sequence[int], rngs: Sequence[np.random.Generator]):
+        if not len(starts) == len(rows) == len(rngs):
+            raise ValueError("one start and one generator per block")
+        layouts = {_layout(zeta0, n) for zeta0 in starts}
+        if len(layouts) != 1:
+            raise ValueError("the blocks' starts need one layout")
+        self.lo, self.stride, width, final_width = layouts.pop()
         self.ends = np.cumsum(rows)   # one past each block's last row
         total = int(self.ends[-1])
         # two buffers sized for the final width; steps alternate between them
         capacity = total * final_width
         self.v = np.zeros(capacity)[:total * width].reshape(total, width)
-        columns = [(x - self.lo) // self.stride for x in zeta0.counts]
-        self.v[:, columns] = [float(c) for c in zeta0.counts.values()]
+        for zeta0, first, last in zip(starts, self.ends - rows, self.ends):
+            columns = [(x - self.lo) // self.stride for x in zeta0.counts]
+            self.v[first:last, columns] = [float(c) for c in zeta0.counts.values()]
         self._spare = np.empty(capacity)
         self._work = np.empty((3, capacity))   # step's scratch arrays
         self.exp2 = np.zeros(total, dtype=np.int64)
@@ -472,7 +479,7 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    block = _VectorState(zeta0, n, [rows], [rng])
+    block = _VectorState([zeta0], n, [rows], [rng])
     roots = np.sqrt(np.arange(n + 1.0))
     roots[0] = 1.0   # the set unscaled at k = 0
     firsts, lasts = trajectory_set.site_ranges(roots[:, None])
@@ -494,6 +501,7 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
 # -- certified early decision ------------------------------------------------------
 
 _DECIDE_EPS = 1e-12   # a row retires once its misdecision bound is at most this
+_TINY = np.finfo(float).tiny   # the smallest normal float
 # what `_Certificate.settle` returns when no row can pass
 _NONE_SETTLED = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool), np.zeros(0))
 
@@ -625,7 +633,7 @@ class _Certificate:
             poly *= inverse
             poly += term
         bounds = np.ldexp(power * poly * (1.0 + 2.0 ** -46), _ORDER * (q - exp2))
-        np.nextafter(bounds, np.inf, out=bounds, where=bounds < np.finfo(float).tiny)
+        np.nextafter(bounds, np.inf, out=bounds, where=bounds < _TINY)
         settled = bounds <= _DECIDE_EPS
         return rows[settled], gaps[settled] > 0.0, bounds[settled]
 
@@ -704,9 +712,9 @@ def _walk_table(j: int, target: IntervalSet, lo: int, stride: int,
     """P(y + S_j in target) at a block's sites y = lo + stride * i, i < width,
     within `_table_error(j, components)`.
 
-    Every block of an estimate at generation k has the same sites, so the
-    blocks share each table; its prefix row is built for this call only,
-    since at j = 10^6 one row takes 8 MB.
+    Every block of a run at generation k has the same sites, its start
+    sharing the run's layout, so the blocks share each table; its prefix row
+    is built for this call only, since at j = 10^6 one row takes 8 MB.
     """
     first, last = target.site_ranges()
     sites = (lo + stride * np.arange(width))[:, None]
@@ -812,13 +820,15 @@ def _bound_terms(law: BranchingLaw) -> tuple[float, ...]:
                  for l in range(_ORDER))
 
 
-def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
+def event_outcomes(starts: Sequence[ParticleMeasure], law: BranchingLaw, n: int,
                    final_set: IntervalSet, threshold: float, strict: bool,
                    rows: Sequence[int],
                    rngs: Sequence[np.random.Generator]) -> EventOutcomes:
     """Whether each replica's final fraction inside ``final_set`` exceeds
     ``threshold`` (``strict``) or reaches it, for a run of blocks of
-    ``rows[i]`` replicas, block i drawing from ``rngs[i]``.
+    ``rows[i]`` replicas of ``starts[i]``, block i drawing from ``rngs[i]``.
+    The starts may differ in their counts but not in their layout, so one
+    run can hold the blocks of several estimates of one event.
 
     Steps the run as one `_VectorState`, but before each generation k
     retires every row whose outcome a twelfth-moment bound settles: the row
@@ -837,7 +847,7 @@ def event_outcomes(zeta0: ParticleMeasure, law: BranchingLaw, n: int,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    run = _VectorState(zeta0, n, rows, rngs)
+    run = _VectorState(starts, n, rows, rngs)
     total = run.v.shape[0]
     certificate = _Certificate(law, final_set, threshold)
     ids = np.arange(total)

@@ -17,16 +17,19 @@ count alone: block b holds replicas [b R, (b + 1) R) (the last block may be
 shorter) and draws from the one stream ``derive(*seed, b)``.  Every
 ``seed`` argument below takes either an int or an index path as a tuple;
 the CLI passes (seed, grid index), so no two grid points or seeds share a
-stream.  An estimate's blocks are cut into runs of
-consecutive blocks, one per process, or more where a run would grow too
-wide (`_EventTask.jobs`), and each run steps as one array through
-`engine.event_outcomes`, the one simulation kernel, every block still
-drawing from its own stream; so an estimate is the same for any worker
-count and any cut.  The kernel retires a replica
-as soon as a twelfth-moment bound of at most 1e-12 certifies whether its
-final fraction clears the threshold, so in the shift regime replicas stop
-after about 16 generations, however long the run, and in the 16-generation
-concentration probe starts of 100 to 1,600 particles stop after 7 to 10.
+stream.  The estimates of one event (law, steps, target, threshold and
+strictness) that a pool runs in one map, which differ only in start count,
+seed and replicas, have their blocks cut together, in estimate order, into
+runs of consecutive blocks, one per process, or more where a run would grow
+too wide (`_jobs`); so a run holds blocks of one event, possibly of several
+estimates.  Each run steps as one array through `engine.event_outcomes`,
+the one simulation kernel, every block still drawing from its own stream;
+so an estimate is the same for any worker count and any cut.  The kernel
+retires a replica as soon as a twelfth-moment bound of at most 1e-12
+certifies whether its final fraction clears the threshold, so in the shift
+regime replicas stop after about 16 generations, however long the run, and
+in the 16-generation concentration probe starts of 100 to 1,600 particles
+stop after 7 to 10.
 The estimates report how many replicas were retired early (``decided_early``)
 and the sum of their bounds (``misdecision_bound``), a union bound on the
 chance that any of them decided otherwise than a full run would; the sum is
@@ -43,7 +46,8 @@ inherit the jobs' arguments, so only their results are pickled.  Where
 ``os.fork`` is missing, every job runs in the caller.  A pool told the
 event counts of several estimates ahead (`WorkerPool.expect`) runs all
 their runs of blocks in one map at the first of them, so the CLI runs each
-command's blocks in one map.
+command's blocks in one map, and the populations of a concentration probe,
+all of one event, share their runs.
 """
 
 from __future__ import annotations
@@ -279,8 +283,10 @@ class WorkerPool:
         """Announce event counts that estimates given this pool will ask for.
 
         The first count asked for runs the blocks of every announced task in
-        one map, each task's cut into runs for this pool's processes, in the
-        order given; the others are then handed out as asked.
+        one map: the tasks of each event, in the order given, have their
+        blocks cut together into runs for this pool's processes (`_jobs`),
+        the events in the order of their first task.  The other counts are
+        then handed out as asked.
         """
         self._expected += tasks
 
@@ -289,12 +295,16 @@ class WorkerPool:
         if task not in self._counted:
             batch = self._expected if task in self._expected else self._expected + [task]
             self._expected = []
-            runs = [each.jobs(self.workers) for each in batch]
-            for each in batch:   # built once here, so forked children inherit them
-                _bound_terms(each.law)
-            parts = iter(self.map(_count_events, [job for jobs in runs for job in jobs]))
-            for each, jobs in zip(batch, runs):
-                mine = [next(parts) for _ in jobs]
+            events: dict[tuple, list[_EventTask]] = {}
+            for each in dict.fromkeys(batch):   # a task given twice is counted once
+                events.setdefault(each.event, []).append(each)
+                _bound_terms(each.law)   # built here, so forked children inherit them
+            jobs = [job for tasks in events.values() for job in _jobs(tasks, self.workers)]
+            parts: dict[_EventTask, list] = {}
+            for job, counts in zip(jobs, self.map(_count_events, jobs)):
+                for (each, _, _), part in zip(job, counts):
+                    parts.setdefault(each, []).append(part)
+            for each, mine in parts.items():
                 retired = [b for _, bounds in mine for b in bounds]
                 # fsum is exactly rounded, so the sum does not depend on the
                 # worker split
@@ -322,8 +332,8 @@ class _Tickets:
     PIPE_BUF / 4 jobs (1,024 on Linux) a ticket is one job; above that,
     ticket t is the jobs [t c, (t + 1) c), c = ceil(count / (PIPE_BUF / 4)).
     An estimator's job is already a run of replica blocks, so its maps pass
-    that count only with hundreds of estimates in one map, or with blocks
-    too wide to stack.
+    that count only with hundreds of distinct events in one map, or with
+    blocks too wide to stack.
     """
 
     def __init__(self, count: int):
@@ -405,35 +415,51 @@ class _EventTask:
     seed: tuple[int, ...]
     replicas: int
 
-    def jobs(self, processes: int) -> list[tuple]:
-        """`_count_events` jobs, (task, first block, rows of each block), one
-        per run of consecutive replica blocks.
+    @property
+    def event(self) -> tuple:
+        """What the tasks whose blocks share a run agree on: all but the
+        start count, the seed and the replicas."""
+        return (self.law, self.steps, self.target, self.threshold, self.strict)
 
-        The blocks are cut into as few runs as keep each within
-        `engine.run_blocks` blocks, which keeps its arrays small, and at
-        least ``processes`` runs where there are that many blocks, so every
-        process can take one.  Run sizes differ by at most one block, so no
-        run holds more than ceil(blocks / processes).  Every block draws from
-        its own stream whatever run it is in, so the cut changes no draw.
-        """
-        start = ParticleMeasure.delta(0, count=self.start)
-        size = block_rows(start, self.steps)
-        rows = [min(size, self.replicas - first)
+    def blocks(self) -> list[int]:
+        """The rows of each replica block, in block order."""
+        size = block_rows(ParticleMeasure.delta(0, count=self.start), self.steps)
+        return [min(size, self.replicas - first)
                 for first in range(0, self.replicas, size)]
-        runs = max(min(processes, len(rows)),
-                   -(-len(rows) // run_blocks(start, self.steps)))
-        cuts = [len(rows) * i // runs for i in range(runs + 1)]
-        return [(self, first, rows[first:last]) for first, last in zip(cuts, cuts[1:])]
 
 
-def _count_events(job: tuple) -> tuple[int, list[float]]:
-    """(events, bounds of the rows retired early) in one run of replica blocks."""
-    task, first, rows = job
-    out = event_outcomes(ParticleMeasure.delta(0, count=task.start), task.law,
-                         task.steps, task.target, task.threshold, task.strict,
-                         rows, [derive(*task.seed, first + i) for i in range(len(rows))])
-    return (int(np.count_nonzero(out.hits)),
-            out.bounds[out.decided_at < task.steps].tolist())
+def _jobs(tasks: Sequence[_EventTask], processes: int) -> list[tuple]:
+    """`_count_events` jobs for tasks of one event, one per run of replica
+    blocks: each a tuple of (task, block, rows) triples, one per block.
+
+    The tasks' blocks, in task order and then block order, are cut into as
+    few runs as keep each within `engine.run_blocks` blocks, which keeps
+    its arrays small, and at least ``processes`` runs where there are that
+    many blocks, so every process can take one.  Run sizes differ by at
+    most one block, so no run holds more than ceil(blocks / processes).
+    Every start is one site at 0, so the tasks' blocks share one layout and
+    one `engine.run_blocks`; and every block draws from its own stream
+    whatever run it is in, so the cut changes no draw.
+    """
+    blocks = [(task, b, rows) for task in tasks for b, rows in enumerate(task.blocks())]
+    first = tasks[0]
+    budget = run_blocks(ParticleMeasure.delta(0, count=first.start), first.steps)
+    runs = max(min(processes, len(blocks)), -(-len(blocks) // budget))
+    cuts = [len(blocks) * i // runs for i in range(runs + 1)]
+    return [tuple(blocks[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _count_events(job: tuple) -> list[tuple[int, list[float]]]:
+    """(events, bounds of the rows retired early) of each block of one run."""
+    task = job[0][0]   # the run's event
+    rows = [r for _, _, r in job]
+    out = event_outcomes([ParticleMeasure.delta(0, count=each.start) for each, _, _ in job],
+                         task.law, task.steps, task.target, task.threshold, task.strict,
+                         rows, [derive(*each.seed, b) for each, b, _ in job])
+    ends = np.cumsum(rows)
+    retired = out.decided_at < task.steps
+    return [(int(np.count_nonzero(out.hits[a:b])), out.bounds[a:b][retired[a:b]].tolist())
+            for a, b in zip(ends - rows, ends)]
 
 
 def _event_count(task: _EventTask, workers: Workers) -> tuple[int, int, float]:

@@ -135,6 +135,22 @@ def test_simulate_rows_unchanged_since_0_14_0(tmp_path, args, digest, rescaled):
         assert max(float(row["total_log"]) for row in rows_of(text)) > math.log(1e250 * 701)
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_probe_concentration_rows_unchanged_since_0_14_0(tmp_path, monkeypatch, threads):
+    # the sha256 of the header and data rows under numpy 2.4, taken with
+    # each population's blocks cut into runs of their own: sharing runs, as
+    # the three populations' six blocks do, changes no row at any worker
+    # count
+    from brwlab import ldp
+
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
+    _, text = run_cli(["probe-concentration", "--replicas", "500", "--seed", "1",
+                       "--threads", threads], tmp_path)
+    rows = "".join(line + "\n" for line in text.splitlines() if not line.startswith("#"))
+    assert hashlib.sha256(rows.encode()).hexdigest() == \
+        "be078b73fd12d2146e69d047fc2c9320f5661759d2c708fc469c4c57651e29ab"
+
+
 @pytest.mark.parametrize("text,p", [
     ("[0,0.05]", 0.9),
     ("[0,0.01]", 0.5),
@@ -409,10 +425,12 @@ def test_batched_grid_rows_equal_per_point_estimates(command, tmp_path, monkeypa
         assert code == 0
         texts.append(text)
     assert texts[0] == texts[1] == texts[2]
-    # one run per process, except that at one process the n = 100 point's
-    # two R-row blocks fill a run's 2^16 sites, so its third block is a run
-    # of its own
-    assert maps == ([4, 6, 9] if command == "ldp" else [3, 6, 9])
+    # ldp grid points are distinct events, so each point's blocks make one
+    # run per process, except that at one process the n = 100 point's two
+    # R-row blocks fill a run's 2^16 sites, so its third block is a run of
+    # its own; a probe's populations are one event, so their nine blocks
+    # make one run per process
+    assert maps == ([4, 6, 9] if command == "ldp" else [1, 2, 3])
     rows = [line.split(",") for line in texts[0].splitlines()
             if not line.startswith("#")][1:]
     assert rows == [[_fmt(value) for value in row] for row in expected]

@@ -135,7 +135,7 @@ def test_parity_invariant():
 def _aggregated_step(start: ParticleMeasure, law: BranchingLaw,
                      rng: np.random.Generator) -> ParticleMeasure:
     # one generation of a one-row block: the draws of a one-row `evolve`
-    block = engine._VectorState(start, 1, [1], [rng])
+    block = engine._VectorState([start], 1, [1], [rng])
     block.step(law)
     return measure_of(block, 0)
 
@@ -412,41 +412,55 @@ HALF_LINE = IntervalSet.below(0)
 MIXED_START = ParticleMeasure({0: 2 ** 60, 2: 37, 4: 10 ** 6})
 
 
-@pytest.mark.parametrize("law_text,start,n,threshold,rows,first_empties", [
-    ("2:0.5,3:0.5", ParticleMeasure.delta(0, count=100), 16,
+def _starts(*counts):
+    # one start per block, all on the sites 0, 2 and 4 or at 0 alone
+    return [ParticleMeasure(c) if isinstance(c, dict) else ParticleMeasure.delta(0, count=c)
+            for c in counts]
+
+
+@pytest.mark.parametrize("law_text,starts,n,threshold,rows,first_empties", [
+    ("2:0.5,3:0.5", _starts(100, 100), 16,
      nu_n_of_set(16, HALF_LINE) + 0.005, [64, 36], False),
-    ("2:1", ParticleMeasure.delta(0, count=100), 16,
+    ("2:1", _starts(100, 100), 16,
      nu_n_of_set(16, HALF_LINE) + 0.005, [64, 36], False),
-    ("2:0.5,3:0.5", ParticleMeasure.delta(0, count=2 ** 100), 6,
+    ("2:0.5,3:0.5", _starts(2 ** 100, 2 ** 100), 6,
      nu_n_of_set(6, HALF_LINE) + 5e-15, [5, 3], False),
-    ("2:0.3,3:0.5,4:0.2", MIXED_START, 6, nu_n_of_set(6, HALF_LINE) + 1e-9,
+    ("2:0.3,3:0.5,4:0.2", [MIXED_START] * 3, 6, nu_n_of_set(6, HALF_LINE) + 1e-9,
      [4, 7, 2], False),
-    ("2:0.5,3:0.5", ParticleMeasure.delta(0, count=100), 16,
+    ("2:0.5,3:0.5", _starts(100, 100, 100), 16,
      nu_n_of_set(16, HALF_LINE) + 0.005, [2, 64, 36], True),
+    # blocks of one layout from different counts, as a concentration
+    # probe's populations share a run
+    ("2:0.5,3:0.5", _starts(1600, 100, 400), 16,
+     nu_n_of_set(16, HALF_LINE) + 0.005, [64, 36, 50], True),
+    ("2:0.3,3:0.5,4:0.2",
+     _starts(MIXED_START.counts, {0: 2 ** 61, 2: 1, 4: 3}, {0: 2 ** 59, 4: 10 ** 6}),
+     6, nu_n_of_set(6, HALF_LINE) + 1e-9, [4, 7, 2], False),
 ], ids=["binary-ternary", "deterministic", "all-normal", "mixed-sites",
-        "first-block-empties-early"])
-def test_run_of_blocks_equals_its_blocks_alone(law_text, start, n, threshold, rows,
+        "first-block-empties-early", "populations", "mixed-starts"])
+def test_run_of_blocks_equals_its_blocks_alone(law_text, starts, n, threshold, rows,
                                               first_empties):
-    # a run stacks blocks, each drawing from its own stream: stepped to the
-    # end, and under early decision, each block ends bit for bit as it does
-    # as a run of one on the same key, however its neighbours draw or retire
+    # a run stacks blocks, each from its own start and drawing from its own
+    # stream: stepped to the end, and under early decision, each block ends
+    # bit for bit as it does as a run of one on the same key, however its
+    # neighbours start, draw or retire
     law = BranchingLaw.parse(law_text)
     seed = len(rows)
     firsts = np.cumsum([0] + rows[:-1]).tolist()
-    run = engine._VectorState(start, n, rows, [derive(seed, b) for b in range(len(rows))])
-    alone = [engine._VectorState(start, n, [r], [derive(seed, b)])
-             for b, r in enumerate(rows)]
+    run = engine._VectorState(starts, n, rows, [derive(seed, b) for b in range(len(rows))])
+    alone = [engine._VectorState([start], n, [r], [derive(seed, b)])
+             for b, (start, r) in enumerate(zip(starts, rows))]
     for _ in range(n):
         for block in [run] + alone:
             block.step(law)
         for first, r, block in zip(firsts, rows, alone):
             assert run.v[first:first + r].tolist() == block.v.tolist()
             assert run.exp2[first:first + r].tolist() == block.exp2.tolist()
-    out = engine.event_outcomes(start, law, n, HALF_LINE, threshold, True, rows,
+    out = engine.event_outcomes(starts, law, n, HALF_LINE, threshold, True, rows,
                                 [derive(seed, b) for b in range(len(rows))])
     ends = []
-    for b, (first, r) in enumerate(zip(firsts, rows)):
-        one = engine.event_outcomes(start, law, n, HALF_LINE, threshold, True,
+    for b, (start, first, r) in enumerate(zip(starts, firsts, rows)):
+        one = engine.event_outcomes([start], law, n, HALF_LINE, threshold, True,
                                     [r], [derive(seed, b)])
         mine = slice(first, first + r)
         assert out.hits[mine].tolist() == one.hits.tolist()
@@ -458,6 +472,19 @@ def test_run_of_blocks_equals_its_blocks_alone(law_text, start, n, threshold, ro
     assert (out.bounds > 0.0).any() and (out.decided_at > 0).all()
     # whether the first block empties while its neighbours still step
     assert (ends[0] < min(ends[1:])) == first_empties
+
+
+@pytest.mark.parametrize("starts", [
+    [ParticleMeasure.delta(0), ParticleMeasure.delta(1)],
+    [ParticleMeasure.delta(0), ParticleMeasure({0: 1, 2: 1})],
+    [ParticleMeasure.delta(0), ParticleMeasure({0: 1, 1: 1})],
+], ids=["shifted", "wider", "both-parities"])
+def test_run_of_blocks_refuses_starts_of_different_layouts(starts):
+    # every row of a run has the same sites, so the starts share one layout
+    with pytest.raises(ValueError, match="layout"):
+        engine._VectorState(starts, 4, [2, 2], [derive(0, 0), derive(0, 1)])
+    with pytest.raises(ValueError, match="one start"):
+        engine._VectorState(starts[:1], 4, [2, 2], [derive(0, 0), derive(0, 1)])
 
 
 def test_rescaled_rows_step_on_after_keep_rows():
@@ -472,8 +499,8 @@ def test_rescaled_rows_step_on_after_keep_rows():
     law = BranchingLaw.parse("2:0.9,3:0.1")
     start = ParticleMeasure.delta(0)
     rows, n, cut_at = [3, 2, 3], 800, 785
-    run = engine._VectorState(start, n, rows, [derive(5, b) for b in range(3)])
-    alone = [engine._VectorState(start, n, [r], [derive(5, b)])
+    run = engine._VectorState([start] * 3, n, rows, [derive(5, b) for b in range(3)])
+    alone = [engine._VectorState([start], n, [r], [derive(5, b)])
              for b, r in enumerate(rows)]
     for _ in range(cut_at):
         for block in [run] + alone:
@@ -520,7 +547,7 @@ def test_event_outcomes_draw_totals_once_per_live_block(monkeypatch, law_text,
 
     monkeypatch.setattr(engine._VectorState, "step", counting_step)
     monkeypatch.setattr(BranchingLaw, "totals", counting_totals)
-    out = engine.event_outcomes(start, law, 16, HALF_LINE,
+    out = engine.event_outcomes([start] * len(rows), law, 16, HALF_LINE,
                                 nu_n_of_set(16, HALF_LINE) + 0.05, True, rows,
                                 [derive(23, b) for b in range(len(rows))])
     # a row retired at generation k takes no step from k on
@@ -546,7 +573,7 @@ def test_event_outcomes_extreme_thresholds_match_full_runs(target, threshold, st
     # where mu_k equals the threshold (the full line at 1, the empty set at 0)
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure.delta(0, count=2 ** 44)
-    out = engine.event_outcomes(start, law, 6, target, threshold, strict, [4],
+    out = engine.event_outcomes([start], law, 6, target, threshold, strict, [4],
                                 [derive(14, 0)])
     fracs = _final_block(start, law, 6, 4, derive(14, 0)).fraction_in(*target.site_ranges())
     full = fracs > threshold if strict else fracs >= threshold
@@ -562,7 +589,7 @@ def test_event_outcomes_leave_the_prefix_row_cache_empty():
     gaussian._prefix_row.cache_clear()
     engine._walk_table.cache_clear()
     start = ParticleMeasure.delta(0, count=2 ** 44)
-    out = engine.event_outcomes(start, BranchingLaw.binary_ternary(), 6,
+    out = engine.event_outcomes([start], BranchingLaw.binary_ternary(), 6,
                                 IntervalSet.below(0), 1.5, True, [4], [derive(14, 0)])
     assert (out.decided_at < 6).all()
     assert engine._walk_table.cache_info().currsize > 0
@@ -611,7 +638,7 @@ def test_certificate_margin_absorbs_the_table_error():
     law = BranchingLaw.binary_ternary()
     target = IntervalSet.below(0)
     j = 4 * 10 ** 4
-    block = engine._VectorState(ParticleMeasure.delta(0, count=2 ** 100), 1, [1],
+    block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 100)], 1, [1],
                                 [derive(0, 0)])
     mu = float(engine._walk_table(j, target, 0, 2, 1)[0])
     slack = 3 * 2.0 ** -52   # (width + 2) 2^-52 at width 1
@@ -803,7 +830,7 @@ def test_certificate_never_passes_when_a_moment_overflows():
     assert engine._limit_moments(law)[11] < math.inf == engine._limit_moments(law)[12]
     assert engine._bound_terms(law) == (math.inf,) * 6
     certificate = engine._Certificate(law, IntervalSet.below(0), 0.5)
-    block = engine._VectorState(ParticleMeasure.delta(0, count=2 ** 100), 1, [1],
+    block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 100)], 1, [1],
                                 [derive(0, 0)])
     assert certificate.gate == math.inf
     assert certificate.settle(block, 1)[0].size == 0
@@ -899,7 +926,7 @@ def test_retired_bounds_never_round_to_zero(power):
     # bound still rounds up, to the smallest positive float
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure.delta(0, count=2 ** power)
-    out = engine.event_outcomes(start, law, 4, parse_set("(-inf,0]"), 0.3, False,
+    out = engine.event_outcomes([start], law, 4, parse_set("(-inf,0]"), 0.3, False,
                                 [3], [derive(19, power)])
     assert (out.decided_at == 0).all() and out.hits.all()
     assert (out.bounds == 2.0 ** -1074).all()

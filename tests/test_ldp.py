@@ -193,7 +193,7 @@ def test_estimators_worker_invariant_across_blocks(monkeypatch):
     spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 64)
     replicas = 3 * engine.block_rows(ParticleMeasure.delta(0), spec.m) + 44
     task = ldp._success_task(spec, HALF_LINE, 0.8, LAW, replicas, (78, 1))
-    assert [len(task.jobs(workers)) for workers in (1, 2, 3)] == [1, 2, 3]
+    assert [len(ldp._jobs([task], workers)) for workers in (1, 2, 3)] == [1, 2, 3]
     runs = [ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, replicas,
                                              seed=(78, 1), workers=workers)
             for workers in (1, 2, 3)]
@@ -201,7 +201,7 @@ def test_estimators_worker_invariant_across_blocks(monkeypatch):
     assert 0 < runs[0].successes < replicas
     replicas = 3 * engine.block_rows(ParticleMeasure.delta(0, count=30), 8) + 8
     task = ldp._concentration_task(30, HALF_LINE, 0.02, 8, LAW, replicas, (79, 1))
-    assert [len(task.jobs(workers)) for workers in (1, 2, 3)] == [1, 2, 3]
+    assert [len(ldp._jobs([task], workers)) for workers in (1, 2, 3)] == [1, 2, 3]
     probes = [ldp.concentration_probe(30, HALF_LINE, 0.02, 8, LAW, replicas,
                                       seed=(79, 1), workers=workers)
               for workers in (1, 2, 3)]
@@ -447,14 +447,15 @@ def test_count_events_jobs_sum_to_the_one_task_estimate(monkeypatch):
     size = engine.block_rows(ParticleMeasure.delta(0), spec.m)
     replicas = 2 * size + 22
     task = ldp._success_task(spec, HALF_LINE, 0.8, LAW, replicas, (83, 0))
-    cuts = {1: [(0, [size, size, 22])],
-            2: [(0, [size]), (1, [size, 22])],
-            3: [(0, [size]), (1, [size]), (2, [22])]}
+    cuts = {1: [[(0, size), (1, size), (2, 22)]],
+            2: [[(0, size)], [(1, size), (2, 22)]],
+            3: [[(0, size)], [(1, size)], [(2, 22)]]}
     outcomes = []
     for workers, runs in cuts.items():
-        jobs = task.jobs(workers)
-        assert [(first, rows) for _, first, rows in jobs] == runs
-        parts = [ldp._count_events(job) for job in jobs]
+        jobs = ldp._jobs([task], workers)
+        assert all(each is task for job in jobs for each, _, _ in job)
+        assert [[(b, rows) for _, b, rows in job] for job in jobs] == runs
+        parts = [part for job in jobs for part in ldp._count_events(job)]
         bounds = [b for _, retired in parts for b in retired]
         est = ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, replicas,
                                                seed=(83, 0), workers=workers)
@@ -467,54 +468,123 @@ def test_count_events_jobs_sum_to_the_one_task_estimate(monkeypatch):
     assert bounds
 
 
+def test_count_events_of_a_shared_run_are_each_block_alone():
+    # three populations of one event in one run: each block counts the
+    # events and retired rows it counts as a run of its own
+    tasks = [ldp._concentration_task(pop, HALF_LINE, 0.02, 8, LAW, 300, (85, i))
+             for i, pop in enumerate((30, 400, 60))]
+    job = tuple((task, b, rows) for task in tasks for b, rows in enumerate(task.blocks()))
+    assert len(job) == 6
+    assert ldp._count_events(job) == [part for block in job
+                                      for part in ldp._count_events((block,))]
+
+
+def test_concentration_populations_share_runs_and_equal_one_task_pools(monkeypatch):
+    # a probe's populations are one event, so one pool cuts their blocks
+    # together: at one worker into one run of all nine blocks, else into a
+    # run per process.  Every estimate, its retired rows and their bound
+    # included, is the one it gets from a pool of its own at any worker count
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
+    maps = []
+    original = ldp.WorkerPool.map
+
+    def counting_map(self, fn, jobs):
+        maps.append([len(job) for job in jobs])
+        return original(self, fn, jobs)
+
+    monkeypatch.setattr(ldp.WorkerPool, "map", counting_map)
+    replicas = 2 * engine.block_rows(ParticleMeasure.delta(0), 8) + 8
+    points = [(pop, HALF_LINE, 0.02, 8, LAW, replicas, (86, i))
+              for i, pop in enumerate((30, 120, 480))]
+    alone = [ldp.concentration_probe(*point, workers=1) for point in points]
+    assert maps == [[3]] * 3
+    assert alone[0].frequency > alone[1].frequency > 0.0
+    assert alone[2].decided_early > 0 and alone[2].misdecision_bound > 0.0
+    for workers in (1, 2, 3):
+        maps.clear()
+        pool = ldp.WorkerPool(workers)
+        pool.expect([ldp._concentration_task(*point) for point in points])
+        shared = [ldp.concentration_probe(*point, workers=pool) for point in points]
+        assert maps == [{1: [9], 2: [4, 5], 3: [3, 3, 3]}[workers]]
+        assert shared == alone
+        assert [ldp.concentration_probe(*point, workers=workers)
+                for point in points] == alone
+    _assert_no_child_left()
+
+
+def _assert_cut_into_runs(steps, tasks, processes):
+    # the tasks' blocks, in task order and then block order, each once, in
+    # runs of consecutive blocks: at most ceil(blocks / processes) of them
+    # and within a block's budget of 2^16 sites at the final width, unless
+    # one block alone exceeds it; no more runs than these two bounds and
+    # one run per process ask for
+    tasks = [ldp._EventTask(LAW, steps, start, HALF_LINE, 0.5, True, (0, i), replicas)
+             for i, (start, replicas) in enumerate(tasks)]
+    zeta0 = ParticleMeasure.delta(0)
+    size = engine.block_rows(zeta0, steps)
+    blocks = [(task, b, min(size, task.replicas - first)) for task in tasks
+              for b, first in enumerate(range(0, task.replicas, size))]
+    final_width = engine._layout(zeta0, steps)[3]
+    jobs = ldp._jobs(tasks, processes)
+    assert [block for job in jobs for block in job] == blocks
+    for job in jobs:
+        assert len(job) <= -(-len(blocks) // processes)
+        assert sum(rows for _, _, rows in job) * final_width <= engine._BLOCK_SITES \
+            or len(job) == 1
+    budget = max(1, engine._BLOCK_SITES // (size * final_width))
+    assert len(jobs) == max(min(processes, len(blocks)), -(-len(blocks) // budget))
+    if steps == 10 ** 6:   # a one-row block over the budget is a run of its own
+        assert all(len(job) == 1 for job in jobs)
+
+
 @pytest.mark.parametrize("start,steps,replicas", [
     (1, 16, 500), (1, 16, 64 * 300), (100, 16, 130), (1, 127, 1000),
     (1, 128, 1000), (1, 511, 1000), (1, 512, 1000), (1, 10 ** 6, 3),
 ])
 @pytest.mark.parametrize("processes", [1, 2, 3])
 def test_event_task_jobs_cut_blocks_into_runs(start, steps, replicas, processes):
-    # every block once, in order, in runs of consecutive blocks: at most
-    # ceil(blocks / processes) of them and within a block's budget of 2^16
-    # sites at the final width, unless one block alone exceeds it; no more
-    # runs than these two bounds and one run per process ask for
-    task = ldp._EventTask(LAW, steps, start, HALF_LINE, 0.5, True, (0,), replicas)
-    zeta0 = ParticleMeasure.delta(0, count=start)
-    size = engine.block_rows(zeta0, steps)
-    blocks = [min(size, replicas - first) for first in range(0, replicas, size)]
-    final_width = engine._layout(zeta0, steps)[3]
-    jobs = task.jobs(processes)
-    assert all(job[0] is task for job in jobs)
-    assert [b for _, first, rows in jobs for b in range(first, first + len(rows))] \
-        == list(range(len(blocks)))
-    assert [r for _, _, rows in jobs for r in rows] == blocks
-    for _, _, rows in jobs:
-        assert len(rows) <= -(-len(blocks) // processes)
-        assert sum(rows) * final_width <= engine._BLOCK_SITES or len(rows) == 1
-    budget = max(1, engine._BLOCK_SITES // (size * final_width))
-    assert len(jobs) == max(min(processes, len(blocks)), -(-len(blocks) // budget))
-    if steps == 10 ** 6:   # a one-row block over the budget is a run of its own
-        assert [rows for _, _, rows in jobs] == [[1], [1], [1]]
+    # a group of one task: one estimate's blocks alone
+    _assert_cut_into_runs(steps, [(start, replicas)], processes)
+
+
+@pytest.mark.parametrize("steps,tasks", [
+    (16, [(1, 500), (100, 130), (1600, 3)]), (16, [(7, 64 * 300), (9, 20)]),
+    (128, [(1, 1000), (2, 300)]), (10 ** 6, [(1, 3), (2, 2)]),
+], ids=["populations", "wide-and-short", "one-block-runs", "over-budget"])
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_jobs_cut_the_blocks_of_several_tasks_into_runs(steps, tasks, processes):
+    # tasks of one event: their blocks are cut together, and a run may hold
+    # the end of one task's blocks and the start of the next one's
+    _assert_cut_into_runs(steps, tasks, processes)
 
 
 def test_estimators_worker_invariant_beyond_one_ticket_per_block(monkeypatch):
-    # 520 estimates of two full blocks in one map: at two workers each
-    # block is a run of its own, and the 1,040 jobs exceed the PIPE_BUF / 4
-    # tickets of one pipe write (1,024 on Linux), so tickets stand for runs
-    # of jobs
+    # 520 estimates of two full blocks in one map, each of its own event (a
+    # delta of its own), so no two share a run: at two workers each block is
+    # a run of its own, and the 1,040 jobs exceed the PIPE_BUF / 4 tickets
+    # of one pipe write (1,024 on Linux), so tickets stand for runs of jobs
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
+    maps = []
+    original = ldp.WorkerPool.map
+
+    def counting_map(self, fn, jobs):
+        maps.append(len(jobs))
+        return original(self, fn, jobs)
+
+    monkeypatch.setattr(ldp.WorkerPool, "map", counting_map)
     pops = range(1, 521)
-    args = (HALF_LINE, 0.01, 1, LAW,
-            2 * engine.block_rows(ParticleMeasure.delta(0, count=520), 1))
-    assert len(ldp._concentration_task(1, *args, (84, 1)).jobs(2)) == 2
+    replicas = 2 * engine.block_rows(ParticleMeasure.delta(0, count=520), 1)
+    points = [(pop, HALF_LINE, 0.01 + pop * 1e-9, 1, LAW, replicas, (84, pop))
+              for pop in pops]
     assert 2 * len(pops) > select.PIPE_BUF // 4
     frequencies = []
     for workers in (1, 2):
         pool = ldp.WorkerPool(workers)
-        pool.expect([ldp._concentration_task(pop, *args, (84, pop)) for pop in pops])
+        pool.expect([ldp._concentration_task(*point) for point in points])
         with _deadline(60):
-            frequencies.append([
-                ldp.concentration_probe(pop, *args, seed=(84, pop), workers=pool).frequency
-                for pop in pops])
+            frequencies.append([ldp.concentration_probe(*point, workers=pool).frequency
+                                for point in points])
+    assert maps == [len(pops), 2 * len(pops)]
     assert frequencies[0] == frequencies[1]
     assert 0.0 < min(frequencies[0]) and max(frequencies[0]) < 1.0
     _assert_no_child_left()
@@ -525,7 +595,7 @@ def test_estimators_worker_invariant_beyond_one_ticket_per_block(monkeypatch):
 def _surviving_fractions(start, law, n, target, rows, rng, decided_at):
     """Final fractions of the rows of an `event_outcomes` block that never
     retired, replaying the block's retirements on the same stream."""
-    block = engine._VectorState(start, n, [rows], [rng])
+    block = engine._VectorState([start], n, [rows], [rng])
     alive = np.arange(rows)
     for k in range(n):
         keep = decided_at[alive] != k
@@ -559,7 +629,7 @@ def _shadow_run(start, law, n, target, p, strict, rows, rng):
     """A block stepped to the end without retiring, `_Certificate.settle`
     asked before every generation: each row's first certified (outcome,
     bound), by row, and every row's outcome from its own final fraction."""
-    block = engine._VectorState(start, n, [rows], [rng])
+    block = engine._VectorState([start], n, [rows], [rng])
     certificate = engine._Certificate(law, target, p)
     first = {}
     for k in range(n):
@@ -608,7 +678,7 @@ def test_early_decisions_match_full_runs(law, population, steps, target, p,
             assert 0.0 < bound <= 1e-12
         certified += len(first)
         never += size - len(first)
-        out = engine.event_outcomes(start, law, steps, target, p, strict,
+        out = engine.event_outcomes([start], law, steps, target, p, strict,
                                     [size], [derive(11, idx, block)])
         retired = out.decided_at < steps
         assert ((out.bounds[retired] > 0.0) & (out.bounds[retired] <= 1e-12)).all()

@@ -1,4 +1,4 @@
-"""Offspring-total draw calls per benchmark pass in two brwlab trees.
+"""Draw calls and kernel steps per benchmark pass in two brwlab trees.
 
 Usage, from the root of a brwlab checkout (the change), with the parent
 commit checked out in a separate directory:
@@ -8,12 +8,15 @@ commit checked out in a separate directory:
 
 For each simulation workload of ``perfbench`` and each seed, a fresh
 interpreter per tree runs one pass of the workload at ``--threads 1`` with
-``BranchingLaw.totals`` wrapped, and counts its calls and the parent counts
-they draw for (the sites).  Every generation of a replica block makes one
-such call over its small sites, so the calls show how the blocks share
-numpy's fixed cost per call.  The counts repeat exactly for a given tree
-and seed.  The record goes under the key ``draw_calls`` of ``--out``; other
-keys of an existing file are kept, and an empty file counts as none.
+``BranchingLaw.totals`` and ``engine._VectorState.step`` wrapped, and
+counts the totals calls, the parent counts they draw for (the sites) and
+the steps.  Every generation of a replica block makes one totals call over
+its small sites, so the calls show how the blocks share numpy's fixed cost
+per call; every generation of a run of blocks makes one step, so the steps
+show how the runs share the kernel's fixed cost per step.  The counts
+repeat exactly for a given tree and seed.  The record goes under the key
+``draw_calls`` of ``--out``; other keys of an existing file are kept, and an
+empty file counts as none.
 """
 
 from __future__ import annotations
@@ -33,13 +36,17 @@ import contextlib, io, json, sys
 sys.path[:0] = ["perfbench", "src"]
 from brwlab import cli, engine
 from workloads import WORKLOADS, with_threads
-counts = {"calls": 0, "sites": 0}
-totals = engine.BranchingLaw.totals
+counts = {"calls": 0, "sites": 0, "steps": 0}
+totals, step = engine.BranchingLaw.totals, engine._VectorState.step
 def counting(self, parents, rng):
     counts["calls"] += 1
     counts["sites"] += int(parents.size)
     return totals(self, parents, rng)
+def counting_step(self, law):
+    counts["steps"] += 1
+    step(self, law)
 engine.BranchingLaw.totals = counting
+engine._VectorState.step = counting_step
 for inv in WORKLOADS[sys.argv[1]](int(sys.argv[2])):
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(with_threads(inv.argv, 1)) != 0:
@@ -49,7 +56,7 @@ print(json.dumps(counts))
 
 
 def count_pass(tree: Path, workload: str, seed: int) -> dict:
-    """{"calls": ..., "sites": ...} of one pass of ``workload`` in ``tree``."""
+    """{"calls": ..., "sites": ..., "steps": ...} of one pass of ``workload`` in ``tree``."""
     proc = subprocess.run([sys.executable, "-c", COUNT, workload, str(seed)],
                           cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -70,9 +77,9 @@ def main(argv=None) -> int:
               for w in WORKLOADS}
     for w, sides in record.items():
         for side, counts in sides.items():
-            print(f"{w:14s} {side:7s} calls "
-                  + " ".join(str(c["calls"]) for c in counts) + "  sites "
-                  + " ".join(str(c["sites"]) for c in counts))
+            print(f"{w:14s} {side:7s}" + "".join(
+                f"  {key} " + " ".join(str(c[key]) for c in counts)
+                for key in ("calls", "sites", "steps")))
     text = args.out.read_text() if args.out.exists() else ""
     out = json.loads(text) if text.strip() else {}
     out["draw_calls"] = {"threads": 1, "seeds": seeds, "workloads": record}
