@@ -10,7 +10,12 @@ point's blocks into runs of consecutive blocks, at least one per process
 where there are enough, and hands all the runs to one map, which forks the
 N - 1 children and reaps them before it returns; without os.fork, every run
 steps in this process.  Every block draws from its own stream in any run,
-so the cut, which depends on N, changes no data row.
+so the cut, which depends on N, changes no data row.  ldp and the probes
+also print the comment line ``decided_early=D replicas=R
+misdecision_bound=B``: D of all R replicas were retired early by the
+certificate, and B is the exactly rounded sum of their misdecision bounds,
+a union bound on any of them deciding otherwise than its full run; the line
+is the same at any --threads.
 
 Exit codes: 0 success, 2 usage or parse problems, 3 infeasible domain
 requests, 4 internal numeric failures.
@@ -27,6 +32,7 @@ import argparse
 import csv
 import hashlib
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -279,6 +285,15 @@ def _grid_estimates(threads: int, task: Callable, estimate: Callable,
     return [estimate(*point, workers=pool, **kwargs) for point in points]
 
 
+def _retirements(estimates: Sequence) -> str:
+    """The comment line of an estimating command: the replicas the
+    certificate retired early, all replicas, and the exactly rounded sum of
+    the retired replicas' misdecision bounds over every grid point."""
+    return (f"decided_early={sum(est.decided_early for est in estimates)} "
+            f"replicas={sum(est.replicas for est in estimates)} "
+            f"misdecision_bound={_fmt(math.fsum(est.misdecision_bound for est in estimates))}")
+
+
 def _cmd_rate(resolved: dict) -> None:
     target = parse_set(resolved["set"])
     report = classify(target, resolved["p"], resolved["b"])
@@ -345,6 +360,7 @@ def _cmd_ldp(resolved: dict) -> None:
     if len({est.spec.n for est in estimates}) >= 3:   # rate_fit needs 3 distinct n
         fit = rate_fit(estimates, report.scale)
         comments.append(f"fit_slope={_fmt(fit.slope)} fit_scale={fit.scale}")
+    comments.append(_retirements(estimates))
     _emit(resolved, "ldp",
           ["n", "kind", "x", "r", "w", "q", "s", "log_prefix", "q_hat",
            "ci_lo", "ci_hi", "log_neg_log", "theory_rate", "gap"],
@@ -388,7 +404,7 @@ def _cmd_probe_concentration(resolved: dict) -> None:
              res.reference] for res in results]
     _emit(resolved, "probe-concentration",
           ["population", "delta", "n", "replicas", "frequency", "reference"],
-          rows, [f"law={law}"])
+          rows, [f"law={law}", _retirements(results)])
 
 
 def _cmd_probe_typical(resolved: dict) -> None:
@@ -403,7 +419,7 @@ def _cmd_probe_typical(resolved: dict) -> None:
             for res in results]
     _emit(resolved, "probe-typical",
           ["n", "t", "threshold", "replicas", "probability"], rows,
-          [f"law={law}"])
+          [f"law={law}", _retirements(results)])
 
 
 def _cmd_clt_scan(resolved: dict) -> None:

@@ -46,7 +46,7 @@ composition independently of scheduling (see `ldp` and `cli`).
 The estimators only ask whether a replica's final fraction in a set T clears
 a threshold p, and `event_outcomes` answers that with certified early
 decision: a row retires with the sign of mu_k - p, mu_k its conditional mean
-fraction in T, once a twelfth-moment bound on the chance of a misdecision is
+fraction in T, once a 24th-moment bound on the chance of a misdecision is
 at most 1e-12 (`_Certificate`, built on the law's exact factorial moments).
 A retired row stops drawing, which moves the later draws of the rows beside
 it along the block's stream; retirement reads only the row's own counts, so
@@ -502,17 +502,28 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
 
 _DECIDE_EPS = 1e-12   # a row retires once its misdecision bound is at most this
 _TINY = np.finfo(float).tiny   # the smallest normal float
+# covers the 15 r - 3 roundings of `_Certificate.settle`'s bound at r = _ORDER
+_ROUND_UP = 1.0 + 2.0 ** -45
 # what `_Certificate.settle` returns when no row can pass
 _NONE_SETTLED = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool), np.zeros(0))
 
-_ORDER = 6
-"""Half the order r of the moment that `_Certificate` bounds, E (sum D_i)^(2r).
+_ORDER = 12
+"""Half the largest order 2r of the moment that `_Certificate` bounds,
+E (sum D_i)^(2r).
 
 No row passes below the gate K ((2r - 1)!! / eps)^(1/r) particles: about
-1.8e6 at r = 2, 3,400 at r = 4, 500 at r = 6 and 200 at r = 8 for
-2:0.5,3:0.5.  Going on to r = 8 would save about one generation of growth
-(beta = 2.5 there), while the t_l grow with the order, so the bound's terms
-in 1/N keep it above eps for longer, and the exact t_l take longer to build.
+1.8e6 at r = 2, 3,400 at r = 4, 500 at r = 6 and 97 at r = 12 under
+2:0.5,3:0.5, and 15,780 at r = 6 against 3,069 at r = 12 under
+2:0.995,200:0.005.  A law whose m_2r overflows falls back to the largest
+order whose moment is finite (`_bound_terms`).  Going from r = 6 to 12
+retired rows about two generations sooner and cut the sites drawn in one
+pass of each benchmark simulation workload (seed 1, one process,
+`tools/draw_calls.py`) by 18-27%: 40,721 -> 32,687 on shift-ldp, 158,105 ->
+130,382 on dilation-ldp and 68,005 -> 49,898 on concentration.  The terms
+cost about 2 ms per law and process to build, against 0.3-0.4 ms at r = 6.
+Higher orders gain less: the gate falls to 72 at r = 16 and 60 at r = 24
+under 2:0.5,3:0.5, a third and a half of a generation of growth, while the
+build time grows about as r^3 (2.3x at r = 16, 8x at r = 24).
 """
 
 
@@ -526,7 +537,7 @@ class EventOutcomes:
 
 
 class _Certificate:
-    """Twelfth-moment test that a row's event ``final fraction in T vs p`` is
+    """24th-moment test that a row's event ``final fraction in T vs p`` is
     settled.
 
     With j generations left, M = Z_n(T) - p Z_n(R) is a sum of N = Z_k(R)
@@ -537,7 +548,8 @@ class _Certificate:
     beta^j N |g|.  Since |X_i| <= c S_i, c = max(|p|, |1 - p|), and
     E S_i^k <= beta^(kj) m_k (`_limit_moments`), E D_i^2 <= c^2 K beta^(2j)
     with K = m_2 and |E D_i^k| <= 2^k c^k m_k beta^(kj).  Expanding
-    E (sum_i D_i)^(2r), r = _ORDER, over the set partitions of the 2r
+    E (sum_i D_i)^(2r), r = _ORDER (or less, where the law's m_(2r)
+    overflows; see `_bound_terms`), over the set partitions of the 2r
     factors into blocks of at least two (a lone factor has mean 0), a
     partition with r - l blocks contributes at most N^(r-l) times its blocks'
     moment bounds, and Markov's inequality bounds the chance of a
@@ -558,7 +570,11 @@ class _Certificate:
         k_factor = _limit_moments(law)[2]
         self.c2k = max(abs(threshold), abs(1.0 - threshold)) ** 2 * k_factor
         self.terms = _bound_terms(law)
-        self.gate = k_factor * (self.terms[0] / _DECIDE_EPS) ** (1.0 / _ORDER)
+        self.order = len(self.terms)
+        self.gate = k_factor * (self.terms[0] / _DECIDE_EPS) ** (1.0 / self.order)
+        # the bound is at least t_0 b^r, so no row with b above this passes;
+        # widened by 2^-40 for the roundings of the quotient and the root
+        self.b_max = (_DECIDE_EPS / self.terms[0]) ** (1.0 / self.order) * (1.0 + 2.0 ** -40)
 
     def settle(self, run: _VectorState, j: int):
         """(rows, outcomes, bounds) of the run's rows settled with j
@@ -589,18 +605,27 @@ class _Certificate:
         f in [1/2, 1), where e is the row's exponent, so f^r times the
         polynomial is a normal float and only the final scaling by
         2^(r (q - e)) can underflow.  Before it, the computed value is the
-        exact one for the lowered quantities times at most 87 rounding
+        exact one for the lowered quantities times at most 15 r - 3 rounding
         factors 1 + d, |d| <= u: 10 in f (c enters as c^2, the lowered
         Z_k(R) and two margins once each, and c^2 K takes two products and f
-        three divisions), so 10 r + r - 1 = 65 in f^r; at most 4 (r - 1) = 20
-        in the polynomial, whose term t_l / N^l takes l roundings of Z_k(R),
+        three divisions), so 10 r + r - 1 in f^r; at most 4 (r - 1) in the
+        polynomial, whose term t_l / N^l takes l roundings of Z_k(R),
         l divisions, l products and l additions in Horner's scheme; and 2
-        for the last two products.  1 + 2^-46 > (1 - u)^-87 rounds it up,
-        with room for the absolute error, below t_l 2^-1074, of any term
-        t_l / N^l that underflows.  A scaled result below the smallest
-        normal float is rounded to nearest, within 2^-1075, so it is stepped
-        up to the next float: a bound never rounds below the smallest
-        positive float.
+        for the last two products.  At r = _ORDER = 12 that is 177 factors,
+        and _ROUND_UP = 1 + 2^-45 > (1 - u)^-177 (about 1 + 1.97e-14)
+        rounds the value up, with room for the absolute error, below
+        t_l 2^-1074, of any term t_l / N^l that underflows.  A scaled result
+        below the smallest normal float is rounded to nearest, within
+        2^-1075, so it is stepped up to the next float: a bound never rounds
+        below the smallest positive float.
+
+        Every t_l is positive, so the computed polynomial is at least t_0,
+        and the computed bound at least t_0 b^r for the computed b (the
+        round-up factor covers the r + 1 roundings of f^r and of the first
+        product).  So a row whose computed b exceeds (eps / t_0)^(1/r),
+        widened by 2^-40 (`b_max`), would not pass, and it is dropped before
+        the power and the polynomial: rows reach the gate about two
+        generations before they can pass.
         """
         v = run.v
         width = v.shape[1]
@@ -623,16 +648,22 @@ class _Certificate:
         exp2 = run.exp2[rows]
         low_totals = totals[passing] * (1.0 - slack)   # Z_k(R) 2^-exp2, rounded down
         # divisions only, so nothing underflows before the final scaling
-        f, q = np.frexp(self.c2k / low_totals / margins / margins)
+        chebyshev = self.c2k / low_totals / margins / margins   # b 2^exp2
+        near = np.ldexp(chebyshev, -exp2) <= self.b_max
+        if not near.any():
+            return _NONE_SETTLED
+        rows, gaps, exp2 = rows[near], gaps[near], exp2[near]
+        low_totals = low_totals[near]
+        f, q = np.frexp(chebyshev[near])
         power = f.copy()
-        for _ in range(_ORDER - 1):
+        for _ in range(self.order - 1):
             power *= f
         inverse = np.ldexp(1.0 / low_totals, -exp2)   # 1 / Z_k(R)
         poly = np.full(rows.size, self.terms[-1])
         for term in self.terms[-2::-1]:
             poly *= inverse
             poly += term
-        bounds = np.ldexp(power * poly * (1.0 + 2.0 ** -46), _ORDER * (q - exp2))
+        bounds = np.ldexp(power * poly * _ROUND_UP, self.order * (q - exp2))
         np.nextafter(bounds, np.inf, out=bounds, where=bounds < _TINY)
         settled = bounds <= _DECIDE_EPS
         return rows[settled], gaps[settled] > 0.0, bounds[settled]
@@ -773,7 +804,8 @@ def _limit_moments(law: BranchingLaw) -> tuple[float, ...]:
     in exact integers (each m_i as m_i 2^52), and rounded up, which keeps
     every one an upper bound.  The table of B grows one row per moment.
     Z_j / beta^j is a martingale, so E Z_j^k / beta^(kj) increases to E W^k
-    for k >= 1, and m_k >= 1.
+    for k >= 1, and m_k >= 1.  A moment beyond float range is inf, and so is
+    every later one.
     """
     top = 2 * _ORDER
     factorial, den = law.factorial_moments(top)   # f_r = factorial[r] / den
@@ -796,28 +828,34 @@ def _limit_moments(law: BranchingLaw) -> tuple[float, ...]:
 
 @lru_cache(maxsize=64)
 def _bound_terms(law: BranchingLaw) -> tuple[float, ...]:
-    """(t_0, ..., t_(r-1)) of `_Certificate`'s bound, r = _ORDER, each rounded up.
+    """(t_0, ..., t_(r-1)) of `_Certificate`'s bound, each rounded up, at the
+    largest order r <= _ORDER whose moment m_2r (`_limit_moments`) is
+    finite; the certificate reads r as their count.
 
     t_l sums, over the set partitions of 2r items into r - l blocks of at
     least 2, prod w_(block size) / K^r, with w_2 = K = m_2 and w_k = 2^k m_k
     from `_limit_moments`: the partial Bell polynomial B(2r, r - l) of
     w_1 = 0, w_2, w_3, ... (`_bell_row`) over K^r, in exact integers;
-    t_0 = (2r - 1)!!, the pairings.  They do not depend on c, so they are
-    built once per law, in under a millisecond, and `WorkerPool` builds them
-    before it forks.
+    t_0 = (2r - 1)!!, the pairings.  A law whose m_2r overflows float range
+    falls back to a lower order, so it still retires rows (later); one whose
+    m_4 overflows gets t_0 = t_1 = inf at r = 2, and no row passes.  The
+    terms do not depend on c, so they are built once per law, in about 2 ms
+    at r = 12, and `WorkerPool` builds them before it forks.
     """
     moments = _limit_moments(law)
-    if moments[-1] == math.inf:
-        return (math.inf,) * _ORDER
+    finite = moments.index(math.inf) if math.inf in moments else len(moments)
+    order = (finite - 1) // 2   # the largest r with m_2r finite
+    if order < 2:
+        return (math.inf,) * 2
     weights = [0, 0] + [_times_2_52(m) << (k if k > 2 else 0)
-                        for k, m in enumerate(moments) if k >= 2]
+                        for k, m in enumerate(moments[:2 * order + 1]) if k >= 2]
     bell = [[1]]
-    for m in range(1, 2 * _ORDER + 1):
+    for m in range(1, 2 * order + 1):
         _bell_row(weights, bell)[1] = weights[m]
     sums = bell[-1]   # by the number of blocks
-    power = weights[2] ** _ORDER
-    return tuple(_round_up(sums[_ORDER - l] << 52 * l, power)
-                 for l in range(_ORDER))
+    power = weights[2] ** order
+    return tuple(_round_up(sums[order - l] << 52 * l, power)
+                 for l in range(order))
 
 
 def event_outcomes(starts: Sequence[ParticleMeasure], law: BranchingLaw, n: int,
@@ -831,7 +869,7 @@ def event_outcomes(starts: Sequence[ParticleMeasure], law: BranchingLaw, n: int,
     run can hold the blocks of several estimates of one event.
 
     Steps the run as one `_VectorState`, but before each generation k
-    retires every row whose outcome a twelfth-moment bound settles: the row
+    retires every row whose outcome a 24th-moment bound settles: the row
     takes the sign of mu_k - threshold as its outcome once its misdecision
     bound is at most _DECIDE_EPS = 1e-12 (see `_Certificate`).  Retired rows
     leave their block, and the run stops when none is left; rows never

@@ -25,11 +25,11 @@ too wide (`_jobs`); so a run holds blocks of one event, possibly of several
 estimates.  Each run steps as one array through `engine.event_outcomes`,
 the one simulation kernel, every block still drawing from its own stream;
 so an estimate is the same for any worker count and any cut.  The kernel
-retires a replica as soon as a twelfth-moment bound of at most 1e-12
+retires a replica as soon as a 24th-moment bound of at most 1e-12
 certifies whether its final fraction clears the threshold, so in the shift
-regime replicas stop after about 16 generations, however long the run, and
-in the 16-generation concentration probe starts of 100 to 1,600 particles
-stop after 7 to 10.
+regime replicas stop after 13 to 23 generations in the median, from n = 100
+to n = 10^6, and in the 16-generation concentration probe starts of 100 to
+1,600 particles stop after 6 to 9.
 The estimates report how many replicas were retired early (``decided_early``)
 and the sum of their bounds (``misdecision_bound``), a union bound on the
 chance that any of them decided otherwise than a full run would; the sum is
@@ -180,7 +180,7 @@ class SuccessEstimate:
     """Monte Carlo estimate of the single-root success probability.
 
     ``decided_early`` counts the replicas that `engine.event_outcomes`
-    retired on its twelfth-moment certificate, and ``misdecision_bound`` is
+    retired on its 24th-moment certificate, and ``misdecision_bound`` is
     the sum of their bounds, each rounded up into (0, 1e-12]: a union bound
     on the chance that any of them decided otherwise than a full run would.
     """
@@ -570,6 +570,8 @@ class LdpEstimate:
     log_neg_log: float
     theory_rate: float
     relative_gap: float
+    decided_early: int          # as in SuccessEstimate
+    misdecision_bound: float
 
 
 def ldp_lower_bound(spec: StrategySpec, a: IntervalSet, p: float,
@@ -595,7 +597,8 @@ def ldp_lower_bound(spec: StrategySpec, a: IntervalSet, p: float,
     gap = abs(log_neg_log / denom - 1.0) if 0.0 < denom < math.inf else math.inf
     return LdpEstimate(spec, replicas, strategy_prefix_logprob(spec, law),
                        est.q_hat, est.ci_lo, est.ci_hi, est.zero_success,
-                       log_neg_log, theory.rate, gap)
+                       log_neg_log, theory.rate, gap, est.decided_early,
+                       est.misdecision_bound)
 
 
 @dataclass(frozen=True)

@@ -136,11 +136,10 @@ def test_simulate_rows_unchanged_since_0_14_0(tmp_path, args, digest, rescaled):
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
-def test_probe_concentration_rows_unchanged_since_0_14_0(tmp_path, monkeypatch, threads):
-    # the sha256 of the header and data rows under numpy 2.4, taken with
-    # each population's blocks cut into runs of their own: sharing runs, as
-    # the three populations' six blocks do, changes no row at any worker
-    # count
+def test_probe_concentration_rows_unchanged_since_0_15_0(tmp_path, monkeypatch, threads):
+    # the sha256 of the header and data rows under numpy 2.4 since the
+    # 24th-moment certificate: sharing runs, as the three populations' six
+    # blocks do, changes no row at any worker count
     from brwlab import ldp
 
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
@@ -148,7 +147,7 @@ def test_probe_concentration_rows_unchanged_since_0_14_0(tmp_path, monkeypatch, 
                        "--threads", threads], tmp_path)
     rows = "".join(line + "\n" for line in text.splitlines() if not line.startswith("#"))
     assert hashlib.sha256(rows.encode()).hexdigest() == \
-        "be078b73fd12d2146e69d047fc2c9320f5661759d2c708fc469c4c57651e29ab"
+        "a23c2677e3bc5e83c112d53ae78579f6ec2597d27b6f0189bd3c3b76e4479fda"
 
 
 @pytest.mark.parametrize("text,p", [
@@ -219,6 +218,52 @@ def test_ldp_thread_count_invariance(tmp_path):
     assert float(row["q_hat"]) > 0.0
 
 
+def _retirement_line(text):
+    (line,) = [ln for ln in text.splitlines() if ln.startswith("# decided_early=")]
+    fields = dict(token.split("=") for token in line[2:].split())
+    return int(fields["decided_early"]), int(fields["replicas"]), fields["misdecision_bound"]
+
+
+@pytest.mark.parametrize("args", [
+    ["ldp", "--set", "(-inf,0]", "--p", "0.8", "--n-grid", "36,64,100",
+     "--replicas", "120"],
+    ["probe-concentration", "--pop-grid", "100,400", "--n", "12", "--replicas", "300"],
+    ["probe-typical", "--n-grid", "16,64", "--replicas", "200"],
+])
+def test_estimating_commands_print_their_retirements(tmp_path, monkeypatch, args):
+    # one comment line sums the grid points' early retirements, replicas and
+    # misdecision bounds (math.fsum); it is the same at any worker count, and
+    # it equals the sums of the estimators called point by point
+    from brwlab import ldp
+    from brwlab.engine import BranchingLaw
+    from brwlab.intervals import parse_set
+
+    monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
+    texts = [run_cli(args + ["--seed", "4", "--threads", threads], tmp_path,
+                     f"t{threads}.csv")[1] for threads in ("1", "3")]
+    assert texts[0] == texts[1]
+    early, replicas, bound = _retirement_line(texts[0])
+    half_line = parse_set("(-inf,0]")
+    if args[0] == "ldp":
+        law = BranchingLaw.parse("2:0.5,3:0.5")
+        results = [ldp.conditional_success_estimate(
+            ldp.StrategySpec.make("shift", float(row["x"]), 0.0, int(row["n"])),
+            half_line, 0.8, law, 120, seed=(4, i)) for i, row in enumerate(rows_of(texts[0]))]
+    elif args[0] == "probe-concentration":
+        law = BranchingLaw.parse("2:0.995,200:0.005")
+        results = [ldp.concentration_probe(pop, half_line, 0.05, 12, law, 300, seed=(4, i))
+                   for i, pop in enumerate((100, 400))]
+    else:
+        law = BranchingLaw.parse("2:0.5,3:0.5")
+        results = [ldp.typical_deviation_probe(half_line, 1.0, n, law, 200, seed=(4, i))
+                   for i, n in enumerate((16, 64))]
+    assert replicas == sum(res.replicas for res in results)
+    assert 0 < early == sum(res.decided_early for res in results) <= replicas
+    assert float(bound) == math.fsum(res.misdecision_bound for res in results)
+    assert 0.0 < float(bound) <= early * 1e-12
+    assert bound == repr(float(bound))
+
+
 def test_ldp_lower_tail_of_an_interval(tmp_path):
     # a fraction in [-1, 1] below 0.1 is a fraction in its complement, a
     # target of two half-lines, above 0.9
@@ -251,18 +296,19 @@ def test_ldp_grid_with_a_repeated_n_prints_every_row(tmp_path):
 @pytest.mark.parametrize("args,column,values", [
     (["ldp", "--set", "(-inf,0]", "--p", "0.8", "--law", "2:0.5,3:0.5",
       "--n-grid", "100,400,900", "--replicas", "100"],
-     "q_hat", ["0.85", "0.71", "0.92"]),
+     "q_hat", ["0.86", "0.71", "0.92"]),
     (["ldp", "--set", "[-0.6744897501960817,0.6744897501960817]", "--p", "0.9",
       "--n-grid", "60,120,240", "--replicas", "500"],
-     "q_hat", ["0.03", "0.002", "0.964"]),
+     "q_hat", ["0.024", "0.002", "0.962"]),
     (["probe-concentration", "--replicas", "500"],
-     "frequency", ["0.094", "0.01", "0.0"]),
+     "frequency", ["0.1", "0.012", "0.0"]),
 ])
-def test_workload_estimates_unchanged_since_0_14_0(tmp_path, args, column, values):
+def test_workload_estimates_unchanged_since_0_15_0(tmp_path, args, column, values):
     # the benchmark's simulation workloads at seed 11 print the estimates
-    # 0.14.0 printed, the first version with blocks of up to 256 rows (64
-    # before): 256 at every point but the shift points n = 400 and 900, which
-    # get 170 and 74 rows
+    # 0.15.0 printed, the first version with the 24th-moment certificate,
+    # whose replicas retire earlier (0.14.0: 0.85, 0.03, 0.964 and 0.094,
+    # 0.01 where these differ).  Blocks hold up to 256 rows: 256 at every
+    # point but the shift points n = 400 and 900, which get 170 and 74 rows
     _, text = run_cli(args + ["--seed", "11", "--threads", "1"], tmp_path)
     assert [row[column] for row in rows_of(text)] == values
 

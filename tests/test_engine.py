@@ -704,21 +704,30 @@ def _moments(pairs, count, top=12):
 @pytest.mark.parametrize("text", ["2:1", "2:0.5,3:0.5", "2:0.3,3:0.5,4:0.2",
                                   "2:0.995,200:0.005"])
 def test_fourth_moment_factor_bounds_galton_watson_moments(text):
-    # every factor m_k, k <= 12, the fourth's included: E Z_j^k <= beta^(kj) m_k
+    # every factor m_k, k <= 24, the fourth's included: E Z_j^k <= beta^(kj) m_k
     # for every j, and E Z_j^k / beta^(kj) climbs to m_k = E W^k, so by
-    # j = 40 it is within 1e-9 of the factor
+    # j = 40 it is within 1e-9 of the factor.  The recursion's integers grow
+    # with the probabilities' common denominator: past the twelfth moment, a
+    # law whose denominator is not 1 or 2 runs 21 generations (6-7 s each at
+    # 41), within 1e-7 of the factor by j = 20
     law = BranchingLaw.parse(text)
-    scale, rows = _moments(_exact_law(law), 41)
-    growth = sum(k * p for k, p in _exact_law(law)) * scale   # beta s
-    assert growth.denominator == 1
+    pairs = _exact_law(law)
+    deep = 41 if math.lcm(*(p.denominator for _, p in pairs)) <= 2 else 21
+    growth = sum(k * p for k, p in pairs)   # beta
     factors = engine._limit_moments(law)
-    assert len(factors) == 13 and factors[:2] == (1.0, 1.0)
-    for k in range(2, 13):
-        num, den = factors[k].as_integer_ratio()
-        for j, row in enumerate(rows):
-            assert row[k] * den <= growth.numerator ** (k * j) * num, (k, j)
-        assert (rows[40][k] * den * (10 ** 9 + 1)
-                >= growth.numerator ** (40 * k) * num * 10 ** 9), k
+    assert len(factors) == 25 and factors[:2] == (1.0, 1.0)
+    checks = [(range(2, 13), 41, 12, Fraction(1, 10 ** 9)),
+              (range(13, 25), deep, 24, Fraction(1, 10 ** (9 if deep == 41 else 7)))]
+    for orders, count, top, tolerance in checks:
+        scale, rows = _moments(pairs, count, top)
+        beta_s = growth * scale
+        assert beta_s.denominator == 1
+        for k in orders:
+            num, den = factors[k].as_integer_ratio()
+            for j, row in enumerate(rows):
+                assert row[k] * den <= beta_s.numerator ** (k * j) * num, (k, j)
+            assert (Fraction(rows[-1][k] * den, beta_s.numerator ** ((count - 1) * k) * num)
+                    >= 1 - tolerance), k
 
 
 def _size_laws(pairs, last):
@@ -755,11 +764,11 @@ def test_galton_watson_second_moment_recursion_by_enumeration():
 @pytest.mark.parametrize("text", ["2:0.5,3:0.5", "2:0.3,3:0.5,4:0.2"])
 def test_galton_watson_fourth_moment_recursion_by_enumeration(text):
     # the exact law of Z_j for j <= 3 against the recursion of the factor
-    # test, for every moment up to the twelfth
+    # test, for every moment up to the 24th
     pairs = _exact_law(BranchingLaw.parse(text))
-    scale, rows = _moments(pairs, 4)
+    scale, rows = _moments(pairs, 4, top=24)
     for j, size in enumerate(_size_laws(pairs, 3), start=1):
-        for k in range(13):
+        for k in range(25):
             assert (sum(z ** k * q for z, q in size.items())
                     == Fraction(rows[j][k], scale ** (j * k))), (j, k)
 
@@ -791,10 +800,39 @@ def _bound_terms_by_set_partitions(law, order):
     return terms
 
 
+def _bound_terms_by_integer_partitions(law, order):
+    """`_bound_terms` at r = ``order`` from the integer partitions of 2r into
+    parts of at least two, each weighted by the set partitions of 2r items
+    with its block sizes, (2r)! / (prod s! prod mult!), in exact rationals
+    over the float factors.  At 2r = 24 there are 320 integer partitions, far
+    fewer than the set partitions."""
+    moments = [Fraction(m) for m in engine._limit_moments(law)[:2 * order + 1]]
+    weight = [None, None, moments[2]] + [2 ** k * moments[k]
+                                         for k in range(3, 2 * order + 1)]
+    terms = [Fraction(0)] * order
+
+    def partitions(total, smallest):
+        """The partitions of ``total`` into parts >= ``smallest``, each in
+        nondecreasing order."""
+        if total == 0:
+            yield ()
+        for part in range(smallest, total + 1):
+            for rest in partitions(total - part, part):
+                yield (part, *rest)
+
+    for parts in partitions(2 * order, 2):
+        ways = math.factorial(2 * order) // math.prod(
+            [math.factorial(s) for s in parts]
+            + [math.factorial(parts.count(s)) for s in set(parts)])
+        terms[order - len(parts)] += ways * math.prod(weight[s] for s in parts)
+    return [t / moments[2] ** order for t in terms]
+
+
 @pytest.mark.parametrize("order", [2, 4])
 def test_bound_terms_against_set_partitions(monkeypatch, order):
     # at r = 2 the bound is b^2 (3 + 16 m_4 / (K^2 N)); at r = 4 the 4,140
-    # set partitions of 8 items check the partition counts
+    # set partitions of 8 items check the partition counts, and with them
+    # the weights of the integer-partition oracle
     monkeypatch.setattr(engine, "_ORDER", order)
     engine._limit_moments.cache_clear()
     engine._bound_terms.cache_clear()
@@ -803,6 +841,7 @@ def test_bound_terms_against_set_partitions(monkeypatch, order):
             law = BranchingLaw.parse(text)
             terms = engine._bound_terms(law)
             exact = _bound_terms_by_set_partitions(law, order)
+            assert _bound_terms_by_integer_partitions(law, order) == exact
             assert len(terms) == order
             assert terms[0] == math.prod(range(1, 2 * order, 2))
             for got, want in zip(terms, exact):
@@ -815,20 +854,86 @@ def test_bound_terms_against_set_partitions(monkeypatch, order):
         engine._bound_terms.cache_clear()
 
 
-def test_bound_terms_at_order_six():
-    # t_0 = 11!! and the gate K (t_0 / eps)^(1/6) is about 500 particles
+@pytest.mark.parametrize("text", ["2:1", "2:0.5,3:0.5", "2:0.3,3:0.5,4:0.2",
+                                  "2:0.995,200:0.005", "2:1,1e30:1e-30"])
+def test_bound_terms_against_integer_partitions(text):
+    # t_0, ..., t_11 at r = _ORDER = 12, each the least float at or above its
+    # exact value; the last law's m_12 overflows, so it stops at r = 5
+    law = BranchingLaw.parse(text.replace("1e30:", f"{10 ** 30}:"))
+    terms = engine._bound_terms(law)
+    order = 5 if "1e30" in text else engine._ORDER
+    assert len(terms) == order
+    for got, want in zip(terms, _bound_terms_by_integer_partitions(law, order)):
+        assert want <= Fraction(got) <= want * (1 + Fraction(1, 2 ** 52))
+
+
+def test_bound_terms_at_order_six(monkeypatch):
+    # t_0 = 11!! and the gate K (t_0 / eps)^(1/6) is about 500 particles,
+    # five times the gate at order twelve
+    monkeypatch.setattr(engine, "_ORDER", 6)
+    engine._limit_moments.cache_clear()
+    engine._bound_terms.cache_clear()
+    try:
+        law = BranchingLaw.binary_ternary()
+        terms = engine._bound_terms(law)
+        assert len(terms) == 6 and terms[0] == 10395.0
+        gate = engine._Certificate(law, IntervalSet.below(0), 0.5).gate
+        assert 490 < gate < 510
+    finally:
+        engine._limit_moments.cache_clear()
+        engine._bound_terms.cache_clear()
+
+
+def test_bound_terms_at_order_twelve():
+    # t_0 = 23!! and the gate K (t_0 / eps)^(1/12) is about 97 particles under
+    # 2:0.5,3:0.5, and about 3,069 under the concentration workload's law
     law = BranchingLaw.binary_ternary()
     terms = engine._bound_terms(law)
-    assert engine._ORDER == 6 and len(terms) == 6 and terms[0] == 10395.0
+    assert engine._ORDER == 12 and len(terms) == 12 and terms[0] == 316234143225.0
+    assert terms[0] == math.prod(range(1, 24, 2))
     gate = engine._Certificate(law, IntervalSet.below(0), 0.5).gate
-    assert 490 < gate < 510
+    assert 95 < gate < 99
+    heavy = BranchingLaw.parse("2:0.995,200:0.005")
+    assert 3060 < engine._Certificate(heavy, IntervalSet.below(0), 0.5).gate < 3080
+
+
+def test_round_up_factor_covers_the_bound_roundings():
+    # settle's bound takes at most 15 r - 3 roundings, each a factor 1 + d
+    # with |d| <= u = 2^-53; the factor must exceed (1 - u)^-(15 r - 3), in
+    # exact rationals, at the largest order
+    u = Fraction(1, 2 ** 53)
+    factor = Fraction(engine._ROUND_UP)
+    assert factor == 1 + Fraction(1, 2 ** 45)
+    assert factor * (1 - u) ** (15 * engine._ORDER - 3) > 1
+    # 2^-46, the factor at r = 6, no longer covers r = 12
+    assert (1 + Fraction(1, 2 ** 46)) * (1 - u) ** (15 * 12 - 3) < 1
+
+
+def test_certificate_falls_back_to_a_lower_order_when_a_moment_overflows():
+    # m_12 of this law is about 1e324, beyond float range, so the bound
+    # stops at E (sum D_i)^10, r = 5, with t_0 = 9!!; a row far past that
+    # order's gate still settles
+    law = BranchingLaw.parse(f"2:1,{10 ** 30}:1e-30")
+    moments = engine._limit_moments(law)
+    assert len(moments) == 25
+    assert moments[11] < math.inf == moments[12] == moments[24]
+    terms = engine._bound_terms(law)
+    assert len(terms) == 5 and terms[0] == 945.0 and max(terms) < math.inf
+    certificate = engine._Certificate(law, IntervalSet.below(0), 0.3)
+    assert certificate.order == 5 and certificate.gate < 1e33
+    block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 150)], 1, [1],
+                                [derive(0, 0)])
+    rows, outcomes, bounds = certificate.settle(block, 1)
+    assert rows.tolist() == [0] and outcomes.tolist() == [True]
+    assert 0.0 < bounds[0] <= 1e-12
 
 
 def test_certificate_never_passes_when_a_moment_overflows():
-    # m_12 of this law is about 1e324, beyond float range
-    law = BranchingLaw.parse(f"2:1,{10 ** 30}:1e-30")
-    assert engine._limit_moments(law)[11] < math.inf == engine._limit_moments(law)[12]
-    assert engine._bound_terms(law) == (math.inf,) * 6
+    # m_4 of this law is about 1e330, beyond float range, so no order is left
+    law = BranchingLaw.parse(f"2:1,{10 ** 110}:1e-110")
+    moments = engine._limit_moments(law)
+    assert moments[3] < math.inf == moments[4]
+    assert engine._bound_terms(law) == (math.inf,) * 2
     certificate = engine._Certificate(law, IntervalSet.below(0), 0.5)
     block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 100)], 1, [1],
                                 [derive(0, 0)])
@@ -836,53 +941,159 @@ def test_certificate_never_passes_when_a_moment_overflows():
     assert certificate.settle(block, 1)[0].size == 0
 
 
-# (m_0, ..., m_12) of `_limit_moments` and (t_0, ..., t_5) of `_bound_terms`
-# as float.hex, from the partition sums that the partial-Bell recurrence
-# replaced; the overflow law's m_12 and terms are inf
+_SETTLE_RUNS = [
+    ("2:0.5,3:0.5", "(-inf,0]", 0.8, 1),
+    ("2:0.5,3:0.5", "[-1,1]", 0.3, 2),
+    ("2:0.3,3:0.5,4:0.2", "(-inf,-1) U (1,inf)", 0.5, 3),
+    ("2:0.995,200:0.005", "(-inf,0]", 0.6, 4),
+]
+
+
+def _settle_along(text, target, threshold, seed, filters=(True,)):
+    """(certificates, run, j, [their settle results]) before each generation
+    of a seeded run of two blocks for 36 generations, one certificate per
+    entry of ``filters``, with settle's prefilter on or off (b_max = inf);
+    the rows the first one settles retire."""
+    law = BranchingLaw.parse(text)
+    final, n = parse_set(target).scale(6.0), 36
+    made = [engine._Certificate(law, final, threshold) for _ in filters]
+    for each, on in zip(made, filters):
+        if not on:
+            each.b_max = math.inf
+    run = engine._VectorState([ParticleMeasure.delta(0)] * 2, n, [40, 24],
+                              [derive(seed, 0), derive(seed, 1)])
+    for k in range(n):
+        results = [each.settle(run, n - k) for each in made]
+        yield made, run, n - k, results
+        settled = results[0][0]
+        if settled.size == run.v.shape[0]:
+            return
+        if settled.size:
+            keep = np.ones(run.v.shape[0], dtype=bool)
+            keep[settled] = False
+            run.keep_rows(keep)
+        run.step(law)
+
+
+@pytest.mark.parametrize("text,target,threshold,seed", _SETTLE_RUNS)
+def test_settle_prefilter_changes_no_outcome(text, target, threshold, seed):
+    # settle drops the rows whose Chebyshev ratio b alone keeps the bound
+    # t_0 b^r above eps before it takes the power and the polynomial; with
+    # the filter off (b_max = inf) it returns the same rows, outcomes and
+    # bounds at every generation
+    filtered_out = settled = 0
+    for (plain, _), run, j, (got, want) in _settle_along(
+            text, target, threshold, seed, filters=(True, False)):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        at_gate = run.v.sum(axis=1) >= np.ldexp(plain.gate, -run.exp2)
+        filtered_out += at_gate.any() and not got[0].size
+        settled += got[0].size
+    assert settled > 0 and filtered_out > 0
+
+
+@pytest.mark.parametrize("text,target,threshold,seed", _SETTLE_RUNS)
+def test_settled_bounds_round_up_their_exact_value(text, target, threshold, seed):
+    # each settled row's bound, recomputed in exact rationals from the
+    # lowered Z_k(R) and margin that settle rounds to floats, b^r (t_0 +
+    # t_1 / N + ... + t_(r-1) / N^(r-1)) with b = c^2 K / (N g^2), lies
+    # below the float bound and within 2^-40 of it
+    law = BranchingLaw.parse(text)
+    checked = 0
+    for (certificate,), run, j, ((rows, _, bounds),) in _settle_along(
+            text, target, threshold, seed):
+        width = run.v.shape[1]
+        table = engine._walk_table(j, certificate.target, run.lo, run.stride, width)
+        slack = (width + 2) * 2.0 ** -52
+        for row, bound in zip(rows.tolist(), bounds.tolist()):
+            counts = run.v[[row]]   # 2-D, summed along the row as settle sums it
+            total = counts.sum(axis=1)[0]
+            gap = (counts * table).sum(axis=1)[0] / total - threshold
+            margin = Fraction(abs(gap) - slack - engine._table_error(j, certificate.components))
+            low = Fraction(total * (1.0 - slack)) * 2 ** int(run.exp2[row])
+            c = max(abs(Fraction(threshold)), abs(1 - Fraction(threshold)))
+            b = c * c * Fraction(engine._limit_moments(law)[2]) / (low * margin * margin)
+            exact = b ** certificate.order * sum(
+                Fraction(t) / low ** l for l, t in enumerate(certificate.terms))
+            assert exact <= Fraction(bound) <= exact * (1 + Fraction(1, 2 ** 40))
+            checked += 1
+    assert checked > 0
+
+
+# (m_0, ..., m_24) of `_limit_moments` and (t_0, ..., t_11) of `_bound_terms`
+# as float.hex, checked against the Galton-Watson recursion and the
+# integer-partition sums above; the overflow law's m_12 and every later
+# moment are inf, and its terms stop at r = 5
 _MOMENT_GOLDEN = {
     "2:1": (
         ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
          "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
          "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
          "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
          "0x1.0000000000000p+0"),
-        ("0x1.44d8000000000p+13", "0x1.2814e00000000p+23", "0x1.cab1000000000p+27",
-         "0x1.895fa00000000p+27", "0x1.f060000000000p+22", "0x1.0000000000000p+12"),
+        ("0x1.26841857e4000p+38", "0x1.5e1f08f07c0c0p+51", "0x1.0804dd57ea22bp+61",
+         "0x1.015922322b5aep+68", "0x1.6b393cd9b91c3p+72", "0x1.832342d580d00p+74",
+         "0x1.5510e9deae701p+74", "0x1.0237ef91f6f23p+72", "0x1.29f088723d9a0p+67",
+         "0x1.5aa9f9becc000p+59", "0x1.fffc600000000p+46", "0x1.0000000000000p+24"),
     ),
     "2:0.5,3:0.5": (
         ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1111111111112p+0",
          "0x1.342cdc67600fbp+0", "0x1.6ce39b067d34cp+0", "0x1.c1c6cb6554a8bp+0",
          "0x1.1eb3a58ec4dc8p+1", "0x1.7808e4c44c1f4p+1", "0x1.f94fbe0415ca0p+1",
          "0x1.5abb8ad04c887p+2", "0x1.e4bc63403b743p+2", "0x1.587d06681a701p+3",
-         "0x1.f106daf1f7fffp+3"),
-        ("0x1.44d8000000000p+13", "0x1.6307ea5fa5fa6p+23", "0x1.56e27f374c304p+28",
-         "0x1.9fe1218f87b39p+28", "0x1.c88c498ad8878p+24", "0x1.5172ce0f02ff5p+15"),
+         "0x1.f106daf1f7fffp+3", "0x1.6b805bdeb8adbp+4", "0x1.0d3b09c00069ep+5",
+         "0x1.9388316f487b4p+5", "0x1.31c18cda4b6aep+6", "0x1.d426f5aa37d60p+6",
+         "0x1.69e8b8e14692bp+7", "0x1.1a5e338d1d0dfp+8", "0x1.bc7d25efc9429p+8",
+         "0x1.60c4f4d52f775p+9", "0x1.1a34d19414eeap+10", "0x1.c6f34ba3e5137p+10",
+         "0x1.7162da9403aaep+11"),
+        ("0x1.26841857e4000p+38", "0x1.a2cfba6a1c4b0p+51", "0x1.7d97973a3bd65p+61",
+         "0x1.ca7b14e915706p+68", "0x1.9edea9ff34e52p+73", "0x1.2e81961b1bafap+76",
+         "0x1.8c6f272c160dap+76", "0x1.ee584f922e0f2p+74", "0x1.0d3ae12affaf6p+71",
+         "0x1.6ef905cd468b0p+64", "0x1.e7bc6bf0041f0p+53", "0x1.5489cba8184c7p+34"),
     ),
     "2:0.995,200:0.005": (
         ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0e3beee05231bp+5",
          "0x1.3ab2ecad5c712p+11", "0x1.d4a344e7a6282p+17", "0x1.924cd6346ca28p+24",
          "0x1.7fea4e3f855bap+31", "0x1.9036c9bf62424p+38", "0x1.c2f4f4174211ap+45",
          "0x1.1091d749a0f72p+53", "0x1.5f6c3da147100p+60", "0x1.e0e686e875239p+67",
-         "0x1.5bcd142930ceep+75"),
-        ("0x1.44d8000000000p+13", "0x1.8578c3faa667cp+30", "0x1.e6b321e41e77dp+42",
-         "0x1.22e6610036833p+51", "0x1.0b9c09b27399ap+56", "0x1.f6c2416a26f2ep+56"),
+         "0x1.5bcd142930ceep+75", "0x1.08eebb043ecf3p+83", "0x1.a7c7445475c1bp+90",
+         "0x1.62e0d98943d63p+98", "0x1.366576852382bp+106", "0x1.1aeff202b8855p+114",
+         "0x1.0c3f2e9f9d479p+122", "0x1.08098238aef9ap+130", "0x1.0d618a77ace09p+138",
+         "0x1.1c70032ed2e2dp+146", "0x1.3666f81c4879fp+154", "0x1.5da53a5b16938p+162",
+         "0x1.960e19ed21f29p+170"),
+        ("0x1.26841857e4000p+38", "0x1.c6575fb87f2f1p+58", "0x1.d603ee47a471dp+75",
+         "0x1.5cf00fee5bba6p+90", "0x1.c554edd748e85p+102", "0x1.26025f2cbfcffp+113",
+         "0x1.b44b4d9a6a1e3p+121", "0x1.91817e480a007p+128", "0x1.c15fc45225cb1p+133",
+         "0x1.03e7430a784ccp+137", "0x1.8f4d71ef682e3p+137", "0x1.a83da6e32b446p+133"),
     ),
     "2:0.3,3:0.5,4:0.2": (
         ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.16c410b9d80b3p+0",
          "0x1.466d43cc3d4fcp+0", "0x1.968471f2432dep+0", "0x1.0ac0be7423e1ep+1",
          "0x1.6e313af8e5428p+1", "0x1.05574493dabbfp+2", "0x1.81f3a865efc24p+2",
          "0x1.25adab197673bp+3", "0x1.cb04468397592p+3", "0x1.6f6401deb32d8p+4",
-         "0x1.2c753f0e8e352p+5"),
-        ("0x1.44d8000000000p+13", "0x1.76daac165c65dp+23", "0x1.82a0505832562p+28",
-         "0x1.03fe9c558fe1dp+29", "0x1.53236956a8b23p+25", "0x1.686d000705dfdp+16"),
+         "0x1.2c753f0e8e352p+5", "0x1.f527569182af2p+5", "0x1.a98262475b718p+6",
+         "0x1.6f4c36c6bf6a7p+7", "0x1.41f173f7c67a6p+8", "0x1.1e40589b3ba3dp+9",
+         "0x1.01f3dcb24fc59p+10", "0x1.d6d17244e144dp+10", "0x1.b2d8a6bb3cde1p+11",
+         "0x1.963801bc6d305p+12", "0x1.7f9da4a00b54fp+13", "0x1.6e0c92f1c3767p+14",
+         "0x1.60c760023f40dp+15"),
+        ("0x1.26841857e4000p+38", "0x1.b9e207cf3fcbbp+51", "0x1.aa0b867daf26bp+61",
+         "0x1.106fa4847d3a6p+69", "0x1.097b7a54bfddfp+74", "0x1.a92c4230bd6edp+76",
+         "0x1.3a2a30a0a4a41p+77", "0x1.c94a921e8c37ap+75", "0x1.3162a1e963101p+72",
+         "0x1.1508d1ac12d91p+66", "0x1.23040b4fea928p+56", "0x1.fba7146e834bep+37"),
     ),
     "2:1,1e30:1e-30": (
         ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0d43b7bc05df2p+97",
          "0x1.3e9e4e4c2f345p+195", "0x1.e1356992e25cfp+293", "0x1.a2fac5cf1d563p+392",
          "0x1.95b7011e6ceedp+491", "0x1.ad674b6f39b45p+590", "0x1.eb86cb5efd32ap+689",
          "0x1.2df93a85f79b4p+789", "0x1.8befc965685bbp+888", "0x1.13a2911f695dcp+988",
-         "inf"),
-        ("inf", "inf", "inf", "inf", "inf", "inf"),
+         "inf", "inf", "inf", "inf", "inf", "inf", "inf", "inf", "inf", "inf", "inf",
+         "inf", "inf"),
+        ("0x1.d880000000000p+9", "0x1.2fe4db0c53361p+118", "0x1.00306d371a57ap+221",
+         "0x1.2dfabd794f1a4p+319", "0x1.338f5d0f278ccp+413"),
     ),
 }
 
@@ -922,7 +1133,7 @@ def test_law_totals_are_the_multinomial_draws(text):
 
 @pytest.mark.parametrize("power", [600, 1000])
 def test_retired_bounds_never_round_to_zero(power):
-    # 2^600 particles put b^6 near 2^-3600, far below the smallest float; the
+    # 2^600 particles put b^12 near 2^-7200, far below the smallest float; the
     # bound still rounds up, to the smallest positive float
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure.delta(0, count=2 ** power)

@@ -770,12 +770,14 @@ def test_rate_fit_degenerate_grid():
 # -- probes ---------------------------------------------------------------------------
 
 def test_concentration_delta_above_one_impossible():
-    # the threshold p = nu_n + 1 exceeds 1, so every row fails.  No row
-    # retires below the gate K (10395 / 1e-12)^(1/6), about 500 particles:
-    # at n = 2, 50 particles have at most 150 children before the last
-    # generation.  At n = 8 every row retires, as a failure: before the last
-    # generation it holds N >= 50 2^7 particles and |mu_k - p| >= nu_8 > 0.63,
-    # so b = p^2 K / (N (mu_k - p)^2) < 1.2e-3 and the bound is below 1e-13
+    # the threshold p = nu_n + 1 exceeds 1, so every row fails.  At n = 2 no
+    # row retires: 50 particles lie below the gate K (23!! / 1e-12)^(1/12),
+    # about 97, and their at most 150 children, at -1 or 1, have mu_1 >= 1/2,
+    # so b = p^2 K / (N (p - mu_1)^2) >= 0.0139 with p = 1.75, and the bound
+    # is at least 23!! b^12 > 1.7e-11.  At n = 8 every row retires, as a
+    # failure: before the last generation it holds N >= 50 2^7 particles and
+    # |mu_k - p| >= nu_8 > 0.63, so b = p^2 K / (N (mu_k - p)^2) < 1.2e-3
+    # and the bound is below 1e-13
     res = ldp.concentration_probe(50, HALF_LINE, 1.0, 2, LAW, 100, seed=6)
     assert res.frequency == 0.0 and res.decided_early == 0
     res = ldp.concentration_probe(50, HALF_LINE, 1.0, 8, LAW, 100, seed=6)
