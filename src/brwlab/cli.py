@@ -5,12 +5,13 @@ probe-typical, clt-scan.  Every output artifact embeds the seed, a hash of the
 science-relevant configuration, and the tool version, and re-running with the
 same seed reproduces the data rows byte for byte regardless of --threads.
 --threads N runs the replica blocks of ldp and the probes in N processes in
-all, the calling process included.  Each such command cuts every grid
-point's blocks into runs of consecutive blocks, at least one per process
-where there are enough, and hands all the runs to one map, which forks the
+all, the calling process included.  Each such command deals the blocks of
+all its grid points, which share one offspring law, round runs, at least
+one per process where there are enough, so a run holds blocks of any of
+the points' events; it hands all the runs to one map, which forks the
 N - 1 children and reaps them before it returns; without os.fork, every run
-steps in this process.  Every block draws from its own stream in any run,
-so the cut, which depends on N, changes no data row.  ldp and the probes
+steps in this process.  Every block draws from its own stream and tests its
+own event in any run, so the cut, which depends on N, changes no data row.  ldp and the probes
 also print the comment line ``decided_early=D replicas=R
 misdecision_bound=B``: D of all R replicas were retired early by the
 certificate, and B is the exactly rounded sum of their misdecision bounds,

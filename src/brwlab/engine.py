@@ -26,22 +26,24 @@ The kernel steps a run of blocks of replicas as one 2-D array, one row per
 replica, and runs it in two loops: `evolve` steps a run of one block to the
 end and records each generation's statistics (for `simulate` and the
 tests), and `event_outcomes` retires rows as their events settle (for the
-estimators, on runs of up to `run_blocks` blocks, which may belong to
-several estimates of one event and start from different counts of one
-layout).  When the start's occupied sites share one parity, a row stores
-only the sites of the parity occupied at the current generation.  Every
-block draws from its own generator: each generation makes one
-`BranchingLaw.totals` call (one multinomial; for two points, just its first
-binomial; for one point, none) and one binomial call over its small sites
-and one normal call over its big sites, the sites taken in row-major order,
-a contiguous slice of the run's.
-A block holds up to 256 replicas (`block_rows`), so each call's fixed cost
-is shared by the sites of many rows.  Everything else (the masks, the
-split, the rescale and the certificate) runs once per run and works row by
-row.  So a replica's trajectory depends
-on its block (its row, the rows beside it in the block and when they
-retire) but not on the other blocks of its run, and callers fix a block's
-composition independently of scheduling (see `ldp` and `cli`).
+estimators).  A run there holds blocks of any events of one law: each
+block has its own generations, target, threshold and strictness, and
+leaves the run at its last generation; the blocks may belong to one or
+several estimates and start from different counts of one layout.  When
+the start's occupied sites share one parity, a row stores only the sites
+of the parity occupied at the current generation.  Every block draws from
+its own generator: each generation makes one `BranchingLaw.totals` call
+(one multinomial; for two points, just its first binomial; for one point,
+none) and one binomial call over its small sites and one normal call over
+its big sites, the sites taken in row-major order, a contiguous slice of
+the run's.  A block holds up to 256 replicas (`block_rows`), so each
+call's fixed cost is shared by the sites of many rows.  Everything else
+(the masks, the split, the rescale and the certificate, whose walk tables
+are read once per event) runs once per run and works row by row.  So a
+replica's trajectory depends on its block (its row, the rows beside it in
+the block and when they retire) but not on the other blocks of its run,
+and callers fix a block's composition independently of scheduling (see
+`ldp` and `cli`).
 
 The estimators only ask whether a replica's final fraction in a set T clears
 a threshold p, and `event_outcomes` answers that with certified early
@@ -82,7 +84,6 @@ __all__ = [
     "EventOutcomes",
     "event_outcomes",
     "block_rows",
-    "run_blocks",
     "enumerate_exact",
 ]
 
@@ -298,21 +299,6 @@ def block_rows(zeta0: ParticleMeasure, n: int) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_SITES // final_width))
 
 
-def run_blocks(zeta0: ParticleMeasure, n: int) -> int:
-    """Blocks of `block_rows` rows that one run (one `event_outcomes` call)
-    may stack: as many as keep rows x final width within the budget of one
-    block, _BLOCK_SITES = 2^16, and at least one.
-
-    A start at one site gets runs of up to 256 / (n + 1) blocks of 256 rows,
-    so stacking pays where blocks are narrow and the kernel's fixed cost
-    per call is most of a step; from n = 128 on every block is a run of its
-    own.  A run's arrays are no larger than the largest block's, so a
-    process's peak memory does not grow with stacking.
-    """
-    final_width = _layout(zeta0, n)[3]
-    return max(1, _BLOCK_SITES // (block_rows(zeta0, n) * final_width))
-
-
 class _VectorState:
     """A run of replica blocks as dense per-site counts, one row per replica.
 
@@ -324,28 +310,31 @@ class _VectorState:
     the run's.  The starts may differ in their counts but must share one
     layout (`_layout`), so that every row has the same sites.  So a
     block draws as it would as a run of one, whatever blocks sit beside it.
-    The buffers are sized for the final width but the steps write only
-    their front, rows x current width.  A row's counts and its exponent are
-    all its state: the normal draws at sites above 2^53 particles take a
-    particle's weight 2**-exp2[r] from the exponent, so the rescale and
-    `keep_rows` keep nothing else in step.
+    Block i runs for at most ``steps[i]`` generations, and the buffers hold
+    every block at its own final width, but the steps write only their
+    front, rows x current width, so memory follows the width reached.  A
+    row's counts and its exponent are all its state: the normal draws at
+    sites above 2^53 particles take a particle's weight 2**-exp2[r] from the
+    exponent, so the rescale and `keep_rows` keep nothing else in step.
     """
 
     __slots__ = ("v", "lo", "stride", "exp2", "rngs", "ends", "_spare", "_work")
 
-    def __init__(self, starts: Sequence[ParticleMeasure], n: int,
+    def __init__(self, starts: Sequence[ParticleMeasure], steps: Sequence[int],
                  rows: Sequence[int], rngs: Sequence[np.random.Generator]):
-        if not len(starts) == len(rows) == len(rngs):
-            raise ValueError("one start and one generator per block")
-        layouts = {_layout(zeta0, n) for zeta0 in starts}
-        if len(layouts) != 1:
+        if not len(starts) == len(steps) == len(rows) == len(rngs):
+            raise ValueError("one start, generation count and generator per block")
+        layouts = [_layout(zeta0, n) for zeta0, n in zip(starts, steps)]
+        if len({layout[:3] for layout in layouts}) != 1:
             raise ValueError("the blocks' starts need one layout")
-        self.lo, self.stride, width, final_width = layouts.pop()
+        self.lo, self.stride, width, _ = layouts[0]
         self.ends = np.cumsum(rows)   # one past each block's last row
         total = int(self.ends[-1])
-        # two buffers sized for the final width; steps alternate between them
-        capacity = total * final_width
-        self.v = np.zeros(capacity)[:total * width].reshape(total, width)
+        # two buffers that hold every block at its final width; steps
+        # alternate between them, and only the front is ever read
+        capacity = sum(r * layout[3] for r, layout in zip(rows, layouts))
+        self.v = np.empty(capacity)[:total * width].reshape(total, width)
+        self.v.fill(0.0)
         for zeta0, first, last in zip(starts, self.ends - rows, self.ends):
             columns = [(x - self.lo) // self.stride for x in zeta0.counts]
             self.v[first:last, columns] = [float(c) for c in zeta0.counts.values()]
@@ -370,26 +359,40 @@ class _VectorState:
     def step(self, law: BranchingLaw) -> None:
         v = self.v
         rows, width = v.shape
-        # exact while the true count c <= 2^53 and c * kmax fits int64
-        limit = np.ldexp(float(min(_EXACT_MAX, (2 ** 63 - 1) // law.kmax)), -self.exp2)
-        big = v > limit[:, None]
-        small = v > 0.0
-        small ^= big
-        small_at = small.ravel().nonzero()[0]
-        big_at = big.ravel().nonzero()[0]
+        # exact while the true count c <= 2^53 and c * kmax fits int64; the
+        # smallest row limit is that of the largest exponent, and while no
+        # site passes it every occupied site is small and the masks are skipped
+        exact = float(min(_EXACT_MAX, (2 ** 63 - 1) // law.kmax))
+        top = int(self.exp2.max())
+        if float(v.max()) > math.ldexp(exact, -top):
+            big = v > np.ldexp(exact, -self.exp2)[:, None]
+            small = v > 0.0
+            small ^= big
+            small_at = small.ravel().nonzero()[0]
+            big_at = big.ravel().nonzero()[0]
+            big_ends = (big_at // width).searchsorted(self.ends).tolist()
+        else:
+            small_at = v.ravel().nonzero()[0]   # counts are never negative
+            big_at = np.zeros(0, dtype=np.intp)
+            big_ends = [0] * len(self.rngs)
 
         # each block draws its small sites' totals, then their splits, then
         # its big sites' normals, each in one call over its own sites in
         # row-major order: a slice of small_at or big_at, since a block's rows
         # are consecutive.  A block without sites of a kind makes no call.
         small_rows = small_at // width
-        small_exp2 = self.exp2[small_rows]
-        parents = np.rint(np.ldexp(v.reshape(-1)[small_at], small_exp2)).astype(np.int64)
+        parents = v.reshape(-1)[small_at]
+        if top:
+            small_exp2 = self.exp2[small_rows]
+            parents = np.rint(np.ldexp(parents, small_exp2))
+        # with every exponent 0 the counts are integer-valued floats already:
+        # exact draws are integers, and a normal draw's halves stay above 2^52
+        parents = parents.astype(np.int64)
         kids, drawn, normals = [], [], []   # the blocks' draws, in block order
         small_first = big_first = 0
         for rng, small_last, big_last in zip(self.rngs,
                                              small_rows.searchsorted(self.ends).tolist(),
-                                             (big_at // width).searchsorted(self.ends).tolist()):
+                                             big_ends):
             if small_last > small_first:
                 totals = law.totals(parents[small_first:small_last], rng)
                 kids.append(totals)
@@ -420,9 +423,13 @@ class _VectorState:
             np.maximum(right, 0.0, out=right)
             np.minimum(right, t, out=right)
         if small_at.size:
-            t.reshape(-1)[small_at] = np.ldexp(np.concatenate(kids, dtype=float), -small_exp2)
-            right.reshape(-1)[small_at] = np.ldexp(np.concatenate(drawn, dtype=float),
-                                                   -small_exp2)
+            kids = np.concatenate(kids, dtype=float)
+            drawn = np.concatenate(drawn, dtype=float)
+            if top:
+                kids = np.ldexp(kids, -small_exp2)
+                drawn = np.ldexp(drawn, -small_exp2)
+            t.reshape(-1)[small_at] = kids
+            right.reshape(-1)[small_at] = drawn
         left = np.subtract(t, right, out=spare)
         np.subtract(t, left, out=right)   # exact (Fast2Sum): left + right == t in floats
 
@@ -448,12 +455,15 @@ class _VectorState:
         self.v[...] = kept
         self.exp2 = self.exp2[keep]
 
-    def fraction_in(self, first: np.ndarray, last: np.ndarray) -> np.ndarray:
-        """Fraction of each row's particles at sites inside the integer ranges
-        [first, last], one per component (see `IntervalSet.site_ranges`)."""
+    def fraction_in(self, first: np.ndarray, last: np.ndarray,
+                    rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Fraction of the particles of each of ``rows`` (every row by
+        default) at sites inside the integer ranges [first, last], one per
+        component (see `IntervalSet.site_ranges`)."""
         sites = self.positions()
         inside = ((sites >= first[:, None]) & (sites <= last[:, None])).any(axis=0)
-        return self.v[:, inside].sum(axis=1) / self.v.sum(axis=1)
+        v = self.v[rows]
+        return v[:, inside].sum(axis=1) / v.sum(axis=1)
 
 
 # -- evolve ----------------------------------------------------------------------
@@ -479,7 +489,7 @@ def evolve(zeta0: ParticleMeasure, law: BranchingLaw, n: int, rows: int,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    block = _VectorState([zeta0], n, [rows], [rng])
+    block = _VectorState([zeta0], [n], [rows], [rng])
     roots = np.sqrt(np.arange(n + 1.0))
     roots[0] = 1.0   # the set unscaled at k = 0
     firsts, lasts = trajectory_set.site_ranges(roots[:, None])
@@ -532,7 +542,7 @@ class EventOutcomes:
     """Per-replica outcome of one `event_outcomes` run, its blocks end to end."""
 
     hits: np.ndarray        # bool: the event happened, or was certified to
-    decided_at: np.ndarray  # generation the row retired at; n if it ran to the end
+    decided_at: np.ndarray  # generation the row retired at; its steps if it ran to the end
     bounds: np.ndarray      # each retired row's misdecision bound, > 0; 0 for full runs
 
 
@@ -561,14 +571,20 @@ class _Certificate:
     run until then.  mu_k reads the walk law from a float table with a
     derived error bound (`_walk_table`, `_table_error`), which the margin
     absorbs.
+
+    One certificate serves a run of blocks of several events of one law,
+    ``events`` being their (steps, target, threshold, strictness): T, p and
+    with them c^2 K are per row, the tables are per event, and the gate and
+    `b_max` depend on the law alone.
     """
 
-    def __init__(self, law: BranchingLaw, target: IntervalSet, threshold: float):
-        self.target = target
-        self.components = len(target.components)
-        self.threshold = threshold
+    def __init__(self, law: BranchingLaw,
+                 events: Sequence[tuple[int, IntervalSet, float, bool]]):
+        self.events = list(events)
         k_factor = _limit_moments(law)[2]
-        self.c2k = max(abs(threshold), abs(1.0 - threshold)) ** 2 * k_factor
+        self.thresholds = np.array([threshold for _, _, threshold, _ in self.events])
+        self.c2k = np.array([max(abs(threshold), abs(1.0 - threshold)) ** 2 * k_factor
+                             for _, _, threshold, _ in self.events])
         self.terms = _bound_terms(law)
         self.order = len(self.terms)
         self.gate = k_factor * (self.terms[0] / _DECIDE_EPS) ** (1.0 / self.order)
@@ -576,9 +592,10 @@ class _Certificate:
         # widened by 2^-40 for the roundings of the quotient and the root
         self.b_max = (_DECIDE_EPS / self.terms[0]) ** (1.0 / self.order) * (1.0 + 2.0 ** -40)
 
-    def settle(self, run: _VectorState, j: int):
-        """(rows, outcomes, bounds) of the run's rows settled with j
-        generations left, as arrays.
+    def settle(self, run: _VectorState, k: int, event: np.ndarray):
+        """(rows, outcomes, bounds) of the run's rows settled at generation
+        k, as arrays, row r testing ``events[event[r]]`` with its steps - k
+        generations left (at least one).
 
         Only rows with Z_k(R) at the gate can pass, so the walk-law table and
         mu_k are computed for those rows alone, and for none until one
@@ -636,19 +653,27 @@ class _Certificate:
         rows = (totals >= np.ldexp(self.gate, -run.exp2)).nonzero()[0]
         if not rows.size:
             return _NONE_SETTLED
-        table = _walk_table(j, self.target, run.lo, run.stride, width)
+        mine = event[rows]
+        present = np.bincount(mine).nonzero()[0].tolist()
+        # each event's table and its error, read once
+        tables = np.empty((len(self.events), width))
+        errors = np.empty(len(self.events))
+        for e in present:
+            steps, target, _, _ = self.events[e]
+            tables[e] = _walk_table(steps - k, target, run.lo, run.stride, width)
+            errors[e] = _table_error(steps - k, len(target.components))
         totals = totals[rows]
         terms = v[rows]
-        terms *= table
-        gaps = terms.sum(axis=1) / totals - self.threshold
+        terms *= tables[present[0]] if len(present) == 1 else tables[mine]
+        gaps = terms.sum(axis=1) / totals - self.thresholds[mine]
         slack = (width + 2) * 2.0 ** -52
-        margins = np.abs(gaps) - slack - _table_error(j, self.components)
+        margins = np.abs(gaps) - slack - errors[mine]
         passing = margins > 0.0
         rows, gaps, margins = rows[passing], gaps[passing], margins[passing]
         exp2 = run.exp2[rows]
         low_totals = totals[passing] * (1.0 - slack)   # Z_k(R) 2^-exp2, rounded down
         # divisions only, so nothing underflows before the final scaling
-        chebyshev = self.c2k / low_totals / margins / margins   # b 2^exp2
+        chebyshev = self.c2k[mine[passing]] / low_totals / margins / margins   # b 2^exp2
         near = np.ldexp(chebyshev, -exp2) <= self.b_max
         if not near.any():
             return _NONE_SETTLED
@@ -858,57 +883,79 @@ def _bound_terms(law: BranchingLaw) -> tuple[float, ...]:
                  for l in range(order))
 
 
-def event_outcomes(starts: Sequence[ParticleMeasure], law: BranchingLaw, n: int,
-                   final_set: IntervalSet, threshold: float, strict: bool,
+def event_outcomes(starts: Sequence[ParticleMeasure], law: BranchingLaw,
+                   events: Sequence[tuple[int, IntervalSet, float, bool]],
                    rows: Sequence[int],
                    rngs: Sequence[np.random.Generator]) -> EventOutcomes:
-    """Whether each replica's final fraction inside ``final_set`` exceeds
-    ``threshold`` (``strict``) or reaches it, for a run of blocks of
-    ``rows[i]`` replicas of ``starts[i]``, block i drawing from ``rngs[i]``.
+    """Whether each replica's final fraction inside its target exceeds its
+    threshold (strictly) or reaches it, for a run of blocks of ``rows[i]``
+    replicas of ``starts[i]``, block i drawing from ``rngs[i]`` and testing
+    ``events[i]`` = (steps, target, threshold, strict) after its steps.
     The starts may differ in their counts but not in their layout, so one
-    run can hold the blocks of several estimates of one event.
+    run can hold the blocks of any events of one law, and of several
+    estimates of each.
 
     Steps the run as one `_VectorState`, but before each generation k
     retires every row whose outcome a 24th-moment bound settles: the row
     takes the sign of mu_k - threshold as its outcome once its misdecision
     bound is at most _DECIDE_EPS = 1e-12 (see `_Certificate`).  Retired rows
-    leave their block, and the run stops when none is left; rows never
-    settled run to the end and compare their final fraction.  Until a row
-    of a block first retires the block draws as `evolve` does with the same
-    generator; after that its remaining rows take later draws of its
-    stream, so a row that never retires may end differently from its full
-    run.  Every step and test works row by row and every block keeps its
-    own stream, so each block's outcomes are, bit for bit, those of a run
-    of that block alone; the arrays hold the blocks' outcomes end to end.
-    By the union bound, the chance that any retired row decides otherwise
-    than its full run would is at most the sum of their ``bounds``.
+    leave their block, and the rows of a block still live at its own steps
+    compare their final fraction and leave; the run stops when none is
+    left.  Until a row of a block first retires the block draws as `evolve`
+    does with the same generator; after that its remaining rows take later
+    draws of its stream, so a row that never retires may end differently
+    from its full run.  Every step and test works row by row and every
+    block keeps its own stream, so each block's outcomes are, bit for bit,
+    those of a run of that block alone; the arrays hold the blocks'
+    outcomes end to end.  By the union bound, the chance that any retired
+    row decides otherwise than its full run would is at most the sum of
+    their ``bounds``.
     """
-    if n < 0:
+    if min(steps for steps, _, _, _ in events) < 0:
         raise ValueError("n must be nonnegative")
-    run = _VectorState(starts, n, rows, rngs)
-    total = run.v.shape[0]
-    certificate = _Certificate(law, final_set, threshold)
-    ids = np.arange(total)
-    hits = np.zeros(total, dtype=bool)
-    decided_at = np.full(total, n)
-    bounds = np.zeros(total)
-    for k in range(n):
-        settled, outcomes, row_bounds = certificate.settle(run, n - k)
+    kinds = list(dict.fromkeys(events))
+    event = np.repeat([kinds.index(each) for each in events], rows)   # of each row
+    run = _VectorState(starts, [steps for steps, _, _, _ in events], rows, rngs)
+    certificate = _Certificate(law, kinds)
+    ending = {}   # generation -> the events whose blocks end there
+    for e, (steps, _, _, _) in enumerate(kinds):
+        ending.setdefault(steps, []).append(e)
+    ids = np.arange(event.size)
+    hits = np.zeros(event.size, dtype=bool)
+    decided_at = np.array([steps for steps, _, _, _ in kinds])[event]
+    bounds = np.zeros(event.size)
+
+    def leave(gone: np.ndarray) -> None:
+        nonlocal ids, event
+        keep = np.ones(ids.size, dtype=bool)
+        keep[gone] = False
+        ids, event = ids[keep], event[keep]
+        run.keep_rows(keep)
+
+    for k in range(max(ending) + 1):
+        if k in ending:
+            gone = []
+            for e in ending[k]:
+                _, target, threshold, strict = kinds[e]
+                mine = (event == e).nonzero()[0]
+                fracs = run.fraction_in(*target.site_ranges(), mine)
+                hits[ids[mine]] = fracs > threshold if strict else fracs >= threshold
+                gone.append(mine)
+            gone = np.concatenate(gone)
+            if gone.size:
+                leave(gone)
+                if not ids.size:
+                    break
+        settled, outcomes, row_bounds = certificate.settle(run, k, event)
         if settled.size:
             done = ids[settled]
             hits[done] = outcomes
             decided_at[done] = k
             bounds[done] = row_bounds
-            keep = np.ones(ids.size, dtype=bool)
-            keep[settled] = False
-            ids = ids[keep]
+            leave(settled)
             if not ids.size:
                 break
-            run.keep_rows(keep)
         run.step(law)
-    else:
-        fracs = run.fraction_in(*final_set.site_ranges())
-        hits[ids] = fracs > threshold if strict else fracs >= threshold
     return EventOutcomes(hits, decided_at, bounds)
 
 

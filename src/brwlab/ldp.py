@@ -17,14 +17,16 @@ count alone: block b holds replicas [b R, (b + 1) R) (the last block may be
 shorter) and draws from the one stream ``derive(*seed, b)``.  Every
 ``seed`` argument below takes either an int or an index path as a tuple;
 the CLI passes (seed, grid index), so no two grid points or seeds share a
-stream.  The estimates of one event (law, steps, target, threshold and
-strictness) that a pool runs in one map, which differ only in start count,
-seed and replicas, have their blocks cut together, in estimate order, into
-runs of consecutive blocks, one per process, or more where a run would grow
-too wide (`_jobs`); so a run holds blocks of one event, possibly of several
-estimates.  Each run steps as one array through `engine.event_outcomes`,
-the one simulation kernel, every block still drawing from its own stream;
-so an estimate is the same for any worker count and any cut.  The kernel
+stream.  The estimates of one offspring law that a pool runs in one map,
+whatever their steps, target, threshold, strictness, start count, seed and
+replicas, have their blocks dealt together, in estimate order, round the
+runs, one per process, or more where a run would pass a block's budget of
+2^16 sites at each block's own final width (`_jobs`); so a run holds
+blocks of any events of one law, typically a share of every grid point.
+Each run steps as one array through `engine.event_outcomes`, the one
+simulation kernel, every block still drawing from its own stream, testing
+its own event and leaving at its own last generation; so an estimate is
+the same for any worker count and any cut.  The kernel
 retires a replica as soon as a 24th-moment bound of at most 1e-12
 certifies whether its final fraction clears the threshold, so in the shift
 regime replicas stop after 13 to 23 generations in the median, from n = 100
@@ -46,8 +48,8 @@ inherit the jobs' arguments, so only their results are pickled.  Where
 ``os.fork`` is missing, every job runs in the caller.  A pool told the
 event counts of several estimates ahead (`WorkerPool.expect`) runs all
 their runs of blocks in one map at the first of them, so the CLI runs each
-command's blocks in one map, and the populations of a concentration probe,
-all of one event, share their runs.
+command's blocks in one map, and the grid points of a command, all of one
+law, share their runs.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import (BranchingLaw, ParticleMeasure, _bound_terms, block_rows,
-                     event_outcomes, run_blocks)
+from .engine import (_BLOCK_SITES, BranchingLaw, ParticleMeasure, _bound_terms,
+                     _layout, block_rows, event_outcomes)
 from .errors import InfeasibleError
 from .gaussian import nu, nu_n_of_set, varphi
 from .intervals import IntervalSet
@@ -283,10 +285,10 @@ class WorkerPool:
         """Announce event counts that estimates given this pool will ask for.
 
         The first count asked for runs the blocks of every announced task in
-        one map: the tasks of each event, in the order given, have their
-        blocks cut together into runs for this pool's processes (`_jobs`),
-        the events in the order of their first task.  The other counts are
-        then handed out as asked.
+        one map: the tasks of each offspring law, in the order given, have
+        their blocks cut together into runs for this pool's processes
+        (`_jobs`), the laws in the order of their first task.  The other
+        counts are then handed out as asked.
         """
         self._expected += tasks
 
@@ -295,11 +297,13 @@ class WorkerPool:
         if task not in self._counted:
             batch = self._expected if task in self._expected else self._expected + [task]
             self._expected = []
-            events: dict[tuple, list[_EventTask]] = {}
+            laws: dict[BranchingLaw, list[_EventTask]] = {}
             for each in dict.fromkeys(batch):   # a task given twice is counted once
-                events.setdefault(each.event, []).append(each)
-                _bound_terms(each.law)   # built here, so forked children inherit them
-            jobs = [job for tasks in events.values() for job in _jobs(tasks, self.workers)]
+                laws.setdefault(each.law, []).append(each)
+            jobs = []
+            for law, tasks in laws.items():
+                _bound_terms(law)   # built here, so forked children inherit them
+                jobs += _jobs(tasks, self.workers)
             parts: dict[_EventTask, list] = {}
             for job, counts in zip(jobs, self.map(_count_events, jobs)):
                 for (each, _, _), part in zip(job, counts):
@@ -415,12 +419,6 @@ class _EventTask:
     seed: tuple[int, ...]
     replicas: int
 
-    @property
-    def event(self) -> tuple:
-        """What the tasks whose blocks share a run agree on: all but the
-        start count, the seed and the replicas."""
-        return (self.law, self.steps, self.target, self.threshold, self.strict)
-
     def blocks(self) -> list[int]:
         """The rows of each replica block, in block order."""
         size = block_rows(ParticleMeasure.delta(0, count=self.start), self.steps)
@@ -429,35 +427,41 @@ class _EventTask:
 
 
 def _jobs(tasks: Sequence[_EventTask], processes: int) -> list[tuple]:
-    """`_count_events` jobs for tasks of one event, one per run of replica
+    """`_count_events` jobs for tasks of one law, one per run of replica
     blocks: each a tuple of (task, block, rows) triples, one per block.
 
-    The tasks' blocks, in task order and then block order, are cut into as
-    few runs as keep each within `engine.run_blocks` blocks, which keeps
-    its arrays small, and at least ``processes`` runs where there are that
-    many blocks, so every process can take one.  Run sizes differ by at
-    most one block, so no run holds more than ceil(blocks / processes).
-    Every start is one site at 0, so the tasks' blocks share one layout and
-    one `engine.run_blocks`; and every block draws from its own stream
-    whatever run it is in, so the cut changes no draw.
+    The tasks' blocks, in task order and then block order, are dealt round
+    the runs like cards: block i goes to run i mod R.  R is the fewest runs,
+    and at least ``processes`` where there are that many blocks, so that
+    every process can take one, that keep each run's rows x final width,
+    each block counted at its own final width, within the budget of one
+    block, _BLOCK_SITES = 2^16 (a block alone may exceed it).  Dealt so,
+    every run holds a share of each task's blocks where it has R or more,
+    and a task's blocks stay consecutive within a run, so the runs end at
+    about the same generation.  Every start is one site at 0, so the blocks
+    share one layout, and every block draws from its own stream whatever run
+    it is in, so the cut changes no draw.
     """
     blocks = [(task, b, rows) for task in tasks for b, rows in enumerate(task.blocks())]
-    first = tasks[0]
-    budget = run_blocks(ParticleMeasure.delta(0, count=first.start), first.steps)
-    runs = max(min(processes, len(blocks)), -(-len(blocks) // budget))
-    cuts = [len(blocks) * i // runs for i in range(runs + 1)]
-    return [tuple(blocks[a:b]) for a, b in zip(cuts, cuts[1:])]
+    sites = [rows * _layout(ParticleMeasure.delta(0, count=task.start), task.steps)[3]
+             for task, _, rows in blocks]
+    runs = min(processes, len(blocks))
+    while any(len(sites[r::runs]) > 1 and sum(sites[r::runs]) > _BLOCK_SITES
+              for r in range(runs)):
+        runs += 1
+    return [tuple(blocks[r::runs]) for r in range(runs)]
 
 
 def _count_events(job: tuple) -> list[tuple[int, list[float]]]:
     """(events, bounds of the rows retired early) of each block of one run."""
-    task = job[0][0]   # the run's event
     rows = [r for _, _, r in job]
     out = event_outcomes([ParticleMeasure.delta(0, count=each.start) for each, _, _ in job],
-                         task.law, task.steps, task.target, task.threshold, task.strict,
+                         job[0][0].law,
+                         [(each.steps, each.target, each.threshold, each.strict)
+                          for each, _, _ in job],
                          rows, [derive(*each.seed, b) for each, b, _ in job])
     ends = np.cumsum(rows)
-    retired = out.decided_at < task.steps
+    retired = out.bounds > 0.0   # a retired row's bound is positive, a full run's 0
     return [(int(np.count_nonzero(out.hits[a:b])), out.bounds[a:b][retired[a:b]].tolist())
             for a, b in zip(ends - rows, ends)]
 

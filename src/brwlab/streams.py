@@ -12,9 +12,9 @@ Every stream feeds one block of replicas, and the engine draws the whole
 block's sites from it in one call per kind of draw.  The estimators key a
 block ``(seed, grid index, block)`` and `simulate` keys it ``(seed,
 block)``.  The estimators step runs of blocks as one array, a run holding
-blocks of one event, possibly of several estimates (several grid indices),
-but each block keeps its own stream and makes the same calls on it as
-alone.  A replica that the engine retires early (see
+blocks of any events of one law, typically of several estimates (several
+grid indices), but each block keeps its own stream and makes the same calls
+on it as alone.  A replica that the engine retires early (see
 `engine.event_outcomes`) stops drawing, so the rows left in its block take
 later draws of the stream; the block's draws still depend only on its key.
 """

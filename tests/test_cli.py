@@ -471,12 +471,11 @@ def test_batched_grid_rows_equal_per_point_estimates(command, tmp_path, monkeypa
         assert code == 0
         texts.append(text)
     assert texts[0] == texts[1] == texts[2]
-    # ldp grid points are distinct events, so each point's blocks make one
-    # run per process, except that at one process the n = 100 point's two
-    # R-row blocks fill a run's 2^16 sites, so its third block is a run of
-    # its own; a probe's populations are one event, so their nine blocks
-    # make one run per process
-    assert maps == ([4, 6, 9] if command == "ldp" else [1, 2, 3])
+    # the grid points share one law, so their nine blocks are dealt round
+    # one run per process, except that at one process the ldp blocks hold
+    # 94,576 sites at their final widths (m = 31, 58 and 92 free
+    # generations), more than a run's 2^16, and are dealt round two runs
+    assert maps == ([2, 2, 3] if command == "ldp" else [1, 2, 3])
     rows = [line.split(",") for line in texts[0].splitlines()
             if not line.startswith("#")][1:]
     assert rows == [[_fmt(value) for value in row] for row in expected]

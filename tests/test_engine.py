@@ -135,7 +135,7 @@ def test_parity_invariant():
 def _aggregated_step(start: ParticleMeasure, law: BranchingLaw,
                      rng: np.random.Generator) -> ParticleMeasure:
     # one generation of a one-row block: the draws of a one-row `evolve`
-    block = engine._VectorState([start], 1, [1], [rng])
+    block = engine._VectorState([start], [1], [1], [rng])
     block.step(law)
     return measure_of(block, 0)
 
@@ -409,6 +409,7 @@ def test_block_normals_fill_first_then_second_draws():
 
 
 HALF_LINE = IntervalSet.below(0)
+ONE_EVENT = np.zeros(1, dtype=np.intp)   # `_Certificate.settle`'s event of a one-row run
 MIXED_START = ParticleMeasure({0: 2 ** 60, 2: 37, 4: 10 ** 6})
 
 
@@ -418,55 +419,86 @@ def _starts(*counts):
             for c in counts]
 
 
-@pytest.mark.parametrize("law_text,starts,n,threshold,rows,first_empties", [
-    ("2:0.5,3:0.5", _starts(100, 100), 16,
-     nu_n_of_set(16, HALF_LINE) + 0.005, [64, 36], False),
-    ("2:1", _starts(100, 100), 16,
-     nu_n_of_set(16, HALF_LINE) + 0.005, [64, 36], False),
-    ("2:0.5,3:0.5", _starts(2 ** 100, 2 ** 100), 6,
-     nu_n_of_set(6, HALF_LINE) + 5e-15, [5, 3], False),
-    ("2:0.3,3:0.5,4:0.2", [MIXED_START] * 3, 6, nu_n_of_set(6, HALF_LINE) + 1e-9,
-     [4, 7, 2], False),
-    ("2:0.5,3:0.5", _starts(100, 100, 100), 16,
-     nu_n_of_set(16, HALF_LINE) + 0.005, [2, 64, 36], True),
+def _one_event(n, threshold, blocks):
+    # every block of a run tests the same event on the half-line, strictly
+    return [(n, HALF_LINE, threshold, True)] * blocks
+
+
+_MIXED_EVENTS = [
+    # a shift point (n = 64, w = -6), a concentration population twice, a
+    # dilation point (n = 60, m = 12), and the empty set at 0, strictly and
+    # not, whose rows never retire and end all False and all True
+    (58, IntervalSet.below(6.0), 0.8, False),
+    (16, HALF_LINE, nu_n_of_set(16, HALF_LINE) + 0.005, True),
+    (12, IntervalSet.closed(-0.6744897501960817 * math.sqrt(60),
+                            0.6744897501960817 * math.sqrt(60)), 0.9, False),
+    (16, HALF_LINE, nu_n_of_set(16, HALF_LINE) + 0.005, True),
+    (6, EMPTY, 0.0, True),
+    (6, EMPTY, 0.0, False),
+]
+
+
+@pytest.mark.parametrize("law_text,starts,events,rows,first_empties", [
+    ("2:0.5,3:0.5", _starts(100, 100), _one_event(16, nu_n_of_set(16, HALF_LINE) + 0.005, 2),
+     [64, 36], False),
+    ("2:1", _starts(100, 100), _one_event(16, nu_n_of_set(16, HALF_LINE) + 0.005, 2),
+     [64, 36], False),
+    ("2:0.5,3:0.5", _starts(2 ** 100, 2 ** 100),
+     _one_event(6, nu_n_of_set(6, HALF_LINE) + 5e-15, 2), [5, 3], False),
+    ("2:0.3,3:0.5,4:0.2", [MIXED_START] * 3,
+     _one_event(6, nu_n_of_set(6, HALF_LINE) + 1e-9, 3), [4, 7, 2], False),
+    ("2:0.5,3:0.5", _starts(100, 100, 100),
+     _one_event(16, nu_n_of_set(16, HALF_LINE) + 0.005, 3), [2, 64, 36], True),
     # blocks of one layout from different counts, as a concentration
     # probe's populations share a run
-    ("2:0.5,3:0.5", _starts(1600, 100, 400), 16,
-     nu_n_of_set(16, HALF_LINE) + 0.005, [64, 36, 50], True),
+    ("2:0.5,3:0.5", _starts(1600, 100, 400),
+     _one_event(16, nu_n_of_set(16, HALF_LINE) + 0.005, 3), [64, 36, 50], True),
     ("2:0.3,3:0.5,4:0.2",
      _starts(MIXED_START.counts, {0: 2 ** 61, 2: 1, 4: 3}, {0: 2 ** 59, 4: 10 ** 6}),
-     6, nu_n_of_set(6, HALF_LINE) + 1e-9, [4, 7, 2], False),
+     _one_event(6, nu_n_of_set(6, HALF_LINE) + 1e-9, 3), [4, 7, 2], False),
+    # blocks of different events, as the grid points of one law share a
+    # run: steps, targets, thresholds, strictness and start counts differ
+    ("2:0.5,3:0.5", _starts(1, 100, 1, 400, 30, 30), _MIXED_EVENTS,
+     [64, 36, 50, 20, 3, 5], False),
+    # the first block ends at its own last generation, 6, and leaves
+    ("2:0.5,3:0.5", _starts(30, 400, 1, 100, 1), _MIXED_EVENTS[4::-1],
+     [3, 20, 50, 36, 64], True),
 ], ids=["binary-ternary", "deterministic", "all-normal", "mixed-sites",
-        "first-block-empties-early", "populations", "mixed-starts"])
-def test_run_of_blocks_equals_its_blocks_alone(law_text, starts, n, threshold, rows,
+        "first-block-empties-early", "populations", "mixed-starts", "mixed-events",
+        "mixed-events-reversed"])
+def test_run_of_blocks_equals_its_blocks_alone(law_text, starts, events, rows,
                                               first_empties):
-    # a run stacks blocks, each from its own start and drawing from its own
-    # stream: stepped to the end, and under early decision, each block ends
-    # bit for bit as it does as a run of one on the same key, however its
-    # neighbours start, draw or retire
+    # a run stacks blocks, each from its own start, drawing from its own
+    # stream and testing its own event: stepped for the generations they
+    # all take, and under early decision, each block ends bit for bit as it
+    # does as a run of one on the same key, however its neighbours start,
+    # draw, retire or end
     law = BranchingLaw.parse(law_text)
     seed = len(rows)
+    steps = [n for n, _, _, _ in events]
     firsts = np.cumsum([0] + rows[:-1]).tolist()
-    run = engine._VectorState(starts, n, rows, [derive(seed, b) for b in range(len(rows))])
-    alone = [engine._VectorState([start], n, [r], [derive(seed, b)])
-             for b, (start, r) in enumerate(zip(starts, rows))]
-    for _ in range(n):
+    run = engine._VectorState(starts, steps, rows, [derive(seed, b) for b in range(len(rows))])
+    alone = [engine._VectorState([start], [n], [r], [derive(seed, b)])
+             for b, (start, n, r) in enumerate(zip(starts, steps, rows))]
+    for _ in range(min(steps)):
         for block in [run] + alone:
             block.step(law)
         for first, r, block in zip(firsts, rows, alone):
             assert run.v[first:first + r].tolist() == block.v.tolist()
             assert run.exp2[first:first + r].tolist() == block.exp2.tolist()
-    out = engine.event_outcomes(starts, law, n, HALF_LINE, threshold, True, rows,
+    out = engine.event_outcomes(starts, law, events, rows,
                                 [derive(seed, b) for b in range(len(rows))])
     ends = []
-    for b, (start, first, r) in enumerate(zip(starts, firsts, rows)):
-        one = engine.event_outcomes([start], law, n, HALF_LINE, threshold, True,
-                                    [r], [derive(seed, b)])
+    for b, (start, event, first, r) in enumerate(zip(starts, events, firsts, rows)):
+        one = engine.event_outcomes([start], law, [event], [r], [derive(seed, b)])
         mine = slice(first, first + r)
         assert out.hits[mine].tolist() == one.hits.tolist()
         assert out.decided_at[mine].tolist() == one.decided_at.tolist()
         assert out.bounds[mine].tolist() == one.bounds.tolist()
         ends.append(int(one.decided_at.max()))
+        if event[1] is EMPTY:   # never settled: each row compares its final fraction
+            assert (one.decided_at == event[0]).all() and (one.bounds == 0.0).all()
+            assert one.hits.tolist() == [not event[3]] * r
     # rows retire after some steps, with bounds that any change of draws
     # would move
     assert (out.bounds > 0.0).any() and (out.decided_at > 0).all()
@@ -482,9 +514,9 @@ def test_run_of_blocks_equals_its_blocks_alone(law_text, starts, n, threshold, r
 def test_run_of_blocks_refuses_starts_of_different_layouts(starts):
     # every row of a run has the same sites, so the starts share one layout
     with pytest.raises(ValueError, match="layout"):
-        engine._VectorState(starts, 4, [2, 2], [derive(0, 0), derive(0, 1)])
+        engine._VectorState(starts, [4, 4], [2, 2], [derive(0, 0), derive(0, 1)])
     with pytest.raises(ValueError, match="one start"):
-        engine._VectorState(starts[:1], 4, [2, 2], [derive(0, 0), derive(0, 1)])
+        engine._VectorState(starts[:1], [4], [2, 2], [derive(0, 0), derive(0, 1)])
 
 
 def test_rescaled_rows_step_on_after_keep_rows():
@@ -499,8 +531,8 @@ def test_rescaled_rows_step_on_after_keep_rows():
     law = BranchingLaw.parse("2:0.9,3:0.1")
     start = ParticleMeasure.delta(0)
     rows, n, cut_at = [3, 2, 3], 800, 785
-    run = engine._VectorState([start] * 3, n, rows, [derive(5, b) for b in range(3)])
-    alone = [engine._VectorState([start], n, [r], [derive(5, b)])
+    run = engine._VectorState([start] * 3, [n] * 3, rows, [derive(5, b) for b in range(3)])
+    alone = [engine._VectorState([start], [n], [r], [derive(5, b)])
              for b, r in enumerate(rows)]
     for _ in range(cut_at):
         for block in [run] + alone:
@@ -547,8 +579,8 @@ def test_event_outcomes_draw_totals_once_per_live_block(monkeypatch, law_text,
 
     monkeypatch.setattr(engine._VectorState, "step", counting_step)
     monkeypatch.setattr(BranchingLaw, "totals", counting_totals)
-    out = engine.event_outcomes([start] * len(rows), law, 16, HALF_LINE,
-                                nu_n_of_set(16, HALF_LINE) + 0.05, True, rows,
+    event = (16, HALF_LINE, nu_n_of_set(16, HALF_LINE) + 0.05, True)
+    out = engine.event_outcomes([start] * len(rows), law, [event] * len(rows), rows,
                                 [derive(23, b) for b in range(len(rows))])
     # a row retired at generation k takes no step from k on
     block_of = np.repeat(np.arange(len(rows)), rows)
@@ -573,7 +605,7 @@ def test_event_outcomes_extreme_thresholds_match_full_runs(target, threshold, st
     # where mu_k equals the threshold (the full line at 1, the empty set at 0)
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure.delta(0, count=2 ** 44)
-    out = engine.event_outcomes([start], law, 6, target, threshold, strict, [4],
+    out = engine.event_outcomes([start], law, [(6, target, threshold, strict)], [4],
                                 [derive(14, 0)])
     fracs = _final_block(start, law, 6, 4, derive(14, 0)).fraction_in(*target.site_ranges())
     full = fracs > threshold if strict else fracs >= threshold
@@ -589,8 +621,9 @@ def test_event_outcomes_leave_the_prefix_row_cache_empty():
     gaussian._prefix_row.cache_clear()
     engine._walk_table.cache_clear()
     start = ParticleMeasure.delta(0, count=2 ** 44)
-    out = engine.event_outcomes([start], BranchingLaw.binary_ternary(), 6,
-                                IntervalSet.below(0), 1.5, True, [4], [derive(14, 0)])
+    out = engine.event_outcomes([start], BranchingLaw.binary_ternary(),
+                                [(6, IntervalSet.below(0), 1.5, True)], [4],
+                                [derive(14, 0)])
     assert (out.decided_at < 6).all()
     assert engine._walk_table.cache_info().currsize > 0
     assert gaussian._prefix_row.cache_info().currsize == 0
@@ -638,15 +671,15 @@ def test_certificate_margin_absorbs_the_table_error():
     law = BranchingLaw.binary_ternary()
     target = IntervalSet.below(0)
     j = 4 * 10 ** 4
-    block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 100)], 1, [1],
+    block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 100)], [1], [1],
                                 [derive(0, 0)])
     mu = float(engine._walk_table(j, target, 0, 2, 1)[0])
     slack = 3 * 2.0 ** -52   # (width + 2) 2^-52 at width 1
     delta = engine._table_error(j, 1)
-    inside = engine._Certificate(law, target, mu - (slack + delta / 2))
-    assert inside.settle(block, j)[0].size == 0
-    outside = engine._Certificate(law, target, mu - (slack + 2 * delta))
-    rows, outcomes, bounds = outside.settle(block, j)
+    inside = engine._Certificate(law, [(j, target, mu - (slack + delta / 2), False)])
+    assert inside.settle(block, 0, ONE_EVENT)[0].size == 0
+    outside = engine._Certificate(law, [(j, target, mu - (slack + 2 * delta), False)])
+    rows, outcomes, bounds = outside.settle(block, 0, ONE_EVENT)
     assert rows.tolist() == [0] and outcomes.tolist() == [True]
     assert 0.0 < bounds[0] <= 1e-12
 
@@ -877,7 +910,7 @@ def test_bound_terms_at_order_six(monkeypatch):
         law = BranchingLaw.binary_ternary()
         terms = engine._bound_terms(law)
         assert len(terms) == 6 and terms[0] == 10395.0
-        gate = engine._Certificate(law, IntervalSet.below(0), 0.5).gate
+        gate = engine._Certificate(law, [(1, IntervalSet.below(0), 0.5, True)]).gate
         assert 490 < gate < 510
     finally:
         engine._limit_moments.cache_clear()
@@ -891,10 +924,10 @@ def test_bound_terms_at_order_twelve():
     terms = engine._bound_terms(law)
     assert engine._ORDER == 12 and len(terms) == 12 and terms[0] == 316234143225.0
     assert terms[0] == math.prod(range(1, 24, 2))
-    gate = engine._Certificate(law, IntervalSet.below(0), 0.5).gate
+    gate = engine._Certificate(law, [(1, IntervalSet.below(0), 0.5, True)]).gate
     assert 95 < gate < 99
     heavy = BranchingLaw.parse("2:0.995,200:0.005")
-    assert 3060 < engine._Certificate(heavy, IntervalSet.below(0), 0.5).gate < 3080
+    assert 3060 < engine._Certificate(heavy, [(1, IntervalSet.below(0), 0.5, True)]).gate < 3080
 
 
 def test_round_up_factor_covers_the_bound_roundings():
@@ -919,11 +952,11 @@ def test_certificate_falls_back_to_a_lower_order_when_a_moment_overflows():
     assert moments[11] < math.inf == moments[12] == moments[24]
     terms = engine._bound_terms(law)
     assert len(terms) == 5 and terms[0] == 945.0 and max(terms) < math.inf
-    certificate = engine._Certificate(law, IntervalSet.below(0), 0.3)
+    certificate = engine._Certificate(law, [(1, IntervalSet.below(0), 0.3, False)])
     assert certificate.order == 5 and certificate.gate < 1e33
-    block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 150)], 1, [1],
+    block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 150)], [1], [1],
                                 [derive(0, 0)])
-    rows, outcomes, bounds = certificate.settle(block, 1)
+    rows, outcomes, bounds = certificate.settle(block, 0, ONE_EVENT)
     assert rows.tolist() == [0] and outcomes.tolist() == [True]
     assert 0.0 < bounds[0] <= 1e-12
 
@@ -934,11 +967,11 @@ def test_certificate_never_passes_when_a_moment_overflows():
     moments = engine._limit_moments(law)
     assert moments[3] < math.inf == moments[4]
     assert engine._bound_terms(law) == (math.inf,) * 2
-    certificate = engine._Certificate(law, IntervalSet.below(0), 0.5)
-    block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 100)], 1, [1],
+    certificate = engine._Certificate(law, [(1, IntervalSet.below(0), 0.5, False)])
+    block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 100)], [1], [1],
                                 [derive(0, 0)])
     assert certificate.gate == math.inf
-    assert certificate.settle(block, 1)[0].size == 0
+    assert certificate.settle(block, 0, ONE_EVENT)[0].size == 0
 
 
 _SETTLE_RUNS = [
@@ -956,14 +989,15 @@ def _settle_along(text, target, threshold, seed, filters=(True,)):
     the rows the first one settles retire."""
     law = BranchingLaw.parse(text)
     final, n = parse_set(target).scale(6.0), 36
-    made = [engine._Certificate(law, final, threshold) for _ in filters]
+    made = [engine._Certificate(law, [(n, final, threshold, False)]) for _ in filters]
     for each, on in zip(made, filters):
         if not on:
             each.b_max = math.inf
-    run = engine._VectorState([ParticleMeasure.delta(0)] * 2, n, [40, 24],
+    run = engine._VectorState([ParticleMeasure.delta(0)] * 2, [n, n], [40, 24],
                               [derive(seed, 0), derive(seed, 1)])
     for k in range(n):
-        results = [each.settle(run, n - k) for each in made]
+        event = np.zeros(run.v.shape[0], dtype=np.intp)   # every row tests the one event
+        results = [each.settle(run, k, event) for each in made]
         yield made, run, n - k, results
         settled = results[0][0]
         if settled.size == run.v.shape[0]:
@@ -1003,13 +1037,14 @@ def test_settled_bounds_round_up_their_exact_value(text, target, threshold, seed
     for (certificate,), run, j, ((rows, _, bounds),) in _settle_along(
             text, target, threshold, seed):
         width = run.v.shape[1]
-        table = engine._walk_table(j, certificate.target, run.lo, run.stride, width)
+        (_, final, _, _), = certificate.events
+        table = engine._walk_table(j, final, run.lo, run.stride, width)
         slack = (width + 2) * 2.0 ** -52
         for row, bound in zip(rows.tolist(), bounds.tolist()):
             counts = run.v[[row]]   # 2-D, summed along the row as settle sums it
             total = counts.sum(axis=1)[0]
             gap = (counts * table).sum(axis=1)[0] / total - threshold
-            margin = Fraction(abs(gap) - slack - engine._table_error(j, certificate.components))
+            margin = Fraction(abs(gap) - slack - engine._table_error(j, len(final.components)))
             low = Fraction(total * (1.0 - slack)) * 2 ** int(run.exp2[row])
             c = max(abs(Fraction(threshold)), abs(1 - Fraction(threshold)))
             b = c * c * Fraction(engine._limit_moments(law)[2]) / (low * margin * margin)
@@ -1137,7 +1172,7 @@ def test_retired_bounds_never_round_to_zero(power):
     # bound still rounds up, to the smallest positive float
     law = BranchingLaw.binary_ternary()
     start = ParticleMeasure.delta(0, count=2 ** power)
-    out = engine.event_outcomes([start], law, 4, parse_set("(-inf,0]"), 0.3, False,
+    out = engine.event_outcomes([start], law, [(4, parse_set("(-inf,0]"), 0.3, False)],
                                 [3], [derive(19, power)])
     assert (out.decided_at == 0).all() and out.hits.all()
     assert (out.bounds == 2.0 ** -1074).all()
@@ -1145,8 +1180,7 @@ def test_retired_bounds_never_round_to_zero(power):
 
 def test_block_rows_bounds_block_size():
     # at most 256 rows and 2^16 sites at the final width: from one particle,
-    # 256 rows up to n = 255 and one row from n = 32768, and runs stack
-    # blocks only below n = 128
+    # 256 rows up to n = 255 and one row from n = 32768
     delta = ParticleMeasure.delta(0)
     assert engine.block_rows(delta, 16) == 256
     assert engine.block_rows(delta, 255) == 256
@@ -1157,9 +1191,6 @@ def test_block_rows_bounds_block_size():
     assert engine.block_rows(delta, 32767) == 2
     assert engine.block_rows(delta, 32768) == 1
     assert engine.block_rows(delta, 10 ** 6) == 1
-    assert engine.run_blocks(delta, 16) == 2 ** 16 // (256 * 17)
-    assert engine.run_blocks(delta, 127) == 2
-    assert engine.run_blocks(delta, 128) == 1
 
 
 def test_evolve_validates():

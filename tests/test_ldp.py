@@ -439,23 +439,25 @@ def test_estimators_serial_with_fewer_blocks_than_workers(monkeypatch):
 
 
 def test_count_events_jobs_sum_to_the_one_task_estimate(monkeypatch):
-    # two blocks of R rows and one of 22, one job per run: the jobs' events
-    # and retired rows, summed in job order, make the estimate, and every
-    # cut gives the same ones
+    # two blocks of R rows and one of 22, one job per run, dealt round the
+    # runs: the jobs' events and retired rows, summed, make the estimate,
+    # and every cut gives each block the same ones
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
     spec = ldp.StrategySpec.make("shift", -Z80, 0.0, 64)
     size = engine.block_rows(ParticleMeasure.delta(0), spec.m)
     replicas = 2 * size + 22
     task = ldp._success_task(spec, HALF_LINE, 0.8, LAW, replicas, (83, 0))
     cuts = {1: [[(0, size), (1, size), (2, 22)]],
-            2: [[(0, size)], [(1, size), (2, 22)]],
+            2: [[(0, size), (2, 22)], [(1, size)]],
             3: [[(0, size)], [(1, size)], [(2, 22)]]}
     outcomes = []
     for workers, runs in cuts.items():
         jobs = ldp._jobs([task], workers)
         assert all(each is task for job in jobs for each, _, _ in job)
         assert [[(b, rows) for _, b, rows in job] for job in jobs] == runs
-        parts = [part for job in jobs for part in ldp._count_events(job)]
+        by_block = {b: part for job in jobs
+                    for (_, b, _), part in zip(job, ldp._count_events(job))}
+        parts = [by_block[b] for b in range(3)]
         bounds = [b for _, retired in parts for b in retired]
         est = ldp.conditional_success_estimate(spec, HALF_LINE, 0.8, LAW, replicas,
                                                seed=(83, 0), workers=workers)
@@ -480,8 +482,8 @@ def test_count_events_of_a_shared_run_are_each_block_alone():
 
 
 def test_concentration_populations_share_runs_and_equal_one_task_pools(monkeypatch):
-    # a probe's populations are one event, so one pool cuts their blocks
-    # together: at one worker into one run of all nine blocks, else into a
+    # a probe's populations share a law, so one pool deals their blocks
+    # together: at one worker into one run of all nine blocks, else round a
     # run per process.  Every estimate, its retired rows and their bound
     # included, is the one it gets from a pool of its own at any worker count
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 3)
@@ -505,35 +507,43 @@ def test_concentration_populations_share_runs_and_equal_one_task_pools(monkeypat
         pool = ldp.WorkerPool(workers)
         pool.expect([ldp._concentration_task(*point) for point in points])
         shared = [ldp.concentration_probe(*point, workers=pool) for point in points]
-        assert maps == [{1: [9], 2: [4, 5], 3: [3, 3, 3]}[workers]]
+        assert maps == [{1: [9], 2: [5, 4], 3: [3, 3, 3]}[workers]]
         assert shared == alone
         assert [ldp.concentration_probe(*point, workers=workers)
                 for point in points] == alone
     _assert_no_child_left()
 
 
-def _assert_cut_into_runs(steps, tasks, processes):
-    # the tasks' blocks, in task order and then block order, each once, in
-    # runs of consecutive blocks: at most ceil(blocks / processes) of them
-    # and within a block's budget of 2^16 sites at the final width, unless
-    # one block alone exceeds it; no more runs than these two bounds and
-    # one run per process ask for
+def _assert_cut_into_runs(tasks, processes):
+    # the tasks' blocks, in task order and then block order, each once,
+    # dealt round the runs: block i in run i mod R.  Each run stays within
+    # a block's budget of 2^16 sites, every block counted at its own final
+    # width, unless it is one block alone over the budget; R is at least one
+    # run per process where there are that many blocks, and no other deal
+    # into fewer runs keeps the budget
     tasks = [ldp._EventTask(LAW, steps, start, HALF_LINE, 0.5, True, (0, i), replicas)
-             for i, (start, replicas) in enumerate(tasks)]
-    zeta0 = ParticleMeasure.delta(0)
-    size = engine.block_rows(zeta0, steps)
-    blocks = [(task, b, min(size, task.replicas - first)) for task in tasks
-              for b, first in enumerate(range(0, task.replicas, size))]
-    final_width = engine._layout(zeta0, steps)[3]
+             for i, (start, steps, replicas) in enumerate(tasks)]
+    blocks, sites = [], []
+    for task in tasks:
+        zeta0 = ParticleMeasure.delta(0, count=task.start)
+        size = engine.block_rows(zeta0, task.steps)
+        final_width = engine._layout(zeta0, task.steps)[3]
+        for b, first in enumerate(range(0, task.replicas, size)):
+            blocks.append((task, b, min(size, task.replicas - first)))
+            sites.append(blocks[-1][2] * final_width)
+
+    def keeps_budget(runs):
+        return all(len(sites[r::runs]) == 1 or sum(sites[r::runs]) <= engine._BLOCK_SITES
+                   for r in range(runs))
+
     jobs = ldp._jobs(tasks, processes)
-    assert [block for job in jobs for block in job] == blocks
-    for job in jobs:
-        assert len(job) <= -(-len(blocks) // processes)
-        assert sum(rows for _, _, rows in job) * final_width <= engine._BLOCK_SITES \
-            or len(job) == 1
-    budget = max(1, engine._BLOCK_SITES // (size * final_width))
-    assert len(jobs) == max(min(processes, len(blocks)), -(-len(blocks) // budget))
-    if steps == 10 ** 6:   # a one-row block over the budget is a run of its own
+    runs = len(jobs)
+    assert jobs == [tuple(blocks[r::runs]) for r in range(runs)]   # so each block once
+    assert keeps_budget(runs)
+    least = min(processes, len(blocks))
+    assert runs >= least
+    assert not any(keeps_budget(fewer) for fewer in range(least, runs))
+    if all(task.steps == 10 ** 6 for task in tasks):   # one-row blocks over the budget
         assert all(len(job) == 1 for job in jobs)
 
 
@@ -544,25 +554,33 @@ def _assert_cut_into_runs(steps, tasks, processes):
 @pytest.mark.parametrize("processes", [1, 2, 3])
 def test_event_task_jobs_cut_blocks_into_runs(start, steps, replicas, processes):
     # a group of one task: one estimate's blocks alone
-    _assert_cut_into_runs(steps, [(start, replicas)], processes)
+    _assert_cut_into_runs([(start, steps, replicas)], processes)
 
 
-@pytest.mark.parametrize("steps,tasks", [
-    (16, [(1, 500), (100, 130), (1600, 3)]), (16, [(7, 64 * 300), (9, 20)]),
-    (128, [(1, 1000), (2, 300)]), (10 ** 6, [(1, 3), (2, 2)]),
-], ids=["populations", "wide-and-short", "one-block-runs", "over-budget"])
+@pytest.mark.parametrize("tasks", [
+    [(1, 16, 500), (100, 16, 130), (1600, 16, 3)],
+    [(7, 16, 64 * 300), (9, 16, 20)],
+    [(1, 128, 1000), (2, 128, 300)],
+    [(1, 10 ** 6, 3), (2, 10 ** 6, 2)],
+    # the free generations of the dilation-ldp and shift-ldp workloads' grid
+    # points: one run and three
+    [(1, 12, 500), (1, 22, 500), (1, 42, 500)],
+    [(1, 92, 100), (1, 384, 100), (1, 875, 100)],
+    [(1, 10 ** 6, 1), (1, 16, 600), (30, 8, 40)],
+], ids=["populations", "wide-and-short", "one-block-runs", "over-budget",
+        "dilation-grid", "shift-grid", "over-budget-among-narrow"])
 @pytest.mark.parametrize("processes", [1, 2, 3])
-def test_jobs_cut_the_blocks_of_several_tasks_into_runs(steps, tasks, processes):
-    # tasks of one event: their blocks are cut together, and a run may hold
-    # the end of one task's blocks and the start of the next one's
-    _assert_cut_into_runs(steps, tasks, processes)
+def test_jobs_cut_the_blocks_of_several_tasks_into_runs(tasks, processes):
+    # tasks of one law, of one event or of several: their blocks are dealt
+    # together, so a run may hold blocks of every task
+    _assert_cut_into_runs(tasks, processes)
 
 
 def test_estimators_worker_invariant_beyond_one_ticket_per_block(monkeypatch):
     # 520 estimates of two full blocks in one map, each of its own event (a
-    # delta of its own), so no two share a run: at two workers each block is
-    # a run of its own, and the 1,040 jobs exceed the PIPE_BUF / 4 tickets
-    # of one pipe write (1,024 on Linux), so tickets stand for runs of jobs
+    # delta of its own): 1,040 blocks, more than the PIPE_BUF / 4 tickets of
+    # one pipe write (1,024 on Linux), but of one law, so they are dealt
+    # round nine runs of 2^16 sites or less, at one worker and at two
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
     maps = []
     original = ldp.WorkerPool.map
@@ -577,6 +595,7 @@ def test_estimators_worker_invariant_beyond_one_ticket_per_block(monkeypatch):
     points = [(pop, HALF_LINE, 0.01 + pop * 1e-9, 1, LAW, replicas, (84, pop))
               for pop in pops]
     assert 2 * len(pops) > select.PIPE_BUF // 4
+    assert 2 * len(pops) * 256 * 2 == 532_480   # blocks x rows x final width
     frequencies = []
     for workers in (1, 2):
         pool = ldp.WorkerPool(workers)
@@ -584,7 +603,7 @@ def test_estimators_worker_invariant_beyond_one_ticket_per_block(monkeypatch):
         with _deadline(60):
             frequencies.append([ldp.concentration_probe(*point, workers=pool).frequency
                                 for point in points])
-    assert maps == [len(pops), 2 * len(pops)]
+    assert maps == [9, 9]
     assert frequencies[0] == frequencies[1]
     assert 0.0 < min(frequencies[0]) and max(frequencies[0]) < 1.0
     _assert_no_child_left()
@@ -595,7 +614,7 @@ def test_estimators_worker_invariant_beyond_one_ticket_per_block(monkeypatch):
 def _surviving_fractions(start, law, n, target, rows, rng, decided_at):
     """Final fractions of the rows of an `event_outcomes` block that never
     retired, replaying the block's retirements on the same stream."""
-    block = engine._VectorState([start], n, [rows], [rng])
+    block = engine._VectorState([start], [n], [rows], [rng])
     alive = np.arange(rows)
     for k in range(n):
         keep = decided_at[alive] != k
@@ -629,11 +648,12 @@ def _shadow_run(start, law, n, target, p, strict, rows, rng):
     """A block stepped to the end without retiring, `_Certificate.settle`
     asked before every generation: each row's first certified (outcome,
     bound), by row, and every row's outcome from its own final fraction."""
-    block = engine._VectorState([start], n, [rows], [rng])
-    certificate = engine._Certificate(law, target, p)
+    block = engine._VectorState([start], [n], [rows], [rng])
+    certificate = engine._Certificate(law, [(n, target, p, strict)])
+    event = np.zeros(rows, dtype=np.intp)   # every row tests the one event
     first = {}
     for k in range(n):
-        settled, outcomes, bounds = certificate.settle(block, n - k)
+        settled, outcomes, bounds = certificate.settle(block, k, event)
         for row, outcome, bound in zip(settled.tolist(), outcomes.tolist(),
                                        bounds.tolist()):
             first.setdefault(row, (outcome, bound))
@@ -678,7 +698,7 @@ def test_early_decisions_match_full_runs(law, population, steps, target, p,
             assert 0.0 < bound <= 1e-12
         certified += len(first)
         never += size - len(first)
-        out = engine.event_outcomes([start], law, steps, target, p, strict,
+        out = engine.event_outcomes([start], law, [(steps, target, p, strict)],
                                     [size], [derive(11, idx, block)])
         retired = out.decided_at < steps
         assert ((out.bounds[retired] > 0.0) & (out.bounds[retired] <= 1e-12)).all()
