@@ -6,7 +6,7 @@ particle system with one vector kernel, and verifies the decay laws at desk
 scale.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .engine import BranchingLaw, ParticleMeasure
 from .intervals import IntervalSet, parse_set

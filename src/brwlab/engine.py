@@ -73,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, PopulationCapError
-from .gaussian import _paths_ending_in
+from .gaussian import _table_error, _walk_masses
 from .intervals import IntervalSet
 
 __all__ = [
@@ -316,9 +316,14 @@ class _VectorState:
     row's counts and its exponent are all its state: the normal draws at
     sites above 2^53 particles take a particle's weight 2**-exp2[r] from the
     exponent, so the rescale and `keep_rows` keep nothing else in step.
+    ``peak`` is an upper bound on every count, the largest after the last
+    step (or at the start), so one reduction per generation serves the
+    step's exactness test and the certificate's early exit; it stays an
+    upper bound when `keep_rows` drops rows.
     """
 
-    __slots__ = ("v", "lo", "stride", "exp2", "rngs", "ends", "_spare", "_work")
+    __slots__ = ("v", "lo", "stride", "exp2", "rngs", "ends", "peak", "_spare",
+                 "_work")
 
     def __init__(self, starts: Sequence[ParticleMeasure], steps: Sequence[int],
                  rows: Sequence[int], rngs: Sequence[np.random.Generator]):
@@ -342,6 +347,7 @@ class _VectorState:
         self._work = np.empty((3, capacity))   # step's scratch arrays
         self.exp2 = np.zeros(total, dtype=np.int64)
         self.rngs = list(rngs)
+        self.peak = float(self.v.max())
 
     def positions(self) -> np.ndarray:
         return self.lo + self.stride * np.arange(self.v.shape[1])
@@ -364,7 +370,7 @@ class _VectorState:
         # site passes it every occupied site is small and the masks are skipped
         exact = float(min(_EXACT_MAX, (2 ** 63 - 1) // law.kmax))
         top = int(self.exp2.max())
-        if float(v.max()) > math.ldexp(exact, -top):
+        if self.peak > math.ldexp(exact, -top):
             big = v > np.ldexp(exact, -self.exp2)[:, None]
             small = v > 0.0
             small ^= big
@@ -439,12 +445,14 @@ class _VectorState:
         grown[:, :width] = left
         grown[:, width:] = 0.0
         grown[:, grown.shape[1] - width:] += right
-        if grown.max() > _RESCALE_ABOVE:
+        self.peak = float(grown.max())
+        if self.peak > _RESCALE_ABOVE:
             peak = grown.max(axis=1)
             hot = np.flatnonzero(peak > _RESCALE_ABOVE)
             shifts = np.ceil(np.log2(peak[hot] / _RESCALE_TARGET)).astype(np.int64)
             grown[hot] = np.ldexp(grown[hot], -shifts[:, None])
             self.exp2[hot] += shifts
+            self.peak = float(grown.max())
 
     def keep_rows(self, keep: np.ndarray) -> None:
         """Drop the rows where ``keep`` is False; the others step on unchanged,
@@ -567,10 +575,10 @@ class _Certificate:
     b = c^2 K / (N g^2) is Chebyshev's bound and the t_l depend only on the
     law (`_bound_terms`), t_0 = (2r - 1)!!.  At r = 2 it is
     b^2 (3 + 16 m_4 / (K^2 N)).  Since |g| <= c, b >= K / N, so no row
-    passes while N < K (t_0 / eps)^(1/r), and the test costs one max over the
-    run until then.  mu_k reads the walk law from a float table with a
-    derived error bound (`_walk_table`, `_table_error`), which the margin
-    absorbs.
+    passes while N < K (t_0 / eps)^(1/r), and the test costs one comparison
+    with the run's ``peak`` until then.  mu_k reads the walk law from a
+    float table with a derived error bound (`_walk_table`, `_table_error`),
+    which the margin absorbs.
 
     One certificate serves a run of blocks of several events of one law,
     ``events`` being their (steps, target, threshold, strictness): T, p and
@@ -599,9 +607,9 @@ class _Certificate:
 
         Only rows with Z_k(R) at the gate can pass, so the walk-law table and
         mu_k are computed for those rows alone, and for none until one
-        reaches it; a max over the run skips the row sums while even the
-        largest site times the width stays below the gate.  mu_k uses the
-        float table `_walk_table`, whose entries are within
+        reaches it; the run's ``peak``, an upper bound on the largest site,
+        skips the row sums while it times the width stays below the gate.
+        mu_k uses the float table `_walk_table`, whose entries are within
         delta = `_table_error` of the exact walk law, so mu_k is within delta
         of its value under the exact table.  mu_k and Z_k(R) are row sums of
         at most w = width nonnegative terms, each a table entry times a
@@ -646,8 +654,8 @@ class _Certificate:
         """
         v = run.v
         width = v.shape[1]
-        # the largest site times the width bounds every row's Z_k(R) above
-        if float(v.max()) * width < math.ldexp(self.gate, -int(run.exp2.max())):
+        # a bound on the largest site times the width bounds every row's Z_k(R)
+        if run.peak * width < math.ldexp(self.gate, -int(run.exp2.max())):
             return _NONE_SETTLED
         totals = v.sum(axis=1)
         rows = (totals >= np.ldexp(self.gate, -run.exp2)).nonzero()[0]
@@ -694,74 +702,6 @@ class _Certificate:
         return rows[settled], gaps[settled] > 0.0, bounds[settled]
 
 
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _gamma(m: int) -> float:
-    """Higham's gamma_m = m u / (1 - m u): the relative error of m roundings."""
-    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
-
-
-def _walk_prefix_row(j: int) -> np.ndarray:
-    """row[i] = P(S_j < 2i - j) for i <= j + 1, in floats: the prefix row of
-    the j-step walk law, indexed as `gaussian._prefix_row`, built in O(j).
-
-    With h = ceil(j / 2) and m = floor(j / 2), the mode C(j, m) 2^-j is the
-    product of the h factors (2i - 1) / (2i), i <= h.  The pmf runs from it
-    upward by the ratios (j - l) / (l + 1), l = m, ..., j - 1, and downward by
-    l / (j - l + 1), l = m, ..., 1, as two cumulative products, and the row
-    is the cumulative sum of the pmf.  See `_table_error` for its error.
-    """
-    m, h = j // 2, j - j // 2
-    even = 2.0 * np.arange(1, h + 1)
-    mode = np.prod((even - 1.0) / even)
-    up = np.arange(m, j)
-    down = np.arange(m, 0, -1)
-    pmf = np.empty(j + 1)
-    pmf[m:] = np.cumprod(np.concatenate(([mode], (j - up) / (up + 1.0))))
-    pmf[m::-1] = np.cumprod(np.concatenate(([mode], down / (j - down + 1.0))))
-    row = np.zeros(j + 2)
-    np.cumsum(pmf, out=row[1:])
-    return row
-
-
-def _table_error(j: int, components: int) -> float:
-    """An absolute bound on the error of every `_walk_table` entry for a
-    target of ``components`` components, j steps ahead.
-
-    Rounding follows Higham (*Accuracy and Stability of Numerical
-    Algorithms*, 2002, sec. 2.1): fl(x op y) = (x op y)(1 + d) + e with
-    |d| <= u = 2^-53, |e| <= 2^-1075 and e = 0 for additions and
-    subtractions; gamma_m = m u / (1 - m u).  In `_walk_prefix_row`:
-
-    - the mode takes h divisions and h - 1 products, each factor in
-      [1/2, 1) and no partial product below 1 / (2 sqrt(h)), so it is within
-      a factor 1 + gamma_(2h-1), in any order (sec. 3.1, Lemma 3.1);
-    - pmf entry i takes |i - m| <= h more ratios, each one division of exact
-      integers, and as many products of the cumulative product, so it is
-      within a factor 1 + gamma_(2j+1) of C(j, i) 2^-j, plus the underflow
-      terms e.  Away from the mode every ratio is at most 1, so each e
-      shrinks through the later products and entry i carries at most
-      h 2^-1074 of them, all entries together A <= (j + 1)^2 2^-1074;
-    - the cumulative sum adds at most j + 1 terms recursively, within
-      gamma_j times their sum (sec. 4.2, (4.4)); the exact prefix sums are
-      at most 1, so row[i] is within d_row = gamma_(3j+1) + 2A of
-      P(S_j < 2i - j), using (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_(a+b).
-
-    A table entry is a sum over the c components of differences of two row
-    entries, each difference within 2 d_row of the exact one before its own
-    rounding, and the exact entry is at most 1; the c - 1 additions, in any
-    order, and the c subtractions add at most gamma_c (1 + 2 c d_row).  So
-    every entry is within 2 c d_row + gamma_c (1 + 2 c d_row) of
-    P(y + S_j in target): about 6.0e-13 at j = 900 and 2.7e-11 at
-    j = 4 10^4 for one component.  The bound's own dozen roundings are
-    covered by the factor 1 + 2^-48.
-    """
-    row = _gamma(3 * j + 1) + 2.0 * (j + 1) ** 2 * 2.0 ** -1074
-    spread = 2.0 * components * row
-    return (spread + _gamma(components) * (1.0 + spread)) * (1.0 + 2.0 ** -48)
-
-
 @lru_cache(maxsize=256)
 def _walk_table(j: int, target: IntervalSet, lo: int, stride: int,
                 width: int) -> np.ndarray:
@@ -769,13 +709,13 @@ def _walk_table(j: int, target: IntervalSet, lo: int, stride: int,
     within `_table_error(j, components)`.
 
     Every block of a run at generation k has the same sites, its start
-    sharing the run's layout, so the blocks share each table; its prefix row
-    is built for this call only, since at j = 10^6 one row takes 8 MB.
+    sharing the run's layout, so the blocks share each table.  The table
+    reads the cut float row `gaussian._walk_row(j)`, which each process
+    builds once: about t sqrt(j) entries, 9,204 at j = 10^6.
     """
     first, last = target.site_ranges()
     sites = (lo + stride * np.arange(width))[:, None]
-    table = _paths_ending_in(j, first - sites, last - sites,
-                             _walk_prefix_row(j)).sum(axis=1)
+    table = _walk_masses(j, first - sites, last - sites).sum(axis=1)
     table.flags.writeable = False   # shared by every block through the cache
     return table
 

@@ -1,4 +1,4 @@
-"""Standard Gaussian measure of interval sets and the exact n-step walk law.
+"""Standard Gaussian measure of interval sets and the n-step walk law.
 
 The continuous side evaluates the Gaussian CDF Phi in two ways.  Scalar
 masses go through the complementary error function, pairing endpoints on the
@@ -18,12 +18,19 @@ Its absolute error is at most 2^-52 on the whole line (checked against
 mpmath); its relative error is below 5e-15 for t > -5 and 1e-10 for
 t > -20, so it serves sums of absolute masses, not deep-tail ratios.  Inputs
 are clamped to [-39, 9], so Phi(-inf) = 0 and Phi(inf) = 1 exactly, and a
-NaN input gives NaN.  The lattice side is exact:
-the walk-law mass of a set is a sum of binomial coefficients over its
-`intervals.lattice_ends` site ranges, read off cached integer prefix sums,
-and scaled once by 2^-n with correct rounding (`_walk_probs`).  Sets are
-read through their endpoint arrays (``IntervalSet.lo``, ``hi`` and the
-flags), which `intervals` builds.  All functions here are pure and reentrant.
+NaN input gives NaN.
+
+The lattice side reads a set through its `intervals.lattice_ends` site
+ranges, in one of two ways.  `srw_pmf`, `nu_n_of_set` and `hit_probs` are
+exact: a sum of binomial coefficients read off cached integer prefix sums,
+scaled once by 2^-n with correct rounding (`_walk_probs`).  The bulk
+readers, `clt_uniformity_scan` and the certificate's tables in `engine`,
+read one cached float prefix row per n instead (`_walk_row`): it keeps only
+the sites within 9.2 sqrt(n) of the centre, takes its mode from Stirling's
+series, and each mass read off it is within the derived bound
+`_table_error`.  Sets are read through their endpoint arrays
+(``IntervalSet.lo``, ``hi`` and the flags), which `intervals` builds.  All
+functions here are pure and reentrant; the caches only save work.
 """
 
 from __future__ import annotations
@@ -200,22 +207,24 @@ def _prefix_row(n: int) -> np.ndarray:
     return prefix
 
 
-def _paths_ending_in(n: int, first, last, prefix=None) -> np.ndarray:
-    """Prefix-row differences over each integer site range [first, last]: by
-    default the number of n-step paths ending there, as exact integers; a
-    path of n steps ends at a site 2j - n.
-
-    ``prefix`` is a prefix row of n, indexed as `_prefix_row`; by default
-    that exact row.  `engine` passes a float row of walk probabilities.
-    """
+def _row_indices(n: int, first, last) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix-row indices (i_first, i_end) of each integer site range
+    [first, last]: a path of n steps ends at a site 2i - n, and the paths
+    ending in the range are those with i_first <= i < i_end."""
     # Clipping to just outside [-n, n] keeps infinities and huge endpoints exact.
     first = np.clip(first, -n - 1, n + 1)
     last = np.clip(last, -n - 1, n + 1)
-    j_first = np.ceil((first + n) / 2).astype(np.int64)
-    j_end = np.floor((last + n) / 2).astype(np.int64) + 1
-    if prefix is None:
-        prefix = _prefix_row(n)
-    return prefix[np.maximum(j_end, j_first)] - prefix[j_first]
+    i_first = np.ceil((first + n) / 2).astype(np.int64)
+    i_end = np.floor((last + n) / 2).astype(np.int64) + 1
+    return i_first, np.maximum(i_end, i_first)
+
+
+def _paths_ending_in(n: int, first, last) -> np.ndarray:
+    """The number of n-step paths ending in each integer site range
+    [first, last], as exact integers: differences of `_prefix_row`."""
+    i_first, i_end = _row_indices(n, first, last)
+    prefix = _prefix_row(n)
+    return prefix[i_end] - prefix[i_first]
 
 
 def nu_n_of_set(n: int, s: IntervalSet) -> float:
@@ -260,6 +269,140 @@ def _walk_probs(counts: np.ndarray, n: int) -> np.ndarray:
     return (counts / (1 << n)).astype(float)
 
 
+# -- float walk rows, cut at the tails ---------------------------------------
+
+# A row keeps the sites within +-_CUT_T sqrt(j) of the centre.  By Hoeffding,
+# P(|S_j| >= t sqrt(j)) <= 2 exp(-t^2 / 2), below _CUT_MASS = 2^-60 at t = 9.2.
+_CUT_T = 9.2
+_CUT_MASS = 2.0 ** -60
+# The largest j whose mode is the quotient of `math.comb` by 2^j; beyond it
+# the Stirling remainder 1 / (630 h^5), h = ceil(j / 2), is below 2^-64.
+_COMB_MAX_J = 4096
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u): the relative error of m roundings."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
+def _row_span(j: int) -> tuple[int, int]:
+    """The first and last step counts a, b = j - a to the right that a cut
+    row of j steps keeps: the sites 2l - j, a <= l <= b, cover the open
+    interval (-s - 2, s + 2) around 0, s = ceil(t sqrt(j)) + 1 > t sqrt(j)."""
+    a = max(0, (j - math.ceil(_CUT_T * math.sqrt(j)) - 1) // 2)
+    return a, j - a
+
+
+def _walk_mode(j: int) -> float:
+    """C(j, floor(j / 2)) 2^-j: correctly rounded up to _COMB_MAX_J, and
+    within a factor 1 + gamma_16 beyond.
+
+    Up to _COMB_MAX_J it is the exact integer divided, correctly rounded.
+    Beyond, with h = ceil(j / 2) it equals C(2h, h) 4^-h, since
+    C(2h, h) = 2 C(2h - 1, h - 1), and by Stirling's series for
+    ln n! = n ln n - n + ln(2 pi n) / 2 + r_n, whose remainder after
+    1 / (12 n) - 1 / (360 n^3) lies in (0, 1 / (1260 n^5)),
+    C(2h, h) 4^-h = exp(r_2h - 2 r_h) / sqrt(pi h) with
+    r_2h - 2 r_h = -1 / (8 h) + 1 / (192 h^3) + E, |E| < 1 / (630 h^5).
+    With h > 2048, E is below 2^-64; the exponent takes four roundings
+    (and is at most 2^-14 in size), exp at most one ulp, and pi, the
+    product, the root and the quotient one each, so the value is within a
+    factor 1 + gamma_16 of the mode.
+    """
+    if j <= _COMB_MAX_J:
+        return math.comb(j, j // 2) / (1 << j)
+    h = float(j - j // 2)
+    return math.exp((1.0 / (192.0 * h * h) - 0.125) / h) / math.sqrt(math.pi * h)
+
+
+@lru_cache(maxsize=256)
+def _walk_row(j: int) -> tuple[int, np.ndarray]:
+    """The cut prefix row of the j-step walk law, in floats, cached: (a, row)
+    with row[i - a] = P(a <= (S_j + j) / 2 < i) for a <= i <= b + 1, where
+    (a, b) = `_row_span(j)`.  A prefix index i below a reads row[0] = 0 and
+    one above b + 1 reads the kept total row[-1] (`_walk_masses`).
+
+    With m = floor(j / 2), the pmf runs from the mode `_walk_mode(j)` upward
+    by the ratios (j - l) / (l + 1), l = m, ..., b - 1, and downward by
+    l / (j - l + 1), l = m, ..., a + 1, as two cumulative products, and the
+    row is their cumulative sum: at most t sqrt(j) + 6 entries, 9,204 at
+    j = 10^6.  See `_table_error` for its error.
+    """
+    a, b = _row_span(j)
+    m = j // 2
+    up = np.arange(m, b)
+    down = np.arange(m, a, -1)
+    pmf = np.empty(b - a + 1)
+    mode = _walk_mode(j)
+    pmf[m - a:] = np.cumprod(np.concatenate(([mode], (j - up) / (up + 1.0))))
+    pmf[m - a::-1] = np.cumprod(np.concatenate(([mode], down / (j - down + 1.0))))
+    row = np.zeros(b - a + 2)
+    np.cumsum(pmf, out=row[1:])
+    row.flags.writeable = False   # shared by every caller through the cache
+    return a, row
+
+
+def _walk_masses(j: int, first, last) -> np.ndarray:
+    """P(S_j in [first, last]) for each integer site range, read off the cut
+    row `_walk_row(j)`, each within 2 d_row of the exact one before its
+    subtraction is rounded (see `_table_error`)."""
+    i_first, i_end = _row_indices(j, first, last)
+    a, row = _walk_row(j)
+    top = row.size - 1
+    return (row[np.clip(i_end - a, 0, top)]
+            - row[np.clip(i_first - a, 0, top)])
+
+
+def _table_error(j: int, components: int) -> float:
+    """An absolute bound on the error of every sum of `_walk_masses` over
+    the ``components`` site ranges of a set, j steps ahead: the entries of
+    the certificate's tables (`engine._walk_table`) and the walk-law masses
+    of `clt_uniformity_scan`.
+
+    Rounding follows Higham (*Accuracy and Stability of Numerical
+    Algorithms*, 2002, sec. 2.1): fl(x op y) = (x op y)(1 + d) + e with
+    |d| <= u = 2^-53, |e| <= 2^-1075 and e = 0 for additions and
+    subtractions; gamma_m = m u / (1 - m u).  In `_walk_row`, which keeps
+    the k = b - a + 1 pmf entries a <= l <= b around m = floor(j / 2):
+
+    - the mode is within a factor 1 + gamma_M, M = 1 up to _COMB_MAX_J
+      and M = 16 beyond, the Stirling remainder included (`_walk_mode`);
+    - pmf entry l takes |l - m| <= b - m more ratios, each one division of
+      exact integers, and as many products of the cumulative product, so it
+      is within a factor 1 + gamma_(M+2(b-m)) of C(j, l) 2^-j (sec. 3.1,
+      Lemma 3.1), plus the underflow terms e.  Away from the mode every
+      ratio is at most 1, so each e shrinks through the later products and
+      entry l carries at most k 2^-1074 of them, all entries together
+      A <= k^2 2^-1074;
+    - the cumulative sum adds at most k terms recursively, within
+      gamma_(k-1) times their sum (sec. 4.2, (4.4)); the exact kept prefix
+      sums are at most 1, so each row entry is within
+      gamma_(M+2(b-m)+k-1) + 2A of the exact sum of the kept pmf entries it
+      covers, using (1 + gamma_x)(1 + gamma_y) <= 1 + gamma_(x+y);
+    - the cut: the exact P(S_j < 2i - j) differs from the kept sum of the
+      entries below i, clipped to the kept range, by at most the dropped
+      mass, below _CUT_MASS = 2^-60 (`_row_span`).
+
+    So every row entry is within d_row = gamma_(M+2(b-m)+k-1) + 2A + 2^-60
+    of P(S_j < 2i - j).  A sum over c components of differences of two row
+    entries has each difference within 2 d_row of the exact one before its
+    own rounding, and the exact sum is at most 1; the c - 1 additions, in
+    any order, and the c subtractions add at most gamma_c (1 + 2 c d_row).
+    So every sum is within 2 c d_row + gamma_c (1 + 2 c d_row) of
+    P(y + S_j in target): about 1.2e-13 at j = 900, 8.2e-13 at j = 4 10^4
+    and 4.1e-12 at j = 10^6 for one component.  The bound's own dozen
+    roundings are covered by the factor 1 + 2^-48.
+    """
+    a, b = _row_span(j)
+    kept = b - a + 1
+    roundings = (1 if j <= _COMB_MAX_J else 16) + 2 * (b - j // 2) + kept - 1
+    row = _gamma(roundings) + 2.0 * kept ** 2 * 2.0 ** -1074 + _CUT_MASS
+    spread = 2.0 * components * row
+    return (spread + _gamma(components) * (1.0 + spread)) * (1.0 + 2.0 ** -48)
+
+
 # -- uniform CLT discrepancy scan --------------------------------------------
 
 # Endpoint pairs per chunk of the CLT scan: the chunk's Taylor coefficients
@@ -292,6 +435,13 @@ def clt_uniformity_scan(s: IntervalSet, big_r: float, n: int,
 
     rho runs over [1/R, R]; xi over a grid of step 1/sqrt(n) with radius
     R * (largest finite |endpoint|) + 10.
+
+    The walk-law side reads the cut float row `_walk_row(n)`, so each of its
+    masses is within `_table_error(n, c)` of the exact one, c the number of
+    components; each Gaussian mass is within c 2^-51 + gamma_c of the exact
+    one, `_phi_array` being within 2^-52 at each endpoint, and the
+    difference takes one more rounding.  So ``sup_error`` is within
+    `_table_error(n, c) + c 2^-50` of the exact maximum over the grid.
     """
     if big_r <= 1.0:
         raise ValueError("R must exceed 1")
@@ -315,11 +465,11 @@ def clt_uniformity_scan(s: IntervalSet, big_r: float, n: int,
         scale = rhos[start:start + rows, None]
         img_lo = lo * scale + xis
         img_hi = hi * scale + xis
-        counts = _paths_ending_in(n, *lattice_ends(
+        walk = _walk_masses(n, *lattice_ends(
             img_lo * sqrt_n, lo_closed, img_hi * sqrt_n, hi_closed)).sum(axis=0)
         cdf = _phi_array(np.stack((img_hi, img_lo)))
         gauss = (cdf[0] - cdf[1]).sum(axis=0)
-        err[start:start + rows] = np.abs(_walk_probs(counts, n) - gauss)
+        err[start:start + rows] = np.abs(walk - gauss)
     # the first maximum in (rho, xi) order, as a scan over rho rows would keep it
     i, j = np.unravel_index(int(np.argmax(err)), err.shape)
     return CltScanResult(float(err[i, j]), float(rhos[i]), float(xis[j]),

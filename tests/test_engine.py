@@ -663,25 +663,88 @@ def test_walk_table_within_its_error_bound(j):
     assert engine._table_error(4 * 10 ** 4, 1) < 3e-11
 
 
+def _binomial(n, k):
+    """C(n, k) as a product of prime powers (Legendre's formula), a product
+    tree keeping the big multiplications balanced: at n = 10^6 this takes
+    about 0.1 s where `math.comb` takes seconds."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    factors = [1]
+    for p in sieve.nonzero()[0].tolist():
+        e, q = 0, p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        if e:
+            factors.append(p ** e)
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+def test_binomial_reference_equals_math_comb():
+    assert [_binomial(n, k) for n, k in [(0, 0), (7, 3), (2 * 10 ** 4, 10 ** 4),
+                                         (2 * 10 ** 4 + 1, 9_000)]] == \
+        [1, 35, math.comb(2 * 10 ** 4, 10 ** 4), math.comb(2 * 10 ** 4 + 1, 9_000)]
+
+
+@pytest.mark.parametrize("j", [4097, 10 ** 5, 10 ** 6])
+def test_cut_walk_row_against_exact_binomials(j):
+    # beyond the exact rows: the row keeps about t sqrt(j) entries; its
+    # Stirling mode, its first kept entry, its middle and last prefix sums
+    # and a table of (-inf, 0] at sites -2, 0, 2 against exact binomials
+    # divided with correct rounding (so within 2^-53 relative of the exact
+    # quotient, which the bounds below leave room for)
+    from brwlab import gaussian
+    m = j // 2
+    a, row = gaussian._walk_row(j)
+    assert (a, a + row.size - 2) == gaussian._row_span(j)
+    assert row.size <= 10 * math.sqrt(j)
+    delta = engine._table_error(j, 1)
+    u = 2.0 ** -53
+    mode = _binomial(j, m) / (1 << j)
+    assert abs(gaussian._walk_mode(j) - mode) <= (gaussian._gamma(16) + 2 * u) * mode
+    edge = _binomial(j, a) / (1 << j)   # row[1] is the first kept pmf entry alone
+    assert abs(row[1] - edge) <= (gaussian._gamma(16 + 2 * (m - a)) + 2 * u) * edge
+    assert row[0] == 0.0 and abs(row[-1] - 1.0) <= delta
+    # row[m - a] = P(S_j < 2m - j): (1 - P(S_j = 0)) / 2 for even j, and
+    # 1/2 - P(S_j = -1) for odd j
+    below = (1.0 - mode) / 2 if j % 2 == 0 else 0.5 - mode
+    assert abs(row[m - a] - below) <= delta + u
+    if j % 2 == 0:
+        next_up = _binomial(j, m + 1) / (1 << j)
+        exact = [(1.0 + mode) / 2 + next_up, (1.0 + mode) / 2, (1.0 - mode) / 2]
+        table = engine._walk_table(j, IntervalSet.below(0), -2, 2, 3)
+        assert np.abs(table - exact).max() <= delta + 2 * u
+    if j == 10 ** 6:
+        assert row.size <= 2 * 10 ** 4 and delta < 1e-9
+
+
 def test_certificate_margin_absorbs_the_table_error():
-    # one row of 2^100 particles at site 0, j = 4 10^4 steps ahead: the bound
-    # would pass at a gap of slack + delta / 2 if the table were exact, but
-    # the table is only known within delta, so the row must not retire; at
-    # slack + 2 delta it retires with the gap's sign
+    # one row of 2^100 particles at site 0, j = 4 10^4 and 10^6 steps ahead,
+    # read off a cut row: the bound would pass at a gap of slack + delta / 2
+    # if the table were exact, but the table is only known within delta, so
+    # the row must not retire; at slack + 2 delta it retires with the gap's
+    # sign
+    from brwlab import gaussian
     law = BranchingLaw.binary_ternary()
     target = IntervalSet.below(0)
-    j = 4 * 10 ** 4
     block = engine._VectorState([ParticleMeasure.delta(0, count=2 ** 100)], [1], [1],
                                 [derive(0, 0)])
-    mu = float(engine._walk_table(j, target, 0, 2, 1)[0])
     slack = 3 * 2.0 ** -52   # (width + 2) 2^-52 at width 1
-    delta = engine._table_error(j, 1)
-    inside = engine._Certificate(law, [(j, target, mu - (slack + delta / 2), False)])
-    assert inside.settle(block, 0, ONE_EVENT)[0].size == 0
-    outside = engine._Certificate(law, [(j, target, mu - (slack + 2 * delta), False)])
-    rows, outcomes, bounds = outside.settle(block, 0, ONE_EVENT)
-    assert rows.tolist() == [0] and outcomes.tolist() == [True]
-    assert 0.0 < bounds[0] <= 1e-12
+    for j in (4 * 10 ** 4, 10 ** 6):
+        assert gaussian._row_span(j)[0] > 0   # the row is cut
+        mu = float(engine._walk_table(j, target, 0, 2, 1)[0])
+        delta = engine._table_error(j, 1)
+        inside = engine._Certificate(law, [(j, target, mu - (slack + delta / 2), False)])
+        assert inside.settle(block, 0, ONE_EVENT)[0].size == 0
+        outside = engine._Certificate(law, [(j, target, mu - (slack + 2 * delta), False)])
+        rows, outcomes, bounds = outside.settle(block, 0, ONE_EVENT)
+        assert rows.tolist() == [0] and outcomes.tolist() == [True]
+        assert 0.0 < bounds[0] <= 1e-12
 
 
 def _exact_law(law):

@@ -3,6 +3,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,19 @@ def test_rows_json_records_every_group_seed_and_thread_count():
     for name, group in RECORDED["groups"].items():
         assert group["argv"] == row_digests.GROUPS[name]
         assert sorted(group["sha256"], key=int) == [str(s) for s in RECORDED["seeds"]]
+    assert {name: group["argv"] for name, group in RECORDED["seedless"].items()} == \
+        row_digests.SEEDLESS
+
+
+def test_rate_suite_group_runs_the_analytic_workloads_rate_suite(monkeypatch):
+    # the tool keeps its own copy, since it runs where scipy, which the
+    # workloads import, is not installed
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclasses
+    spec.loader.exec_module(workloads)
+    assert row_digests.RATE_SUITE == [(text, p) for text, p, *_ in workloads.RATE_SUITE]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -37,4 +51,11 @@ def test_rows_equal_their_recorded_digests(group, threads, monkeypatch):
     monkeypatch.setattr(ldp, "_usable_cores", lambda: 2)
     got = row_digests.digest(cli, row_digests.GROUPS[group], 1, threads)
     assert got == RECORDED["groups"][group]["sha256"]["1"], (
+        f"recorded under numpy {RECORDED['numpy']}, run under numpy {np.__version__}")
+
+
+@pytest.mark.parametrize("group", sorted(row_digests.SEEDLESS))
+def test_seedless_rows_equal_their_recorded_digests(group):
+    got = row_digests.lines_digest(cli, row_digests.SEEDLESS[group])
+    assert got == RECORDED["seedless"][group]["sha256"], (
         f"recorded under numpy {RECORDED['numpy']}, run under numpy {np.__version__}")

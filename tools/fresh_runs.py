@@ -7,16 +7,18 @@ commit checked out in a separate directory:
         --out BENCH_no_scipy.json
 
 Every run is a new interpreter that imports ``brwlab.cli`` from the tree's
-``src/`` and runs the criterion-7 ``ldp`` line (shift regime, n = 100, 400
-and 900, 1,000 replicas, seed 1), so a run pays everything a user's command
-pays, import included.  Each run has its own bytecode cache, as in
-``bench_pairs.py``: the tree's modules are compiled from source, and the
-rest loads from bytecode.  For each ``--threads`` value the runs alternate
+``src/`` and runs one ``ldp`` line (`LINES`), so a run pays everything a
+user's command pays, import included: by default the criterion-7 line
+(shift regime, n = 100, 400 and 900, 1,000 replicas, seed 1), and with
+``--line fresh_ldp_million`` the README's million-generation line
+(n = 10^4, 10^5 and 10^6, 100 replicas, seed 1).  Each run has its own
+bytecode cache, as in ``bench_pairs.py``: the tree's modules are compiled
+from source, and the rest loads from bytecode.  For each ``--threads`` value the runs alternate
 parent and change, the parent first in even rounds and the change first in
 odd ones.  The tool records each side's median and every wall time, and
 whether the two trees printed the same data rows.  The record goes under the
-key ``fresh_ldp`` of ``--out``; other keys of an existing file are kept,
-and an empty file counts as none.
+line's name as the key of ``--out``; other keys of an existing file are
+kept, and an empty file counts as none.
 """
 
 from __future__ import annotations
@@ -34,17 +36,23 @@ from pathlib import Path
 from bench_pairs import BYTECODE, bytecode_cache
 
 SIDES = ("parent", "change")
-COMMAND = ["ldp", "--set", "(-inf,0]", "--p", "0.8", "--n-grid", "100,400,900",
-           "--replicas", "1000", "--seed", "1"]
+LINES = {
+    "fresh_ldp": ["ldp", "--set", "(-inf,0]", "--p", "0.8", "--n-grid", "100,400,900",
+                  "--replicas", "1000", "--seed", "1"],
+    "fresh_ldp_million": ["ldp", "--set", "(-inf,0]", "--p", "0.8",
+                          "--n-grid", "10000,100000,1000000", "--replicas", "100",
+                          "--seed", "1"],
+}
 LAUNCH = "import sys; from brwlab.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run_once(tree: Path, threads: int, cwd: str) -> tuple[float, list[str]]:
-    """Wall seconds of one fresh command in ``tree`` and its data rows."""
+def run_once(tree: Path, command: list[str], threads: int,
+             cwd: str) -> tuple[float, list[str]]:
+    """Wall seconds of one fresh ``command`` in ``tree`` and its data rows."""
     with bytecode_cache(tree, "brwlab.cli") as env:
         env["PYTHONPATH"] = str(tree / "src")
         t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", LAUNCH, *COMMAND,
+        proc = subprocess.run([sys.executable, "-c", LAUNCH, *command,
                                "--threads", str(threads)],
                               cwd=cwd, env=env, check=True, capture_output=True,
                               text=True)
@@ -60,10 +68,13 @@ def main(argv=None) -> int:
                         help="runs per side and thread count")
     parser.add_argument("--threads", default="1,2",
                         help="comma-separated --threads values")
+    parser.add_argument("--line", choices=LINES, default="fresh_ldp",
+                        help="the command line to time, and the key of its record")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    command = LINES[args.line]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    record = {"command": "brwlab " + " ".join(COMMAND), "runs": args.runs,
+    record = {"command": "brwlab " + " ".join(command), "runs": args.runs,
               "first_side": "parent in even rounds, change in odd rounds",
               "nproc": os.cpu_count(), "bytecode": BYTECODE,
               "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
@@ -74,7 +85,7 @@ def main(argv=None) -> int:
             walls = {side: [] for side in SIDES}
             for i in range(args.runs):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    wall, data = run_once(trees[side], threads, cwd)
+                    wall, data = run_once(trees[side], command, threads, cwd)
                     walls[side].append(wall)
                     rows[side].add("\n".join(data))
                     print(f"--threads {threads} round {i} {side}: {wall:.3f} s",
@@ -86,7 +97,7 @@ def main(argv=None) -> int:
     # an empty file, as mktemp makes, holds no record yet
     text = args.out.read_text() if args.out.exists() else ""
     out = json.loads(text) if text.strip() else {}
-    out["fresh_ldp"] = record
+    out[args.line] = record
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for threads, sides in record["threads"].items():
         print(f"--threads {threads}: parent {sides['parent']['median_s']:.3f} s, "
