@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .engine import BranchingLaw, ParticleMeasure, block_rows, enumerate_exact, evolve
 from .errors import InfeasibleError, NumericError
-from .gaussian import clt_uniformity_scan
+from .gaussian import clt_uniformity_scan, nu
 from .intervals import INF, ParseError, parse_set
 from .ldp import (
     StrategySpec,
@@ -335,6 +335,9 @@ def _cmd_ldp(resolved: dict) -> None:
     target = parse_set(resolved["set"])
     p = resolved["p"]
     report = classify(target, p, law.b)
+    if report.degenerate:
+        raise InfeasibleError(f"p = {p!r} is at most nu(A) = {nu(target)!r}: a typical "
+                              "event, with no deviation to estimate")
     kind = resolved["kind"]
     if kind == "auto":
         kind = report.regime

@@ -73,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, PopulationCapError
-from .gaussian import _table_error, _walk_masses
+from .gaussian import _table_error, hit_probs
 from .intervals import IntervalSet
 
 __all__ = [
@@ -705,17 +705,13 @@ class _Certificate:
 @lru_cache(maxsize=256)
 def _walk_table(j: int, target: IntervalSet, lo: int, stride: int,
                 width: int) -> np.ndarray:
-    """P(y + S_j in target) at a block's sites y = lo + stride * i, i < width,
-    within `_table_error(j, components)`.
+    """`hit_probs` of the target j steps ahead at a block's sites
+    y = lo + stride * i, i < width, so within `_table_error(j, components)`.
 
     Every block of a run at generation k has the same sites, its start
-    sharing the run's layout, so the blocks share each table.  The table
-    reads the cut float row `gaussian._walk_row(j)`, which each process
-    builds once: about t sqrt(j) entries, 9,204 at j = 10^6.
+    sharing the run's layout, so the blocks share each table.
     """
-    first, last = target.site_ranges()
-    sites = (lo + stride * np.arange(width))[:, None]
-    table = _walk_masses(j, first - sites, last - sites).sum(axis=1)
+    table = hit_probs(j, target, lo + stride * np.arange(width))
     table.flags.writeable = False   # shared by every block through the cache
     return table
 

@@ -21,12 +21,12 @@ are clamped to [-39, 9], so Phi(-inf) = 0 and Phi(inf) = 1 exactly, and a
 NaN input gives NaN.
 
 The lattice side reads a set through its `intervals.lattice_ends` site
-ranges, in one of two ways.  `srw_pmf`, `nu_n_of_set` and `hit_probs` are
-exact: a sum of binomial coefficients read off cached integer prefix sums,
-scaled once by 2^-n with correct rounding (`_walk_probs`).  The bulk
-readers, `clt_uniformity_scan` and the certificate's tables in `engine`,
-read one cached float prefix row per n instead (`_walk_row`): it keeps only
-the sites within 9.2 sqrt(n) of the centre, takes its mode from Stirling's
+ranges, in one of two ways.  `srw_pmf` and `nu_n_of_set` are exact: an
+integer path count read off cached integer prefix sums (`_prefix_row`),
+divided once by 2^n, so correctly rounded.  `hit_probs` (and through it
+the certificate's tables in `engine`) and `clt_uniformity_scan` read one
+cached float prefix row per n instead (`_walk_row`): it keeps only the
+sites within 9.2 sqrt(n) of the centre, takes its mode from Stirling's
 series, and each mass read off it is within the derived bound
 `_table_error`.  Sets are read through their endpoint arrays
 (``IntervalSet.lo``, ``hi`` and the flags), which `intervals` builds.  All
@@ -219,54 +219,34 @@ def _row_indices(n: int, first, last) -> tuple[np.ndarray, np.ndarray]:
     return i_first, np.maximum(i_end, i_first)
 
 
-def _paths_ending_in(n: int, first, last) -> np.ndarray:
-    """The number of n-step paths ending in each integer site range
-    [first, last], as exact integers: differences of `_prefix_row`."""
-    i_first, i_end = _row_indices(n, first, last)
-    prefix = _prefix_row(n)
-    return prefix[i_end] - prefix[i_first]
-
-
 def nu_n_of_set(n: int, s: IntervalSet) -> float:
     """Walk-law measure of a set: exact lattice sum over occupied sites.
 
     A lattice point sitting on an open endpoint is excluded, on a closed one
     included; this is where the endpoint flags become observable.  The path
-    count is an exact integer, so the result is correctly rounded.
+    count is an exact integer, a sum of `_prefix_row` differences, divided
+    once by 2^n, so the result is correctly rounded.
     """
-    return float(hit_probs(n, s, np.zeros(1))[0])
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    i_first, i_end = _row_indices(n, *s.site_ranges())
+    prefix = _prefix_row(n)
+    return sum((prefix[i_end] - prefix[i_first]).tolist()) / (1 << n)
 
 
 def hit_probs(n: int, s: IntervalSet, sites: np.ndarray) -> np.ndarray:
-    """P(y + S_n in s) for each integer site y in ``sites``, correctly rounded.
+    """P(y + S_n in s) for each integer site y in ``sites``, each within
+    `_table_error(n, c)` of the exact one, c the number of components of s.
 
-    The walk-law mass of the set seen from each site, `nu_n_of_set` being the
-    one at site 0.  The set's integer site ranges are found once, so every
-    subtraction stays exact.
+    The walk-law mass of the set seen from each site, read off the cut float
+    row `_walk_row(n)` (`_walk_masses`).  The set's integer site ranges are
+    found once and moved by each site.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     first, last = s.site_ranges()
     y = np.asarray(sites, dtype=float)[:, None]
-    return _walk_probs(_paths_ending_in(n, first - y, last - y).sum(axis=1), n)
-
-
-# the largest n at which every nonzero count / 2^n is a normal float
-_LDEXP_MAX_N = 1022
-
-
-def _walk_probs(counts: np.ndarray, n: int) -> np.ndarray:
-    """Exact n-step path counts as probabilities count / 2^n, correctly rounded.
-
-    float(count) rounds correctly, and scaling by 2^-n is exact while the
-    result is normal, as every nonzero count / 2^n is for n <= 1022, so
-    `np.ldexp` gives the correctly rounded quotient there.  Beyond, a count
-    may pass the float range or its quotient be subnormal, and the integers
-    are divided instead.
-    """
-    if n <= _LDEXP_MAX_N:
-        return np.ldexp(counts.astype(float), -n)
-    return (counts / (1 << n)).astype(float)
+    return _walk_masses(n, first - y, last - y).sum(axis=1)
 
 
 # -- float walk rows, cut at the tails ---------------------------------------
@@ -357,9 +337,9 @@ def _walk_masses(j: int, first, last) -> np.ndarray:
 
 def _table_error(j: int, components: int) -> float:
     """An absolute bound on the error of every sum of `_walk_masses` over
-    the ``components`` site ranges of a set, j steps ahead: the entries of
-    the certificate's tables (`engine._walk_table`) and the walk-law masses
-    of `clt_uniformity_scan`.
+    the ``components`` site ranges of a set, j steps ahead: the masses of
+    `hit_probs` (and so the certificate's tables) and of
+    `clt_uniformity_scan`.
 
     Rounding follows Higham (*Accuracy and Stability of Numerical
     Algorithms*, 2002, sec. 2.1): fl(x op y) = (x op y)(1 + d) + e with

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from brwlab import gaussian
 from brwlab.intervals import Component, IntervalSet
 
 
@@ -30,6 +31,15 @@ def mirror(s: IntervalSet) -> IntervalSet:
     return IntervalSet(tuple(
         Component(-c.upper, -c.lower, c.upper_closed, c.lower_closed)
         for c in s))
+
+
+def paths_ending_in(n: int, first, last) -> np.ndarray:
+    """The number of n-step walk paths ending in each integer site range
+    [first, last], as exact integers: differences of the big-integer prefix
+    row `gaussian._prefix_row`, the reference for the float walk rows."""
+    i_first, i_end = gaussian._row_indices(n, first, last)
+    prefix = gaussian._prefix_row(n)
+    return prefix[i_end] - prefix[i_first]
 
 
 @pytest.fixture

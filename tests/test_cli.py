@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from brwlab.cli import main
+from brwlab.gaussian import nu
+from brwlab.intervals import parse_set
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -205,6 +207,18 @@ def test_ldp_infeasible_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "infeasible" in err and "falls short" in err
+
+
+@pytest.mark.parametrize("text, p", [("R", 0.5), ("(-inf,1.3]", 0.6)])
+def test_ldp_typical_event_exits_3(text, p, capsys):
+    # p <= nu(A): no deviation to estimate, so no rows with an infinite gap
+    code = main(["ldp", "--set", text, "--p", str(p), "--n-grid", "100,400,900",
+                 "--replicas", "10"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "infeasible" in captured.err and f"p = {p}" in captured.err
+    assert f"nu(A) = {nu(parse_set(text))!r}" in captured.err
 
 
 def test_ldp_thread_count_invariance(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from brwlab.errors import InfeasibleError, PopulationCapError
 from brwlab.gaussian import nu_n_of_set
 from brwlab.intervals import EMPTY, REALS, IntervalSet, parse_set
 from brwlab.streams import derive
+from conftest import paths_ending_in
 
 
 # -- BranchingLaw ----------------------------------------------------------------
@@ -646,17 +648,21 @@ def _lattice_sets(j):
 def test_walk_table_within_its_error_bound(j):
     # the certificate's float walk-law table against the exact walk law,
     # at every site near the origin and at sites of both parities across
-    # [-j - 3, j + 3]; hit_probs is correctly rounded, so within 2^-54 of
-    # the exact probability, and the table must be within delta of that
+    # [-j - 3, j + 3]; exact path counts divided with correct rounding are
+    # within 2^-54 of the exact probability, and the table must be within
+    # delta of that
     from brwlab import gaussian
     stride = 2 * ((2 * j + 6) // 400) + 1
     grids = [(-41, 1, 83), (-j - 3, stride, (2 * j + 6) // stride + 1)]
     try:
         for target in _lattice_sets(j):
             delta = engine._table_error(j, len(target.components))
+            first, last = target.site_ranges()
             for lo, step, width in grids:
                 table = engine._walk_table(j, target, lo, step, width)
-                exact = gaussian.hit_probs(j, target, lo + step * np.arange(width))
+                sites = (lo + step * np.arange(width))[:, None]
+                counts = paths_ending_in(j, first - sites, last - sites).sum(axis=1)
+                exact = (counts / (1 << j)).astype(float)
                 assert np.abs(table - exact).max() <= delta - 2.0 ** -54
     finally:
         gaussian._prefix_row.cache_clear()   # the exact row at j = 4 10^4 is ~0.2 GB
@@ -721,6 +727,26 @@ def test_cut_walk_row_against_exact_binomials(j):
         assert np.abs(table - exact).max() <= delta + 2 * u
     if j == 10 ** 6:
         assert row.size <= 2 * 10 ** 4 and delta < 1e-9
+
+
+def test_hit_probs_at_the_million_generation_line():
+    # the README's million-generation ldp line leaves m = 999,159 free
+    # generations; (-inf, 0] seen from sites 1 and -1 there has, for odd j,
+    # P(S_j <= -1) = 1/2 and P(S_j <= 1) = 1/2 + C(j, (j + 1) / 2) 2^-j,
+    # the latter within 2^-53 once its binomial is divided with correct
+    # rounding; the certificate's table is the same call at the same sites
+    from brwlab import gaussian
+    j = 999_159
+    target = IntervalSet.below(0)
+    gaussian._walk_row.cache_clear()
+    began = time.perf_counter()
+    got = gaussian.hit_probs(j, target, np.array([1, -1]))
+    assert time.perf_counter() - began < 1.0
+    exact = [0.5, 0.5 + _binomial(j, (j + 1) // 2) / (1 << j)]
+    assert np.abs(got - exact).max() <= engine._table_error(j, 1) + 2.0 ** -53
+    engine._walk_table.cache_clear()
+    table = engine._walk_table(j, target, 1, -2, 2)
+    assert table.tobytes() == got.tobytes()
 
 
 def test_certificate_margin_absorbs_the_table_error():

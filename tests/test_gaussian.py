@@ -9,7 +9,7 @@ import pytest
 from brwlab import gaussian as g
 from brwlab import rates
 from brwlab.intervals import EMPTY, REALS, Component, IntervalSet, lattice_ends
-from conftest import mirror, random_interval_set
+from conftest import mirror, paths_ending_in, random_interval_set
 
 mpmath.mp.dps = 40
 
@@ -327,22 +327,29 @@ def test_nu_n_of_set_open_closed_lattice():
     assert g.nu_n_of_set(2, IntervalSet.interval(0, 2, False, False)) == 0.0
 
 
-def test_nu_n_of_set_correctly_rounded(rng):
+def _assert_correctly_rounded(rng, n):
     # Endpoints sit on lattice points half of the time, with random flags.
+    cuts = np.sort(rng.uniform(-n - 3, n + 3, size=2 * int(rng.integers(1, 4))))
+    on_lattice = rng.random(cuts.size) < 0.5
+    cuts = np.unique(np.where(on_lattice, np.round(cuts), cuts))
+    parts = [Component(float(lo), float(hi), bool(rng.integers(2)), bool(rng.integers(2)))
+             for lo, hi in zip(cuts[::2], cuts[1::2])]
+    if rng.random() < 0.2:
+        parts.append(Component(-math.inf, float(cuts[0]) - 1.0, False,
+                               bool(rng.integers(2))))
+    s = IntervalSet(tuple(parts))
+    exact = sum((srw_pmf_exact(n, k) for k in range(-n, n + 1)
+                 if s.contains(float(k))), Fraction(0))
+    assert g.nu_n_of_set(n, s) == float(exact)
+
+
+def test_nu_n_of_set_correctly_rounded(rng):
     for _ in range(150):
-        n = int(rng.integers(0, 65))
-        cuts = np.sort(rng.uniform(-n - 3, n + 3, size=2 * int(rng.integers(1, 4))))
-        on_lattice = rng.random(cuts.size) < 0.5
-        cuts = np.unique(np.where(on_lattice, np.round(cuts), cuts))
-        parts = [Component(float(lo), float(hi), bool(rng.integers(2)), bool(rng.integers(2)))
-                 for lo, hi in zip(cuts[::2], cuts[1::2])]
-        if rng.random() < 0.2:
-            parts.append(Component(-math.inf, float(cuts[0]) - 1.0, False,
-                                   bool(rng.integers(2))))
-        s = IntervalSet(tuple(parts))
-        exact = sum((srw_pmf_exact(n, k) for k in range(-n, n + 1)
-                     if s.contains(float(k))), Fraction(0))
-        assert g.nu_n_of_set(n, s) == float(exact)
+        _assert_correctly_rounded(rng, int(rng.integers(0, 65)))
+    # around n = 1024, where a path count may pass the float range (2^1024)
+    # and only the integer quotient stays correctly rounded
+    for n in (1021, 1022, 1023, 1024, 1100):
+        _assert_correctly_rounded(rng, n)
 
 
 def test_nu_n_of_set_concentration_reference():
@@ -421,17 +428,6 @@ def _divided(counts, n):
 _SAMPLED_N = sorted(np.random.default_rng(91).integers(1, 1023, 6).tolist())
 
 
-@pytest.mark.parametrize("n", _SAMPLED_N + [1, 53, 54, 1021, 1022, 1023, 1024, 1100])
-def test_walk_probs_equal_integer_division(n):
-    # every binomial and prefix sum of row n, and counts on float rounding ties
-    prefix = g._prefix_row(n)
-    ties = [c for c in ((1 << 53) + 1, (1 << 60) + (1 << 7), (1 << 60) + 3 * (1 << 7),
-                        (1 << 1000) + (1 << 947), (1 << 1000) + (1 << 947) + 1)
-            if c <= 1 << n]
-    counts = np.concatenate((np.diff(prefix), prefix, np.array(ties, dtype=object)))
-    assert g._walk_probs(counts, n).tobytes() == _divided(counts, n).tobytes()
-
-
 def _integer_scan(s, big_r, n, rho_points):
     """The scan's largest |nu_n - nu| over its (rho, xi) grid, with the walk
     side from exact path counts divided with correct rounding, one rho row
@@ -443,7 +439,7 @@ def _integer_scan(s, big_r, n, rho_points):
     for rho in np.linspace(1.0 / big_r, big_r, rho_points):
         img_lo = s.lo[:, None] * rho + xis
         img_hi = s.hi[:, None] * rho + xis
-        counts = g._paths_ending_in(n, *lattice_ends(
+        counts = paths_ending_in(n, *lattice_ends(
             img_lo * sqrt_n, s.lo_closed[:, None], img_hi * sqrt_n,
             s.hi_closed[:, None])).sum(axis=0)
         cdf = g._phi_array(np.stack((img_hi, img_lo)))

@@ -14,14 +14,15 @@ the dilation regime at the sizes of the benchmark's ``shift-ldp`` and
 seeded group runs in process through ``cli.main`` at seeds 1 and 11-15 and
 at ``--threads`` 1, 2 and 3, the runs cut for that many processes whatever
 the machine's core count.  The seedless groups (`SEEDLESS`) are commands
-that draw nothing: the ``analytic`` workload's 20-case ``rate`` suite and
-two ``clt-scan`` lines, the README's and one at n = 1022, 1024 and 1100,
-where the path counts pass the float range; each runs once.  A
-digest is the sha256 of the header and data rows of a group's command
-lines, the lines that do not start with ``#``, so the comment lines, which
-carry the version, stay out of it.  The README promises the same rows at
-any ``--threads``, so a group whose rows differ between thread counts is a
-failure.
+that draw nothing: the ``analytic`` workload's 20-case ``rate`` suite; two
+``clt-scan`` lines, the README's and one at n = 1022, 1024 and 1100, where
+the path counts pass the float range; the README's ``interp`` line and one
+at spacing exponent 1; and the README's ``enumerate`` line and one of six
+generations.  Each runs once.  A digest is the sha256 of the header and
+data rows of a group's command lines, the lines that do not start with
+``#``, so the comment lines, which carry the version, stay out of it.  The
+README promises the same rows at any ``--threads``, so a group whose rows
+differ between thread counts is a failure.
 
 ``--out`` records the digests under the version of the brwlab it ran, with
 the numpy version, and keeps the entries of other versions; ``--check``
@@ -65,6 +66,13 @@ SEEDLESS = {
     "clt-scan": [["clt-scan", "--set", "(-inf,0]", "--R", "2", "--n-grid", "25,100,400"]],
     "clt-scan-1022": [["clt-scan", "--set", "(-inf,0]", "--R", "2",
                        "--n-grid", "1022,1024,1100"]],
+    "interp": [["interp", "--alpha", "0.75", "--p", "0.5", "--delta", "0.05"]],
+    "interp-delta-1": [["interp", "--alpha", "0.75", "--p", "0.5", "--delta", "1.0",
+                        "--k0", "2", "--n-grid", "100,1000,10000,100000"]],
+    "enumerate": [["enumerate", "--n", "2", "--law", "2:1.0", "--set", "(-inf,0]",
+                   "--p", "1"]],
+    "enumerate-6": [["enumerate", "--n", "6", "--law", "2:1", "--set", "(-inf,0]",
+                     "--p", "0.5"]],
 }
 SEEDS = (1, 11, 12, 13, 14, 15)
 THREADS = (1, 2, 3)
